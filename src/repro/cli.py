@@ -22,9 +22,9 @@ Subcommands:
     Run task assignment on a scenario and print the performance counters
     it recorded (Prometheus text format or the merged JSON report).
 
-``gateway <scenario.json> [--requests N] [--workers N]``
+``gateway <scenario.json> [--requests N]``
     Synthesize a burst of admission requests from a scenario and push it
-    through the concurrent admission gateway, comparing wall-clock
+    through the batched admission gateway, comparing wall-clock
     throughput and the accept set against one-at-a-time submission.
 
 ``serve <scenario.json> [--port P] [--burst N] [--recover]``
@@ -40,12 +40,10 @@ Subcommands:
     the current findings so they can be burned down incrementally.
 
 The observability-oriented subcommands (``trace``, ``perf``, ``gateway``)
-share ``--seed`` / ``--out-dir`` conventions via one helper; ``--output``
-is kept as a deprecated-in-docs alias for ``--out-dir``.  The service
-subcommands (``serve``, ``gateway``, ``shards``) extend the same group
-with ``--workers`` / ``--log-dir``, and ``shards --kill-recover`` is the
-spelling consistent with ``serve --recover`` (``--kill-restart`` still
-accepted).
+share ``--seed`` / ``--out-dir`` conventions via one helper.  The sharded
+subcommands (``serve``, ``shards``) extend the same group with
+``--log-dir``, and ``shards --kill-recover`` is the spelling consistent
+with ``serve --recover``.
 
 For backward compatibility a bare experiment id (``sparcle fig6``) is
 rewritten to ``sparcle experiment fig6``.
@@ -63,6 +61,7 @@ from typing import TYPE_CHECKING
 from repro.experiments import EXPERIMENTS
 
 if TYPE_CHECKING:
+    from repro.core.scheduler import BERequest, GRRequest
     from repro.emulator.scenario import ScenarioSpec
 
 #: Experiment runners with fixed internal trial structure: the CLI's
@@ -104,17 +103,14 @@ def _add_run_options(
     seed: bool = True,
     out_dir: str | None = None,
     out_help: str | None = None,
-    workers: int | None = None,
     log_dir: bool = False,
 ) -> None:
     """Attach the shared ``--seed`` / ``--out-dir`` options to a subcommand.
 
-    Every run-producing subcommand spells these the same way; ``--output``
-    is accepted as an alias for ``--out-dir`` so existing scripts keep
-    working (both store into ``args.out_dir``).  Service subcommands
-    (``serve`` / ``gateway`` / ``shards``) additionally share ``--workers``
-    (pass a default to enable) and ``--log-dir`` (pass ``log_dir=True``),
-    so the whole flag group is spelled once.
+    Every run-producing subcommand spells these the same way.  The
+    sharded subcommands (``serve`` / ``shards``) additionally share
+    ``--log-dir`` (pass ``log_dir=True``), so the whole flag group is
+    spelled once.
     """
     if seed:
         parser.add_argument(
@@ -122,16 +118,9 @@ def _add_run_options(
             help="override the run's fixed RNG seed (when it has one)",
         )
     parser.add_argument(
-        "--out-dir", "--output", dest="out_dir", metavar="DIR",
-        default=out_dir,
+        "--out-dir", metavar="DIR", default=out_dir,
         help=out_help or "directory for exported artifacts",
     )
-    if workers is not None:
-        parser.add_argument(
-            "--workers", type=int, default=workers,
-            help=f"parallel evaluation workers per gateway "
-                 f"(default: {workers}; 0 = in-line)",
-        )
     if log_dir:
         parser.add_argument(
             "--log-dir", metavar="DIR", default=None,
@@ -269,15 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many burst requests to synthesize (default: 40)",
     )
     gateway.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="worker pool kind (default: thread)",
-    )
-    gateway.add_argument(
         "--gr-fraction", type=float, default=0.6,
         help="fraction of burst requests that are GR (default: 0.6)",
     )
     _add_run_options(
-        gateway, workers=4,
+        gateway,
         out_help="write a gateway_report.json with the run's numbers",
     )
 
@@ -301,14 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of burst requests that are GR (default: 0.6)",
     )
     shards.add_argument(
-        "--kill-recover", "--kill-restart", dest="kill_recover",
-        type=int, metavar="SHARD", default=None,
+        "--kill-recover", type=int, metavar="SHARD", default=None,
         help="after the burst, crash SHARD and recover it from its "
-        "event log, verifying the residual state round-trips bit-for-bit "
-        "(--kill-restart is the deprecated spelling)",
+        "event log, verifying the residual state round-trips bit-for-bit",
     )
     _add_run_options(
-        shards, workers=0, log_dir=True,
+        shards, log_dir=True,
         out_help="write a shards_report.json with the run's numbers",
     )
 
@@ -329,12 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shards", dest="n_shards", type=int, default=2,
         help="number of regions the network is partitioned into "
-        "(default: 2)",
-    )
-    serve.add_argument(
-        "--no-shards", action="store_true",
-        help="serve a single in-process admission gateway instead of the "
-        "sharded control plane",
+        "(default: 2; 1 = unsharded)",
     )
     serve.add_argument(
         "--recover", action="store_true",
@@ -356,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of --burst requests that are GR (default: 0.6)",
     )
     _add_run_options(
-        serve, workers=0, log_dir=True,
+        serve, log_dir=True,
         out_help="write a serve_report.json (--burst mode only)",
     )
 
@@ -603,23 +581,20 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gateway(args: argparse.Namespace) -> int:
-    import json as _json
-    import time
-
+def _synthesize_burst(
+    spec: "ScenarioSpec", count: int, seed: int | None, gr_fraction: float
+) -> "list[BERequest | GRRequest]":
+    """The seeded GR/BE request burst the service subcommands drive."""
     from repro.core.assignment import sparcle_assign
-    from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
-    from repro.emulator.scenario import load_scenario
-    from repro.service import AdmissionGateway
+    from repro.core.scheduler import BERequest, GRRequest
     from repro.utils.rng import ensure_rng
 
-    spec = load_scenario(args.scenario)
-    generator = ensure_rng(args.seed if args.seed is not None else 97)
+    generator = ensure_rng(seed if seed is not None else 97)
     reference = max(sparcle_assign(spec.graph, spec.network).rate, 1e-6)
-    requests = []
-    for index in range(max(args.requests, 1)):
+    requests: list[BERequest | GRRequest] = []
+    for index in range(max(count, 1)):
         graph = spec.graph.with_pins({}, name=f"app{index}")
-        if generator.uniform(0.0, 1.0) < args.gr_fraction:
+        if generator.uniform(0.0, 1.0) < gr_fraction:
             fraction = float(generator.uniform(0.05, 0.3))
             requests.append(GRRequest(
                 f"app{index}", graph,
@@ -630,6 +605,21 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             requests.append(BERequest(
                 f"app{index}", graph, priority=priority, max_paths=2,
             ))
+    return requests
+
+
+def _cmd_gateway(args: argparse.Namespace) -> int:
+    import json as _json
+    import time
+
+    from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
+    from repro.emulator.scenario import load_scenario
+    from repro.service import AdmissionGateway
+
+    spec = load_scenario(args.scenario)
+    requests = _synthesize_burst(
+        spec, args.requests, args.seed, args.gr_fraction
+    )
 
     serial = SparcleScheduler(spec.network)
     start = time.perf_counter()
@@ -641,8 +631,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
 
     scheduler = SparcleScheduler(spec.network)
     with AdmissionGateway(
-        scheduler, workers=args.workers, executor=args.executor,
-        max_queue_depth=len(requests),
+        scheduler, max_queue_depth=len(requests)
     ) as gateway:
         start = time.perf_counter()
         decisions = gateway.process(requests)
@@ -656,7 +645,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     print(f"serial           : {sum(d.accepted for d in serial_decisions)} "
           f"accepted in {serial_wall:.3f}s "
           f"({len(requests) / serial_wall:.1f} req/s)")
-    print(f"gateway (x{args.workers} {args.executor}) : "
+    print(f"gateway          : "
           f"{sum(d.accepted for d in decisions)} accepted in "
           f"{gateway_wall:.3f}s ({len(requests) / gateway_wall:.1f} req/s)")
     print(f"epochs           : {stats.epochs}")
@@ -671,8 +660,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         report = {
             "scenario": spec.name,
             "requests": len(requests),
-            "workers": args.workers,
-            "executor": args.executor,
             "serial": {
                 "accepted": sum(d.accepted for d in serial_decisions),
                 "wall_s": serial_wall,
@@ -697,34 +684,17 @@ def _cmd_shards(args: argparse.Namespace) -> int:
     import json as _json
     import time
 
-    from repro.core.assignment import sparcle_assign
-    from repro.core.scheduler import BERequest, GRRequest
     from repro.emulator.scenario import load_scenario
     from repro.service.shard import ShardCoordinator
-    from repro.utils.rng import ensure_rng
 
     spec = load_scenario(args.scenario)
-    generator = ensure_rng(args.seed if args.seed is not None else 97)
-    reference = max(sparcle_assign(spec.graph, spec.network).rate, 1e-6)
-    requests = []
-    for index in range(max(args.requests, 1)):
-        graph = spec.graph.with_pins({}, name=f"app{index}")
-        if generator.uniform(0.0, 1.0) < args.gr_fraction:
-            fraction = float(generator.uniform(0.05, 0.3))
-            requests.append(GRRequest(
-                f"app{index}", graph,
-                min_rate=fraction * reference, max_paths=2,
-            ))
-        else:
-            priority = float(generator.choice([1.0, 2.0, 4.0]))
-            requests.append(BERequest(
-                f"app{index}", graph, priority=priority, max_paths=2,
-            ))
+    requests = _synthesize_burst(
+        spec, args.requests, args.seed, args.gr_fraction
+    )
 
     with ShardCoordinator(
         spec.network,
         n_shards=args.n_shards,
-        workers=args.workers,
         max_queue_depth=len(requests),
         log_dir=args.log_dir,
     ) as coordinator:
@@ -795,9 +765,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             spec.network,
             host=args.host,
             port=args.port,
-            no_shards=args.no_shards,
             n_shards=args.n_shards,
-            workers=args.workers,
             log_dir=args.log_dir,
             max_inflight=args.max_inflight,
             recover=args.recover,
@@ -812,37 +780,18 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
     import json as _json
     import time
 
-    from repro.core.assignment import sparcle_assign
     from repro.core.scheduler import BERequest, GRRequest
     from repro.service.client import SparcleClient, scrape_metrics
     from repro.service.server import SparcleServer
-    from repro.utils.rng import ensure_rng
 
-    generator = ensure_rng(args.seed if args.seed is not None else 97)
-    reference = max(sparcle_assign(spec.graph, spec.network).rate, 1e-6)
-    requests: list[BERequest | GRRequest] = []
-    for index in range(max(args.burst, 1)):
-        graph = spec.graph.with_pins({}, name=f"app{index}")
-        if generator.uniform(0.0, 1.0) < args.gr_fraction:
-            fraction = float(generator.uniform(0.05, 0.3))
-            requests.append(GRRequest(
-                f"app{index}", graph,
-                min_rate=fraction * reference, max_paths=2,
-            ))
-        else:
-            priority = float(generator.choice([1.0, 2.0, 4.0]))
-            requests.append(BERequest(
-                f"app{index}", graph, priority=priority, max_paths=2,
-            ))
+    requests = _synthesize_burst(spec, args.burst, args.seed, args.gr_fraction)
 
     async def _run() -> dict[str, object]:
         server = SparcleServer(
             spec.network,
             host=args.host,
             port=args.port,
-            no_shards=args.no_shards,
             n_shards=args.n_shards,
-            workers=args.workers,
             max_queue_depth=max(len(requests), 16),
             log_dir=args.log_dir,
             max_inflight=args.max_inflight,
@@ -864,7 +813,6 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
             1 for d in decisions if d is not None and d.accepted
         )
         return {
-            "backend": status.backend,
             "accepted": accepted,
             "decided": sum(1 for d in decisions if d is not None),
             "wall_s": wall,
@@ -878,7 +826,7 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
     print(f"burst            : {len(requests)} requests "
           f"({sum(isinstance(r, GRRequest) for r in requests)} GR / "
           f"{sum(isinstance(r, BERequest) for r in requests)} BE)")
-    print(f"serve ({summary['backend']:>7}) : {summary['accepted']} "
+    print(f"serve ({args.n_shards} shards) : {summary['accepted']} "
           f"accepted of {summary['decided']} decided in "
           f"{summary['wall_s']:.3f}s "
           f"({len(requests) / max(summary['wall_s'], 1e-9):.1f} req/s)")
@@ -894,7 +842,7 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
         report = {
             "scenario": spec.name,
             "requests": len(requests),
-            "workers": args.workers,
+            "n_shards": args.n_shards,
             **summary,
         }
         target = out_dir / "serve_report.json"

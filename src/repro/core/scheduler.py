@@ -26,7 +26,6 @@ Best-Effort (BE) applications
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -167,23 +166,6 @@ class AdmissionProposal:
         for placement in self.placements:
             out |= placement.used_elements()
         return frozenset(out)
-
-
-@dataclass(frozen=True)
-class AdmissionSnapshot:
-    """Frozen, picklable admission context for out-of-band evaluation.
-
-    Captures exactly what :func:`evaluate_admission` needs to reproduce the
-    scheduler's view of the world at one instant: the GR-residual
-    capacities, the admitted BE tenants (for the Theorem-3 prediction), and
-    the FCFS ledger used by the no-prediction ablation.  Workers evaluating
-    against a snapshot never touch live scheduler state.
-    """
-
-    residual: ResidualSnapshot
-    tenants: tuple[tuple[float, tuple[Placement, ...]], ...] = ()
-    use_prediction: bool = True
-    fcfs: ResidualSnapshot | None = None
 
 
 @dataclass
@@ -497,47 +479,12 @@ def evaluate_admission(
     residual), and the request's rate/availability targets decide
     acceptance.  The returned :class:`AdmissionProposal` is inert: nothing
     is reserved until :meth:`SparcleScheduler.commit` applies it.
-
-    Because evaluation only reads the network (immutable) and mutates its
-    own view, many evaluations can run concurrently — the admission
-    gateway fans batches of these out over worker threads or processes.
     """
     if isinstance(request, GRRequest):
         return _evaluate_gr(request, network, view, assigner)
     if isinstance(request, BERequest):
         return _evaluate_be(request, network, view, assigner)
     raise AdmissionError(f"unsupported request type {type(request).__name__!r}")
-
-
-def evaluate_against_snapshot(
-    request: BERequest | GRRequest,
-    network: Network,
-    snapshot: AdmissionSnapshot,
-    *,
-    assigner: Assigner = sparcle_assign,
-) -> AdmissionProposal:
-    """Evaluate one request against a frozen :class:`AdmissionSnapshot`.
-
-    Rebuilds the view the live scheduler would have used — the thawed GR
-    residual for GR requests; the Theorem-3 predicted view (or the FCFS
-    ledger for the no-prediction ablation) for BE requests — and runs
-    :func:`evaluate_admission`.  Safe to call from worker threads and
-    processes: the snapshot is immutable and the thawed views are private.
-    """
-    base = CapacityView.from_snapshot(network, snapshot.residual)
-    if isinstance(request, GRRequest):
-        return evaluate_admission(request, network, base, assigner=assigner)
-    if snapshot.use_prediction:
-        tenants = [
-            (priority, list(placements))
-            for priority, placements in snapshot.tenants
-        ]
-        view = predicted_view(base, request.priority, tenants)
-    elif snapshot.fcfs is not None:
-        view = CapacityView.from_snapshot(network, snapshot.fcfs)
-    else:
-        view = base
-    return evaluate_admission(request, network, view, assigner=assigner)
 
 
 class SparcleScheduler:
@@ -701,26 +648,6 @@ class SparcleScheduler:
             request, self.network, view, assigner=self.assigner
         )
 
-    def admission_snapshot(self) -> AdmissionSnapshot:
-        """Freeze the current admission context for out-of-band evaluation.
-
-        The snapshot is immutable and picklable; hand it (with the
-        network) to :func:`evaluate_against_snapshot` in worker threads or
-        processes.  Proposals computed against a snapshot must be
-        revalidated at commit time (``commit(..., revalidate=True)``)
-        because the live residuals may have moved since.
-        """
-        fcfs = None if self.use_prediction else self._fcfs_view.freeze()
-        return AdmissionSnapshot(
-            residual=self._gr_residual.freeze(),
-            tenants=tuple(
-                (placed.request.priority, tuple(placed.placements))
-                for placed in self._be
-            ),
-            use_prediction=self.use_prediction,
-            fcfs=fcfs,
-        )
-
     def residual_snapshot(self) -> ResidualSnapshot:
         """Freeze the live GR-residual view (see ``CapacityView.freeze``).
 
@@ -804,15 +731,15 @@ class SparcleScheduler:
         """Apply one proposal: reserve capacity, record and log the decision.
 
         With ``revalidate=True`` (the optimistic-concurrency path used by
-        the admission gateway for proposals evaluated against a stale
-        snapshot) an *accepted* GR proposal is first re-checked against
+        the admission gateway for proposals evaluated against the
+        pre-epoch state) an *accepted* GR proposal is first re-checked against
         the live residuals and Eq. (7): if reserving its paths would
         oversubscribe any element, or the proposal no longer meets the
         request's rate/availability targets, :class:`StaleProposalError`
         is raised and nothing changes — the caller re-queues and
         re-evaluates.  Rejections commit unconditionally: capacity only
         shrinks between evaluation and commit, so a request rejected
-        against the (staler, richer) snapshot view would be rejected
+        against the (staler, richer) pre-epoch view would be rejected
         against the live view too.
         """
         request = proposal.request
@@ -1274,26 +1201,6 @@ class SparcleScheduler:
             for p, r, a in zip(placed.placements, rates, placed.active)
         )
 
-    def gr_paths(self, app_id: str) -> tuple[PathRecord, ...]:
-        """Deprecated: use :meth:`paths` with ``kind="GR"``."""
-        warnings.warn(
-            "SparcleScheduler.gr_paths() is deprecated; "
-            "use paths(app_id, 'GR')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.paths(app_id, "GR")
-
-    def be_paths(self, app_id: str) -> tuple[PathRecord, ...]:
-        """Deprecated: use :meth:`paths` with ``kind="BE"``."""
-        warnings.warn(
-            "SparcleScheduler.be_paths() is deprecated; "
-            "use paths(app_id, 'BE')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.paths(app_id, "BE")
-
     def gr_baseline_rate(self, app_id: str) -> float:
         """The admission-time failure-free aggregate rate of one GR app."""
         return self._find_gr(app_id).baseline_rate
@@ -1342,26 +1249,6 @@ class SparcleScheduler:
         return BEHealth(
             app_id, len(active), availability, availability >= target - 1e-12
         )
-
-    def gr_health(self, app_id: str) -> GRHealth:
-        """Deprecated: use :meth:`health` with ``kind="GR"``."""
-        warnings.warn(
-            "SparcleScheduler.gr_health() is deprecated; "
-            "use health(app_id, 'GR')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._gr_health(app_id)
-
-    def be_health(self, app_id: str) -> BEHealth:
-        """Deprecated: use :meth:`health` with ``kind="BE"``."""
-        warnings.warn(
-            "SparcleScheduler.be_health() is deprecated; "
-            "use health(app_id, 'BE')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._be_health(app_id)
 
     def mark_element_down(self, element: str) -> dict[str, list[int]]:
         """Suspend every admitted path crossing ``element`` (outage start).
@@ -1473,26 +1360,6 @@ class SparcleScheduler:
         """
         if self._normalize_kind(kind) == "GR":
             return self._add_gr_path(app_id)
-        return self._add_be_path(app_id)
-
-    def add_gr_path(self, app_id: str) -> tuple[Placement, float] | None:
-        """Deprecated: use :meth:`add_path` with ``kind="GR"``."""
-        warnings.warn(
-            "SparcleScheduler.add_gr_path() is deprecated; "
-            "use add_path(app_id, kind='GR')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._add_gr_path(app_id)
-
-    def add_be_path(self, app_id: str) -> Placement | None:
-        """Deprecated: use :meth:`add_path` with ``kind="BE"``."""
-        warnings.warn(
-            "SparcleScheduler.add_be_path() is deprecated; "
-            "use add_path(app_id, kind='BE')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return self._add_be_path(app_id)
 
     def _add_gr_path(self, app_id: str) -> tuple[Placement, float] | None:

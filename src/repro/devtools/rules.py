@@ -13,8 +13,8 @@ for the rule-by-rule rationale and the originating bugs):
 * **SPC004** — ``==`` / ``!=`` between float-typed rate/capacity
   expressions in ``core/`` and ``simulator/`` (epsilon discipline);
 * **SPC005** — attribute or element assignment on frozen values
-  (``ResidualSnapshot`` / ``AdmissionSnapshot`` / the array kernel's
-  ``CompiledNetwork`` CSR arrays);
+  (``ResidualSnapshot`` / the array kernel's ``CompiledNetwork`` CSR
+  arrays);
 * **SPC006** — bare or broad ``except`` clauses (``except:`` /
   ``except Exception`` / ``except BaseException``) outside a small
   documented allowlist (silent-degradation guard).
@@ -356,25 +356,25 @@ class FloatEqualityRule(Rule):
 class FrozenSnapshotMutationRule(Rule):
     """SPC005: mutation of frozen snapshot / compiled-network values.
 
-    ``ResidualSnapshot`` and ``AdmissionSnapshot`` are immutable by
-    contract — they ship across worker threads/processes and back a
-    revalidation protocol.  ``CompiledNetwork`` (the CSR arrays behind the
-    array route kernel) is likewise frozen: its numpy arrays are shared by
-    every cached tree, and all carry ``writeable=False``, so a write that
-    slips past this rule still raises at runtime — but only at the call
-    site, far from the bug.  Writing through any of them — attribute
-    assignment, element assignment (``compiled.tie_rank[i] = ...``), or
-    ``object.__setattr__`` — corrupts every holder of the value.
+    ``ResidualSnapshot`` is immutable by contract — it is what the event
+    log records and a warm start thaws.  ``CompiledNetwork`` (the CSR
+    arrays behind the array route kernel) is likewise frozen: its numpy
+    arrays are shared by every cached tree, and all carry
+    ``writeable=False``, so a write that slips past this rule still raises
+    at runtime — but only at the call site, far from the bug.  Writing
+    through either — attribute assignment, element assignment
+    (``compiled.tie_rank[i] = ...``), or ``object.__setattr__`` — corrupts
+    every holder of the value.
     """
 
     rule_id = "SPC005"
     summary = "mutation of a frozen snapshot or compiled-network value"
 
     FROZEN_CONSTRUCTORS = frozenset(
-        {"ResidualSnapshot", "AdmissionSnapshot", "CompiledNetwork"}
+        {"ResidualSnapshot", "CompiledNetwork"}
     )
     FROZEN_FACTORIES = frozenset(
-        {"freeze", "admission_snapshot", "compile_network"}
+        {"freeze", "compile_network"}
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:

@@ -190,8 +190,7 @@ def burst_requests(scenario, rng, *, count: int = 100,
     return requests
 
 
-def run_gateway(*, requests: int = 100, workers: int = 4,
-                seed: int = 77) -> ExperimentResult:
+def run_gateway(*, requests: int = 100, seed: int = 77) -> ExperimentResult:
     """Burst admission through the gateway vs. one-at-a-time submission.
 
     Both modes see the identical burst in the identical priority order
@@ -218,8 +217,7 @@ def run_gateway(*, requests: int = 100, workers: int = 4,
 
     gw_scheduler = SparcleScheduler(scenario.network)
     with AdmissionGateway(
-        gw_scheduler, workers=workers, executor="thread",
-        max_queue_depth=max(len(burst), 1),
+        gw_scheduler, max_queue_depth=max(len(burst), 1),
     ) as gateway:
         start = time.perf_counter()
         gateway_decisions = gateway.process(burst)
@@ -229,7 +227,7 @@ def run_gateway(*, requests: int = 100, workers: int = 4,
         ["serial", len(burst), sum(d.accepted for d in serial_decisions),
          serial_wall, len(burst) / serial_wall if serial_wall > 0 else 0.0,
          0, 0, 0],
-        [f"gateway(x{workers})", len(burst),
+        ["gateway", len(burst),
          sum(d.accepted for d in gateway_decisions),
          gateway_wall,
          len(burst) / gateway_wall if gateway_wall > 0 else 0.0,

@@ -1,11 +1,9 @@
-"""Concurrent admission gateway for bursty multi-application arrivals.
+"""Batched admission gateway for bursty multi-application arrivals.
 
-The Fig.-3 control loop admits applications one at a time; under a burst of
-arrivals that serializes on a single solver even though the expensive part
-of admission — candidate task-assignment-path search (Algorithm 2 per
-path) — is independent per request.  The gateway turns admission into a
-queue/batch problem, the way R-Storm-style resource-aware schedulers and
-HEFT-style list schedulers treat placement:
+The Fig.-3 control loop admits applications one at a time.  The gateway
+turns a burst of arrivals into a queue/batch problem, the way
+R-Storm-style resource-aware schedulers and HEFT-style list schedulers
+treat placement:
 
 1. **Queue** — arrivals land in a bounded priority queue: Guaranteed-Rate
    requests ahead of Best-Effort, weighted FIFO within each class (a BE
@@ -13,12 +11,10 @@ HEFT-style list schedulers treat placement:
    priority-1 peer).  A full queue sheds load by raising
    :class:`~repro.exceptions.BackpressureError` — nothing is silently
    dropped.
-2. **Evaluate in parallel** — each epoch pops a batch and evaluates every
-   request against the same frozen
-   :class:`~repro.core.scheduler.AdmissionSnapshot` using
-   :func:`~repro.core.scheduler.evaluate_against_snapshot`, fanned out
-   over worker threads or processes (processes sidestep the GIL: the
-   per-request Algorithm-2 search is pure Python).
+2. **Evaluate the batch in-line** — each epoch pops a batch and evaluates
+   every request with :meth:`SparcleScheduler.evaluate` *before the
+   epoch's first commit*, so every proposal sees the same pre-epoch
+   state.
 3. **Commit sequentially with optimistic revalidation** — proposals are
    committed in priority order against the *live* scheduler.  An accepted
    GR proposal re-checks residual feasibility and Eq. (7) at commit time
@@ -31,9 +27,9 @@ HEFT-style list schedulers treat placement:
    evaluate+commit against live state, so every submitted request always
    gets a decision.
 
-Rejections commit without revalidation: between snapshot and commit,
+Rejections commit without revalidation: between evaluation and commit,
 capacity only shrinks (commits consume; nothing releases mid-epoch), so a
-request the richer snapshot rejects would be rejected serially too.
+request the richer pre-epoch state rejects would be rejected serially too.
 
 **Decision equivalence.**  For *conflict-free* batches — no proposal's
 footprint overlaps another's — every proposal revalidates trivially and
@@ -46,30 +42,27 @@ differ from what a strictly serial scheduler would have picked; the
 ``overlap_commits`` stat counts how often that relaxation was exercised.
 
 The gateway is a single-threaded control loop: ``submit``/``run_epoch``/
-``drain`` must be called from one thread, and no other code may mutate the
-scheduler between an epoch's snapshot and its commits.  Parallelism lives
-entirely inside the evaluation fan-out.
+``drain`` must be called from one thread.
+
+:class:`AdmissionQueue` — the pending-entry type, the GR/BE classifier,
+the priority pop with backoff and the :class:`RetryPolicy` requeue rule —
+is also the queue of the sharded coordinator's cross-region lane
+(:mod:`repro.service.shard`), so both lanes order and retry identically.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.network import Network
 from repro.core.repair import RetryPolicy
 from repro.core.scheduler import (
-    AdmissionProposal,
-    AdmissionSnapshot,
-    Assigner,
     BERequest,
     Decision,
     GRRequest,
     SparcleScheduler,
-    evaluate_against_snapshot,
 )
 from repro.exceptions import (
     AdmissionError,
@@ -87,34 +80,23 @@ if TYPE_CHECKING:
 MAX_DRAIN_EPOCHS = 10_000
 
 
-# ----------------------------------------------------------------------
-# Process-pool plumbing: workers hold the (immutable) network + assigner
-# once, and receive only (request, snapshot) per task.
-# ----------------------------------------------------------------------
-_WORKER_CONTEXT: dict = {}
+def classify_request(request: BERequest | GRRequest) -> tuple[str, float]:
+    """The ``(kind, weight)`` queueing class of one request.
 
-
-def _init_worker(network: Network, assigner: Assigner) -> None:
-    """Process-pool initializer: stash the per-worker evaluation context."""
-    _WORKER_CONTEXT["network"] = network
-    _WORKER_CONTEXT["assigner"] = assigner
-
-
-def _evaluate_in_worker(
-    payload: tuple[BERequest | GRRequest, AdmissionSnapshot],
-) -> AdmissionProposal:
-    """Evaluate one request inside a pool worker (see :func:`_init_worker`)."""
-    request, snapshot = payload
-    return evaluate_against_snapshot(
-        request,
-        _WORKER_CONTEXT["network"],
-        snapshot,
-        assigner=_WORKER_CONTEXT["assigner"],
+    GR requests all weigh 1; a BE request weighs its priority.  Raises
+    :class:`AdmissionError` for anything that is not a request.
+    """
+    if isinstance(request, GRRequest):
+        return "GR", 1.0
+    if isinstance(request, BERequest):
+        return "BE", request.priority
+    raise AdmissionError(
+        f"unsupported request type {type(request).__name__!r}"
     )
 
 
 @dataclass
-class _Pending:
+class PendingAdmission:
     """One queued request with its scheduling metadata."""
 
     seq: int
@@ -128,6 +110,68 @@ class _Pending:
         """Priority-class, weighted-FIFO virtual time, then arrival order."""
         rank = 0 if self.kind == "GR" else 1
         return (rank, self.seq / self.weight, self.seq)
+
+
+class AdmissionQueue:
+    """The pending-admission priority queue both admission lanes share.
+
+    Orders by :meth:`PendingAdmission.sort_key`, skips entries still
+    backing off, and requeues conflicted entries under ``retry_policy``
+    (whose backoff delay is measured in the caller's epochs).
+    """
+
+    def __init__(self, retry_policy: RetryPolicy) -> None:
+        self.retry_policy = retry_policy
+        self._heap: list[tuple[tuple[int, float, int], PendingAdmission]] = []
+        self._seq = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(
+        self, request: BERequest | GRRequest, kind: str, weight: float
+    ) -> PendingAdmission:
+        """Enqueue one classified arrival under the next arrival slot."""
+        entry = PendingAdmission(self._seq, request, kind, weight)
+        self._seq += 1
+        heapq.heappush(self._heap, (entry.sort_key(), entry))
+        return entry
+
+    def pop_batch(
+        self, epoch: int, limit: int | None = None
+    ) -> list[PendingAdmission]:
+        """Pop up to ``limit`` eligible entries in priority order.
+
+        Entries whose backoff has not expired by ``epoch`` stay queued.
+        """
+        if limit is None:
+            limit = len(self._heap)
+        batch: list[PendingAdmission] = []
+        deferred: list[tuple[tuple[int, float, int], PendingAdmission]] = []
+        while self._heap and len(batch) < limit:
+            key, entry = heapq.heappop(self._heap)
+            if entry.not_before_epoch > epoch:
+                deferred.append((key, entry))
+                continue
+            batch.append(entry)
+        for item in deferred:
+            heapq.heappush(self._heap, item)
+        return batch
+
+    def requeue(self, entry: PendingAdmission, epoch: int) -> bool:
+        """Charge one conflict to ``entry`` and requeue it with backoff.
+
+        Returns ``False`` — leaving the entry out of the queue — once its
+        retry budget is spent: the caller must then decide it serially.
+        """
+        entry.attempts += 1
+        if entry.attempts >= self.retry_policy.max_attempts:
+            return False
+        entry.not_before_epoch = epoch + 1 + int(
+            self.retry_policy.delay(entry.attempts)
+        )
+        heapq.heappush(self._heap, (entry.sort_key(), entry))
+        return True
 
 
 @dataclass(frozen=True)
@@ -167,35 +211,24 @@ class GatewayStats:
 
 
 class AdmissionGateway:
-    """Batched, parallel admission control in front of one scheduler.
+    """Batched admission control in front of one scheduler.
 
-    ``workers`` sets the evaluation fan-out (0 evaluates in-line);
-    ``executor`` picks ``"thread"`` or ``"process"`` pools — processes pay
-    a spawn/IPC cost but actually parallelize the pure-Python Algorithm-2
-    search, and require a picklable assigner.  ``batch_size`` caps how many
-    requests one epoch evaluates (default: everything eligible);
-    ``retry_policy`` bounds per-request conflict retries before the serial
-    fallback, with the policy's backoff delay interpreted in epochs.
+    ``batch_size`` caps how many requests one epoch evaluates (default:
+    everything eligible); ``retry_policy`` bounds per-request conflict
+    retries before the serial fallback, with the policy's backoff delay
+    interpreted in epochs.
 
-    Use as a context manager (or call :meth:`close`) to release pools.
+    Usable as a context manager (there is nothing to release).
     """
 
     def __init__(
         self,
         scheduler: SparcleScheduler,
         *,
-        workers: int = 0,
-        executor: str = "thread",
         max_queue_depth: int = 128,
         batch_size: int | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        if workers < 0:
-            raise GatewayError(f"workers must be non-negative, got {workers}")
-        if executor not in ("thread", "process"):
-            raise GatewayError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         if max_queue_depth < 1:
             raise GatewayError(
                 f"max_queue_depth must be positive, got {max_queue_depth}"
@@ -203,20 +236,15 @@ class AdmissionGateway:
         if batch_size is not None and batch_size < 1:
             raise GatewayError(f"batch_size must be positive, got {batch_size}")
         self.scheduler = scheduler
-        self.workers = workers
-        self.executor_kind = executor
         self.max_queue_depth = max_queue_depth
         self.batch_size = batch_size
-        self.retry_policy = retry_policy or RetryPolicy()
         self.stats = GatewayStats()
         #: Decisions in commit order (the scheduler's log holds them too).
         self.decisions: list[Decision] = []
-        self._queue: list[tuple[tuple[int, float, int], _Pending]] = []
+        self._queue = AdmissionQueue(retry_policy or RetryPolicy())
         self._pending_ids: set[str] = set()
         self._decision_by_seq: dict[int, Decision] = {}
-        self._seq = 0
         self._epoch = 0
-        self._pool: Executor | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -228,22 +256,7 @@ class AdmissionGateway:
         self.close()
 
     def close(self) -> None:
-        """Shut down any worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            if self.executor_kind == "process":
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_worker,
-                    initargs=(self.scheduler.network, self.scheduler.assigner),
-                )
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
+        """No-op: in-line evaluation holds no pool, thread or file."""
 
     # ------------------------------------------------------------------
     # Introspection
@@ -286,12 +299,13 @@ class AdmissionGateway:
         FIFO within class) — the order used by the decision-equivalence
         property and the benchmark.
         """
-        entries = []
-        for seq, request in enumerate(requests):
-            kind = "GR" if isinstance(request, GRRequest) else "BE"
-            weight = 1.0 if kind == "GR" else request.priority
-            entries.append(_Pending(seq, request, kind, weight))
-        return [e.request for e in sorted(entries, key=_Pending.sort_key)]
+        entries = [
+            PendingAdmission(seq, request, *classify_request(request))
+            for seq, request in enumerate(requests)
+        ]
+        return [
+            e.request for e in sorted(entries, key=PendingAdmission.sort_key)
+        ]
 
     # ------------------------------------------------------------------
     # Arrival side
@@ -312,14 +326,7 @@ class AdmissionGateway:
 
         if isinstance(request, SubmitRequest):
             request = request.to_request()
-        if isinstance(request, GRRequest):
-            kind, weight = "GR", 1.0
-        elif isinstance(request, BERequest):
-            kind, weight = "BE", request.priority
-        else:
-            raise AdmissionError(
-                f"unsupported request type {type(request).__name__!r}"
-            )
+        kind, weight = classify_request(request)
         if request.app_id in self._pending_ids or self.scheduler.has_app(
             request.app_id
         ):
@@ -341,9 +348,7 @@ class AdmissionGateway:
                 f"gateway queue full ({self.max_queue_depth}); "
                 f"request {request.app_id!r} shed"
             )
-        entry = _Pending(self._seq, request, kind, weight)
-        self._seq += 1
-        heapq.heappush(self._queue, (entry.sort_key(), entry))
+        entry = self._queue.push(request, kind, weight)
         self._pending_ids.add(request.app_id)
         self.stats.submitted += 1
         get_metrics().set_gauge("gateway.queue_depth", float(len(self._queue)))
@@ -352,52 +357,10 @@ class AdmissionGateway:
     # ------------------------------------------------------------------
     # Epoch machinery
     # ------------------------------------------------------------------
-    def _pop_batch(self) -> list[_Pending]:
-        """Pop the epoch's batch in priority order, honoring backoff."""
-        limit = self.batch_size if self.batch_size is not None else len(self._queue)
-        batch: list[_Pending] = []
-        deferred: list[tuple[tuple[int, float, int], _Pending]] = []
-        while self._queue and len(batch) < limit:
-            key, entry = heapq.heappop(self._queue)
-            if entry.not_before_epoch > self._epoch:
-                deferred.append((key, entry))
-                continue
-            batch.append(entry)
-        for item in deferred:
-            heapq.heappush(self._queue, item)
-        return batch
-
-    def _evaluate_batch(
-        self, batch: Sequence[_Pending], snapshot: AdmissionSnapshot
-    ) -> list[AdmissionProposal]:
-        network = self.scheduler.network
-        assigner = self.scheduler.assigner
-        if self.workers <= 1:
-            return [
-                evaluate_against_snapshot(
-                    entry.request, network, snapshot, assigner=assigner
-                )
-                for entry in batch
-            ]
-        pool = self._ensure_pool()
-        if self.executor_kind == "process":
-            payloads = [(entry.request, snapshot) for entry in batch]
-            chunksize = max(1, len(batch) // (self.workers * 2))
-            return list(
-                pool.map(_evaluate_in_worker, payloads, chunksize=chunksize)
-            )
-        return list(
-            pool.map(
-                lambda entry: evaluate_against_snapshot(
-                    entry.request, network, snapshot, assigner=assigner
-                ),
-                batch,
-            )
-        )
-
-    def _requeue_or_fallback(self, entry: _Pending, reason: str) -> Decision | None:
+    def _requeue_or_fallback(
+        self, entry: PendingAdmission, reason: str
+    ) -> Decision | None:
         """Handle one conflicted proposal; returns a decision on fallback."""
-        entry.attempts += 1
         self.stats.conflicts += 1
         metrics = get_metrics()
         metrics.incr("gateway.conflicts", kind=entry.kind)
@@ -407,24 +370,20 @@ class AdmissionGateway:
                 "gateway.conflict",
                 app_id=entry.request.app_id,
                 kind=entry.kind,
-                attempt=entry.attempts,
+                attempt=entry.attempts + 1,
                 reason=reason,
             )
-        if entry.attempts >= self.retry_policy.max_attempts:
-            # Retry budget spent: decide exactly as the serial path would,
-            # against live state — guarantees every request terminates
-            # with a decision.
-            self.stats.serial_fallbacks += 1
-            metrics.incr("gateway.serial_fallbacks")
-            return self.scheduler.commit(self.scheduler.evaluate(entry.request))
-        entry.not_before_epoch = self._epoch + 1 + int(
-            self.retry_policy.delay(entry.attempts)
-        )
-        heapq.heappush(self._queue, (entry.sort_key(), entry))
-        return None
+        if self._queue.requeue(entry, self._epoch):
+            return None
+        # Retry budget spent: decide exactly as the serial path would,
+        # against live state — guarantees every request terminates
+        # with a decision.
+        self.stats.serial_fallbacks += 1
+        metrics.incr("gateway.serial_fallbacks")
+        return self.scheduler.commit(self.scheduler.evaluate(entry.request))
 
     def run_epoch(self) -> EpochReport:
-        """Evaluate one batch in parallel, then commit sequentially.
+        """Evaluate one batch against the pre-epoch state, then commit.
 
         Returns an :class:`EpochReport`; an empty report (batch 0) means
         the queue was empty or every entry is still backing off.
@@ -434,18 +393,21 @@ class AdmissionGateway:
         metrics = get_metrics()
         metrics.incr("gateway.epochs")
         with timer("gateway.epoch"):
-            batch = self._pop_batch()
+            batch = self._queue.pop_batch(self._epoch, self.batch_size)
             committed = accepted = rejected = conflicts = fallbacks = 0
             if batch:
-                snapshot = self.scheduler.admission_snapshot()
-                proposals = self._evaluate_batch(batch, snapshot)
+                # Every proposal is evaluated before the first commit, so
+                # the whole batch sees the same pre-epoch state.
+                proposals = [
+                    self.scheduler.evaluate(entry.request) for entry in batch
+                ]
                 self.stats.evaluated += len(batch)
                 dirty: set[str] = set()
                 for entry, proposal in zip(batch, proposals):
                     decision: Decision | None
                     if not proposal.accepted:
-                        # Capacity only shrinks between snapshot and
-                        # commit, so a snapshot-time reject is final.
+                        # Capacity only shrinks between evaluation and
+                        # commit, so a pre-epoch reject is final.
                         decision = self.scheduler.commit(proposal)
                     else:
                         footprint = proposal.used_elements()
@@ -511,7 +473,7 @@ class AdmissionGateway:
             )
         return report
 
-    def _record(self, entry: _Pending, decision: Decision) -> None:
+    def _record(self, entry: PendingAdmission, decision: Decision) -> None:
         self.decisions.append(decision)
         self._decision_by_seq[entry.seq] = decision
         self._pending_ids.discard(entry.request.app_id)

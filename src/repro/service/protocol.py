@@ -380,7 +380,7 @@ class StatusReply(Message):
     TYPE: ClassVar[str] = "status_reply"
 
     protocol_version: int
-    backend: str  # "shards" | "gateway"
+    backend: str  # always "shards"; kept by the closed v1 schema
     submitted: int
     accepted: int
     rejected: int
@@ -398,8 +398,8 @@ class TopologyReply(Message):
     """The shard layout behind this endpoint.
 
     One entry per shard: ``{"shard": id, "ncps": n, "alive": bool,
-    "apps": n}``.  A ``--no-shards`` server reports its single gateway
-    as shard 0 with zero boundary links.
+    "apps": n}``.  A ``--shards 1`` server reports its single region as
+    shard 0 with zero boundary links.
     """
 
     TYPE: ClassVar[str] = "topology_reply"

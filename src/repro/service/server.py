@@ -1,11 +1,11 @@
 """Asyncio serving front-end over the sharded control plane.
 
-:class:`SparcleServer` turns the in-process admission machinery — the
-:class:`~repro.service.shard.ShardCoordinator` federation, or a single
-:class:`~repro.service.gateway.AdmissionGateway` in ``no_shards`` mode —
-into a long-running network service speaking the versioned JSON-lines
-protocol of :mod:`repro.service.protocol` (the paper's Fig.-3 admission
-controller as an online system instead of batch replay).
+:class:`SparcleServer` turns the in-process admission machinery — a
+:class:`~repro.service.shard.ShardCoordinator` federation, one region
+when ``n_shards=1`` — into a long-running network service speaking the
+versioned JSON-lines protocol of :mod:`repro.service.protocol` (the
+paper's Fig.-3 admission controller as an online system instead of batch
+replay).
 
 Design
 ------
@@ -18,17 +18,17 @@ one reply object per line out, plus asynchronously pushed
 :class:`~repro.service.protocol.DecisionReply` lines when the epoch loop
 decides a submitted application.
 
-*The backend stays single-threaded.*  The gateway and coordinator are
-explicitly not thread-safe: submits, epochs, and drains must come from
-one thread.  Every backend call here runs synchronously on the event
-loop (no ``await`` between entering and leaving the backend), so
-concurrent client connections are multiplexed onto the same
-single-threaded control-loop contract the in-process API has.
+*The coordinator stays single-threaded.*  It is explicitly not
+thread-safe: submits, epochs, and drains must come from one thread.
+Every coordinator call here runs synchronously on the event loop (no
+``await`` between entering and leaving it), so concurrent client
+connections are multiplexed onto the same single-threaded control-loop
+contract the in-process API has.
 
 *Backpressure is layered.*  Each connection has a bounded inflight
 window (``max_inflight`` submits awaiting decisions); past it, submits
 are shed with an ``ErrorReply(code="backpressure")`` before they reach
-the backend — the same treatment the backend's own
+the coordinator — the same treatment the coordinator's own
 :class:`~repro.exceptions.BackpressureError` (bounded arrival queue)
 receives.  Shed requests were never enqueued; clients resubmit.
 
@@ -56,12 +56,11 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from repro.core.assignment import sparcle_assign
 from repro.core.network import Network
 from repro.core.repair import RetryPolicy
-from repro.core.scheduler import Assigner, Decision, SparcleScheduler
+from repro.core.scheduler import Assigner
 from repro.exceptions import (
     AdmissionError,
     BackpressureError,
@@ -73,7 +72,7 @@ from repro.exceptions import (
 from repro.perf import tracing
 from repro.perf.exporters import prometheus_snapshot
 from repro.perf.metrics import LabeledRegistry, get_metrics
-from repro.service.gateway import MAX_DRAIN_EPOCHS, AdmissionGateway
+from repro.service.gateway import MAX_DRAIN_EPOCHS
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     WIRE_LINE_LIMIT,
@@ -97,159 +96,6 @@ from repro.service.shard import ShardCoordinator
 
 
 # ----------------------------------------------------------------------
-# Backends: one uniform, single-threaded surface over gateway/federation
-# ----------------------------------------------------------------------
-class _GatewayBackend:
-    """``no_shards`` mode: one scheduler + one admission gateway."""
-
-    name = "gateway"
-
-    def __init__(
-        self,
-        network: Network,
-        *,
-        assigner: Assigner,
-        workers: int,
-        executor: str,
-        max_queue_depth: int,
-        batch_size: int | None,
-        retry_policy: RetryPolicy | None,
-    ) -> None:
-        self.scheduler = SparcleScheduler(network, assigner=assigner)
-        self.gateway = AdmissionGateway(
-            self.scheduler,
-            workers=workers,
-            executor=executor,
-            max_queue_depth=max_queue_depth,
-            batch_size=batch_size,
-            retry_policy=retry_policy,
-        )
-
-    @property
-    def queue_depth(self) -> int:
-        return self.gateway.queue_depth
-
-    @property
-    def epoch(self) -> int:
-        return self.gateway.epoch
-
-    def submit(self, request: SubmitRequest) -> int:
-        return self.gateway.submit(request)
-
-    def run_epoch(self) -> None:
-        self.gateway.run_epoch()
-
-    def decision_for(self, ticket: int) -> Decision | None:
-        return self.gateway.decision_for(ticket)
-
-    def withdraw(self, app_id: str) -> None:
-        if not self.scheduler.has_app(app_id):
-            raise AdmissionError(f"no admitted app {app_id!r} to withdraw")
-        self.scheduler.withdraw(app_id)
-
-    def recover(self) -> int:
-        raise ServerError(
-            "recover requires the sharded backend with a durable log_dir "
-            "(no_shards mode keeps no event log)"
-        )
-
-    def shard_entries(self) -> tuple[dict[str, Any], ...]:
-        return (
-            {
-                "shard": 0,
-                "ncps": len(self.scheduler.network.ncps),
-                "alive": True,
-                "apps": len(self.scheduler.app_ids()),
-            },
-        )
-
-    def boundary_links(self) -> int:
-        return 0
-
-    def close(self) -> None:
-        self.gateway.close()
-
-
-class _FederationBackend:
-    """Default mode: a :class:`ShardCoordinator` over a partitioned net."""
-
-    name = "shards"
-
-    def __init__(
-        self,
-        network: Network,
-        *,
-        n_shards: int,
-        zones: Mapping[str, int] | None,
-        assigner: Assigner,
-        workers: int,
-        executor: str,
-        max_queue_depth: int,
-        batch_size: int | None,
-        retry_policy: RetryPolicy | None,
-        log_dir: str | Path | None,
-    ) -> None:
-        self.coordinator = ShardCoordinator(
-            network,
-            n_shards=n_shards,
-            zones=zones,
-            assigner=assigner,
-            workers=workers,
-            executor=executor,
-            max_queue_depth=max_queue_depth,
-            batch_size=batch_size,
-            retry_policy=retry_policy,
-            log_dir=log_dir,
-        )
-        self._durable = log_dir is not None
-
-    @property
-    def queue_depth(self) -> int:
-        return self.coordinator.queue_depth
-
-    @property
-    def epoch(self) -> int:
-        return self.coordinator.epoch
-
-    def submit(self, request: SubmitRequest) -> int:
-        return self.coordinator.submit(request)
-
-    def run_epoch(self) -> None:
-        self.coordinator.run_epoch()
-
-    def decision_for(self, ticket: int) -> Decision | None:
-        return self.coordinator.decision_for(ticket)
-
-    def withdraw(self, app_id: str) -> None:
-        self.coordinator.withdraw(app_id)
-
-    def recover(self) -> int:
-        if not self._durable:
-            raise ServerError(
-                "recover requires a durable log_dir: without one there is "
-                "no ShardEventLog to warm-start from"
-            )
-        return self.coordinator.recover()
-
-    def shard_entries(self) -> tuple[dict[str, Any], ...]:
-        return tuple(
-            {
-                "shard": node.shard_id,
-                "ncps": len(node.network.ncps),
-                "alive": node.alive,
-                "apps": len(node.live_apps()),
-            }
-            for node in self.coordinator.nodes
-        )
-
-    def boundary_links(self) -> int:
-        return len(self.coordinator.partition.boundary_links)
-
-    def close(self) -> None:
-        self.coordinator.close()
-
-
-# ----------------------------------------------------------------------
 # Connection bookkeeping
 # ----------------------------------------------------------------------
 @dataclass
@@ -268,7 +114,7 @@ class _Connection:
 
 @dataclass(frozen=True)
 class _PendingDecision:
-    """Where one backend ticket's decision must be delivered."""
+    """Where one coordinator ticket's decision must be delivered."""
 
     conn: _Connection
     seq: int
@@ -303,12 +149,9 @@ class SparcleServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        no_shards: bool = False,
         n_shards: int = 2,
         zones: Mapping[str, int] | None = None,
         assigner: Assigner = sparcle_assign,
-        workers: int = 0,
-        executor: str = "thread",
         max_queue_depth: int = 128,
         batch_size: int | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -335,36 +178,21 @@ class SparcleServer:
         self._recover_requested = recover
         self._install_signals = install_signal_handlers
         self._metrics = registry if registry is not None else get_metrics()
-        self.backend: _GatewayBackend | _FederationBackend
-        if no_shards:
-            if recover:
-                # Fail fast at construction: there is no log to replay.
-                raise ServerError(
-                    "recover requires the sharded backend with a durable "
-                    "log_dir (no_shards mode keeps no event log)"
-                )
-            self.backend = _GatewayBackend(
-                network,
-                assigner=assigner,
-                workers=workers,
-                executor=executor,
-                max_queue_depth=max_queue_depth,
-                batch_size=batch_size,
-                retry_policy=retry_policy,
+        if recover and log_dir is None:
+            raise ServerError(
+                "recover requires a durable log_dir: without one there is "
+                "no ShardEventLog to warm-start from"
             )
-        else:
-            self.backend = _FederationBackend(
-                network,
-                n_shards=n_shards,
-                zones=zones,
-                assigner=assigner,
-                workers=workers,
-                executor=executor,
-                max_queue_depth=max_queue_depth,
-                batch_size=batch_size,
-                retry_policy=retry_policy,
-                log_dir=log_dir,
-            )
+        self.coordinator = ShardCoordinator(
+            network,
+            n_shards=n_shards,
+            zones=zones,
+            assigner=assigner,
+            max_queue_depth=max_queue_depth,
+            batch_size=batch_size,
+            retry_policy=retry_policy,
+            log_dir=log_dir,
+        )
         self._server: asyncio.Server | None = None
         self._epoch_task: asyncio.Task[None] | None = None
         self._shutdown_task: asyncio.Task[None] | None = None
@@ -398,7 +226,7 @@ class SparcleServer:
         if self._server is not None:
             raise ServerError("server already started")
         if self._recover_requested:
-            self.recovered = self.backend.recover()
+            self.recovered = self.coordinator.recover()
             self._metrics.incr("server.recovered", self.recovered)
             tr = tracing.get_tracer()
             if tr.enabled:
@@ -472,7 +300,7 @@ class SparcleServer:
         self._stopping = True
         self._draining = True
         if drain:
-            self._drain_backend()
+            self._drain_coordinator()
         if self._server is not None:
             self._server.close()
             with contextlib.suppress(OSError):
@@ -495,7 +323,7 @@ class SparcleServer:
         }
         if pending_tasks:
             await asyncio.wait(pending_tasks, timeout=1.0)
-        self.backend.close()
+        self.coordinator.close()
         self._closed.set()
 
     async def abort(self) -> None:
@@ -514,19 +342,19 @@ class SparcleServer:
             self._wakeup.clear()
             if self._stopping:
                 return
-            if self.backend.queue_depth > 0:
-                self.backend.run_epoch()
+            if self.coordinator.queue_depth > 0:
+                self.coordinator.run_epoch()
                 self._flush_decisions()
                 await self._drain_writers()
 
-    def _drain_backend(self) -> tuple[int, int]:
+    def _drain_coordinator(self) -> tuple[int, int]:
         """Synchronously decide everything still queued; (decided, epochs)."""
         decided = 0
         epochs = 0
         for _ in range(MAX_DRAIN_EPOCHS):
-            if self.backend.queue_depth == 0:
+            if self.coordinator.queue_depth == 0:
                 break
-            self.backend.run_epoch()
+            self.coordinator.run_epoch()
             epochs += 1
             decided += self._flush_decisions()
         return decided, epochs
@@ -535,7 +363,7 @@ class SparcleServer:
         """Push every newly committed decision to its owning connection."""
         flushed = 0
         for ticket in list(self._pending):
-            decision = self.backend.decision_for(ticket)
+            decision = self.coordinator.decision_for(ticket)
             if decision is None:
                 continue
             pending = self._pending.pop(ticket)
@@ -676,7 +504,7 @@ class SparcleServer:
                 writer.close()
 
     # ------------------------------------------------------------------
-    # Request dispatch (synchronous: the backend contract)
+    # Request dispatch (synchronous: the coordinator's contract)
     # ------------------------------------------------------------------
     def _handle_line(self, conn: _Connection, line: bytes) -> None:
         if not line.strip():
@@ -697,8 +525,18 @@ class SparcleServer:
             reply = self._status_reply(message.seq)
         elif isinstance(message, TopologyRequest):
             reply = TopologyReply(
-                shards=self.backend.shard_entries(),
-                boundary_links=self.backend.boundary_links(),
+                shards=tuple(
+                    {
+                        "shard": node.shard_id,
+                        "ncps": len(node.network.ncps),
+                        "alive": node.alive,
+                        "apps": len(node.live_apps()),
+                    }
+                    for node in self.coordinator.nodes
+                ),
+                boundary_links=len(
+                    self.coordinator.partition.boundary_links
+                ),
                 seq=message.seq,
             )
         else:
@@ -729,7 +567,7 @@ class SparcleServer:
                 seq=message.seq,
             )
         try:
-            ticket = self.backend.submit(message)
+            ticket = self.coordinator.submit(message)
         except BackpressureError as error:
             self._shed += 1
             self._metrics.incr("server.shed", reason="queue")
@@ -777,7 +615,7 @@ class SparcleServer:
 
     def _handle_withdraw(self, message: WithdrawRequest) -> Message:
         try:
-            self.backend.withdraw(message.app_id)
+            self.coordinator.withdraw(message.app_id)
         except SparcleError as error:
             return ErrorReply(
                 code="admission",
@@ -790,22 +628,22 @@ class SparcleServer:
 
     def _handle_drain(self, message: DrainRequest) -> Message:
         self._draining = True
-        decided, epochs = self._drain_backend()
+        decided, epochs = self._drain_coordinator()
         self._begin_shutdown(drain=False)
         return DrainReply(decided=decided, epochs=epochs, seq=message.seq)
 
     def _status_reply(self, seq: int) -> StatusReply:
         return StatusReply(
             protocol_version=PROTOCOL_VERSION,
-            backend=self.backend.name,
+            backend="shards",
             submitted=self._submitted,
             accepted=self._accepted_decisions,
             rejected=self._rejected_decisions,
             shed=self._shed,
             recovered=self.recovered,
             inflight=self._total_inflight(),
-            queue_depth=self.backend.queue_depth,
-            epoch=self.backend.epoch,
+            queue_depth=self.coordinator.queue_depth,
+            epoch=self.coordinator.epoch,
             draining=self._draining,
             seq=seq,
         )
@@ -816,11 +654,9 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    no_shards: bool = False,
     n_shards: int = 2,
     zones: Mapping[str, int] | None = None,
     assigner: Assigner = sparcle_assign,
-    workers: int = 0,
     max_queue_depth: int = 128,
     log_dir: str | Path | None = None,
     max_inflight: int = 8,
@@ -842,11 +678,9 @@ def serve(
             network,
             host=host,
             port=port,
-            no_shards=no_shards,
             n_shards=n_shards,
             zones=zones,
             assigner=assigner,
-            workers=workers,
             max_queue_depth=max_queue_depth,
             log_dir=log_dir,
             max_inflight=max_inflight,
@@ -858,7 +692,8 @@ def serve(
             ready.put_nowait(server.port)
         print(
             f"sparcle serve: listening on {server.host}:{server.port} "
-            f"(backend={server.backend.name}, protocol v{PROTOCOL_VERSION})"
+            f"({len(server.coordinator.nodes)} shards, "
+            f"protocol v{PROTOCOL_VERSION})"
         )
         await server.wait_closed()
 

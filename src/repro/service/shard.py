@@ -74,7 +74,10 @@ from repro.exceptions import (
 from repro.service.gateway import (
     MAX_DRAIN_EPOCHS,
     AdmissionGateway,
+    AdmissionQueue,
     EpochReport,
+    PendingAdmission,
+    classify_request,
 )
 
 if TYPE_CHECKING:
@@ -449,8 +452,6 @@ class ShardNode:
         *,
         assigner: Assigner = sparcle_assign,
         use_prediction: bool = True,
-        workers: int = 0,
-        executor: str = "thread",
         max_queue_depth: int = 128,
         batch_size: int | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -462,8 +463,6 @@ class ShardNode:
         self.alive = True
         self._assigner = assigner
         self._use_prediction = use_prediction
-        self._workers = workers
-        self._executor = executor
         self._max_queue_depth = max_queue_depth
         self._batch_size = batch_size
         self._retry_policy = retry_policy
@@ -490,8 +489,6 @@ class ShardNode:
         )
         self.gateway = AdmissionGateway(
             self.scheduler,
-            workers=self._workers,
-            executor=self._executor,
             max_queue_depth=self._max_queue_depth,
             batch_size=self._batch_size,
             retry_policy=self._retry_policy,
@@ -614,7 +611,6 @@ class ShardNode:
         """Crash this shard: queued requests are lost, the log survives."""
         self._require_alive()
         self.alive = False
-        self.gateway.close()
 
     def warm_start(self) -> None:
         """Restart from the event log instead of re-solving admission.
@@ -657,7 +653,6 @@ class ShardNode:
         if not self._preexisting:
             return False
         self.alive = False
-        self.gateway.close()
         self.warm_start()
         return True
 
@@ -670,30 +665,13 @@ class ShardNode:
         )
 
     def close(self) -> None:
-        """Release the gateway pool and the log handle."""
-        self.gateway.close()
+        """Release the log handle."""
         self.log.close()
 
 
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
-@dataclass
-class _CrossPending:
-    """One queued cross-shard request with its scheduling metadata."""
-
-    seq: int
-    request: BERequest | GRRequest
-    kind: str
-    weight: float
-    attempts: int = 0
-    not_before_epoch: int = 0
-
-    def sort_key(self) -> tuple[int, float, int]:
-        rank = 0 if self.kind == "GR" else 1
-        return (rank, self.seq / self.weight, self.seq)
-
-
 @dataclass(frozen=True)
 class _TicketRef:
     """Where one coordinator ticket's decision lives."""
@@ -766,8 +744,8 @@ class ShardCoordinator:
     decision-identical to one :class:`AdmissionGateway` with the same
     parameters — the property test pins this down bit-for-bit.
 
-    Use as a context manager (or call :meth:`close`) to release pools
-    and log handles.
+    Use as a context manager (or call :meth:`close`) to release the log
+    handles.
     """
 
     def __init__(
@@ -779,8 +757,6 @@ class ShardCoordinator:
         partition: NetworkPartition | None = None,
         assigner: Assigner = sparcle_assign,
         use_prediction: bool = True,
-        workers: int = 0,
-        executor: str = "thread",
         max_queue_depth: int = 128,
         batch_size: int | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -795,7 +771,6 @@ class ShardCoordinator:
         self.partition = partition
         self._assigner = assigner
         self._max_queue_depth = max_queue_depth
-        self._cross_retry = cross_retry_policy or retry_policy or RetryPolicy()
         base = Path(log_dir) if log_dir is not None else None
         self._log = ShardEventLog(
             base / "coordinator.jsonl" if base is not None else None
@@ -808,8 +783,6 @@ class ShardCoordinator:
                     subnet,
                     assigner=assigner,
                     use_prediction=use_prediction,
-                    workers=workers,
-                    executor=executor,
                     max_queue_depth=max_queue_depth,
                     batch_size=batch_size,
                     retry_policy=retry_policy,
@@ -826,14 +799,15 @@ class ShardCoordinator:
         }
         self._ledger = CapacityView(network)
         self._apps: dict[str, _CrossApp] = {}
-        self._cross_queue: list[_CrossPending] = []
+        self._cross_queue = AdmissionQueue(
+            cross_retry_policy or retry_policy or RetryPolicy()
+        )
         self._cross_decisions: dict[int, Decision] = {}
         self._decisions: list[Decision] = []
         self._tickets: dict[int, _TicketRef] = {}
         self._all_ids: set[str] = set()
         self._node_marks: list[int] = [0] * partition.n_shards
         self._seq = 0
-        self._cross_seq = 0
         self._epoch = 0
         self._rr = 0
         self._submitted = 0
@@ -862,7 +836,7 @@ class ShardCoordinator:
         self.close()
 
     def close(self) -> None:
-        """Release every shard's pools/logs and the coordinator log."""
+        """Release every shard's log and the coordinator log."""
         for node in self._nodes:
             node.close()
         self._log.close()
@@ -992,14 +966,7 @@ class ShardCoordinator:
 
         if isinstance(request, SubmitRequest):
             request = request.to_request()
-        if isinstance(request, GRRequest):
-            kind, weight = "GR", 1.0
-        elif isinstance(request, BERequest):
-            kind, weight = "BE", request.priority
-        else:
-            raise AdmissionError(
-                f"unsupported request type {type(request).__name__!r}"
-            )
+        kind, weight = classify_request(request)
         app_id = request.app_id
         if app_id in self._all_ids:
             raise AdmissionError(
@@ -1012,9 +979,7 @@ class ShardCoordinator:
                     f"cross-shard queue full ({self._max_queue_depth}); "
                     f"request {app_id!r} shed"
                 )
-            entry = _CrossPending(self._cross_seq, request, kind, weight)
-            self._cross_seq += 1
-            self._cross_queue.append(entry)
+            entry = self._cross_queue.push(request, kind, weight)
             ref = _TicketRef(app_id, LEDGER, entry.seq)
             self._cross_submitted += 1
         else:
@@ -1188,7 +1153,7 @@ class ShardCoordinator:
             proposal.availability,
         )
 
-    def _serial_cross(self, entry: _CrossPending) -> Decision:
+    def _serial_cross(self, entry: PendingAdmission) -> Decision:
         """Global serial fallback: evaluate+commit against live state."""
         self._cross_fallbacks += 1
         view = self._thaw_merged(self._merged_entries())
@@ -1201,21 +1166,9 @@ class ShardCoordinator:
             )
         return self._commit_cross(entry.request, proposal)
 
-    def _requeue_or_fallback(
-        self, entry: _CrossPending
-    ) -> Decision | None:
-        """Handle one stale cross proposal; returns a decision on fallback."""
-        entry.attempts += 1
-        self._cross_conflicts += 1
-        if entry.attempts >= self._cross_retry.max_attempts:
-            return self._serial_cross(entry)
-        entry.not_before_epoch = self._epoch + 1 + int(
-            self._cross_retry.delay(entry.attempts)
-        )
-        self._cross_queue.append(entry)
-        return None
-
-    def _record_cross(self, entry: _CrossPending, decision: Decision) -> None:
+    def _record_cross(
+        self, entry: PendingAdmission, decision: Decision
+    ) -> None:
         self._cross_decisions[entry.seq] = decision
         self._decisions.append(decision)
         self._committed += 1
@@ -1226,17 +1179,7 @@ class ShardCoordinator:
             self._all_ids.discard(decision.app_id)
 
     def _run_cross_epoch(self) -> tuple[int, int, int, int, int, int]:
-        eligible = [
-            entry
-            for entry in self._cross_queue
-            if entry.not_before_epoch <= self._epoch
-        ]
-        self._cross_queue = [
-            entry
-            for entry in self._cross_queue
-            if entry.not_before_epoch > self._epoch
-        ]
-        eligible.sort(key=_CrossPending.sort_key)
+        eligible = self._cross_queue.pop_batch(self._epoch)
         committed = accepted = rejected = conflicts = fallbacks = 0
         if not eligible:
             return (0, 0, 0, 0, 0, 0)
@@ -1264,12 +1207,11 @@ class ShardCoordinator:
                 try:
                     decision = self._commit_cross(entry.request, proposal)
                 except StaleProposalError:
-                    before = self._cross_conflicts
-                    fallback = self._requeue_or_fallback(entry)
-                    conflicts += self._cross_conflicts - before
-                    if fallback is None:
+                    self._cross_conflicts += 1
+                    conflicts += 1
+                    if self._cross_queue.requeue(entry, self._epoch):
                         continue
-                    decision = fallback
+                    decision = self._serial_cross(entry)
                     fallbacks += 1
             committed += 1
             if decision.accepted:

@@ -219,36 +219,3 @@ class TestPluggableAssigner:
         kinds = [d.kind for d in sched.decisions]
         assert kinds == ["GR", "BE"]
         assert [d for d in sched.gr_decisions()] == [sched.decisions[0]]
-
-
-class TestDeprecatedKindDelegates:
-    """The six gr_*/be_* shims warn and still delegate correctly."""
-
-    @pytest.fixture
-    def populated(self, net):
-        scheduler = SparcleScheduler(net)
-        scheduler.submit_gr(GRRequest("gr", small_app("gr"), min_rate=0.05))
-        scheduler.submit_be(BERequest("be", small_app("be")))
-        return scheduler
-
-    def test_path_delegates_warn_and_match(self, populated):
-        with pytest.warns(DeprecationWarning, match="gr_paths"):
-            legacy = populated.gr_paths("gr")
-        assert legacy == populated.paths("gr", "GR")
-        with pytest.warns(DeprecationWarning, match="be_paths"):
-            legacy = populated.be_paths("be")
-        assert legacy == populated.paths("be", "BE")
-
-    def test_health_delegates_warn_and_match(self, populated):
-        with pytest.warns(DeprecationWarning, match="gr_health"):
-            legacy = populated.gr_health("gr")
-        assert legacy == populated.health("gr", "GR")
-        with pytest.warns(DeprecationWarning, match="be_health"):
-            legacy = populated.be_health("be")
-        assert legacy == populated.health("be", "BE")
-
-    def test_add_path_delegates_warn(self, populated):
-        with pytest.warns(DeprecationWarning, match="add_gr_path"):
-            populated.add_gr_path("gr")
-        with pytest.warns(DeprecationWarning, match="add_be_path"):
-            populated.add_be_path("be")

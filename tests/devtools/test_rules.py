@@ -285,8 +285,8 @@ class TestSPC005FrozenMutation:
 
     def test_flags_setattr_on_snapshot_named_value(self, tmp_path):
         found = lint_snippet(tmp_path, "mymod.py", '''
-            def corrupt(admission_snapshot):
-                object.__setattr__(admission_snapshot, "residual", None)
+            def corrupt(residual_snapshot):
+                object.__setattr__(residual_snapshot, "entries", None)
         ''', self.RULE)
         assert [v.rule_id for v in found] == ["SPC005"]
 

@@ -55,9 +55,25 @@ class TestParser:
         assert args.out_dir == "obs"
         assert args.capacity == 1000
 
-    def test_output_is_an_alias_for_out_dir(self):
-        args = build_parser().parse_args(["trace", "repair", "--output", "obs"])
-        assert args.out_dir == "obs"
+    @pytest.mark.parametrize("subcommand, removed", [
+        ("trace", "output"),
+        ("perf", "output"),
+        ("gateway", "output"),
+        ("gateway", "workers"),
+        ("gateway", "executor"),
+        ("shards", "workers"),
+        ("shards", "kill-restart"),
+        ("serve", "workers"),
+        ("serve", "no-shards"),
+    ])
+    def test_removed_flags_rejected(self, subcommand, removed, capsys):
+        positional = "repair" if subcommand == "trace" else "x.json"
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [subcommand, positional, f"--{removed}", "1"]
+            )
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: --{removed}" in capsys.readouterr().err
 
     def test_perf_subcommand(self):
         args = build_parser().parse_args(
@@ -68,18 +84,17 @@ class TestParser:
 
     def test_gateway_subcommand(self):
         args = build_parser().parse_args(
-            ["gateway", "x.json", "--requests", "8", "--workers", "2",
+            ["gateway", "x.json", "--requests", "8",
              "--seed", "5", "--out-dir", "out"]
         )
         assert args.command == "gateway"
         assert args.requests == 8
-        assert args.workers == 2
         assert args.seed == 5
         assert args.out_dir == "out"
 
     def test_run_subcommands_share_seed_and_out_dir_spelling(self):
         # The unification contract: every run-producing subcommand accepts
-        # the same --out-dir spelling (plus the --output alias).
+        # the same --out-dir spelling.
         parser = build_parser()
         for argv in (
             ["trace", "repair", "--out-dir", "d"],
@@ -159,7 +174,7 @@ class TestObservabilityCommands:
         import json
 
         out_dir = tmp_path / "obs"
-        code = main(["trace", "fig10", "--output", str(out_dir)])
+        code = main(["trace", "fig10", "--out-dir", str(out_dir)])
         out = capsys.readouterr().out
         assert code == 0
         assert "[fig10]" in out
@@ -189,7 +204,7 @@ class TestObservabilityCommands:
         code = main(
             [
                 "perf", str(scenario_file),
-                "--format", "json", "--output", str(target),
+                "--format", "json", "--out-dir", str(target),
             ]
         )
         assert code == 0
@@ -213,13 +228,13 @@ class TestObservabilityCommands:
         code = main(
             [
                 "gateway", str(scenario_file),
-                "--requests", "6", "--workers", "2", "--seed", "11",
+                "--requests", "6", "--seed", "11",
                 "--out-dir", str(out_dir),
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "gateway (x2 thread)" in out
+        assert "gateway          :" in out
         report = json.loads((out_dir / "gateway_report.json").read_text())
         assert report["requests"] == 6
         assert report["gateway"]["accepted"] + report["gateway"]["conflicts"] >= 0

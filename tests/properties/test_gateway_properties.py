@@ -138,22 +138,3 @@ class TestConflictFreeEquivalence:
             } == {
                 (d.app_id, d.accepted) for d in serial
             }
-
-    @SETTINGS
-    @given(admission_scenarios())
-    def test_parallel_workers_change_nothing(self, scenario):
-        network, requests = scenario
-        inline_scheduler = SparcleScheduler(network)
-        inline = AdmissionGateway(inline_scheduler)
-        inline_decisions = inline.process(requests)
-        threaded_scheduler = SparcleScheduler(network)
-        with AdmissionGateway(threaded_scheduler, workers=2) as threaded:
-            threaded_decisions = threaded.process(requests)
-        # Same batches against the same snapshots: worker count must not
-        # affect a single decision (parallelism is pure fan-out).
-        assert [
-            (d.app_id, d.accepted) for d in inline_decisions
-        ] == [
-            (d.app_id, d.accepted) for d in threaded_decisions
-        ]
-        _assert_no_double_commit(threaded_scheduler)

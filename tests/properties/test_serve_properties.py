@@ -73,7 +73,7 @@ def _in_process_decisions(network, requests):
     """Serial submit -> epoch -> decision through the in-process gateway."""
     scheduler = SparcleScheduler(network)
     decisions = []
-    with AdmissionGateway(scheduler, workers=0) as gateway:
+    with AdmissionGateway(scheduler) as gateway:
         for request in requests:
             ticket = gateway.submit(request)
             gateway.run_epoch()
@@ -88,7 +88,7 @@ def _wire_decisions(network, requests):
         decisions = []
         async with SparcleServer(
             network,
-            no_shards=True,
+            n_shards=1,
             epoch_interval=0.005,
             registry=LabeledRegistry(),
         ) as server:

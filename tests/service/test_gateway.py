@@ -1,9 +1,8 @@
-"""Unit tests for the concurrent admission gateway.
+"""Unit tests for the batched admission gateway.
 
 Covers the queue discipline (GR before BE, weighted FIFO within BE),
 bounded-queue backpressure, conflict-retry bounds with serial fallback,
-worker-pool variants, and the introspection surface (tickets, stats,
-epoch reports).
+and the introspection surface (tickets, stats, epoch reports).
 """
 
 from __future__ import annotations
@@ -55,14 +54,6 @@ def scheduler(network):
 
 
 class TestConstruction:
-    def test_rejects_negative_workers(self, scheduler):
-        with pytest.raises(GatewayError, match="workers"):
-            AdmissionGateway(scheduler, workers=-1)
-
-    def test_rejects_unknown_executor(self, scheduler):
-        with pytest.raises(GatewayError, match="executor"):
-            AdmissionGateway(scheduler, executor="fiber")
-
     def test_rejects_non_positive_queue_depth(self, scheduler):
         with pytest.raises(GatewayError, match="max_queue_depth"):
             AdmissionGateway(scheduler, max_queue_depth=0)
@@ -70,12 +61,6 @@ class TestConstruction:
     def test_rejects_non_positive_batch_size(self, scheduler):
         with pytest.raises(GatewayError, match="batch_size"):
             AdmissionGateway(scheduler, batch_size=0)
-
-    def test_context_manager_closes_pool(self, scheduler):
-        with AdmissionGateway(scheduler, workers=2) as gateway:
-            gateway.process([_gr("a")])
-            assert gateway._pool is not None
-        assert gateway._pool is None
 
 
 class TestPriorityOrdering:
@@ -201,29 +186,6 @@ class TestConflictRetry:
 
 
 class TestParallelEvaluation:
-    @pytest.mark.parametrize("workers,executor", [
-        (0, "thread"), (2, "thread"), (2, "process"),
-    ])
-    def test_all_pool_variants_admit_the_same_set(self, network, workers,
-                                                  executor):
-        requests = [
-            _gr(f"gr{i}", src=f"ncp{1 + i % 6}", dst=f"ncp{1 + (i + 3) % 6}")
-            for i in range(6)
-        ]
-        baseline = SparcleScheduler(network)
-        expected = {
-            d.app_id: d.accepted
-            for d in (
-                baseline.commit(baseline.evaluate(r))
-                for r in AdmissionGateway.priority_order(requests)
-            )
-        }
-        scheduler = SparcleScheduler(network)
-        with AdmissionGateway(scheduler, workers=workers,
-                              executor=executor) as gateway:
-            decisions = gateway.process(requests)
-        assert {d.app_id: d.accepted for d in decisions} == expected
-
     def test_batch_size_caps_epoch_batches(self, scheduler):
         gateway = AdmissionGateway(scheduler, batch_size=2)
         for i in range(5):

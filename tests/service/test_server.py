@@ -76,20 +76,12 @@ class TestLifecycle:
         with pytest.raises(ServerError, match="epoch_interval"):
             SparcleServer(_network(), epoch_interval=0.0)
 
-    def test_no_shards_recover_rejected_at_construction(self):
-        with pytest.raises(ServerError, match="no_shards"):
-            SparcleServer(_network(), no_shards=True, recover=True)
-
-    def test_recover_without_log_dir_rejected_at_start(self):
-        async def _run():
-            server = SparcleServer(
-                _network(), recover=True, registry=LabeledRegistry()
-            )
-            with pytest.raises(ServerError, match="durable log_dir"):
-                await server.start()
-            await server.shutdown()
-
-        asyncio.run(_run())
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_recover_without_log_dir_rejected_at_construction(self, n_shards):
+        # Regression: only the old unsharded mode failed fast; the sharded
+        # one built a full coordinator and raised from start() instead.
+        with pytest.raises(ServerError, match="durable log_dir"):
+            SparcleServer(_network(), n_shards=n_shards, recover=True)
 
     def test_double_start_rejected(self):
         async def _go(server):
@@ -181,7 +173,7 @@ class TestSubmitAndDecide:
 
         _serve(_go)
 
-    def test_no_shards_backend(self):
+    def test_single_shard_backend(self):
         async def _go(server):
             async with await SparcleClient.open(
                 server.host, server.port
@@ -190,13 +182,13 @@ class TestSubmitAndDecide:
                 decision = await client.decision("be1")
                 assert decision.accepted
                 status = await client.status()
-                assert status.backend == "gateway"
+                assert status.backend == "shards"
                 topology = await client.topology()
                 assert len(topology.shards) == 1
                 assert topology.boundary_links == 0
                 assert topology.shards[0]["apps"] == 1
 
-        _serve(_go, no_shards=True)
+        _serve(_go, n_shards=1)
 
     def test_duplicate_submit_raises_admission_error(self):
         async def _go(server):
@@ -360,7 +352,7 @@ class TestDrain:
             assert reply.epochs >= reply.decided
             await client.close()
             await server.wait_closed()
-            decision = server.backend.decision_for(ticket)
+            decision = server.coordinator.decision_for(ticket)
             assert decision is not None and decision.accepted
 
         _serve(_go)
@@ -536,7 +528,7 @@ class TestServeEntryPoint:
         thread = threading.Thread(
             target=serve,
             args=(_network(),),
-            kwargs={"port": 0, "no_shards": True, "ready": ready},
+            kwargs={"port": 0, "n_shards": 1, "ready": ready},
             daemon=True,
         )
         thread.start()

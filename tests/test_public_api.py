@@ -218,9 +218,9 @@ API_SIGNATURES = {
         "sabotage_after: 'int' = 0) -> 'ShardSoakReport'",
     "serve":
         "(network: 'Network', *, host: 'str' = '127.0.0.1', "
-        "port: 'int' = 0, no_shards: 'bool' = False, n_shards: 'int' = 2, "
+        "port: 'int' = 0, n_shards: 'int' = 2, "
         "zones: 'Mapping[str, int] | None' = None, "
-        "assigner: 'Assigner' = <sparcle_assign>, workers: 'int' = 0, "
+        "assigner: 'Assigner' = <sparcle_assign>, "
         "max_queue_depth: 'int' = 128, "
         "log_dir: 'str | Path | None' = None, max_inflight: 'int' = 8, "
         "recover: 'bool' = False, "
@@ -281,6 +281,28 @@ class TestApiDriftGuard:
         from repro.perf.counters import PerfRegistry
 
         assert not hasattr(PerfRegistry, "ratio")
+
+    def test_scheduler_kind_delegates_are_removed(self):
+        from repro.core.scheduler import SparcleScheduler
+
+        for name in (
+            "gr_paths", "be_paths", "gr_health", "be_health",
+            "add_gr_path", "add_be_path",
+        ):
+            assert not hasattr(SparcleScheduler, name), name
+
+    def test_admission_path_takes_no_pool_options(self):
+        from repro.experiments.online_arrivals import run_gateway
+        from repro.service.gateway import AdmissionGateway
+        from repro.service.server import SparcleServer, serve
+        from repro.service.shard import ShardCoordinator, ShardNode
+
+        for entry in (
+            AdmissionGateway, ShardNode, ShardCoordinator, SparcleServer,
+            serve, run_gateway,
+        ):
+            parameters = inspect.signature(entry).parameters
+            assert not {"workers", "executor"} & set(parameters), entry
 
 
 class TestExports:
