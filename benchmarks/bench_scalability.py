@@ -51,8 +51,8 @@ def dense_deep_case() -> tuple[TaskGraph, Network]:
     """24 fully connected NCPs (276 links) x a 14-CT diamond-chain pipeline.
 
     The deepest case in the suite: every gamma round probes many placed CTs
-    across a dense network, so this is where the batched widest-path trees
-    and incremental invalidation pay off the most.
+    across a dense network, so this is where reading gamma's widths from
+    the all-pairs table instead of searching pays off the most.
     """
     network = random_network(TopologyKind.FULL, 211, n_ncps=24)
     graph = diamond_chain_task_graph(4, cpu_per_ct=400.0, megabits_per_tt=2.0)
@@ -65,9 +65,9 @@ def dense_deep_case() -> tuple[TaskGraph, Network]:
 def dense_wide_case() -> tuple[TaskGraph, Network]:
     """48 fully connected NCPs (1128 links) x a 20-CT diamond-chain pipeline.
 
-    Headroom case for the CSR array kernel: the straight-line reference is
-    far too slow here, so ``export_bench.py`` times the dict kernel against
-    the array kernel instead (see its ``NO_REFERENCE`` set).
+    Headroom case: the straight-line reference is far too slow here, so
+    ``export_bench.py`` times the dict kernel against the array kernel
+    instead (see its ``NO_REFERENCE`` set).
     """
     network = random_network(TopologyKind.FULL, 248, n_ncps=48)
     graph = diamond_chain_task_graph(6, cpu_per_ct=400.0, megabits_per_tt=2.0)

@@ -17,17 +17,18 @@ into flat int-indexed arrays so the Algorithm-1 hot path becomes:
    via :func:`residuals_from_snapshot`);
 3. :func:`link_weights` — the Eq. (3) weight of *every* link for a given
    ``tt_megabits`` + same-path loads, in one vectorized pass;
-4. :func:`run_widest` — the modified-Dijkstra relaxation over int arrays.
+4. :func:`run_widest` — the modified-Dijkstra relaxation over int arrays
+   (one source; yields the route as well as its width);
+5. :func:`all_pairs_widths` — the width of ``P*(u, v)`` for *every* NCP
+   pair at once, by the (max, min) closure of the weight matrix.  Algorithm
+   2's Eq.-(2) probes only need widths, so they read this table instead of
+   searching.
 
-The relaxation loop ships in two interchangeable bodies: a pure-Python
-loop over list mirrors of the CSR arrays (the always-available fallback),
-and an array-native body that `numba <https://numba.pydata.org>`_ can JIT
-when the optional dependency is installed (``pip install repro[speed]``;
-disable with ``SPARCLE_NUMBA=0``).  Both reproduce the dict kernel's
-decisions bit-for-bit, including Dijkstra tiebreaks: node ties break on
-the lexicographic rank of the NCP name (``tie_rank``), and per-node edge
-order is the sorted-by-link-name order of ``Network.forward_links`` /
-``backward_links``.
+The relaxation loop is pure Python over list mirrors of the CSR arrays.
+It reproduces the dict kernel's decisions bit-for-bit, including Dijkstra
+tiebreaks: node ties break on the lexicographic rank of the NCP name
+(``tie_rank``), and per-node edge order is the sorted-by-link-name order
+of ``Network.forward_links`` / ``backward_links``.
 
 Kernel selection between this module and the legacy dict implementation
 lives in :mod:`repro.core.routing` (``set_route_kernel`` /
@@ -38,11 +39,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -56,48 +56,6 @@ FloatArray = np.ndarray[Any, np.dtype[np.float64]]
 IntArray = np.ndarray[Any, np.dtype[np.int64]]
 
 _NEG_INF = float("-inf")
-
-#: Failures that legitimately select the pure-Python fallback: a missing
-#: or broken numba install (``ImportError``), version-skew errors from
-#: numba's import/compile machinery (``AttributeError``/``RuntimeError``/
-#: ``TypeError``), and JIT cache-directory I/O problems (``OSError``).
-#: Anything else — a ``KeyboardInterrupt``, a ``MemoryError``, a plain
-#: bug — propagates instead of silently degrading the kernel.
-_NUMBA_ERRORS = (ImportError, AttributeError, RuntimeError, TypeError, OSError)
-
-
-# ----------------------------------------------------------------------
-# Optional numba acceleration
-# ----------------------------------------------------------------------
-def _load_njit() -> Callable[..., Any] | None:
-    """The ``numba.njit`` decorator, or ``None`` when unavailable/disabled.
-
-    numba is strictly optional: a missing or broken install silently
-    selects the pure-Python kernel, and ``SPARCLE_NUMBA=0`` forces the
-    fallback even when numba is importable (useful for benchmarking the
-    two bodies against each other).
-    """
-    if os.environ.get("SPARCLE_NUMBA", "1").lower() in ("0", "false", "no"):
-        return None
-    try:
-        from numba import njit
-    except _NUMBA_ERRORS:  # pragma: no cover - needs a broken install
-        counters.incr("arrays.numba_fallback.import")
-        return None
-    return njit  # type: ignore[no-any-return]
-
-
-_NJIT = _load_njit()
-HAVE_NUMBA = _NJIT is not None
-
-
-def kernel_name() -> str:
-    """Which relaxation body the array kernel currently runs.
-
-    ``"numba"`` when the JIT body is active, ``"python"`` for the
-    pure-Python fallback.
-    """
-    return "numba" if _relax_jit is not None else "python"
 
 
 # ----------------------------------------------------------------------
@@ -391,112 +349,6 @@ def _relax_python(
     return widths, prev_node, prev_link
 
 
-def _relax_arrays(
-    offsets: IntArray,
-    targets: IntArray,
-    link_ids: IntArray,
-    weights: FloatArray,
-    tie_rank: IntArray,
-    root: int,
-    dst: int,
-) -> tuple[FloatArray, IntArray, IntArray]:
-    """The same relaxation as :func:`_relax_python`, array-native.
-
-    Written against plain numpy indexing with a hand-rolled binary max
-    heap (parallel key arrays) so ``numba.njit`` can compile it without
-    object-mode fallbacks.  The heap orders by ``(width desc, tie_rank
-    asc)`` — identical pop order to the tuple heap of the Python body.
-    Runs unjitted too (the no-numba test path executes this source).
-    """
-    n_nodes = tie_rank.shape[0]
-    widths = np.full(n_nodes, -np.inf, dtype=np.float64)
-    prev_node = np.full(n_nodes, -1, dtype=np.int64)
-    prev_link = np.full(n_nodes, -1, dtype=np.int64)
-    visited = np.zeros(n_nodes, dtype=np.uint8)
-    capacity = targets.shape[0] + 1
-    heap_w = np.empty(capacity, dtype=np.float64)
-    heap_r = np.empty(capacity, dtype=np.int64)
-    heap_n = np.empty(capacity, dtype=np.int64)
-    size = 1
-    heap_w[0] = np.inf
-    heap_r[0] = tie_rank[root]
-    heap_n[0] = root
-    widths[root] = np.inf
-    while size > 0:
-        width = heap_w[0]
-        node = heap_n[0]
-        # Pop: move the last leaf to the top and sift it down, ordering
-        # by (width desc, tie_rank asc).
-        size -= 1
-        heap_w[0] = heap_w[size]
-        heap_r[0] = heap_r[size]
-        heap_n[0] = heap_n[size]
-        i = 0
-        while True:
-            left = 2 * i + 1
-            right = left + 1
-            best = i
-            if left < size and (
-                heap_w[left] > heap_w[best]
-                or (heap_w[left] == heap_w[best] and heap_r[left] < heap_r[best])
-            ):
-                best = left
-            if right < size and (
-                heap_w[right] > heap_w[best]
-                or (heap_w[right] == heap_w[best] and heap_r[right] < heap_r[best])
-            ):
-                best = right
-            if best == i:
-                break
-            heap_w[i], heap_w[best] = heap_w[best], heap_w[i]
-            heap_r[i], heap_r[best] = heap_r[best], heap_r[i]
-            heap_n[i], heap_n[best] = heap_n[best], heap_n[i]
-            i = best
-        if visited[node]:
-            continue
-        visited[node] = 1
-        if node == dst:
-            break
-        for k in range(offsets[node], offsets[node + 1]):
-            neighbor = targets[k]
-            if visited[neighbor]:
-                continue
-            w = weights[link_ids[k]]
-            candidate = width if width < w else w
-            if candidate > widths[neighbor]:
-                widths[neighbor] = candidate
-                prev_node[neighbor] = node
-                prev_link[neighbor] = link_ids[k]
-                # Push: append then sift up.
-                heap_w[size] = candidate
-                heap_r[size] = tie_rank[neighbor]
-                heap_n[size] = neighbor
-                i = size
-                size += 1
-                while i > 0:
-                    parent = (i - 1) // 2
-                    if heap_w[i] > heap_w[parent] or (
-                        heap_w[i] == heap_w[parent]
-                        and heap_r[i] < heap_r[parent]
-                    ):
-                        heap_w[i], heap_w[parent] = heap_w[parent], heap_w[i]
-                        heap_r[i], heap_r[parent] = heap_r[parent], heap_r[i]
-                        heap_n[i], heap_n[parent] = heap_n[parent], heap_n[i]
-                        i = parent
-                    else:
-                        break
-    return widths, prev_node, prev_link
-
-
-_relax_jit: Callable[..., Any] | None = None
-if _NJIT is not None:  # pragma: no cover - requires the optional numba
-    try:
-        _relax_jit = _NJIT(cache=True, nogil=True)(_relax_arrays)
-    except _NUMBA_ERRORS:
-        counters.incr("arrays.numba_fallback.jit_decorate")
-        _relax_jit = None
-
-
 # One memo slot per direction for the edge-ordered weight gather of the
 # pure-Python body: ``(compiled, weights, edge_weights_list)``.  Weight
 # arrays are memoized upstream (routing.WeightsCache), so consecutive
@@ -536,30 +388,8 @@ def run_widest(
     ``prev_*[i] == -1`` marks the root or an unreached node.
     ``reverse=True`` traverses the backward adjacency (paths *into* the
     root); ``dst >= 0`` early-exits once that node settles (point
-    queries).  Dispatches to the numba body when available, else the
-    pure-Python fallback — both produce identical floats and tiebreaks
-    (the JIT outputs are ``tolist()``-ed so callers always consume native
-    Python floats/ints).
+    queries).
     """
-    global _relax_jit
-    if _relax_jit is not None:  # pragma: no cover - requires numba
-        offsets_a = compiled.bwd_offsets if reverse else compiled.fwd_offsets
-        targets_a = compiled.bwd_targets if reverse else compiled.fwd_targets
-        link_ids_a = compiled.bwd_link_ids if reverse else compiled.fwd_link_ids
-        try:
-            widths_a, prev_node_a, prev_link_a = _relax_jit(
-                offsets_a, targets_a, link_ids_a,
-                np.ascontiguousarray(weights), compiled.tie_rank, root, dst,
-            )
-            return widths_a.tolist(), prev_node_a.tolist(), prev_link_a.tolist()
-        except _NUMBA_ERRORS:
-            # A broken JIT (e.g. numba/numpy version skew surfacing at
-            # first compile) must never take the scheduler down: drop to
-            # the pure-Python body for the rest of the process.  Anything
-            # outside _NUMBA_ERRORS propagates — silent degradation on an
-            # arbitrary exception is the bug class this narrows away.
-            counters.incr("arrays.numba_fallback.jit_runtime")
-            _relax_jit = None
     if reverse:
         offsets = compiled._bwd_offsets_list
         targets = compiled._bwd_targets_list
@@ -573,3 +403,35 @@ def run_widest(
         _edge_weights_list(compiled, weights, reverse),
         compiled._tie_rank_list, compiled.n_nodes, root, dst,
     )
+
+
+def all_pairs_widths(compiled: CompiledNetwork, weights: FloatArray) -> FloatArray:
+    """``table[u, v]`` = bottleneck width of ``P*(u, v)`` for every NCP pair.
+
+    The (max, min) closure of the Eq.-(3) weight matrix: seed ``table``
+    with the widest direct link per ordered pair (parallel links and
+    directed networks fall out of the forward CSR), then let every node
+    ``k`` in turn offer the detour ``min(table[u, k], table[k, v])``.
+    The max-min value of a pair is unique and only comparisons touch the
+    floats, so each entry equals the width :func:`run_widest` settles, bit
+    for bit: row ``u`` is the forward tree rooted at ``u``, column ``v``
+    the ``reverse=True`` tree rooted at ``v``.  The diagonal is ``+inf``
+    (the trivial path) and unreachable pairs stay ``-inf``.
+
+    O(N^3) in N vectorized passes — about the cost of *one* tree search at
+    48 NCPs, answering all roots — which holds up to the ~100-NCP networks
+    this repo builds; a far larger sparse network would want the per-root
+    searches back.
+    """
+    n = compiled.n_nodes
+    table = np.full((n, n), _NEG_INF, dtype=np.float64)
+    sources = np.repeat(np.arange(n), np.diff(compiled.fwd_offsets))
+    np.maximum.at(
+        table, (sources, compiled.fwd_targets), weights[compiled.fwd_link_ids]
+    )
+    np.fill_diagonal(table, math.inf)
+    for k in range(n):
+        np.maximum(
+            table, np.minimum(table[:, k, None], table[None, k, :]), out=table
+        )
+    return table

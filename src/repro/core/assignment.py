@@ -28,17 +28,22 @@ CT order implements the paper's GS/GRand baselines
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
+import numpy as np
+
+from repro.core.arrays import (
+    CompiledNetwork,
+    FloatArray,
+    IntArray,
+    all_pairs_widths,
+    compile_network,
+)
 from repro.core.network import Network
 from repro.core.placement import CapacityView, Placement
-from repro.core.routing import (
-    WeightsCache,
-    WidestPathTree,
-    widest_path,
-    widest_path_tree,
-)
+from repro.core.routing import WeightsCache, cached_link_weights, widest_path
 from repro.core.taskgraph import BANDWIDTH, ComputationTask, TaskGraph, TransportTask
 from repro.exceptions import InfeasiblePlacementError, PlacementError
 from repro.perf import counters, timed, tracing
@@ -74,17 +79,19 @@ class _State:
     link_loads: dict[str, float] = field(default_factory=dict)
     order: list[str] = field(default_factory=list)
 
-    # Batched widest-path memo: one single-source tree per (root host,
-    # TT megabits, direction) serves every candidate-host probe at once.
-    # Entries survive commits; `_invalidate` evicts only the trees whose
-    # settled routes cross a link the commit loaded (loads only ever grow
-    # within a run, so untouched trees remain exact — see WidestPathTree).
-    _tree_cache: dict[tuple[str, float, bool], WidestPathTree] = field(
-        default_factory=dict
-    )
+    # Width of ``P*(u, v)`` for every NCP pair under the *current*
+    # ``link_loads``, one table per TT megabits (arrays.all_pairs_widths).
+    # Every Eq.-(2) link term and every tie-break bound is a cell read;
+    # cleared with `_weights_cache` whenever a route loads links.
+    _width_tables: dict[float, FloatArray] = field(default_factory=dict)
+
+    # Exact bottleneck rate of the partial placement under the current
+    # loads (the tie-break's common term).  `commit` folds the committed
+    # host's new NCP-side rate in; a route that loads links drops it.
+    _current_rate: float | None = None
 
     # The task graph is immutable, so the cheapest-TT argmin per CT pair
-    # (queried once per gamma probe) is memoized for the whole run.
+    # is memoized for the whole run.
     _cheapest_tt_cache: dict[tuple[str, str], TransportTask | None] = field(
         default_factory=dict
     )
@@ -92,7 +99,7 @@ class _State:
     # Probe plan per (unplaced CT, placed CT): reachability, the cheapest
     # TT's megabits, and the probe direction are all static properties of
     # the task graph, so they are resolved once per pair.  ``None`` marks
-    # a pair needing no link-side probe.
+    # a pair contributing no link-side term.
     _probe_plan_cache: dict[tuple[str, str], tuple[float, bool] | None] = field(
         default_factory=dict
     )
@@ -110,85 +117,39 @@ class _State:
     # sweeps (valid only for one host-list object, checked by identity).
     # `_dirty_hosts` logs each commit's host; a cached vector replays the
     # log suffix it has not seen instead of recomputing every entry.
-    _rates_base: dict[str, tuple[list[float], int]] = field(default_factory=dict)
+    _rates_base: dict[str, tuple[FloatArray, int]] = field(default_factory=dict)
     _dirty_hosts: list[str] = field(default_factory=list)
     _hosts_ref: Sequence[str] | None = field(default=None, repr=False)
     _host_pos: dict[str, int] = field(default_factory=dict)
 
-    # Tree-cache traffic, buffered locally (one lock-protected counter
-    # update per run in `finalize` instead of one per probe).
-    # `_width_probes` counts the per-(candidate host) width reads the
-    # fetched trees answered — the denominator that shows each tree
-    # search being amortized over a whole host sweep.
-    _tree_hits: int = 0
-    _tree_misses: int = 0
-    _width_probes: int = 0
-
-    # hosts -> compiled node ids, resolved once per (node-index, host
-    # list) pair for the array-kernel width fast path.
-    _host_ids_cache: tuple[object, Sequence[str], list[int]] | None = field(
-        default=None, repr=False
-    )
+    # ``_hosts_ref`` resolved to compiled node ids (table row/column index).
+    _host_ids: IntArray | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
-    def placed(self) -> set[str]:
-        return set(self.ct_hosts)
+    @cached_property
+    def _compiled(self) -> CompiledNetwork:
+        return compile_network(self.network)
 
-    def probe_tree(self, root: str, megabits: float, *, reverse: bool) -> WidestPathTree:
-        """Memoized single-source widest-path tree for the current loads.
+    def width_table(self, megabits: float) -> FloatArray:
+        """All-pairs ``P*`` widths for a ``megabits`` TT under the current loads.
 
-        ``reverse=True`` yields widths of paths *into* ``root`` (used when
-        the probe route runs from a candidate host towards a placed host).
-        On undirected networks both directions are the same search, so the
-        flag is normalized away and the tree shared.
+        ``table[u, v]`` (compiled node ids) equals
+        ``widest_path(u, v, megabits, link_loads).bottleneck`` — ``+inf`` on
+        the diagonal, ``-inf`` when unreachable — so a row answers every
+        candidate host against one placed host, a column the reverse
+        direction on directed networks.
         """
-        if not self.network.directed:
-            reverse = False
-        key = (root, megabits, reverse)
-        tree = self._tree_cache.get(key)
-        if tree is None:
-            self._tree_misses += 1
-            tree = widest_path_tree(
-                self.network, self.capacities, root, megabits, self.link_loads,
-                reverse=reverse, weights_cache=self._weights_cache,
+        table = self._width_tables.get(megabits)
+        if table is None:
+            counters.incr("assignment.width_tables")
+            weights = cached_link_weights(
+                self._compiled, self.capacities, megabits, self.link_loads,
+                self._weights_cache,
             )
-            self._tree_cache[key] = tree
-        else:
-            self._tree_hits += 1
-        return tree
-
-    def probe_width(self, src: str, dst: str, megabits: float) -> float | None:
-        """Bottleneck width of ``P*(src, dst)`` for the current load state.
-
-        Equal to ``widest_path(...).bottleneck`` (``None`` if unreachable)
-        but answered from a batched tree rooted at the *placed* endpoint —
-        gamma probes fix one endpoint (the placed CT's host) and sweep the
-        other over all candidate hosts, so the tree is reused ``|N|`` times.
-        """
-        if src == dst:
-            return math.inf
-        return self.probe_tree(src, megabits, reverse=False).width_to(dst)
-
-    def probe_width_reverse(self, dst: str, src: str, megabits: float) -> float | None:
-        """Like :meth:`probe_width` but rooted at the destination ``dst``."""
-        if src == dst:
-            return math.inf
-        return self.probe_tree(dst, megabits, reverse=True).width_to(src)
-
-    def _invalidate(self, dirtied_links: set[str]) -> None:
-        """Evict cached trees whose settled routes cross a dirtied link."""
-        counters.incr("assignment.commits")
-        if not dirtied_links or not self._tree_cache:
-            return
-        stale = [
-            key
-            for key, tree in self._tree_cache.items()
-            if tree.tree_links & dirtied_links
-        ]
-        for key in stale:
-            del self._tree_cache[key]
-        counters.incr("assignment.trees_invalidated", len(stale))
-        counters.incr("assignment.trees_retained", len(self._tree_cache))
+            table = self._width_tables[megabits] = all_pairs_widths(
+                self._compiled, weights
+            )
+        return table
 
     def cheapest_tt(self, a: str, b: str) -> TransportTask | None:
         """Algorithm 2 line 12: argmin of ``a^(b)`` over ``G(a, b)``."""
@@ -260,82 +221,89 @@ class _State:
 
     # ------------------------------------------------------------------
     def gamma(self, ct_name: str, host: str) -> float:
-        """Eq. (2): the rate bottleneck imposed by placing ``ct_name`` on ``host``."""
-        # (a) NCP-side term: every resource the CT or the host's existing
-        # tenants need.
+        """Eq. (2): the rate bottleneck imposed by placing ``ct_name`` on ``host``.
+
+        The scalar form of :meth:`gamma_over_hosts`: one table cell per
+        placed reachable CT.
+        """
         rate = self.ncp_term(ct_name, host)
-        # (b) link-side terms: one per placed reachable CT.  The probe
-        # route follows the *data direction* (towards descendants, from
-        # ancestors) — irrelevant on undirected networks, decisive on
-        # directed ones with asymmetric bandwidth.  Only the bottleneck
-        # *width* matters here, so each probe is answered from a batched
-        # widest-path tree rooted at the placed CT's host and shared by
-        # every candidate host (and every unplaced CT using the same TT
-        # megabits) in the round.
-        for other in sorted(self.placed()):
+        node_index = self._compiled.node_index
+        host_id = node_index[host]
+        for other, other_host in self.ct_hosts.items():
             plan = self.probe_plan(ct_name, other)
             if plan is None:
                 continue
-            other_host = self.ct_hosts[other]
-            if other_host == host:
-                continue  # co-located: the TT would be free
             megabits, reverse = plan
-            if reverse:
-                # Data flows candidate host -> other_host: reverse tree.
-                width = self.probe_width_reverse(other_host, host, megabits)
-            else:
-                width = self.probe_width(other_host, host, megabits)
-            if width is None:
-                return UNREACHABLE
-            rate = min(rate, width)
+            other_id = node_index[other_host]
+            cell = (host_id, other_id) if reverse else (other_id, host_id)
+            rate = min(rate, float(self.width_table(megabits)[cell]))
         return rate
 
-    def partial_rate_after(self, ct_name: str, host: str) -> float:
-        """The exact bottleneck rate of the partial placement after a commit.
+    def gamma_over_hosts(self, ct_name: str, hosts: Sequence[str]) -> FloatArray:
+        """Eq. (2) for one CT against *every* candidate host in one sweep.
 
-        Simulates placing ``ct_name`` on ``host`` (including routing the TTs
-        to already-placed neighbours, largest-first as :meth:`commit` would)
-        without mutating state, and returns the min over touched elements of
-        residual capacity over per-unit load.  Used only to break exact ties
-        in the Eq.-(2) ranking: gamma scores each reachable CT's TT
-        separately, so it cannot see several TTs accumulating on one link —
-        the true partial rate can.
+        (a) The NCP-side term: every resource the CT or the host's existing
+        tenants need.  (b) One link-side term per placed reachable CT: the
+        width of the best path for the cheapest TT between them, following
+        the *data direction* (towards descendants, from ancestors) —
+        irrelevant on undirected networks, decisive on directed ones with
+        asymmetric bandwidth.  Only the width matters here, so each term
+        is one row (column when data flows candidate -> placed) of the
+        all-pairs table, min-folded over all hosts at once: the ``+inf``
+        diagonal *is* the co-location rule (the TT would be free) and the
+        ``-inf`` unreachable sentinel *is* ``UNREACHABLE``.  The table
+        cells are the floats Algorithm 1 would settle, so the result is
+        bit-identical to probing each (host, placed CT) pair by search.
         """
-        ct = self.graph.ct(ct_name)
-        ncp_loads = {n: dict(b) for n, b in self.ncp_loads.items()}
-        link_loads = dict(self.link_loads)
-        bucket = ncp_loads.setdefault(host, {})
-        for resource, amount in ct.requirements.items():
-            bucket[resource] = bucket.get(resource, 0.0) + amount
-        for neighbor in self.graph.neighbors(ct_name):
-            if neighbor not in self.ct_hosts:
+        rates = self._rates_for(ct_name, hosts)
+        host_ids = self._ids_for(hosts)
+        node_index = self._compiled.node_index
+        for other, other_host in self.ct_hosts.items():
+            plan = self.probe_plan(ct_name, other)
+            if plan is None:
                 continue
-            other_host = self.ct_hosts[neighbor]
-            if other_host == host:
-                continue
-            tt = self.graph.connecting_tt(ct_name, neighbor)
-            assert tt is not None
-            src_host = host if tt.src == ct_name else other_host
-            dst_host = other_host if tt.src == ct_name else host
-            route = widest_path(
-                self.network, self.capacities, src_host, dst_host,
-                tt.megabits_per_unit, link_loads,
-            )
-            if route is None:
-                return UNREACHABLE
-            for link_name in route.links:
-                link_loads[link_name] = (
-                    link_loads.get(link_name, 0.0) + tt.megabits_per_unit
-                )
-        rate = math.inf
-        for ncp_name, loads in ncp_loads.items():
-            for resource, load in loads.items():
-                if load > 0.0:
-                    rate = min(rate, self.capacities.capacity(ncp_name, resource) / load)
-        for link_name, load in link_loads.items():
-            if load > 0.0:
-                rate = min(rate, self.capacities.capacity(link_name, BANDWIDTH) / load)
-        return rate
+            megabits, reverse = plan
+            table = self.width_table(megabits)
+            other_id = node_index[other_host]
+            widths = table[host_ids, other_id] if reverse else table[other_id, host_ids]
+            np.minimum(rates, widths, out=rates)
+        return rates
+
+    def _ids_for(self, hosts: Sequence[str]) -> IntArray:
+        """``hosts`` as compiled node ids (cached for the registered list)."""
+        if hosts is self._hosts_ref and self._host_ids is not None:
+            return self._host_ids
+        node_index = self._compiled.node_index
+        return np.array([node_index[host] for host in hosts], dtype=np.int64)
+
+    def _rates_for(self, ct_name: str, hosts: Sequence[str]) -> FloatArray:
+        """A fresh copy of ``[ncp_term(ct_name, h) for h in hosts]``.
+
+        The vector is cached per CT and kept current by replaying the
+        suffix of the commit log (``_dirty_hosts``) it has not seen —
+        a commit changes one host's loads, so only that host's entry can
+        differ.  The cache is tied to one host-list object (the list
+        :func:`sparcle_assign` builds once); any other list bypasses it.
+        """
+        if hosts is not self._hosts_ref:
+            if self._hosts_ref is not None:
+                return np.array([self.ncp_term(ct_name, host) for host in hosts])
+            self._hosts_ref = hosts
+            self._host_pos = {host: i for i, host in enumerate(hosts)}
+            self._host_ids = self._ids_for(hosts)
+        cached = self._rates_base.get(ct_name)
+        log = self._dirty_hosts
+        if cached is None:
+            base = np.array([self.ncp_term(ct_name, host) for host in hosts])
+        else:
+            base, seen = cached
+            host_pos = self._host_pos
+            for host in log[seen:]:
+                pos = host_pos.get(host)
+                if pos is not None:
+                    base[pos] = self.ncp_term(ct_name, host)
+        self._rates_base[ct_name] = (base, len(log))
+        return base.copy()
 
     def compute_only_gamma(self, ct_name: str, host: str) -> float:
         """The NCP-side term of Eq. (2) alone (link state ignored).
@@ -359,100 +327,102 @@ class _State:
         assert best is not None
         return best
 
-    def gamma_over_hosts(self, ct_name: str, hosts: Sequence[str]) -> list[float]:
-        """Eq. (2) for one CT against *every* candidate host in one sweep.
+    # ------------------------------------------------------------------
+    def current_rate(self) -> float:
+        """Bottleneck rate of the partial placement under the current loads."""
+        rate = self._current_rate
+        if rate is None:
+            capacity = self.capacities.capacity
+            rate = math.inf
+            for ncp_name, loads in self.ncp_loads.items():
+                for resource, load in loads.items():
+                    if load > 0.0:
+                        rate = min(rate, capacity(ncp_name, resource) / load)
+            for link_name, load in self.link_loads.items():
+                if load > 0.0:
+                    rate = min(rate, capacity(link_name, BANDWIDTH) / load)
+            self._current_rate = rate
+        return rate
 
-        Produces exactly ``[gamma(ct_name, h) for h in hosts]`` but hoists
-        the per-placed-CT work (reachability, cheapest-TT argmin, the
-        batched widest-path tree fetch) out of the host loop: the tree
-        rooted at each placed CT's host is fetched once and its width map
-        is read per host, instead of re-entering the probe machinery
-        ``|hosts|`` times.  All combining is exact ``min`` over the same
-        floats the scalar :meth:`gamma` sees, so the results are
-        bit-identical.
+    def _routed_tts(self, ct_name: str, host: str) -> list[tuple[float, str, str]]:
+        """The TTs a commit of ``ct_name`` on ``host`` would route, in its order.
+
+        One ``(megabits, src_host, dst_host)`` per placed neighbour on
+        another host (``graph.neighbors()`` order, as :meth:`commit`).
         """
-        # (a) NCP-side term per host — a cached vector per CT, repaired by
-        # replaying the commit log (only committed-to hosts can change).
-        rates = self._rates_for(ct_name, hosts)
-        # (b) link-side terms: one batched tree per placed reachable CT,
-        # its width map shared across every candidate host.
-        for other in sorted(self.placed()):
-            plan = self.probe_plan(ct_name, other)
-            if plan is None:
+        routed = []
+        for neighbor in self.graph.neighbors(ct_name):
+            other_host = self.ct_hosts.get(neighbor)
+            if other_host is None or other_host == host:
                 continue
-            megabits, reverse = plan
-            other_host = self.ct_hosts[other]
-            tree = self.probe_tree(other_host, megabits, reverse=reverse)
-            self._width_probes += len(hosts)
-            width_list = tree._width_list
-            if width_list is not None:
-                # Array-kernel trees: read node-id list slots directly.
-                # The -inf unreachable sentinel IS the UNREACHABLE gamma,
-                # so min-folding the raw widths needs no translation.
-                node_pos = tree._node_pos
-                assert node_pos is not None
-                ids = self._host_ids(node_pos, hosts)
-                other_id = node_pos[other_host]
-                for index, hid in enumerate(ids):
-                    if hid == other_id:
-                        continue  # co-located: the TT would be free
-                    width = width_list[hid]
-                    if width < rates[index]:
-                        rates[index] = width
-                continue
-            widths_get = tree.widths.get
-            for index, host in enumerate(hosts):
-                if host == other_host:
-                    continue  # co-located: the TT would be free
-                width = widths_get(host)
-                if width is None:
-                    rates[index] = UNREACHABLE
-                elif width < rates[index]:
-                    rates[index] = width
-        return rates
+            tt = self.graph.connecting_tt(ct_name, neighbor)
+            assert tt is not None
+            if tt.src == ct_name:
+                routed.append((tt.megabits_per_unit, host, other_host))
+            else:
+                routed.append((tt.megabits_per_unit, other_host, host))
+        return routed
 
-    def _host_ids(
-        self, node_pos: Mapping[str, int], hosts: Sequence[str]
-    ) -> list[int]:
-        """``hosts`` resolved to compiled node ids, cached by identity."""
-        cached = self._host_ids_cache
-        if (
-            cached is not None
-            and cached[0] is node_pos
-            and cached[1] is hosts
-        ):
-            return cached[2]
-        ids = [node_pos[host] for host in hosts]
-        self._host_ids_cache = (node_pos, hosts, ids)
-        return ids
+    def partial_rate_bound(self, ct_name: str, host: str) -> tuple[float, bool]:
+        """``(bound, exact)``: an upper bound on :meth:`partial_rate_after`.
 
-    def _rates_for(self, ct_name: str, hosts: Sequence[str]) -> list[float]:
-        """A fresh copy of ``[ncp_term(ct_name, h) for h in hosts]``.
-
-        The vector is cached per CT and kept current by replaying the
-        suffix of the commit log (``_dirty_hosts``) it has not seen —
-        a commit changes one host's loads, so only that host's entry can
-        differ.  The cache is tied to one host-list object (the list
-        :func:`sparcle_assign` builds once); any other list bypasses it.
+        Loads only grow and residuals are clamped at zero, so an element's
+        rate only falls: the rate after a commit is the current rate,
+        min-folded with the host's new NCP-side rates (exactly
+        :meth:`ncp_term`) and the rates of the links the new TTs load.  A
+        single TT is routed under the current loads, where the narrowest
+        loaded link *is* the route's bottleneck — a table cell — so the
+        bound is ``exact``.  Later TTs see the earlier ones' load, which
+        can only narrow them below their current-table width: a bound.
         """
-        if hosts is not self._hosts_ref:
-            if self._hosts_ref is not None:
-                return [self.ncp_term(ct_name, host) for host in hosts]
-            self._hosts_ref = hosts
-            self._host_pos = {host: i for i, host in enumerate(hosts)}
-        cached = self._rates_base.get(ct_name)
-        log = self._dirty_hosts
-        if cached is None:
-            base = [self.ncp_term(ct_name, host) for host in hosts]
-        else:
-            base, seen = cached
-            host_pos = self._host_pos
-            for host in log[seen:]:
-                pos = host_pos.get(host)
-                if pos is not None:
-                    base[pos] = self.ncp_term(ct_name, host)
-        self._rates_base[ct_name] = (base, len(log))
-        return list(base)
+        rate = min(self.current_rate(), self.ncp_term(ct_name, host))
+        routed = self._routed_tts(ct_name, host)
+        node_index = self._compiled.node_index
+        for megabits, src_host, dst_host in routed:
+            width = self.width_table(megabits)[node_index[src_host], node_index[dst_host]]
+            rate = min(rate, float(width))
+        return rate, len(routed) <= 1
+
+    def partial_rate_after(self, ct_name: str, host: str) -> float:
+        """The exact bottleneck rate of the partial placement after a commit.
+
+        Simulates placing ``ct_name`` on ``host`` (including routing the TTs
+        to already-placed neighbours in ``graph.neighbors()`` order, as
+        :meth:`commit` would) without mutating state, and returns the min
+        over touched elements of residual capacity over per-unit load.
+        Used only to break exact ties in the Eq.-(2) ranking: gamma scores
+        each reachable CT's TT separately, so it cannot see several TTs
+        accumulating on one link — the true partial rate can.
+        """
+        bound, exact = self.partial_rate_bound(ct_name, host)
+        return bound if exact else self._simulated_rate(ct_name, host)
+
+    def _simulated_rate(self, ct_name: str, host: str) -> float:
+        """:meth:`partial_rate_after` by routing every TT on a copy of the loads."""
+        link_loads = dict(self.link_loads)
+        touched: list[str] = []
+        # Only the first route runs under the committed load state, so
+        # only it may share that state's memoized weight vector.
+        weights_cache: WeightsCache | None = self._weights_cache
+        for megabits, src_host, dst_host in self._routed_tts(ct_name, host):
+            route = widest_path(
+                self.network, self.capacities, src_host, dst_host,
+                megabits, link_loads, weights_cache=weights_cache,
+            )
+            weights_cache = None
+            if route is None:
+                return UNREACHABLE
+            for link_name in route.links:
+                link_loads[link_name] = link_loads.get(link_name, 0.0) + megabits
+            touched.extend(route.links)
+        rate = min(self.current_rate(), self.ncp_term(ct_name, host))
+        for link_name in touched:
+            load = link_loads[link_name]
+            if load > 0.0:
+                rate = min(
+                    rate, self.capacities.capacity(link_name, BANDWIDTH) / load
+                )
+        return rate
 
     def best_host(self, ct_name: str, hosts: Sequence[str]) -> tuple[float, str]:
         """``argmax_j gamma(i, j)`` with true-rate tiebreak.
@@ -460,29 +430,48 @@ class _State:
         Returns ``(gamma, host)``.  Hosts whose gamma ties the maximum
         (within a relative 1e-9 tolerance) are separated by the exact
         partial rate a commit would produce; remaining ties fall back to
-        NCP declaration order for determinism.
+        ``hosts`` order for determinism.  The exact rate is only confirmed
+        (by simulation) for hosts whose :meth:`partial_rate_bound` could
+        still beat the incumbent.
         """
-        gammas = list(zip(self.gamma_over_hosts(ct_name, hosts), hosts))
-        best_gamma = max(g for g, _ in gammas)
+        gammas = self.gamma_over_hosts(ct_name, hosts)
+        best_gamma = float(gammas.max())
         if best_gamma == UNREACHABLE:
-            return UNREACHABLE, gammas[0][1]
+            return UNREACHABLE, hosts[0]
         tolerance = 1e-9 * max(1.0, abs(best_gamma)) if math.isfinite(best_gamma) else 0.0
-        tied = [h for g, h in gammas if g >= best_gamma - tolerance]
+        tied = [hosts[i] for i in np.flatnonzero(gammas >= best_gamma - tolerance)]
         if len(tied) == 1:
             return best_gamma, tied[0]
-        winner = max(tied, key=lambda h: self.partial_rate_after(ct_name, h))
-        return best_gamma, winner
+        # max(tied, key=partial_rate_after) is the max of (exact rate,
+        # -index), and (bound, -index) caps each host's key from above:
+        # visit hosts by descending cap and stop once a cap falls below
+        # the incumbent's key.
+        bounds = [self.partial_rate_bound(ct_name, host) for host in tied]
+        best: tuple[float, int] | None = None
+        for index in sorted(
+            range(len(tied)), key=lambda i: (bounds[i][0], -i), reverse=True
+        ):
+            bound, exact = bounds[index]
+            if best is not None and (bound, -index) < best:
+                break
+            rate = bound if exact else self._simulated_rate(ct_name, tied[index])
+            if best is None or (rate, -index) > best:
+                best = (rate, -index)
+        assert best is not None
+        return best_gamma, tied[-best[1]]
 
     def commit(self, ct_name: str, host: str) -> None:
-        """Place ``ct_name`` on ``host`` and route TTs to placed neighbours.
-
-        Routing the TTs only adds load to the links the routes actually
-        cross, so instead of discarding the whole widest-path memo the
-        commit invalidates exactly the cached trees touching those links.
-        """
+        """Place ``ct_name`` on ``host`` and route TTs to placed neighbours."""
         if ct_name in self.ct_hosts:
             raise PlacementError(f"CT {ct_name!r} already placed")
         ct = self.graph.ct(ct_name)
+        counters.incr("assignment.commits")
+        if self._current_rate is not None:
+            # The host's NCP-side rates after this commit are exactly the
+            # Eq.-(2) term it was scored with; no other NCP changes.
+            self._current_rate = min(
+                self._current_rate, self.ncp_term(ct_name, host)
+            )
         self.ct_hosts[ct_name] = host
         self.order.append(ct_name)
         bucket = self.ncp_loads.setdefault(host, {})
@@ -492,26 +481,20 @@ class _State:
         # are stale (every other host's are untouched).
         self._ncp_term_cache.pop(host, None)
         self._dirty_hosts.append(host)
-        dirtied: set[str] = set()
         for neighbor in self.graph.neighbors(ct_name):
             if neighbor not in self.ct_hosts:
                 continue
             tt = self.graph.connecting_tt(ct_name, neighbor)
             assert tt is not None  # neighbours are by definition TT-connected
-            dirtied.update(self._route_tt(tt))
-        self._invalidate(dirtied)
+            self._route_tt(tt)
 
-    def _route_tt(self, tt: TransportTask) -> tuple[str, ...]:
-        """Route ``tt`` between its endpoints' hosts (both must be placed).
-
-        Returns the links the route loaded (empty when co-located) so the
-        caller can invalidate the affected cache entries.
-        """
+    def _route_tt(self, tt: TransportTask) -> None:
+        """Route ``tt`` between its endpoints' hosts (both must be placed)."""
         host_a = self.ct_hosts[tt.src]
         host_b = self.ct_hosts[tt.dst]
         if host_a == host_b:
             self.tt_routes[tt.name] = ()
-            return ()
+            return
         route = widest_path(
             self.network, self.capacities, host_a, host_b, tt.megabits_per_unit,
             self.link_loads, weights_cache=self._weights_cache,
@@ -526,21 +509,14 @@ class _State:
                 self.link_loads.get(link_name, 0.0) + tt.megabits_per_unit
             )
         if route.links:
-            # The load state changed, so every memoized weight array built
-            # against it is stale.
+            # The load state changed, so everything memoized against it —
+            # weight vectors, width tables, the current rate — is stale.
             self._weights_cache.clear()
-        return route.links
+            self._width_tables.clear()
+            self._current_rate = None
 
     def finalize(self) -> AssignmentResult:
         """Build the validated :class:`Placement` and its stable rate."""
-        # Flush the locally buffered tree-cache traffic in two counter
-        # updates instead of one lock round-trip per probe.
-        counters.incr("assignment.tree_cache_hit", self._tree_hits)
-        counters.incr("assignment.tree_cache_miss", self._tree_misses)
-        counters.incr("assignment.width_probes", self._width_probes)
-        self._tree_hits = 0
-        self._tree_misses = 0
-        self._width_probes = 0
         placement = Placement(self.graph, self.ct_hosts, self.tt_routes)
         placement.validate(self.network)
         rate = placement.bottleneck_rate(self.capacities)
@@ -568,9 +544,6 @@ def _pin_initial_cts(state: _State) -> None:
     for tt in state.graph.tts:
         if tt.src in state.ct_hosts and tt.dst in state.ct_hosts:
             state._route_tt(tt)
-    # No probes have run yet, so the tree cache is empty by construction;
-    # clearing keeps the invariant obvious if pinning ever moves later.
-    state._tree_cache.clear()
 
 
 @timed("assignment.sparcle_assign")

@@ -194,6 +194,11 @@ class Network:
         """Names of all links, in insertion order."""
         return tuple(self._links)
 
+    @property
+    def n_elements(self) -> int:
+        """NCPs + links, counted without materializing either tuple."""
+        return len(self._ncps) + len(self._links)
+
     def ncp(self, name: str) -> NCP:
         """Look up an NCP by name."""
         try:
@@ -269,8 +274,8 @@ class Network:
         """Links traversable *into* ``ncp_name`` (reverse routing).
 
         Every incident link in an undirected network; only incoming links
-        (``link.b == ncp_name``) in a directed one.  Used by the batched
-        reverse widest-path trees of Algorithm 2.
+        (``link.b == ncp_name``) in a directed one.  Used by the reverse
+        widest-path trees (``widest_path_tree(reverse=True)``).
         """
         if not self.directed:
             return self.incident_links(ncp_name)

@@ -16,8 +16,7 @@ Two interchangeable kernels implement the search:
 
 * ``"array"`` — the CSR-compiled kernel of :mod:`repro.core.arrays`:
   link weights for the whole network are evaluated in one vectorized
-  pass and the relaxation loop runs over int arrays (numba-JITted when
-  the optional dependency is installed);
+  pass and the relaxation loop runs over int arrays;
 * ``"dict"`` — the original dict-of-dicts kernel, retained verbatim as
   the equivalence baseline.
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -83,8 +82,7 @@ def resolve_route_kernel(network: Network) -> str:
     """
     if _route_kernel != "auto":
         return _route_kernel
-    elements = len(network.ncp_names) + len(network.links)
-    return "dict" if elements < SMALL_NETWORK_ELEMENTS else "array"
+    return "dict" if network.n_elements < SMALL_NETWORK_ELEMENTS else "array"
 
 
 def set_route_kernel(kernel: str) -> str:
@@ -189,7 +187,7 @@ def widest_path(
     return _widest_path_dict(network, capacities, src, dst, tt_megabits, loads)
 
 
-def _link_weights_cached(
+def cached_link_weights(
     compiled: "arrays.CompiledNetwork",
     capacities: CapacityView,
     tt_megabits: float,
@@ -220,7 +218,7 @@ def _widest_path_array(
 ) -> RouteResult | None:
     """Point query on the CSR kernel, early-exiting once ``dst`` settles."""
     compiled = arrays.compile_network(network)
-    weights = _link_weights_cached(
+    weights = cached_link_weights(
         compiled, capacities, tt_megabits, loads, weights_cache
     )
     src_idx = compiled.node_index[src]
@@ -300,14 +298,9 @@ class WidestPathTree:
     directed links backwards), which is what Algorithm 2 needs when probing
     candidate source hosts against a fixed placed destination host.
 
-    ``tree_links`` is the set of links on at least one settled route.  The
-    tree stays exact under any load state that differs from the one it was
-    computed against only by *added* load on links outside ``tree_links``:
-    added load never widens a link, every settled route avoids the dirtied
-    links (so its width is unchanged), and a competitor path can only get
-    narrower — hence the incremental cache invalidation in
-    ``core/assignment.py`` evicts exactly the trees whose ``tree_links``
-    intersect a commit's dirtied links.
+    Algorithm 2 itself no longer searches per root: its width probes read
+    :func:`repro.core.arrays.all_pairs_widths`, whose rows and columns
+    equal these trees' ``widths`` (the trees are that table's test oracle).
     """
 
     root: str
@@ -315,18 +308,6 @@ class WidestPathTree:
     reverse: bool
     widths: Mapping[str, float]
     prev: Mapping[str, tuple[str, str]] = field(repr=False)
-    tree_links: frozenset[str] = frozenset()
-    # Array-kernel fast path: the same widths indexed by compiled node id
-    # (``-inf`` = unreachable) plus the name->id map, letting batch
-    # consumers (Algorithm 2's host sweeps) read a list slot per probe
-    # instead of hashing a node name.  ``None`` on dict-kernel trees;
-    # excluded from equality so trees compare by decision content only.
-    _width_list: Sequence[float] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _node_pos: Mapping[str, int] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def width_to(self, node: str) -> float | None:
         """Bottleneck width root->node (node->root when reversed).
@@ -379,7 +360,7 @@ def widest_path_tree(
     ``weights_cache`` (see :data:`WeightsCache`) lets a caller issuing many
     searches under one load state share the vectorized weight pass — the
     weights depend on ``(capacities, tt_megabits, loads)`` but not on the
-    root, so Algorithm 2's per-round probes all hit the same array.
+    root, so every search of one round hits the same array.
     """
     network.ncp(root)
     loads = link_loads or {}
@@ -404,7 +385,7 @@ def _widest_path_tree_array(
 ) -> WidestPathTree:
     """Single-source tree on the CSR kernel (run to exhaustion)."""
     compiled = arrays.compile_network(network)
-    weights = _link_weights_cached(
+    weights = cached_link_weights(
         compiled, capacities, tt_megabits, loads, weights_cache
     )
     root_idx = compiled.node_index[root]
@@ -425,13 +406,7 @@ def _widest_path_tree_array(
         for i, p in enumerate(prev_node)
         if p >= 0
     }
-    tree_links = frozenset(
-        link_names[lid] for lid in prev_link if lid >= 0
-    )
-    return WidestPathTree(
-        root, tt_megabits, reverse, phi, prev, tree_links,
-        _width_list=width_l, _node_pos=compiled.node_index,
-    )
+    return WidestPathTree(root, tt_megabits, reverse, phi, prev)
 
 
 def _widest_path_tree_dict(
@@ -464,14 +439,7 @@ def _widest_path_tree_dict(
                 phi[neighbor] = candidate
                 prev[neighbor] = (node, link.name)
                 heapq.heappush(heap, (-candidate, neighbor))
-    return WidestPathTree(
-        root,
-        tt_megabits,
-        reverse,
-        phi,
-        prev,
-        frozenset(link_name for _, link_name in prev.values()),
-    )
+    return WidestPathTree(root, tt_megabits, reverse, phi, prev)
 
 
 def hop_shortest_path(network: Network, src: str, dst: str) -> RouteResult | None:

@@ -464,8 +464,8 @@ class FrozenSnapshotMutationRule(Rule):
 class BroadExceptRule(Rule):
     """SPC006: bare or broad ``except`` clauses outside the allowlist.
 
-    The array-kernel fallback shipped with two ``except Exception:``
-    blocks that silently degraded the numba kernel to pure Python on
+    The array kernel once shipped with two ``except Exception:`` blocks
+    that silently degraded its (since deleted) JIT body to pure Python on
     *any* failure — including plain bugs — which is exactly how a 10x
     slowdown hides for months.  Catch the specific expected exception
     types; when a catch-all is genuinely the contract (a CLI boundary

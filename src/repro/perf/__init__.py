@@ -25,7 +25,7 @@ Usage::
 
     from repro.perf import counters, timed, tracing
 
-    counters.incr("assignment.tree_cache_hit")
+    counters.incr("assignment.width_tables")
 
     @timed("assignment.total")
     def sparcle_assign(...): ...

@@ -52,7 +52,7 @@ def _report_timestamp(clock: Callable[[], float] | None) -> float:
 
 
 def _prom_name(name: str) -> str:
-    """``assignment.tree_cache_hit`` -> ``sparcle_assignment_tree_cache_hit``."""
+    """``assignment.width_tables`` -> ``sparcle_assignment_width_tables``."""
     return f"{PROM_PREFIX}_{_NAME_RE.sub('_', name)}"
 
 

@@ -2,26 +2,21 @@
 
 Covers the compilation cache, the frozen-array contract (SPC005: compiled
 CSR arrays are immutable), residual-array production from live views and
-frozen snapshots, the vectorized Eq.-(3) weight pass, and the strictly
-optional numba dependency (import-time fallback to the pure-Python body).
+frozen snapshots, the vectorized Eq.-(3) weight pass, the relaxation loop
+and the all-pairs width table.
 """
 
 from __future__ import annotations
 
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.arrays import (
-    HAVE_NUMBA,
     CompiledNetwork,
-    _load_njit,
+    all_pairs_widths,
     compile_network,
-    kernel_name,
     link_residuals,
     link_weights,
     residuals_from_snapshot,
@@ -33,8 +28,6 @@ from repro.core.routing import link_weight
 from repro.core.taskgraph import BANDWIDTH
 from repro.exceptions import InvalidNetworkError
 from repro.perf import counters
-
-SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _diamond() -> Network:
@@ -242,120 +235,26 @@ class TestRunWidest:
         assert point[2][d] == full[2][d]
 
 
-class TestNumbaOptionality:
-    def test_this_environment_runs_without_numba(self):
-        """The container has no numba: the fallback must be active."""
-        if HAVE_NUMBA:  # pragma: no cover - numba-bearing environments
-            pytest.skip("numba installed here; covered by the no-numba CI job")
-        assert kernel_name() == "python"
-
-    def test_env_gate_disables_numba(self, monkeypatch):
-        monkeypatch.setenv("SPARCLE_NUMBA", "0")
-        assert _load_njit() is None
-        monkeypatch.setenv("SPARCLE_NUMBA", "false")
-        assert _load_njit() is None
-        monkeypatch.setenv("SPARCLE_NUMBA", "1")
-        # With the gate open the result depends on the environment: a
-        # decorator when numba imports, None otherwise.
-        assert (_load_njit() is not None) == HAVE_NUMBA
-
-    def test_import_time_fallback_when_numba_is_absent(self):
-        """Even with numba importable, a blocked import must fall back.
-
-        Runs a fresh interpreter with an import hook that refuses numba,
-        then drives the array kernel end to end — proving the module
-        imports cleanly and selects the pure-Python body.
-        """
-        code = "\n".join(
+class TestAllPairsWidths:
+    def test_rows_and_columns_on_a_directed_split_network(self):
+        """Row = forward widths from a node, column = widths into it."""
+        network = Network(
+            "di",
+            [NCP("a"), NCP("b"), NCP("c"), NCP("z")],  # z is isolated
             [
-                "import sys",
-                "class _BlockNumba:",
-                "    def find_spec(self, name, path=None, target=None):",
-                "        if name == 'numba' or name.startswith('numba.'):",
-                "            raise ImportError('numba blocked for test')",
-                "        return None",
-                "sys.meta_path.insert(0, _BlockNumba())",
-                "from repro.core import arrays",
-                "assert not arrays.HAVE_NUMBA",
-                "assert arrays.kernel_name() == 'python'",
-                "from repro.core.network import NCP, Link, Network",
-                "from repro.core.placement import CapacityView",
-                "from repro.core.routing import route_kernel, widest_path_tree",
-                "net = Network('n', [NCP('a'), NCP('b')], [Link('l', 'a', 'b', 5.0)])",
-                "with route_kernel('array'):",
-                "    tree = widest_path_tree(net, CapacityView(net), 'a', 2.0)",
-                "assert tree.widths['b'] == 2.5",
-                "print('fallback-ok')",
-            ]
+                Link("ab", "a", "b", 8.0),
+                Link("bc", "b", "c", 3.0),
+                Link("ca", "c", "a", 5.0),
+            ],
+            directed=True,
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "fallback-ok" in result.stdout
-
-
-class TestNarrowedFallbackExcepts:
-    """Regression: the JIT fallback only swallows expected numba failures.
-
-    The original code wrapped the JIT dispatch in a bare
-    ``except Exception``, so *any* bug (even a typo in the kernel body)
-    silently degraded to the slow path.  The handlers are now narrowed to
-    ``_NUMBA_ERRORS``; anything else must propagate, and every legitimate
-    fallback is counted under ``arrays.numba_fallback.*``.
-    """
-
-    def _inputs(self):
-        network = _diamond()
         compiled = compile_network(network)
         residual = link_residuals(compiled, CapacityView(network))
-        weights = link_weights(compiled, residual, 2.0)
-        return compiled, weights
-
-    def test_unexpected_jit_exception_propagates(self, monkeypatch):
-        from repro.core import arrays
-
-        compiled, weights = self._inputs()
-
-        def broken_jit(*args):
-            raise ValueError("kernel bug, not an environment problem")
-
-        monkeypatch.setattr(arrays, "_relax_jit", broken_jit)
-        with pytest.raises(ValueError, match="kernel bug"):
-            run_widest(compiled, weights, compiled.node_index["a"])
-        # The broken kernel is still installed: no silent degradation.
-        assert arrays._relax_jit is broken_jit
-
-    def test_expected_jit_failure_falls_back_and_counts(self, monkeypatch):
-        from repro.core import arrays
-
-        compiled, weights = self._inputs()
-        expected = run_widest(compiled, weights, compiled.node_index["a"])
-
-        def skewed_jit(*args):
-            raise RuntimeError("numba/numpy version skew at first compile")
-
-        monkeypatch.setattr(arrays, "_relax_jit", skewed_jit)
-        before = counters.snapshot()["counters"].get(
-            "arrays.numba_fallback.jit_runtime", 0
-        )
-        result = run_widest(compiled, weights, compiled.node_index["a"])
-        assert result == expected
-        assert arrays._relax_jit is None  # disabled for the process
-        after = counters.snapshot()["counters"].get(
-            "arrays.numba_fallback.jit_runtime", 0
-        )
-        assert after == before + 1
-
-    def test_expected_error_tuple_is_narrow(self):
-        from repro.core import arrays
-
-        assert ValueError not in arrays._NUMBA_ERRORS
-        assert KeyError not in arrays._NUMBA_ERRORS
-        assert set(arrays._NUMBA_ERRORS) == {
-            ImportError, AttributeError, RuntimeError, TypeError, OSError
-        }
+        table = all_pairs_widths(compiled, link_weights(compiled, residual, 1.0))
+        inf = math.inf
+        assert table.tolist() == [
+            [inf, 8.0, 3.0, -inf],  # a -> b direct, a -> c through bc
+            [3.0, inf, 3.0, -inf],  # b -> a only around the cycle
+            [5.0, 5.0, inf, -inf],  # c -> b through ca, ab
+            [-inf, -inf, -inf, inf],
+        ]

@@ -1,17 +1,18 @@
 """Golden equivalence suite: optimized Algorithm 2 vs the straight-line reference.
 
-The batched-tree / incremental-invalidation assignment in
-``repro.core.assignment`` must be *decision-identical* to the retained
-reference implementation (``repro.core.reference``): same CT hosts, same TT
-routes, same rate, same placement order — not merely the same rate.  The
-suite sweeps seeded random scenarios over every topology x graph-shape
-combination (plus the face-detection testbed and a directed network), and
-additionally pins down the two mechanisms the optimization relies on:
+The width-table assignment in ``repro.core.assignment`` must be
+*decision-identical* to the retained reference implementation
+(``repro.core.reference``): same CT hosts, same TT routes, same rate, same
+placement order — not merely the same rate.  The suite sweeps seeded random
+scenarios over every topology x graph-shape combination (plus the
+face-detection testbed and a directed network), and additionally pins down
+the two mechanisms the optimization relies on:
 
-* incremental invalidation evicts exactly the cached trees crossing a
-  dirtied link (and keeps the rest);
-* the ``repro.perf`` counters expose widest-path invocations, the
-  tree-cache hit rate, and invalidations per commit.
+* the all-pairs width tables and the memoized current rate live exactly as
+  long as the load state they were built under (dropped by a commit that
+  loads links, kept by a fully co-located one);
+* the ``repro.perf`` counters show no tree search at all and at most one
+  table per (commit, TT megabits).
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ import math
 
 import pytest
 
+from repro.core.arrays import (
+    all_pairs_widths,
+    compile_network,
+    link_residuals,
+    link_weights,
+)
 from repro.core.assignment import _State, sparcle_assign
 from repro.core.network import NCP, Link, Network, as_directed
 from repro.core.placement import CapacityView
@@ -129,12 +136,7 @@ class TestKernelIdentity:
 
 
 def _probe_network() -> Network:
-    """A clique where the hub links are wide and the d-spokes are narrow.
-
-    Trees rooted at ``c`` route everywhere over ``ca``/``cb``/``cd`` and
-    never touch ``ab`` — giving the invalidation test a cache entry that
-    must *survive* a commit loading ``ab``.
-    """
+    """A clique where the hub links are wide and the d-spokes are narrow."""
     ncps = [NCP(n, {CPU: 1000.0}) for n in "abcd"]
     links = [
         Link("ab", "a", "b", 100.0),
@@ -166,49 +168,67 @@ def _probe_state(network: Network) -> _State:
     return state
 
 
+def _fresh_table(state: _State, megabits: float):
+    """The table recomputed from scratch for the state's current loads."""
+    compiled = compile_network(state.network)
+    residual = link_residuals(compiled, state.capacities)
+    return all_pairs_widths(
+        compiled, link_weights(compiled, residual, megabits, state.link_loads)
+    )
+
+
 class TestIncrementalInvalidation:
-    def test_commit_evicts_exactly_the_trees_crossing_dirtied_links(self):
+    def test_commit_evicts_exactly_the_tables_of_the_old_load_state(self):
         network = _probe_network()
         state = _probe_state(network)
-        tree_a = state.probe_tree("a", 2.0, reverse=False)
-        tree_c = state.probe_tree("c", 2.0, reverse=False)
-        tree_c_other = state.probe_tree("c", 5.0, reverse=False)
-        assert "ab" in tree_a.tree_links
-        assert "ab" not in tree_c.tree_links
-        assert "ab" not in tree_c_other.tree_links
-        assert len(state._tree_cache) == 3
+        ids = compile_network(network).node_index
+        before = state.width_table(2.0)
+        state.width_table(5.0)
+        assert before[ids["a"], ids["b"]] == 100.0 / 2.0
+        assert state.current_rate() == math.inf  # nothing loaded yet
+        assert set(state._width_tables) == {2.0, 5.0}
 
         # Placing mid on b routes t1 over the direct a-b link only.
         state.commit("mid", "b")
         assert state.tt_routes["t1"] == ("ab",)
         assert state.tt_routes["t2"] == ()
-        assert ("a", 2.0, False) not in state._tree_cache
-        assert state._tree_cache[("c", 2.0, False)] is tree_c
-        assert state._tree_cache[("c", 5.0, False)] is tree_c_other
+        assert state._width_tables == {}
+        assert state._weights_cache == {}
+        assert state._current_rate is None
 
-    def test_retained_tree_still_matches_fresh_computation(self):
-        """A survivor must answer exactly as a recomputation would."""
-        from repro.core.routing import widest_path_tree
+        # Rebuilt lazily against the new loads: a-b now detours via c
+        # (100 / 2) instead of the loaded direct link (100 / (2 + 2)).
+        after = state.width_table(2.0)
+        assert after is not before
+        assert after[ids["a"], ids["b"]] == 100.0 / 2.0
+        assert (after == _fresh_table(state, 2.0)).all()
+        assert state.current_rate() == 100.0 / 2.0  # ab: 100 / 2
 
+    def test_retained_table_still_matches_fresh_computation(self):
+        """Survivors of a co-located commit answer as a recomputation would."""
         network = _probe_network()
         state = _probe_state(network)
-        state.probe_tree("c", 2.0, reverse=False)
-        state.commit("mid", "b")
-        survivor = state._tree_cache[("c", 2.0, False)]
-        fresh = widest_path_tree(
-            network, state.capacities, "c", 2.0, state.link_loads
-        )
-        assert dict(survivor.widths) == dict(fresh.widths)
-        for node in "abd":
-            assert survivor.links_to(node) == fresh.links_to(node)
+        state.link_loads["cd"] = 3.0  # a pre-loaded link, so rates are finite
+        state.ct_hosts = {"src": "a", "snk": "a"}
+        survivor = state.width_table(2.0)
+        state.current_rate()
+        state.commit("mid", "a")
+        assert state._width_tables[2.0] is survivor
+        assert (survivor == _fresh_table(state, 2.0)).all()
+        folded = state._current_rate
+        state._current_rate = None
+        assert folded == state.current_rate() == 100.0 / 3.0
 
     def test_colocated_commit_dirties_nothing(self):
         network = _probe_network()
         state = _probe_state(network)
         state.ct_hosts = {"src": "a", "snk": "a"}
-        tree = state.probe_tree("a", 2.0, reverse=False)
+        table = state.width_table(2.0)
+        assert state.current_rate() == math.inf
         state.commit("mid", "a")  # both TTs are NCP-internal
-        assert state._tree_cache[("a", 2.0, False)] is tree
+        assert state._width_tables[2.0] is table
+        # The memo survived, with the host's new CPU term folded in.
+        assert state._current_rate == 1000.0 / 10.0
 
 
 class TestPerfCounters:
@@ -221,30 +241,15 @@ class TestPerfCounters:
         result = sparcle_assign(scenario.graph, scenario.network)
         assert result.rate > 0
 
-        # Batched probes ran, and far fewer tree searches than the
-        # (unplaced x hosts x placed) probe count the reference pays.
-        # One tree fetch serves a whole candidate-host sweep, so the
-        # amortization shows up as width probes answered per fetch;
-        # cache hits count only cross-round/cross-CT tree reuse.
-        trees = counters.get("routing.widest_path_tree")
-        assert trees > 0
-        hits = counters.get("assignment.tree_cache_hit")
-        misses = counters.get("assignment.tree_cache_miss")
-        assert misses == trees
-        assert hits > 0  # trees are still shared across CTs and rounds
-        fetches = hits + misses
-        probes = counters.get("assignment.width_probes")
-        # Every fetched tree answered a full host sweep: many probes per
-        # actual widest-path search.
-        assert probes >= fetches
-        assert probes > misses * 2
-
-        # Commits happened, and invalidation stayed incremental: strictly
-        # fewer evictions than a wholesale clear of every cached tree.
+        # No single-source search runs any more: every Eq.-(2) width is a
+        # cell of an all-pairs table, built at most once per load state
+        # (= per commit) and TT size.
+        assert counters.get("routing.widest_path_tree") == 0
         commits = counters.get("assignment.commits")
         assert commits == 6  # the diamond graph's unpinned CTs
-        invalidated = counters.get("assignment.trees_invalidated")
-        assert 0 < invalidated < misses * commits
+        sizes = {tt.megabits_per_unit for tt in scenario.graph.tts}
+        tables = counters.get("assignment.width_tables")
+        assert 0 < tables <= commits * len(sizes)
 
         # Point-to-point searches remain (commit routing, tie-breaks).
         assert counters.get("routing.widest_path") > 0
@@ -255,7 +260,7 @@ class TestPerfCounters:
         assert stats.total_seconds > 0.0
 
         snapshot = counters.snapshot()
-        assert snapshot["counters"]["routing.widest_path_tree"] == trees
+        assert snapshot["counters"]["assignment.width_tables"] == tables
         assert "assignment.sparcle_assign" in snapshot["timers"]
 
     def test_reset_and_export(self, tmp_path):

@@ -1,9 +1,10 @@
 """Property-based equivalence: dict vs CSR-array Algorithm-1 kernels.
 
 The ``"array"`` kernel of :mod:`repro.core.routing` must reproduce the
-``"dict"`` reference *bit-for-bit* — widths, predecessors, tree links and
-tiebreaks — on arbitrary connected networks (undirected and directed,
-forward and reverse trees, loaded and unloaded links).  Hypothesis sweeps
+``"dict"`` reference *bit-for-bit* — widths, predecessors and tiebreaks —
+on arbitrary connected networks (undirected and directed, forward and
+reverse trees, loaded and unloaded links), and the all-pairs width table
+Algorithm 2 reads must equal those trees root by root.  Hypothesis sweeps
 random topologies; every comparison is exact ``==``, never ``isclose``.
 """
 
@@ -14,6 +15,12 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.arrays import (
+    all_pairs_widths,
+    compile_network,
+    link_residuals,
+    link_weights,
+)
 from repro.core.network import NCP, Link, Network, as_directed
 from repro.core.placement import CapacityView
 from repro.core.routing import route_kernel, widest_path, widest_path_tree
@@ -69,7 +76,6 @@ def _tree_pair(network, caps, root, tt, loads, reverse):
 def assert_trees_identical(ref, arr) -> None:
     assert dict(arr.widths) == dict(ref.widths)
     assert dict(arr.prev) == dict(ref.prev)
-    assert arr.tree_links == ref.tree_links
     # Same exact float objects' values: spot-check bit patterns too.
     for node, width in ref.widths.items():
         got = arr.widths[node]
@@ -172,3 +178,60 @@ class TestPointQueryEquivalence:
                 else:
                     assert result.bottleneck == tree.width_to(b)
                     assert result.links == (tree.links_to(b) or ())
+
+
+@st.composite
+def arbitrary_networks(draw) -> Network:
+    """Random networks with nothing guaranteed: disconnected components,
+    isolated NCPs, zero-bandwidth links and, when directed, antiparallel
+    link pairs (``Network`` rejects same-direction parallels itself)."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    directed = draw(st.booleans())
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(nodes, nodes), max_size=14, unique=True))
+    links, seen = [], set()
+    for a, b in pairs:
+        key = (a, b) if directed else frozenset((a, b))
+        if a == b or key in seen:
+            continue
+        seen.add(key)
+        bandwidth = draw(st.one_of(st.just(0.0), st.floats(0.1, 100.0)))
+        links.append(Link(f"l{a}_{b}", f"n{a}", f"n{b}", bandwidth))
+    return Network(
+        "net", [NCP(f"n{k}") for k in range(n)], links, directed=directed
+    )
+
+
+class TestAllPairsTable:
+    @SETTINGS
+    @given(
+        network=arbitrary_networks(),
+        tt=st.one_of(st.just(0.0), st.floats(0.1, 20.0)),
+        data=st.data(),
+    )
+    def test_table_matches_every_tree(self, network, tt, data):
+        """Row r = the forward tree rooted at r, column r = the reverse one.
+
+        ``tt`` 0 with no load makes every weight ``inf``; residual overrides
+        and same-path loads exercise the Eq.-(3) denominator.  The oracle
+        is the dict kernel, which shares no code with the table.
+        """
+        loads = data.draw(link_load_maps(network))
+        caps = CapacityView(network)
+        for name in network.link_names:
+            if data.draw(st.booleans()):
+                caps.override(name, "bandwidth", data.draw(st.floats(0.0, 50.0)))
+        compiled = compile_network(network)
+        weights = link_weights(compiled, link_residuals(compiled, caps), tt, loads)
+        table = all_pairs_widths(compiled, weights)
+        names = network.ncp_names
+        with route_kernel("dict"):
+            for r, root in enumerate(names):
+                for reverse in (False, True):
+                    tree = widest_path_tree(
+                        network, caps, root, tt, loads, reverse=reverse
+                    )
+                    got = table[:, r] if reverse else table[r, :]
+                    assert got.tolist() == [
+                        tree.widths.get(v, -math.inf) for v in names
+                    ]

@@ -13,6 +13,7 @@ import math
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import assignment, reference
 from repro.core.assignment import sparcle_assign
 from repro.core.network import NCP, Link, Network
 from repro.core.placement import CapacityView
@@ -196,3 +197,135 @@ class TestRateBounds:
         )
         scaled_rate = result.placement.bottleneck_rate(view)
         assert math.isclose(scaled_rate, factor * result.rate, rel_tol=1e-9)
+
+
+@st.composite
+def tie_prone_networks(draw) -> Network:
+    """Sparse connected networks with one CPU size and few bandwidths.
+
+    Equal CPUs and a three-value bandwidth palette make many hosts tie on
+    gamma; sparsity (a spanning tree plus at most two chords) forces the
+    two TTs of one CT onto shared links — the case where the tie-break's
+    bound exceeds the exact rate.
+    """
+    n = draw(st.integers(min_value=4, max_value=7))
+    bandwidth = st.sampled_from([4.0, 10.0, 25.0])
+    links = [
+        Link(f"t{k}", f"n{draw(st.integers(0, k - 1))}", f"n{k}", draw(bandwidth))
+        for k in range(1, n)
+    ]
+    existing = {frozenset((link.a, link.b)) for link in links}
+    for attempt in range(draw(st.integers(min_value=0, max_value=2))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if a != b and frozenset((f"n{a}", f"n{b}")) not in existing:
+            links.append(Link(f"e{attempt}", f"n{a}", f"n{b}", draw(bandwidth)))
+            existing.add(frozenset((f"n{a}", f"n{b}")))
+    return Network("ties", [NCP(f"n{k}", {CPU: 1000.0}) for k in range(n)], links)
+
+
+def _fan_graph(
+    n_mids: int, src_host: str, snk_host: str, *, cpu: float = 1.0, fat_out: bool = False
+) -> TaskGraph:
+    """``src -> mid_k -> snk`` for every k: each mid has two placed neighbours.
+
+    ``fat_out`` widens ``mid_k -> snk`` to 5 megabits and adds a thin
+    ``mid_k -> relay_k -> snk`` detour, which becomes the pair's cheapest
+    TT: gamma then probes a 1-megabit width while the tie-break routes the
+    fat connecting TT, so bounds differ among hosts that tie on gamma.
+    """
+    cts = [ComputationTask("src", {}, pinned_host=src_host)]
+    tts = []
+    for k in range(n_mids):
+        cts.append(ComputationTask(f"mid{k}", {CPU: cpu}))
+        tts.append(TransportTask(f"in{k}", "src", f"mid{k}", 2.0))
+        tts.append(TransportTask(f"out{k}", f"mid{k}", "snk", 5.0 if fat_out else 2.0))
+        if fat_out:
+            cts.append(ComputationTask(f"relay{k}", {}))
+            tts.append(TransportTask(f"thin{k}a", f"mid{k}", f"relay{k}", 1.0))
+            tts.append(TransportTask(f"thin{k}b", f"relay{k}", "snk", 1.0))
+    cts.append(ComputationTask("snk", {}, pinned_host=snk_host))
+    return TaskGraph("fan", cts, tts)
+
+
+def _paired_states(graph: TaskGraph, network: Network):
+    state = assignment._State(graph, network, CapacityView(network))
+    oracle = reference._ReferenceState(graph, network, CapacityView(network))
+    assignment._pin_initial_cts(state)
+    reference._pin_initial_cts(oracle)
+    return state, oracle
+
+
+class TestBoundedTieBreak:
+    """``best_host`` confirms exact partial rates only where a bound allows
+    a win; the winner must still be the reference's ``max(tied, key=exact)``."""
+
+    def test_star_leaves_have_a_bound_above_their_exact_rate(self):
+        # src on leaf n1, snk on leaf n2 of a star with hub n0: a mid on
+        # leaf n3 routes both TTs over the one n0-n3 link (exact 10 / 4),
+        # while each TT alone sees 10 / 2 — the bound.  Every host ties on
+        # gamma (10 / 2); the hub is first to *achieve* it.
+        network = Network(
+            "star", [NCP(f"n{k}", {CPU: 1000.0}) for k in range(5)],
+            [Link(f"l{k}", "n0", f"n{k}", 10.0) for k in range(1, 5)],
+        )
+        state, oracle = _paired_states(_fan_graph(1, "n1", "n2"), network)
+        assert state.partial_rate_bound("mid0", "n3") == (5.0, False)
+        assert state.partial_rate_after("mid0", "n3") == 2.5
+        assert oracle.partial_rate_after("mid0", "n3") == 2.5
+        hosts = list(network.ncp_names)
+        assert state.best_host("mid0", hosts) == oracle.best_host("mid0", hosts)
+        assert state.best_host("mid0", hosts) == (5.0, "n0")
+
+    def test_a_later_host_whose_exact_rate_only_ties_does_not_win(self):
+        # After mid0 lands on the hub, n3 has the highest bound (4.0) but
+        # its two TTs share the n0-n3 link and the exact rate is 25 / 7 —
+        # exactly what n2, earlier in ``hosts`` and co-located with src,
+        # achieves with its single TT.  ``max`` keeps the earlier host.
+        network = Network(
+            "star", [NCP(f"n{k}", {CPU: 1000.0}) for k in range(4)],
+            [Link(f"l{k}", "n0", f"n{k}", bw) for k, bw in ((1, 4.0), (2, 25.0), (3, 25.0))],
+        )
+        state, oracle = _paired_states(
+            _fan_graph(2, "n2", "n0", cpu=250.0, fat_out=True), network
+        )
+        state.commit("mid0", "n0")
+        oracle.commit("mid0", "n0")
+        assert state.partial_rate_bound("mid1", "n2") == (25.0 / 7.0, True)
+        assert state.partial_rate_bound("mid1", "n3") == (4.0, False)
+        assert state.partial_rate_after("mid1", "n3") == 25.0 / 7.0
+        hosts = list(network.ncp_names)
+        assert state.best_host("mid1", hosts) == oracle.best_host("mid1", hosts)
+        assert state.best_host("mid1", hosts) == (4.0, "n2")
+
+    @SETTINGS
+    @given(
+        network=tie_prone_networks(),
+        n_mids=st.integers(min_value=1, max_value=3),
+        ends=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        cpu=st.sampled_from([1.0, 250.0]),
+        fat_out=st.booleans(),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    def test_winner_matches_reference_round_by_round(
+        self, network, n_mids, ends, cpu, fat_out, shuffle
+    ):
+        names = network.ncp_names
+        graph = _fan_graph(
+            n_mids, names[ends[0] % len(names)], names[ends[1] % len(names)],
+            cpu=cpu, fat_out=fat_out,
+        )
+        state, oracle = _paired_states(graph, network)
+        hosts = list(names)
+        shuffle.shuffle(hosts)  # ties must follow *this* order, not NCP ids
+        for k in range(n_mids):
+            mid = f"mid{k}"
+            for host in hosts:
+                bound, exact = state.partial_rate_bound(mid, host)
+                rate = oracle.partial_rate_after(mid, host)
+                assert state.partial_rate_after(mid, host) == rate
+                assert bound == rate if exact else bound >= rate
+            choice = state.best_host(mid, hosts)
+            assert choice == oracle.best_host(mid, hosts)
+            state.commit(mid, choice[1])
+            oracle.commit(mid, choice[1])
+        assert state.link_loads == oracle.link_loads
