@@ -239,9 +239,7 @@ class ChaosDriver:
             scheduler, policy=RetryPolicy(max_attempts=2, backoff_base=1.0)
         )
         gateway = AdmissionGateway(
-            scheduler,
-            max_queue_depth=self.queue_depth,
-            retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            scheduler, max_queue_depth=self.queue_depth
         )
         return scheduler, gateway, controller
 
@@ -314,7 +312,6 @@ class ChaosDriver:
                     "batch": epoch.batch,
                     "accepted": epoch.accepted,
                     "rejected": epoch.rejected,
-                    "conflicts": epoch.conflicts,
                 }
             elif event.kind in ("element_down", "storm"):
                 suspended = 0
@@ -388,8 +385,6 @@ class ChaosDriver:
             "committed": stats.committed,
             "accepted": stats.accepted,
             "rejected": stats.rejected,
-            "conflicts": stats.conflicts,
-            "serial_fallbacks": stats.serial_fallbacks,
             "backpressure_rejections": stats.backpressure_rejections,
             "repair_events": len(controller.events),
             "down_elements": sorted(scheduler.down_elements),

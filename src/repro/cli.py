@@ -649,9 +649,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
           f"{sum(d.accepted for d in decisions)} accepted in "
           f"{gateway_wall:.3f}s ({len(requests) / gateway_wall:.1f} req/s)")
     print(f"epochs           : {stats.epochs}")
-    print(f"conflicts        : {stats.conflicts} "
-          f"(overlap commits {stats.overlap_commits}, "
-          f"serial fallbacks {stats.serial_fallbacks})")
     if args.out_dir:
         from pathlib import Path
 
@@ -668,9 +665,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 "accepted": sum(d.accepted for d in decisions),
                 "wall_s": gateway_wall,
                 "epochs": stats.epochs,
-                "conflicts": stats.conflicts,
-                "overlap_commits": stats.overlap_commits,
-                "serial_fallbacks": stats.serial_fallbacks,
             },
         }
         target = out_dir / "gateway_report.json"
@@ -929,7 +923,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         f"  ran {report.events_run}/{report.events_planned} events: "
         f"{stats['submitted']} submitted, {stats['accepted']} accepted, "
         f"{stats['rejected']} rejected, {stats['shed']} shed, "
-        f"{stats['conflicts']} conflicts, "
         f"{stats['repair_events']} repair events"
     )
     if args.out_dir is not None:

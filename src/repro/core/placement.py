@@ -228,16 +228,12 @@ class CapacityView:
     BE application only its fair share of contested elements).
     """
 
-    def __init__(
-        self,
-        network: Network,
-        available: Mapping[str, Mapping[str, float]] | None = None,
-    ) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self._available: dict[str, dict[str, float]] = {}
-        # Flat (element, resource) -> residual mirror of _available: one
-        # dict probe on the capacity() hot path instead of two probes plus
-        # a network lookup (the network itself memoizes base capacities).
+        # (element, resource) -> residual, only where it differs from (or
+        # was written over) the raw capacity: one dict probe on the
+        # capacity() hot path and one flat dict to copy (the network
+        # itself memoizes base capacities).
         self._flat: dict[tuple[str, str], float] = {}
         # Monotonic mutation counter: every residual write bumps it, so
         # derived caches (e.g. the repro.core.arrays residual-bandwidth
@@ -245,12 +241,6 @@ class CapacityView:
         # entry per probe.  Population during construction stays at 0 —
         # the caches key on the instance, which did not exist yet.
         self._version: int = 0
-        if available is not None:
-            for element, bucket in available.items():
-                network.element(element)  # validate names early
-                self._available[element] = dict(bucket)
-                for resource, value in bucket.items():
-                    self._flat[(element, resource)] = value
 
     # ------------------------------------------------------------------
     @property
@@ -280,9 +270,7 @@ class CapacityView:
         return self.network.capacity(element_name, resource)
 
     def _set(self, element_name: str, resource: str, value: float) -> None:
-        value = max(0.0, value)
-        self._available.setdefault(element_name, {})[resource] = value
-        self._flat[(element_name, resource)] = value
+        self._flat[(element_name, resource)] = max(0.0, value)
         self._version += 1
 
     def consume(self, loads: Loads, rate: float, *, clamp: bool = False) -> None:
@@ -335,10 +323,10 @@ class CapacityView:
         paper's per-NCP/per-link prediction.
         """
         view = self.copy()
+        resources = set(self.network.resources()) | {BANDWIDTH}
         for element, factor in factors.items():
             if not 0.0 <= factor <= 1.0 + 1e-12:
                 raise PlacementError(f"prediction factor for {element!r} must be in [0,1]")
-            resources = set(self.network.resources()) | {BANDWIDTH}
             for resource in resources:
                 current = view.capacity(element, resource)
                 if current > 0.0:
@@ -358,13 +346,35 @@ class CapacityView:
                 f"capacity for {element_name!r}/{resource!r} must be non-negative"
             )
         self.network.element(element_name)  # validate the name
-        self._available.setdefault(element_name, {})[resource] = value
         self._flat[(element_name, resource)] = value
         self._version += 1
 
+    def reset_elements(
+        self, elements: Iterable[str], source: "CapacityView"
+    ) -> None:
+        """Make this view's entries on ``elements`` equal ``source``'s.
+
+        Every ``(element, resource)`` override this view holds on one of
+        ``elements`` is dropped, then ``source``'s overrides on that
+        element are copied in — so an entry ``source`` does not carry
+        reads the raw network capacity again and leaves :meth:`freeze`.
+        Other elements are not rewritten.  The scheduler's footprint-sized
+        withdraw resets a departing application's elements this way
+        before replaying the surviving tenants on them.
+        """
+        wanted = set(elements)
+        for key in [key for key in self._flat if key[0] in wanted]:
+            del self._flat[key]
+        for key, value in source._flat.items():
+            if key[0] in wanted:
+                self._flat[key] = value
+        self._version += 1
+
     def copy(self) -> "CapacityView":
-        """An independent deep copy of this view."""
-        return CapacityView(self.network, self._available)
+        """An independent deep copy of this view (``version`` restarts at 0)."""
+        view = CapacityView(self.network)
+        view._flat = dict(self._flat)
+        return view
 
     def freeze(self) -> ResidualSnapshot:
         """An immutable, picklable snapshot of this view's overrides.
@@ -399,13 +409,16 @@ class CapacityView:
             )
         view = cls(network)
         for element, resource, value in snapshot.entries:
-            view._available.setdefault(element, {})[resource] = value
             view._flat[(element, resource)] = value
         return view
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """The residual overrides as plain dicts (for logging/serializing)."""
-        return {e: dict(b) for e, b in self._available.items()}
+        out: dict[str, dict[str, float]] = {}
+        for (element, resource), value in self._flat.items():
+            out.setdefault(element, {})[resource] = value
+        return out
 
     def __repr__(self) -> str:
-        return f"CapacityView({self.network.name!r}, overrides={len(self._available)})"
+        overridden = len({element for element, _ in self._flat})
+        return f"CapacityView({self.network.name!r}, overrides={overridden})"

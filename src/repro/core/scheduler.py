@@ -26,7 +26,7 @@ Best-Effort (BE) applications
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.allocation import (
@@ -47,9 +47,7 @@ from repro.core.taskgraph import BANDWIDTH, TaskGraph
 from repro.exceptions import (
     AdmissionError,
     InfeasiblePlacementError,
-    PlacementError,
     SparcleError,
-    StaleProposalError,
 )
 from repro.perf import tracing
 from repro.perf.metrics import get_metrics
@@ -137,9 +135,7 @@ class AdmissionProposal:
     Produced by :func:`evaluate_admission` (and by
     :meth:`SparcleScheduler.evaluate`); carries everything
     :meth:`SparcleScheduler.commit` needs to turn the proposal into an
-    admitted application — or to detect that the world moved on since the
-    proposal was computed (optimistic-concurrency revalidation in the
-    admission gateway).
+    admitted application.
     """
 
     request: "BERequest | GRRequest"
@@ -725,28 +721,20 @@ class SparcleScheduler:
                 self._fcfs_view.consume(loads, rate, clamp=True)
         self._external[tag] = held
 
-    def commit(
-        self, proposal: AdmissionProposal, *, revalidate: bool = False
-    ) -> Decision:
+    def commit(self, proposal: AdmissionProposal) -> Decision:
         """Apply one proposal: reserve capacity, record and log the decision.
 
-        With ``revalidate=True`` (the optimistic-concurrency path used by
-        the admission gateway for proposals evaluated against the
-        pre-epoch state) an *accepted* GR proposal is first re-checked against
-        the live residuals and Eq. (7): if reserving its paths would
-        oversubscribe any element, or the proposal no longer meets the
-        request's rate/availability targets, :class:`StaleProposalError`
-        is raised and nothing changes — the caller re-queues and
-        re-evaluates.  Rejections commit unconditionally: capacity only
-        shrinks between evaluation and commit, so a request rejected
-        against the (staler, richer) pre-epoch view would be rejected
-        against the live view too.
+        The proposal is trusted to have been evaluated against the state
+        it is committed to (:meth:`evaluate` immediately before, as the
+        gateway and ``submit_*`` do).  An accepted GR proposal that no
+        longer fits the live residuals raises
+        :class:`~repro.exceptions.PlacementError` and changes nothing.
         """
         request = proposal.request
         if self._known(request.app_id):
             raise AdmissionError(f"app id {request.app_id!r} already submitted")
         if proposal.kind == "GR":
-            decision = self._commit_gr(proposal, revalidate)
+            decision = self._commit_gr(proposal)
         elif proposal.kind == "BE":
             decision = self._commit_be(proposal)
         else:
@@ -755,44 +743,17 @@ class SparcleScheduler:
         self._observe_decision(decision)
         return decision
 
-    def _commit_gr(
-        self, proposal: AdmissionProposal, revalidate: bool
-    ) -> Decision:
+    def _commit_gr(self, proposal: AdmissionProposal) -> Decision:
         request = proposal.request
         if not proposal.accepted:
             return Decision(
                 request.app_id, "GR", False, reason=proposal.reason
             )
+        # Consume on a copy so a proposal that does not fit leaves the
+        # live residual untouched.
         working = self._gr_residual.copy()
-        try:
-            for placement, rate in zip(proposal.placements, proposal.path_rates):
-                working.consume(placement.loads(), rate)
-        except PlacementError as error:
-            if revalidate:
-                raise StaleProposalError(
-                    f"GR proposal for {request.app_id!r} no longer fits the "
-                    f"live residuals: {error}"
-                ) from error
-            raise
-        if revalidate:
-            # Re-check the admission conditions (Eq. (7) + the aggregate
-            # guarantee) against what the proposal would actually reserve.
-            profiles = [
-                PathProfile.of(p, r)
-                for p, r in zip(proposal.placements, proposal.path_rates)
-            ]
-            availability = min_rate_availability(
-                self.network, profiles, request.min_rate
-            )
-            if (
-                proposal.total_rate < request.min_rate - 1e-12
-                or availability < request.min_rate_availability - 1e-12
-            ):
-                raise StaleProposalError(
-                    f"GR proposal for {request.app_id!r} fails revalidation: "
-                    f"rate {proposal.total_rate:.4f} / availability "
-                    f"{availability:.4f}"
-                )
+        for placement, rate in zip(proposal.placements, proposal.path_rates):
+            working.consume(placement.loads(), rate)
         self._gr_residual = working
         for placement, rate in zip(proposal.placements, proposal.path_rates):
             self._fcfs_view.consume(placement.loads(), rate, clamp=True)
@@ -920,29 +881,51 @@ class SparcleScheduler:
         """Remove an admitted application, releasing its capacity.
 
         GR reservations return to the shared pool immediately; BE rates are
-        re-derived on the next :meth:`allocate_be`.  Unknown ids raise.
+        re-derived on the next :meth:`allocate_be`.  Only the elements the
+        application touched are re-derived (:meth:`_release`).  Unknown
+        ids raise.
         """
         for index, placed in enumerate(self._gr):
             if placed.request.app_id == app_id:
                 del self._gr[index]
-                # Rebuild (rather than incrementally release) so that any
-                # capacity fluctuations applied since admission are
-                # respected — releasing against the raw network capacities
-                # could mint capacity an override has taken away.
-                self._rebuild_gr_residual()
-                self._rebuild_fcfs_view()
+                self._release(p.loads() for p in placed.placements)
                 return
         for index, placed in enumerate(self._be):
             if placed.request.app_id == app_id:
                 del self._be[index]
-                self._rebuild_fcfs_view()
+                # Under prediction a BE app was never charged to a view.
+                if not self.use_prediction:
+                    self._release(
+                        (p.loads() for p in placed.placements), gr=False
+                    )
                 return
         if app_id in self._external:
-            del self._external[app_id]
-            self._rebuild_gr_residual()
-            self._rebuild_fcfs_view()
+            held = self._external.pop(app_id)
+            self._release(loads for loads, _ in held)
             return
         raise AdmissionError(f"no admitted app {app_id!r} to withdraw")
+
+    def _release(self, departed: Iterable[Loads], *, gr: bool = True) -> None:
+        """Re-derive the views on the elements a departed tenant touched.
+
+        The footprint-sized form of the two full rebuilds: the footprint's
+        entries are reset to their :meth:`_fresh_view` value and the
+        surviving tenants replayed on them in the rebuilds' order, so
+        those entries come out bit-equal to a full rebuild and no other
+        entry is rewritten.  Re-deriving (rather than adding the departed
+        rate back) keeps capacity fluctuations and outages applied since
+        admission respected — a plain release against the raw network
+        capacities could mint capacity an override has taken away.
+        """
+        footprint = {element for loads in departed for element in loads}
+        fresh = self._fresh_view()
+        self._fcfs_view.reset_elements(footprint, fresh)
+        self._replay(self._fcfs_view, self._tenants(ledger=True), footprint)
+        if gr:
+            self._gr_residual.reset_elements(footprint, fresh)
+            self._replay(
+                self._gr_residual, self._tenants(ledger=False), footprint
+            )
 
     def _fresh_view(self) -> CapacityView:
         """A view of the *current* raw capacities (fluctuations applied).
@@ -963,42 +946,56 @@ class SparcleScheduler:
                         view.override(element, resource, 0.0)
         return view
 
-    def _rebuild_gr_residual(self) -> None:
-        """Recompute the GR residual from current capacities + reservations.
+    def _tenants(self, *, ledger: bool) -> Iterator[tuple[Loads, float]]:
+        """The ``(loads, rate)`` holds behind a view, in rebuild order.
 
-        Only *active* paths hold reservations: a path suspended by an
-        element outage has released its capacity back to the pool.
+        Both views hold the *active* GR paths (a path suspended by an
+        element outage has released its capacity back to the pool) and,
+        last, the external reservations.  The FCFS ``ledger`` also holds
+        BE predicted rates, but only without prediction — the rule
+        :meth:`_commit_be` applies — so its content does not depend on
+        whether anything was re-derived since an admission.
         """
-        view = self._fresh_view()
         for placed_gr in self._gr:
             for placement, rate, active in zip(
                 placed_gr.placements, placed_gr.path_rates, placed_gr.active
             ):
                 if active:
-                    view.consume(placement.loads(), rate, clamp=True)
+                    yield placement.loads(), rate
+        if ledger and not self.use_prediction:
+            for placed_be in self._be:
+                for placement, rate, active in zip(
+                    placed_be.placements,
+                    placed_be.predicted_rates,
+                    placed_be.active,
+                ):
+                    if active:
+                        yield placement.loads(), rate
         for consumptions in self._external.values():
-            for loads, rate in consumptions:
-                view.consume(loads, rate, clamp=True)
+            yield from consumptions
+
+    @staticmethod
+    def _replay(
+        view: CapacityView,
+        tenants: Iterable[tuple[Loads, float]],
+        footprint: set[str] | None = None,
+    ) -> None:
+        """Consume every tenant's load on ``view`` (only on ``footprint``)."""
+        for loads, rate in tenants:
+            if footprint is not None:
+                loads = {e: b for e, b in loads.items() if e in footprint}
+            view.consume(loads, rate, clamp=True)
+
+    def _rebuild_gr_residual(self) -> None:
+        """Recompute the GR residual from current capacities + reservations."""
+        view = self._fresh_view()
+        self._replay(view, self._tenants(ledger=False))
         self._gr_residual = view
 
     def _rebuild_fcfs_view(self) -> None:
         """Recompute the FCFS bookkeeping from the remaining tenants."""
         view = self._fresh_view()
-        for placed_gr in self._gr:
-            for placement, rate, active in zip(
-                placed_gr.placements, placed_gr.path_rates, placed_gr.active
-            ):
-                if active:
-                    view.consume(placement.loads(), rate, clamp=True)
-        for placed_be in self._be:
-            for placement, rate, active in zip(
-                placed_be.placements, placed_be.predicted_rates, placed_be.active
-            ):
-                if active:
-                    view.consume(placement.loads(), rate, clamp=True)
-        for consumptions in self._external.values():
-            for loads, rate in consumptions:
-                view.consume(loads, rate, clamp=True)
+        self._replay(view, self._tenants(ledger=True))
         self._fcfs_view = view
 
     def apply_capacity_change(

@@ -32,7 +32,7 @@ from repro.devtools.callgraph import ProjectIndex
 from repro.devtools.engine import Violation
 
 #: Files whose lock discipline is in scope.
-SCOPE_SUFFIXES = ("service/gateway.py", "service/shard.py")
+SCOPE_SUFFIXES = ("service/shard.py",)
 SCOPE_DIRS = ("perf/",)
 
 

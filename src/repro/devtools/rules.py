@@ -9,7 +9,7 @@ for the rule-by-rule rationale and the originating bugs):
 * **SPC002** — ``random`` / ``numpy.random`` use outside the seeded
   :mod:`repro.utils.rng` path (determinism guard);
 * **SPC003** — read-modify-write on shared ``self._*`` dict state outside
-  a ``with lock:`` block in :mod:`repro.perf` and the admission gateway;
+  a ``with lock:`` block in :mod:`repro.perf`;
 * **SPC004** — ``==`` / ``!=`` between float-typed rate/capacity
   expressions in ``core/`` and ``simulator/`` (epsilon discipline);
 * **SPC005** — attribute or element assignment on frozen values
@@ -182,13 +182,11 @@ class UnlockedSharedMutationRule(Rule):
     rule_id = "SPC003"
     summary = "read-modify-write on shared instance state outside a lock"
 
-    #: Only modules that are documented as thread-shared are in scope.
-    SCOPE = ("service/gateway.py",)
+    #: Only modules that are documented as thread-shared are in scope
+    #: (the single-threaded, lock-free admission gateway is not).
     SCOPE_DIRS = ("perf/",)
 
     def _in_scope(self, relpath: str) -> bool:
-        if _matches_any(relpath, self.SCOPE):
-            return True
         return any(f"/{d}" in f"/{relpath}" for d in self.SCOPE_DIRS)
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:

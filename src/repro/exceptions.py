@@ -105,10 +105,12 @@ class ShardError(SparcleError):
 class StaleProposalError(GatewayError):
     """An optimistically evaluated proposal failed commit-time revalidation.
 
-    Raised by ``SparcleScheduler.commit(..., revalidate=True)`` when the
-    live residuals (or the Eq.-(7) availability check) no longer support a
-    proposal computed against an earlier snapshot.  The scheduler state is
-    unchanged; the gateway re-queues the request and re-evaluates.
+    Raised by the shard coordinator's cross-region commit when an owner
+    shard's live residuals (or the boundary ledger) no longer support a
+    proposal computed against an earlier merged view.  Nothing stays
+    reserved; the coordinator re-queues the request and re-evaluates.
+    The single-owner local lane evaluates and commits against the live
+    state and never raises it.
     """
 
 

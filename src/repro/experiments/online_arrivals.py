@@ -195,10 +195,9 @@ def run_gateway(*, requests: int = 100, seed: int = 77) -> ExperimentResult:
 
     Both modes see the identical burst in the identical priority order
     (GR class first, weighted FIFO within class); the gateway additionally
-    batches evaluation per epoch and commits with optimistic revalidation.
-    Rows report wall-clock throughput plus the gateway's conflict/fallback
-    accounting, so equivalence (same accepted count) and the batching
-    overhead are both visible.
+    queues the burst and decides it in epochs.  Rows report wall-clock
+    throughput and the epoch count, so equivalence (same accepted count)
+    and the queueing overhead are both visible.
     """
     from repro.service import AdmissionGateway
 
@@ -226,19 +225,17 @@ def run_gateway(*, requests: int = 100, seed: int = 77) -> ExperimentResult:
     rows = [
         ["serial", len(burst), sum(d.accepted for d in serial_decisions),
          serial_wall, len(burst) / serial_wall if serial_wall > 0 else 0.0,
-         0, 0, 0],
+         0],
         ["gateway", len(burst),
          sum(d.accepted for d in gateway_decisions),
          gateway_wall,
          len(burst) / gateway_wall if gateway_wall > 0 else 0.0,
-         gateway.stats.epochs, gateway.stats.conflicts,
-         gateway.stats.serial_fallbacks],
+         gateway.stats.epochs],
     ]
     notes = [
         f"burst of {len(burst)} requests "
         f"({sum(isinstance(r, GRRequest) for r in burst)} GR / "
         f"{sum(isinstance(r, BERequest) for r in burst)} BE)",
-        f"gateway overlap commits: {gateway.stats.overlap_commits}",
     ]
     if rows[0][2] == rows[1][2]:
         notes.append("accepted sets agree with serial admission")
@@ -246,7 +243,7 @@ def run_gateway(*, requests: int = 100, seed: int = 77) -> ExperimentResult:
         experiment_id="gateway",
         title="Burst admission: gateway vs serial (extension)",
         headers=["mode", "offered", "accepted", "wall_s", "req_per_s",
-                 "epochs", "conflicts", "fallbacks"],
+                 "epochs"],
         rows=rows,
         notes=notes,
     )

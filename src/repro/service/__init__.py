@@ -3,8 +3,8 @@
 The core (:mod:`repro.core`) is a library of pure-ish algorithms and one
 mutable :class:`~repro.core.scheduler.SparcleScheduler`; this package wraps
 it in the machinery a deployed admission service needs — bounded arrival
-queues, priority classes, epoch batching, and parallel candidate-placement
-evaluation with optimistic commit (:mod:`repro.service.gateway`) — and
+queues, priority classes and epochs that evaluate and commit one request
+at a time against the live state (:mod:`repro.service.gateway`) — and
 scales it out horizontally: :mod:`repro.service.shard` partitions the
 network into regions, runs one gateway per shard, and coordinates
 cross-shard placements with a two-phase reserve/commit protocol backed by

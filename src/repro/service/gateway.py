@@ -11,35 +11,20 @@ treat placement:
    priority-1 peer).  A full queue sheds load by raising
    :class:`~repro.exceptions.BackpressureError` — nothing is silently
    dropped.
-2. **Evaluate the batch in-line** — each epoch pops a batch and evaluates
-   every request with :meth:`SparcleScheduler.evaluate` *before the
-   epoch's first commit*, so every proposal sees the same pre-epoch
-   state.
-3. **Commit sequentially with optimistic revalidation** — proposals are
-   committed in priority order against the *live* scheduler.  An accepted
-   GR proposal re-checks residual feasibility and Eq. (7) at commit time
-   (``SparcleScheduler.commit(..., revalidate=True)``); an accepted BE
-   proposal conflicts when its footprint overlaps elements already
-   committed this epoch (its Theorem-3 predicted shares are stale).
-   Conflicting proposals are re-queued with a bounded retry budget
-   (reusing :class:`~repro.core.repair.RetryPolicy`; the policy's backoff
-   is measured in epochs here) and finally fall back to an exact serial
-   evaluate+commit against live state, so every submitted request always
-   gets a decision.
+2. **Evaluate → commit, one request at a time** — each epoch pops a
+   batch in priority order and, per entry, evaluates it with
+   :meth:`SparcleScheduler.evaluate` against the *live* scheduler and
+   commits the proposal immediately, before the next entry is looked at.
+   Nothing can go stale between a proposal and its commit, so there is
+   no revalidation, no conflict, no requeue and no retry budget on this
+   lane: every popped request is decided in the epoch that popped it.
 
-Rejections commit without revalidation: between evaluation and commit,
-capacity only shrinks (commits consume; nothing releases mid-epoch), so a
-request the richer pre-epoch state rejects would be rejected serially too.
-
-**Decision equivalence.**  For *conflict-free* batches — no proposal's
-footprint overlaps another's — every proposal revalidates trivially and
-the gateway's accept/reject set equals serial admission in the same
-priority order (the property test in
-``tests/properties/test_gateway_properties.py`` checks exactly this).
-Overlapping-but-feasible GR proposals still commit (the reservations are
-revalidated, so capacity is never oversubscribed) but the chosen paths may
-differ from what a strictly serial scheduler would have picked; the
-``overlap_commits`` stat counts how often that relaxation was exercised.
+**Decision equivalence.**  For *every* batch size the gateway's decisions
+(accept set, placements, path rates) equal a :class:`SparcleScheduler`
+fed :meth:`AdmissionGateway.priority_order` of each epoch's batch — the
+paper's Fig.-3 loop run in the gateway's priority order (the property
+test in ``tests/properties/test_gateway_properties.py`` checks exactly
+this, on deliberately overlapping footprints).
 
 The gateway is a single-threaded control loop: ``submit``/``run_epoch``/
 ``drain`` must be called from one thread.
@@ -47,7 +32,8 @@ The gateway is a single-threaded control loop: ``submit``/``run_epoch``/
 :class:`AdmissionQueue` — the pending-entry type, the GR/BE classifier,
 the priority pop with backoff and the :class:`RetryPolicy` requeue rule —
 is also the queue of the sharded coordinator's cross-region lane
-(:mod:`repro.service.shard`), so both lanes order and retry identically.
+(:mod:`repro.service.shard`), so both lanes order identically; only that
+lane, where two owners really race, requeues and retries.
 """
 
 from __future__ import annotations
@@ -68,7 +54,6 @@ from repro.exceptions import (
     AdmissionError,
     BackpressureError,
     GatewayError,
-    StaleProposalError,
 )
 from repro.perf import timer, tracing
 from repro.perf.metrics import get_metrics
@@ -117,11 +102,12 @@ class AdmissionQueue:
 
     Orders by :meth:`PendingAdmission.sort_key`, skips entries still
     backing off, and requeues conflicted entries under ``retry_policy``
-    (whose backoff delay is measured in the caller's epochs).
+    (whose backoff delay is measured in the caller's epochs).  The local
+    lane never conflicts, so only the cross-region lane passes a policy.
     """
 
-    def __init__(self, retry_policy: RetryPolicy) -> None:
-        self.retry_policy = retry_policy
+    def __init__(self, retry_policy: RetryPolicy | None = None) -> None:
+        self.retry_policy = retry_policy or RetryPolicy()
         self._heap: list[tuple[tuple[int, float, int], PendingAdmission]] = []
         self._seq = 0
 
@@ -183,8 +169,6 @@ class EpochReport:
     committed: int
     accepted: int
     rejected: int
-    conflicts: int
-    serial_fallbacks: int
     queue_depth: int
 
 
@@ -198,25 +182,18 @@ class GatewayStats:
     committed: int = 0
     accepted: int = 0
     rejected: int = 0
-    #: Requeues caused by commit-time staleness (GR infeasibility or BE
-    #: footprint overlap).  Zero conflicts on a drain means the batch was
-    #: conflict-free and the accept/reject set matches serial admission.
-    conflicts: int = 0
-    #: Accepted proposals whose footprint overlapped earlier commits in the
-    #: same epoch but still revalidated — committed, with the caveat that a
-    #: serial scheduler might have chosen different paths.
+    #: Always 0: nothing commits against a stale evaluation any more.
+    #: ``bench/layers.py`` still reads the field; the bench-only follow-up
+    #: that drops its ``gateway.overlap_commits`` row deletes it.
     overlap_commits: int = 0
-    serial_fallbacks: int = 0
     backpressure_rejections: int = 0
 
 
 class AdmissionGateway:
     """Batched admission control in front of one scheduler.
 
-    ``batch_size`` caps how many requests one epoch evaluates (default:
-    everything eligible); ``retry_policy`` bounds per-request conflict
-    retries before the serial fallback, with the policy's backoff delay
-    interpreted in epochs.
+    ``batch_size`` caps how many requests one epoch decides (default:
+    everything queued).
 
     Usable as a context manager (there is nothing to release).
     """
@@ -227,7 +204,6 @@ class AdmissionGateway:
         *,
         max_queue_depth: int = 128,
         batch_size: int | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         if max_queue_depth < 1:
             raise GatewayError(
@@ -241,7 +217,7 @@ class AdmissionGateway:
         self.stats = GatewayStats()
         #: Decisions in commit order (the scheduler's log holds them too).
         self.decisions: list[Decision] = []
-        self._queue = AdmissionQueue(retry_policy or RetryPolicy())
+        self._queue = AdmissionQueue()
         self._pending_ids: set[str] = set()
         self._decision_by_seq: dict[int, Decision] = {}
         self._epoch = 0
@@ -357,107 +333,34 @@ class AdmissionGateway:
     # ------------------------------------------------------------------
     # Epoch machinery
     # ------------------------------------------------------------------
-    def _requeue_or_fallback(
-        self, entry: PendingAdmission, reason: str
-    ) -> Decision | None:
-        """Handle one conflicted proposal; returns a decision on fallback."""
-        self.stats.conflicts += 1
-        metrics = get_metrics()
-        metrics.incr("gateway.conflicts", kind=entry.kind)
-        tr = tracing.get_tracer()
-        if tr.enabled:
-            tr.event(
-                "gateway.conflict",
-                app_id=entry.request.app_id,
-                kind=entry.kind,
-                attempt=entry.attempts + 1,
-                reason=reason,
-            )
-        if self._queue.requeue(entry, self._epoch):
-            return None
-        # Retry budget spent: decide exactly as the serial path would,
-        # against live state — guarantees every request terminates
-        # with a decision.
-        self.stats.serial_fallbacks += 1
-        metrics.incr("gateway.serial_fallbacks")
-        return self.scheduler.commit(self.scheduler.evaluate(entry.request))
-
     def run_epoch(self) -> EpochReport:
-        """Evaluate one batch against the pre-epoch state, then commit.
+        """Pop one batch and decide it, one evaluate → commit at a time.
 
         Returns an :class:`EpochReport`; an empty report (batch 0) means
-        the queue was empty or every entry is still backing off.
+        the queue was empty.
         """
         self._epoch += 1
         self.stats.epochs += 1
         metrics = get_metrics()
         metrics.incr("gateway.epochs")
+        accepted = 0
         with timer("gateway.epoch"):
             batch = self._queue.pop_batch(self._epoch, self.batch_size)
-            committed = accepted = rejected = conflicts = fallbacks = 0
-            if batch:
-                # Every proposal is evaluated before the first commit, so
-                # the whole batch sees the same pre-epoch state.
-                proposals = [
-                    self.scheduler.evaluate(entry.request) for entry in batch
-                ]
-                self.stats.evaluated += len(batch)
-                dirty: set[str] = set()
-                for entry, proposal in zip(batch, proposals):
-                    decision: Decision | None
-                    if not proposal.accepted:
-                        # Capacity only shrinks between evaluation and
-                        # commit, so a pre-epoch reject is final.
-                        decision = self.scheduler.commit(proposal)
-                    else:
-                        footprint = proposal.used_elements()
-                        overlap = bool(footprint & dirty)
-                        if proposal.kind == "BE" and overlap:
-                            # Stale Theorem-3 shares on contested elements.
-                            before = self.stats.conflicts
-                            decision = self._requeue_or_fallback(
-                                entry, "predicted view stale"
-                            )
-                            conflicts += self.stats.conflicts - before
-                            if decision is None:
-                                continue
-                            fallbacks += 1
-                        else:
-                            try:
-                                decision = self.scheduler.commit(
-                                    proposal, revalidate=True
-                                )
-                                if overlap:
-                                    self.stats.overlap_commits += 1
-                            except StaleProposalError as error:
-                                before = self.stats.conflicts
-                                decision = self._requeue_or_fallback(
-                                    entry, str(error)
-                                )
-                                conflicts += self.stats.conflicts - before
-                                if decision is None:
-                                    continue
-                                fallbacks += 1
-                        if decision.accepted:
-                            dirty |= footprint
-                    committed += 1
-                    self.stats.committed += 1
-                    if decision.accepted:
-                        accepted += 1
-                        self.stats.accepted += 1
-                    else:
-                        rejected += 1
-                        self.stats.rejected += 1
-                    self._record(entry, decision)
+            for entry in batch:
+                # Evaluated against the live state and committed before
+                # the next entry is looked at: nothing can go stale.
+                decision = self.scheduler.commit(
+                    self.scheduler.evaluate(entry.request)
+                )
+                accepted += decision.accepted
+                self._record(entry, decision)
         metrics.set_gauge("gateway.queue_depth", float(len(self._queue)))
         report = EpochReport(
             epoch=self._epoch,
             batch=len(batch),
-            committed=committed,
+            committed=len(batch),
             accepted=accepted,
-            rejected=rejected,
-            conflicts=conflicts,
-            serial_fallbacks=fallbacks,
+            rejected=len(batch) - accepted,
             queue_depth=len(self._queue),
         )
         tr = tracing.get_tracer()
@@ -468,12 +371,17 @@ class AdmissionGateway:
                 batch=report.batch,
                 committed=report.committed,
                 accepted=report.accepted,
-                conflicts=report.conflicts,
                 queue_depth=report.queue_depth,
             )
         return report
 
     def _record(self, entry: PendingAdmission, decision: Decision) -> None:
+        self.stats.evaluated += 1
+        self.stats.committed += 1
+        if decision.accepted:
+            self.stats.accepted += 1
+        else:
+            self.stats.rejected += 1
         self.decisions.append(decision)
         self._decision_by_seq[entry.seq] = decision
         self._pending_ids.discard(entry.request.app_id)

@@ -141,6 +141,12 @@ class SparcleServer:
     when asked), then ``await wait_closed()`` — or use it as an async
     context manager.  ``port=0`` binds an ephemeral port, published as
     ``self.port`` after :meth:`start`.
+
+    ``epoch_interval`` is an idle heartbeat, not a batching window: a
+    submit wakes the epoch loop at once and a local-lane request is
+    decided in the epoch that pops it.  The timer only matters to what an
+    epoch leaves queued — cross-region requests backing off after a
+    two-phase conflict.  ``retry_policy`` is that lane's retry budget.
     """
 
     def __init__(
@@ -190,7 +196,7 @@ class SparcleServer:
             assigner=assigner,
             max_queue_depth=max_queue_depth,
             batch_size=batch_size,
-            retry_policy=retry_policy,
+            cross_retry_policy=retry_policy,
             log_dir=log_dir,
         )
         self._server: asyncio.Server | None = None
@@ -334,6 +340,13 @@ class SparcleServer:
     # Epoch loop
     # ------------------------------------------------------------------
     async def _epoch_loop(self) -> None:
+        """Run one coordinator epoch per wakeup (or idle heartbeat).
+
+        Every accepted submit sets ``_wakeup``, so no local-lane request
+        waits for ``epoch_interval``; the timeout exists so cross-region
+        requests re-queued with an epoch-counted backoff are retried
+        while no new submit arrives.
+        """
         while not self._stopping:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(

@@ -454,7 +454,6 @@ class ShardNode:
         use_prediction: bool = True,
         max_queue_depth: int = 128,
         batch_size: int | None = None,
-        retry_policy: RetryPolicy | None = None,
         log: ShardEventLog | None = None,
     ) -> None:
         self.shard_id = shard_id
@@ -465,7 +464,6 @@ class ShardNode:
         self._use_prediction = use_prediction
         self._max_queue_depth = max_queue_depth
         self._batch_size = batch_size
-        self._retry_policy = retry_policy
         #: Live locally-admitted apps -> their per-path consumptions
         #: (empty for BE apps: intra-shard BE holds no reservation).
         self._local: dict[str, Consumptions] = {}
@@ -491,7 +489,6 @@ class ShardNode:
             self.scheduler,
             max_queue_depth=self._max_queue_depth,
             batch_size=self._batch_size,
-            retry_policy=self._retry_policy,
         )
         self._decision_mark = 0
 
@@ -734,10 +731,11 @@ class ShardCoordinator:
     region's gateway; unpinned submits round-robin over live regions;
     submits whose pins span regions enter the coordinator's cross-shard
     queue and are admitted by the two-phase reserve/commit protocol
-    described in the module docstring.  ``retry_policy`` tunes the
-    per-shard gateways, ``cross_retry_policy`` the cross-shard conflict
-    budget (both default to :class:`~repro.core.repair.RetryPolicy`'s
-    defaults; backoff is measured in coordinator epochs).
+    described in the module docstring.  ``cross_retry_policy`` is the
+    cross-shard conflict budget (a default
+    :class:`~repro.core.repair.RetryPolicy` when omitted; backoff is
+    measured in coordinator epochs); the per-shard gateways cannot
+    conflict and take none.
 
     With ``n_shards=1`` the single region subnetwork *is* the global
     network and no request can cross a boundary, so the federation is
@@ -759,7 +757,6 @@ class ShardCoordinator:
         use_prediction: bool = True,
         max_queue_depth: int = 128,
         batch_size: int | None = None,
-        retry_policy: RetryPolicy | None = None,
         cross_retry_policy: RetryPolicy | None = None,
         log_dir: str | Path | None = None,
     ) -> None:
@@ -785,7 +782,6 @@ class ShardCoordinator:
                     use_prediction=use_prediction,
                     max_queue_depth=max_queue_depth,
                     batch_size=batch_size,
-                    retry_policy=retry_policy,
                     log=ShardEventLog(
                         base / f"shard-{shard_id}.jsonl"
                         if base is not None
@@ -799,9 +795,7 @@ class ShardCoordinator:
         }
         self._ledger = CapacityView(network)
         self._apps: dict[str, _CrossApp] = {}
-        self._cross_queue = AdmissionQueue(
-            cross_retry_policy or retry_policy or RetryPolicy()
-        )
+        self._cross_queue = AdmissionQueue(cross_retry_policy)
         self._cross_decisions: dict[int, Decision] = {}
         self._decisions: list[Decision] = []
         self._tickets: dict[int, _TicketRef] = {}

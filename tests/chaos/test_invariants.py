@@ -113,7 +113,6 @@ class TestCorruptedWorld:
         # can only appear through raw-state corruption — exactly the
         # defense-in-depth case this invariant exists for.
         view = scheduler._gr_residual
-        view._available.setdefault("ncp1", {})["cpu"] = -5.0
         view._flat[("ncp1", "cpu")] = -5.0
         context = _context(scheduler, gateway, controller)
         names = {v.invariant for v in check_invariants(context)}

@@ -255,10 +255,45 @@ class TestCapacityView:
 
     def test_copy_is_independent(self, network):
         caps = CapacityView(network)
+        caps.consume({"ncp2": {CPU: 100.0, "memory": 1.0}}, 2.0)
         clone = caps.copy()
-        clone.consume({"ncp1": {CPU: 100.0}}, 1.0)
+        assert clone.freeze() == caps.freeze()
+        assert clone.snapshot() == caps.snapshot()
+        assert clone.version == 0 < caps.version
+        clone.consume({"ncp1": {CPU: 100.0}, "ncp2": {CPU: 100.0}}, 1.0)
         assert caps.capacity("ncp1", CPU) == 1000.0
+        assert caps.capacity("ncp2", CPU) == 1800.0
         assert clone.capacity("ncp1", CPU) == 900.0
+        assert clone.capacity("ncp2", CPU) == 1700.0
+        caps.consume({"ncp2": {"memory": 1.0}}, 8.0)
+        assert clone.capacity("ncp2", "memory") == 498.0
+        assert caps.snapshot()["ncp2"] == {CPU: 1800.0, "memory": 490.0}
+
+    def test_reset_elements_copies_or_drops_entries(self, network):
+        caps = CapacityView(network)
+        caps.consume(
+            {"ncp1": {CPU: 100.0}, "ncp2": {CPU: 100.0}, "l12": {BANDWIDTH: 1.0}},
+            2.0,
+        )
+        source = CapacityView(network)
+        source.override("ncp1", CPU, 700.0)
+        source.override("ncp3", CPU, 0.0)
+        version = caps.version
+        caps.reset_elements(["ncp1", "l12", "ncp3"], source)
+        assert caps.version > version
+        # ncp1 takes the source's entry, l12 (absent there) reads raw
+        # capacity again and leaves the snapshot, ncp2 is not rewritten.
+        assert caps.freeze().entries == (
+            ("ncp1", CPU, 700.0),
+            ("ncp2", CPU, 1800.0),
+            ("ncp3", CPU, 0.0),
+        )
+        assert caps.capacity("l12", BANDWIDTH) == 10.0
+        assert caps.snapshot() == {
+            "ncp1": {CPU: 700.0}, "ncp2": {CPU: 1800.0}, "ncp3": {CPU: 0.0},
+        }
+        source.override("ncp1", CPU, 1.0)
+        assert caps.capacity("ncp1", CPU) == 700.0
 
     def test_negative_rate_rejected(self, network):
         caps = CapacityView(network)

@@ -67,6 +67,58 @@ class TestWithdraw:
         assert decision.accepted
 
 
+class TestFcfsLedgerIsWithdrawIndependent:
+    """The FCFS ledger follows the commit rule, rebuilt or not.
+
+    Under prediction a BE app is not charged to the ledger at commit;
+    the rebuild used to charge it anyway, so ``fcfs_snapshot()`` — frozen
+    into every event-log record — changed content at the first withdraw.
+    """
+
+    @staticmethod
+    def _from_scratch(scheduler):
+        import copy
+
+        twin = copy.copy(scheduler)
+        twin._rebuild_fcfs_view()
+        return twin.fcfs_snapshot()
+
+    @pytest.mark.parametrize("use_prediction", [True, False])
+    def test_ledger_equals_rebuild_at_every_step(self, net, use_prediction):
+        scheduler = SparcleScheduler(net, use_prediction=use_prediction)
+        steps = [
+            lambda: scheduler.submit_gr(
+                GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5)),
+            lambda: scheduler.submit_be(
+                BERequest("be", app("b", "ncp3", "ncp4"))),
+            lambda: scheduler.submit_gr(
+                GRRequest("gone", app("c", "ncp5", "ncp6"), min_rate=0.5)),
+            lambda: scheduler.withdraw("gone"),
+            lambda: scheduler.withdraw("be"),
+        ]
+        for step in steps:
+            step()
+            assert scheduler.fcfs_snapshot() == self._from_scratch(scheduler)
+
+    def test_withdraw_leaves_untouched_elements_alone(self, net):
+        scheduler = SparcleScheduler(net)
+        scheduler.submit_gr(
+            GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5))
+        scheduler.submit_be(BERequest("be", app("b", "ncp3", "ncp4")))
+        snapshot = scheduler.fcfs_snapshot()
+        scheduler.submit_gr(
+            GRRequest("gone", app("c", "ncp5", "ncp6"), min_rate=0.5))
+        scheduler.withdraw("gone")
+        # Nothing re-admitted: the ledger is back where it was, BE
+        # elements (never charged under prediction) included.
+        assert scheduler.fcfs_snapshot() == snapshot
+        # A predicted BE app's departure touches no view at all.
+        residual = scheduler.residual_snapshot()
+        scheduler.withdraw("be")
+        assert scheduler.fcfs_snapshot() == snapshot
+        assert scheduler.residual_snapshot() == residual
+
+
 class TestOutageReport:
     def test_outage_on_unused_element_is_harmless(self, net):
         scheduler = SparcleScheduler(net)

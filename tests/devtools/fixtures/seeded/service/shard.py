@@ -1,5 +1,10 @@
-"""Seeded SPC009 fixture: phase-1 reserves that can leak capacity."""
+"""Seeded SPC009 fixture: phase-1 reserves that can leak capacity.
 
+Also seeds one SPC007 finding: an await inside a held threading lock.
+"""
+
+import asyncio
+import threading
 from typing import Any
 
 
@@ -35,3 +40,14 @@ class SeededCoordinator:
                 self._ledger.consume(loads, rate)
         except ValueError as error:
             raise RuntimeError(f"aborted mid-commit: {error}") from error
+
+
+class SeededEpochRunner:
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.epoch = 0
+
+    async def run_epoch(self) -> None:
+        with self._lock:
+            await asyncio.sleep(0)
+            self.epoch += 1

@@ -57,7 +57,7 @@ class TestSeededFixtures:
         ]
         files = {v.file.rpartition("/")[2] for v in spc007}
         assert "registry.py" in files  # the names/values order cycle
-        assert "gateway.py" in files  # await inside a held lock
+        assert "shard.py" in files  # await inside a held lock
 
     def test_typestate_flags_conditional_commit(self, report):
         spc009 = [

@@ -237,5 +237,5 @@ class TestObservabilityCommands:
         assert "gateway          :" in out
         report = json.loads((out_dir / "gateway_report.json").read_text())
         assert report["requests"] == 6
-        assert report["gateway"]["accepted"] + report["gateway"]["conflicts"] >= 0
+        assert report["gateway"]["accepted"] == report["serial"]["accepted"]
         assert report["serial"]["wall_s"] > 0

@@ -1,8 +1,9 @@
 """Unit tests for the batched admission gateway.
 
 Covers the queue discipline (GR before BE, weighted FIFO within BE),
-bounded-queue backpressure, conflict-retry bounds with serial fallback,
-and the introspection surface (tickets, stats, epoch reports).
+bounded-queue backpressure, one-epoch decisions for overlapping batches
+(plus the shared queue's requeue backoff, which only the cross-region
+lane uses), and the introspection surface (tickets, stats, epoch reports).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.exceptions import (
     GatewayError,
 )
 from repro.service import AdmissionGateway, EpochReport, GatewayStats
+from repro.service.gateway import AdmissionQueue
 
 
 def _graph(name: str, src: str = "ncp1", dst: str = "ncp2",
@@ -137,46 +139,44 @@ class TestBackpressure:
 
 
 class TestConflictRetry:
-    def test_be_overlap_conflicts_are_bounded_by_retry_policy(self, network):
-        # All BE requests share the same endpoints, so every epoch's
-        # accepted footprints overlap: each request may conflict at most
-        # max_attempts - 1 times before the serial fallback decides it.
+    def test_overlapping_be_batch_is_decided_in_one_epoch(self, network):
+        # All BE requests share the same endpoints, so every footprint
+        # overlaps every other: each is still evaluated against the live
+        # state and decided in the epoch that popped it.
         scheduler = SparcleScheduler(network)
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0)
-        gateway = AdmissionGateway(scheduler, retry_policy=policy)
+        gateway = AdmissionGateway(scheduler)
         requests = [_be(f"be{i}") for i in range(5)]
-        decisions = gateway.process(requests)
-        assert len(decisions) == len(requests)
-        assert all(d is not None for d in decisions)
-        per_request_cap = policy.max_attempts
-        assert gateway.stats.conflicts <= per_request_cap * len(requests)
-        assert gateway.stats.serial_fallbacks <= len(requests)
+        for request in requests:
+            gateway.submit(request)
+        report = gateway.run_epoch()
+        assert report.batch == report.committed == len(requests)
+        assert gateway.queue_depth == 0
         # One decision per request, no double-commit.
         assert len(gateway.decisions) == len(requests)
         assert len({d.app_id for d in gateway.decisions}) == len(requests)
 
-    def test_conflicted_request_backs_off_whole_epochs(self, network):
-        scheduler = SparcleScheduler(network)
+    def test_conflicted_request_backs_off_whole_epochs(self):
+        # The requeue rule lives on the shared queue; the gateway itself
+        # never conflicts, the coordinator's cross-region lane does.
         policy = RetryPolicy(max_attempts=3, backoff_base=1.0)
-        gateway = AdmissionGateway(scheduler, retry_policy=policy)
-        for i in range(3):
-            gateway.submit(_be(f"be{i}"))
-        first = gateway.run_epoch()
-        assert first.batch == 3
-        if first.conflicts:
-            # Re-queued entries wait out their backoff: the next epoch
-            # must not re-evaluate them yet.
-            second = gateway.run_epoch()
-            assert second.batch == 0
-        gateway.drain()
-        assert len(gateway.decisions) == 3
+        queue = AdmissionQueue(policy)
+        queue.push(_be("be0"), "BE", 1.0)
+        (entry,) = queue.pop_batch(epoch=1)
+        assert queue.requeue(entry, 1)
+        resume = 1 + 1 + int(policy.delay(1))
+        # A re-queued entry waits out its backoff in whole epochs.
+        assert queue.pop_batch(epoch=resume - 1) == []
+        assert queue.pop_batch(epoch=resume) == [entry]
+        assert queue.requeue(entry, resume)
+        later = resume + 1 + int(policy.delay(2))
+        assert queue.pop_batch(epoch=later) == [entry]
+        # Budget spent: the entry stays out and the caller decides it.
+        assert not queue.requeue(entry, later)
+        assert len(queue) == 0
 
     def test_every_submitted_request_gets_exactly_one_decision(self, network):
         scheduler = SparcleScheduler(network)
-        gateway = AdmissionGateway(
-            scheduler, retry_policy=RetryPolicy(max_attempts=2,
-                                                backoff_base=0.0),
-        )
+        gateway = AdmissionGateway(scheduler)
         mixed = [_gr(f"gr{i}") for i in range(4)] + [
             _be(f"be{i}") for i in range(4)
         ]

@@ -221,6 +221,43 @@ class TestSubmitAndDecide:
         _serve(_go)
 
 
+class TestNoTimerWait:
+    def test_local_lane_never_waits_on_the_epoch_timer(self):
+        # Two connections pipeline BE apps pinned to the same host pair,
+        # so several overlapping requests land in one epoch.  Each is
+        # decided in the epoch that pops it; with a 5 s idle heartbeat
+        # any request parked for "the next epoch" would blow the budget
+        # (the parent re-queued the overlapping ones behind the timer).
+        epoch_interval = 5.0
+        per_client = 4
+
+        async def _burst(client, tag):
+            ids = [f"{tag}{i}" for i in range(per_client)]
+            await asyncio.gather(*(client.submit(_be(i)) for i in ids))
+            return await asyncio.gather(*(client.decision(i) for i in ids))
+
+        async def _go(server):
+            loop = asyncio.get_running_loop()
+            async with await SparcleClient.open(
+                server.host, server.port
+            ) as one, await SparcleClient.open(
+                server.host, server.port
+            ) as two:
+                start = loop.time()
+                decided = await asyncio.wait_for(
+                    asyncio.gather(_burst(one, "a"), _burst(two, "b")),
+                    timeout=epoch_interval / 2,
+                )
+                assert loop.time() - start < epoch_interval / 2
+                assert sum(len(d) for d in decided) == 2 * per_client
+                status = await one.status()
+                assert status.submitted == 2 * per_client
+                # Fewer epochs than requests: batches really overlapped.
+                assert status.epoch < 2 * per_client
+
+        _serve(_go, n_shards=1, epoch_interval=epoch_interval)
+
+
 class TestBackpressure:
     def test_inflight_window_sheds_deterministically(self):
         async def _go(server):

@@ -290,16 +290,17 @@ class TestCoordinatorRouting:
 
     def test_cross_and_local_lanes_share_one_queue(self):
         # Same kind, priority and arrival slot on either lane -> same
-        # sort key and the same RetryPolicy backoff epoch.
+        # sort key; only the cross lane ever requeues, under its policy.
         network, zones = _clique_world(4, 2)
         policy = RetryPolicy(max_attempts=4, backoff_base=2.0)
         with ShardCoordinator(
-            network, zones=zones, retry_policy=policy
+            network, zones=zones, cross_retry_policy=policy
         ) as coordinator:
             coordinator.submit(_be("local", "ncp1", "ncp2", priority=2.0))
             coordinator.submit(_be("cross", "ncp1", "ncp3", priority=2.0))
             local_queue = coordinator.nodes[0].gateway._queue
             cross_queue = coordinator._cross_queue
+            assert type(local_queue) is type(cross_queue)
             (local,) = local_queue.pop_batch(epoch=0)
             (cross,) = cross_queue.pop_batch(epoch=0)
             assert (local.request.app_id, cross.request.app_id) == (
@@ -307,14 +308,11 @@ class TestCoordinatorRouting:
             )
             assert local.sort_key() == cross.sort_key()
             for attempt in (1, 2):
-                assert local_queue.requeue(local, 5)
                 assert cross_queue.requeue(cross, 5)
                 expected = 5 + 1 + int(policy.delay(attempt))
-                assert local.not_before_epoch == expected
                 assert cross.not_before_epoch == expected
-                assert local_queue.pop_batch(epoch=expected - 1) == []
+                assert cross_queue.pop_batch(epoch=expected - 1) == []
                 assert cross_queue.pop_batch(epoch=expected) == [cross]
-                assert local_queue.pop_batch(epoch=expected) == [local]
 
 
 # ----------------------------------------------------------------------

@@ -304,6 +304,27 @@ class TestApiDriftGuard:
             parameters = inspect.signature(entry).parameters
             assert not {"workers", "executor"} & set(parameters), entry
 
+    def test_local_lane_takes_no_retry_or_revalidation_options(self):
+        # An epoch evaluates and commits one request at a time against
+        # the live state: there is nothing to revalidate or retry, so the
+        # signatures are exactly these (retries live on the coordinator's
+        # cross-region lane only).
+        from repro.core.scheduler import SparcleScheduler
+        from repro.service.gateway import AdmissionGateway
+        from repro.service.shard import ShardCoordinator, ShardNode
+
+        assert list(inspect.signature(SparcleScheduler.commit).parameters) == [
+            "self", "proposal",
+        ]
+        assert list(inspect.signature(AdmissionGateway).parameters) == [
+            "scheduler", "max_queue_depth", "batch_size",
+        ]
+        for entry in (ShardNode, ShardCoordinator):
+            assert "retry_policy" not in inspect.signature(entry).parameters
+        assert "cross_retry_policy" in inspect.signature(
+            ShardCoordinator
+        ).parameters
+
 
 class TestExports:
     @pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
