@@ -41,7 +41,7 @@ from repro.core.taskgraph import (
     linear_task_graph,
 )
 from repro.devtools.scenario_lint import lint_scenario_dict
-from repro.emulator.scenario import ScenarioSpec, scenario_from_dict, scenario_to_dict
+from repro.core.scenario import ScenarioSpec, scenario_from_dict, scenario_to_dict
 from repro.exceptions import ChaosError
 from repro.utils.rng import ensure_rng
 from repro.workloads.generators import (

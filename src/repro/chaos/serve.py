@@ -13,12 +13,12 @@ sockets:
    ``recover=True``, reconnect, and resubmit the entire burst.
 4. **Verify** — three invariants over the durable logs and the replies:
 
-   * ``serve-log-prefix`` — every pre-kill event-log file is a
-     bit-identical prefix of its post-recovery file (recovery appends,
-     never rewrites);
+   * ``serve-log-checkpoint`` — the checkpoint record recovery compacts
+     each shard log to replays, alone, to exactly what the whole
+     pre-kill file replayed to (compaction loses nothing);
    * ``serve-no-double-admission`` — no application is accepted twice
-     across all shard logs: everything admitted before the kill is
-     rejected as a duplicate after it;
+     across the pre-kill and post-recovery shard logs: everything
+     admitted before the kill is rejected as a duplicate after it;
    * ``serve-all-decided`` — every request in the burst ends decided or
      duplicate-rejected; nothing vanishes silently.
 
@@ -30,7 +30,9 @@ undecided at the kill point depends on event-loop timing, so the *stats*
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +45,7 @@ from repro.core.scheduler import BERequest, GRRequest
 from repro.exceptions import AdmissionError, SparcleError
 from repro.service.client import SparcleClient
 from repro.service.server import SparcleServer
+from repro.service.shard import replay_log
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -73,20 +76,25 @@ def _snapshot_logs(log_dir: Path) -> dict[str, bytes]:
     }
 
 
-def _accepted_in_logs(log_dir: Path) -> list[str]:
-    """Every acceptance event across all shard logs, with repeats kept."""
-    accepted: list[str] = []
-    for path in sorted(log_dir.glob("shard-*.jsonl")):
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if record.get("type") != "epoch":
-                continue
-            for decision in record.get("decisions", ()):
-                if decision.get("accepted"):
-                    accepted.append(str(decision["app_id"]))
-    return accepted
+def _shard_records(logs: dict[str, bytes]) -> dict[str, list[dict[str, Any]]]:
+    """The parsed records of every shard log in a :func:`_snapshot_logs`."""
+    return {
+        name: [json.loads(line) for line in raw.splitlines() if line.strip()]
+        for name, raw in logs.items()
+        if name.startswith("shard-")
+    }
+
+
+def _accepted_in_logs(logs: dict[str, bytes]) -> list[str]:
+    """Every acceptance event across the shard logs, with repeats kept."""
+    return [
+        str(decision["app_id"])
+        for records in _shard_records(logs).values()
+        for record in records
+        if record.get("type") == "epoch"
+        for decision in record.get("decisions", ())
+        if decision.get("accepted")
+    ]
 
 
 async def _run_scenario(
@@ -163,21 +171,24 @@ async def _run_scenario(
 
     # ------------------------------------------------------------- verify
     post_logs = _snapshot_logs(log_dir)
-    for name, pre in pre_logs.items():
-        post = post_logs.get(name, b"")
-        if not post.startswith(pre):
+    post_records = _shard_records(post_logs)
+    for name, pre in _shard_records(pre_logs).items():
+        post = post_records.get(name, [])
+        if not post or replay_log(post[:1]) != replay_log(pre):
             violations.append(
                 InvariantViolation(
-                    invariant="serve-log-prefix",
+                    invariant="serve-log-checkpoint",
                     event_index=0,
                     detail=(
-                        f"log {name} was rewritten across the recovery: "
-                        f"the {len(pre)}-byte pre-kill content is not a "
-                        f"prefix of the {len(post)}-byte recovered log"
+                        f"log {name} lost state across the recovery: its "
+                        "first record does not replay to what the "
+                        f"{len(pre)} pre-kill records replayed to"
                     ),
                 )
             )
-    accepted_events = _accepted_in_logs(log_dir)
+    accepted_events = _accepted_in_logs(pre_logs) + _accepted_in_logs(
+        post_logs
+    )
     repeats = sorted(
         app_id
         for app_id in set(accepted_events)
@@ -239,13 +250,16 @@ def run_serve_soak(
     n_shards: int = 2,
     profile: FuzzProfile | None = None,
     quick: bool = False,
+    log_dir: Path | None = None,
 ) -> ServeSoakReport:
     """Run the kill-mid-burst / recover / verify scenario once.
 
     One seed fixes the fuzzed world and request burst; the three
-    invariants (log prefix consistency, zero double-admissions, nothing
+    invariants (lossless log compaction, zero double-admissions, nothing
     silently lost) must hold for every seed.  ``quick`` shrinks the
-    world and burst for CI smoke.
+    world and burst for CI smoke.  The event logs live in a temporary
+    directory unless ``log_dir`` names one to keep them in (emptied
+    first) — what CI uploads when the soak fails.
     """
     if profile is None:
         profile = FuzzProfile.quick() if quick else FuzzProfile()
@@ -263,13 +277,22 @@ def run_serve_soak(
     ]
     stats: dict[str, Any] = {"n_shards": n_shards}
     violations: list[InvariantViolation] = []
-    with tempfile.TemporaryDirectory(prefix="sparcle-serve-soak-") as tmp:
+    with contextlib.ExitStack() as stack:
+        if log_dir is None:
+            log_dir = Path(
+                stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="sparcle-serve-soak-")
+                )
+            )
+        else:
+            shutil.rmtree(log_dir, ignore_errors=True)
+            log_dir.mkdir(parents=True)
         asyncio.run(
             _run_scenario(
                 network,
                 requests,
                 n_shards=n_shards,
-                log_dir=Path(tmp),
+                log_dir=log_dir,
                 stats=stats,
                 violations=violations,
             )

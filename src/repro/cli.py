@@ -58,11 +58,9 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.experiments import EXPERIMENTS
-
 if TYPE_CHECKING:
+    from repro.core.scenario import ScenarioSpec
     from repro.core.scheduler import BERequest, GRRequest
-    from repro.emulator.scenario import ScenarioSpec
 
 #: Experiment runners with fixed internal trial structure: the CLI's
 #: ``--trials`` flag does not apply to them.
@@ -72,6 +70,36 @@ _NO_TRIALS = ("fig6", "fig10", "robustness", "repair", "gateway", "federation")
 CLI_ALGORITHMS = (
     "sparcle", "gs", "tstorm", "vne", "heft", "rstorm", "optimal",
 )
+
+
+def _experiments() -> dict[str, Callable[..., object]]:
+    """The experiment registry, imported on first use.
+
+    ``repro.experiments`` pulls in every figure runner plus the emulator
+    and simulator packages; ``serve`` (whose start-up is the recovery
+    window) and the other scenario subcommands never need it.
+    """
+    from repro.experiments import EXPERIMENTS
+
+    return EXPERIMENTS
+
+
+def _experiment_id(*extra: str) -> Callable[[str], str]:
+    """An argparse ``type=`` accepting experiment ids (plus ``extra``).
+
+    The stand-in for ``choices=sorted(EXPERIMENTS)``: the registry is
+    only resolved when an ``experiment`` / ``trace`` argument is parsed.
+    """
+
+    def parse(value: str) -> str:
+        known = [*sorted(_experiments()), *extra]
+        if value not in known:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(known)})"
+            )
+        return value
+
+    return parse
 
 
 def _resolve_algorithm(name: str) -> Callable[..., object]:
@@ -150,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="reproduce one of the paper's figures"
     )
     experiment.add_argument(
-        "experiment", choices=sorted(EXPERIMENTS) + ["all"],
+        "experiment", type=_experiment_id("all"), metavar="ID",
         help="which figure to reproduce ('all' runs every one)",
     )
     experiment.add_argument(
@@ -211,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment with tracing on and export the artifacts",
     )
     trace.add_argument(
-        "experiment", choices=sorted(EXPERIMENTS),
+        "experiment", type=_experiment_id(), metavar="ID",
         help="which experiment to run under the tracer",
     )
     trace.add_argument(
@@ -372,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_run_options(
         soak,
-        out_help="write soak_report.json and soak_events.jsonl artifacts",
+        out_help="write soak_report.json and soak_events.jsonl artifacts "
+        "(--serve: serve_soak_report.json and the event logs under "
+        "serve_soak_logs/)",
     )
 
     lint = sub.add_parser(
@@ -412,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_experiment(name: str, args: argparse.Namespace) -> None:
-    run = EXPERIMENTS[name]
+    run = _experiments()[name]
     kwargs: dict[str, object] = {}
     if args.trials is not None and name not in _NO_TRIALS:
         kwargs["trials"] = args.trials
@@ -430,7 +460,11 @@ def _run_experiment(name: str, args: argparse.Namespace) -> None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = (
+        sorted(_experiments())
+        if args.experiment == "all"
+        else [args.experiment]
+    )
     for name in names:
         _run_experiment(name, args)
     return 0
@@ -438,7 +472,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     from repro.core.analysis import placement_summary
-    from repro.emulator.scenario import load_scenario
+    from repro.core.scenario import load_scenario
     from repro.utils.ascii_graph import render_placement, render_task_graph
 
     spec = load_scenario(args.scenario)
@@ -473,7 +507,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.availability import single_points_of_failure
     from repro.core.latency import estimated_latency, zero_load_latency
     from repro.core.placement import CapacityView
-    from repro.emulator.scenario import load_scenario
+    from repro.core.scenario import load_scenario
 
     spec = load_scenario(args.scenario)
     algorithm = _resolve_algorithm(args.algorithm)
@@ -517,7 +551,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.perf.metrics import LabeledRegistry, use_registry
 
     name = args.experiment
-    run = EXPERIMENTS[name]
+    run = _experiments()[name]
     kwargs: dict[str, object] = {}
     if args.trials is not None and name not in _NO_TRIALS:
         kwargs["trials"] = args.trials
@@ -545,7 +579,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_perf(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.emulator.scenario import load_scenario
+    from repro.core.scenario import load_scenario
     from repro.perf import exporters
     from repro.perf.metrics import LabeledRegistry, use_registry
 
@@ -613,7 +647,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
-    from repro.emulator.scenario import load_scenario
+    from repro.core.scenario import load_scenario
     from repro.service import AdmissionGateway
 
     spec = load_scenario(args.scenario)
@@ -678,7 +712,7 @@ def _cmd_shards(args: argparse.Namespace) -> int:
     import json as _json
     import time
 
-    from repro.emulator.scenario import load_scenario
+    from repro.core.scenario import load_scenario
     from repro.service.shard import ShardCoordinator
 
     spec = load_scenario(args.scenario)
@@ -750,7 +784,7 @@ def _cmd_shards(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the asyncio serving front-end (or its --burst self-test)."""
-    from repro.emulator.scenario import load_scenario
+    from repro.core.scenario import load_scenario
     from repro.service.server import serve
 
     spec = load_scenario(args.scenario)
@@ -858,7 +892,13 @@ def _cmd_soak_serve(args: argparse.Namespace, seed: int) -> int:
         return 2
     n_requests = min(args.events, 24)
     print(f"serve soak: seed={seed} requests={n_requests}")
-    report = run_serve_soak(seed, n_requests, quick=args.quick)
+    out_dir = Path(args.out_dir) if args.out_dir is not None else None
+    report = run_serve_soak(
+        seed,
+        n_requests,
+        quick=args.quick,
+        log_dir=out_dir / "serve_soak_logs" if out_dir is not None else None,
+    )
     stats = report.stats
     print(
         f"  pre-kill: {stats['submitted_pre_kill']} submitted, "
@@ -870,8 +910,7 @@ def _cmd_soak_serve(args: argparse.Namespace, seed: int) -> int:
         f"{stats['duplicates_post_recovery']} duplicate-rejected, "
         f"{stats['decided_post_recovery']} decided"
     )
-    if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "serve_soak_report.json"
         report_path.write_text(
@@ -1026,7 +1065,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "experiment", "schedule", "emulate", "analyze", "trace", "perf",
         "gateway", "shards", "serve", "lint", "soak",
     }
-    if argv and argv[0] not in subcommands and argv[0] in set(EXPERIMENTS) | {"all"}:
+    if (
+        argv
+        and argv[0] not in subcommands
+        and argv[0] in {*_experiments(), "all"}
+    ):
         argv = ["experiment", *argv]
     args = build_parser().parse_args(argv)
     if args.command == "experiment":

@@ -11,7 +11,8 @@ The public surface of the paper's contribution:
 * :mod:`repro.core.allocation` — Problem (4) solvers + Eq. (6) prediction;
 * :mod:`repro.core.availability` — failure analysis, Eq. (7);
 * :mod:`repro.core.scheduler` — the Fig. 3 multi-application control loop;
-* :mod:`repro.core.repair` — the online failure-repair loop (extension).
+* :mod:`repro.core.repair` — the online failure-repair loop (extension);
+* :mod:`repro.core.scenario` — the JSON scenario file format.
 """
 
 from repro.core.analysis import (

@@ -35,7 +35,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.placement import CapacityView, Loads, Placement, merge_loads
 from repro.exceptions import AllocationError
@@ -225,6 +224,10 @@ def solve_dual(
     tolerance).  Requires one path per application — the log-of-sum coupling
     of multipath needs :func:`solve_slsqp`.
     """
+    # Imported here: scipy.optimize is ~0.4 s of interpreter start that
+    # the serving path (which never solves Problem (4)) must not pay.
+    from scipy import optimize
+
     mats = build_matrices(apps, capacities)
     if mats.a.shape[1] != len(apps):
         raise AllocationError("dual solver supports one path per application")
@@ -274,6 +277,8 @@ def solve_slsqp(
     Handles the general case: multiple paths per application with the
     concave objective ``sum_j P_j log(sum of j's path rates)``.
     """
+    from scipy import optimize  # function-local: see solve_dual
+
     mats = build_matrices(apps, capacities)
     n_paths = mats.a.shape[1]
     priorities = np.array([app.priority for app in mats.apps])

@@ -370,6 +370,25 @@ class CapacityView:
                 self._flat[key] = value
         self._version += 1
 
+    def entries_on(
+        self, elements: Iterable[str]
+    ) -> dict[str, dict[str, float]]:
+        """This view's override entries on ``elements``, keyed by element.
+
+        Every requested element is a key: an element the view holds no
+        override on maps to an empty bucket, which is what tells a reader
+        "this element reads the raw network capacity" apart from "this
+        element was not asked about".  Assigning each bucket over the
+        element's previous one is :meth:`reset_elements` on plain dicts —
+        the shard event log records state changes this way.
+        """
+        out: dict[str, dict[str, float]] = {element: {} for element in elements}
+        for (element, resource), value in self._flat.items():
+            bucket = out.get(element)
+            if bucket is not None:
+                bucket[resource] = value
+        return out
+
     def copy(self) -> "CapacityView":
         """An independent deep copy of this view (``version`` restarts at 0)."""
         view = CapacityView(self.network)

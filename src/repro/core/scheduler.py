@@ -648,14 +648,49 @@ class SparcleScheduler:
         """Freeze the live GR-residual view (see ``CapacityView.freeze``).
 
         The cheap, immutable, bit-exact capture of the scheduler's
-        capacity state — what the sharded control plane logs after every
-        commit and compares after a warm start.
+        capacity state — what the sharded control plane writes into an
+        event-log checkpoint and compares after a warm start.
         """
         return self._gr_residual.freeze()
 
     def fcfs_snapshot(self) -> ResidualSnapshot:
         """Freeze the FCFS bookkeeping view (no-prediction ablation ledger)."""
         return self._fcfs_view.freeze()
+
+    def entries_on(
+        self, elements: Iterable[str]
+    ) -> tuple[dict[str, dict[str, float]], dict[str, dict[str, float]]]:
+        """The ``(GR-residual, FCFS)`` override entries on ``elements``.
+
+        The footprint-sized counterpart of :meth:`residual_snapshot` +
+        :meth:`fcfs_snapshot` (see :meth:`CapacityView.entries_on`): fed
+        the elements a state change reports (:meth:`charged_elements`,
+        :meth:`withdraw`, :meth:`reserve_external`), it is everything an
+        event log needs to reproduce both views bit for bit.
+        """
+        elements = tuple(elements)
+        return (
+            self._gr_residual.entries_on(elements),
+            self._fcfs_view.entries_on(elements),
+        )
+
+    def charged_elements(self, decision: Decision) -> frozenset[str]:
+        """The elements whose view entries committing ``decision`` changed.
+
+        An accepted GR application is charged to both views on every
+        element its paths load; an accepted BE application only to the
+        FCFS ledger, and only without prediction (the :meth:`_commit_be`
+        rule); a rejection changes nothing.
+        """
+        if not decision.accepted or (
+            decision.kind == "BE" and self.use_prediction
+        ):
+            return frozenset()
+        return frozenset(
+            element
+            for placement in decision.placements
+            for element in placement.loads()
+        )
 
     def restore_residual(
         self,
@@ -696,7 +731,7 @@ class SparcleScheduler:
         consumptions: Sequence[tuple[Loads, float]],
         *,
         charge: bool = True,
-    ) -> None:
+    ) -> frozenset[str]:
         """Reserve capacity on behalf of an externally-managed tenant.
 
         ``consumptions`` is a sequence of ``(loads, rate)`` pairs (one per
@@ -707,7 +742,8 @@ class SparcleScheduler:
         view already reflects it, e.g. after :meth:`restore_residual`),
         so later rebuilds keep subtracting it.  The tag behaves like an
         admitted app id: duplicates are rejected and :meth:`withdraw`
-        releases it.
+        releases it.  Returns the elements whose view entries changed
+        (none when ``charge=False``).
         """
         if self._known(tag):
             raise AdmissionError(f"app id {tag!r} already submitted")
@@ -720,6 +756,9 @@ class SparcleScheduler:
             for loads, rate in held:
                 self._fcfs_view.consume(loads, rate, clamp=True)
         self._external[tag] = held
+        if not charge:
+            return frozenset()
+        return frozenset(element for loads, _ in held for element in loads)
 
     def commit(self, proposal: AdmissionProposal) -> Decision:
         """Apply one proposal: reserve capacity, record and log the decision.
@@ -877,35 +916,35 @@ class SparcleScheduler:
     # ------------------------------------------------------------------
     # Lifecycle: departures and outages
     # ------------------------------------------------------------------
-    def withdraw(self, app_id: str) -> None:
+    def withdraw(self, app_id: str) -> frozenset[str]:
         """Remove an admitted application, releasing its capacity.
 
         GR reservations return to the shared pool immediately; BE rates are
         re-derived on the next :meth:`allocate_be`.  Only the elements the
-        application touched are re-derived (:meth:`_release`).  Unknown
-        ids raise.
+        application touched are re-derived (:meth:`_release`) and they are
+        what is returned — empty for a BE application under prediction,
+        which was never charged to a view.  Unknown ids raise.
         """
         for index, placed in enumerate(self._gr):
             if placed.request.app_id == app_id:
                 del self._gr[index]
-                self._release(p.loads() for p in placed.placements)
-                return
+                return self._release(p.loads() for p in placed.placements)
         for index, placed in enumerate(self._be):
             if placed.request.app_id == app_id:
                 del self._be[index]
-                # Under prediction a BE app was never charged to a view.
-                if not self.use_prediction:
-                    self._release(
-                        (p.loads() for p in placed.placements), gr=False
-                    )
-                return
+                if self.use_prediction:
+                    return frozenset()
+                return self._release(
+                    (p.loads() for p in placed.placements), gr=False
+                )
         if app_id in self._external:
             held = self._external.pop(app_id)
-            self._release(loads for loads, _ in held)
-            return
+            return self._release(loads for loads, _ in held)
         raise AdmissionError(f"no admitted app {app_id!r} to withdraw")
 
-    def _release(self, departed: Iterable[Loads], *, gr: bool = True) -> None:
+    def _release(
+        self, departed: Iterable[Loads], *, gr: bool = True
+    ) -> frozenset[str]:
         """Re-derive the views on the elements a departed tenant touched.
 
         The footprint-sized form of the two full rebuilds: the footprint's
@@ -916,8 +955,11 @@ class SparcleScheduler:
         rate back) keeps capacity fluctuations and outages applied since
         admission respected — a plain release against the raw network
         capacities could mint capacity an override has taken away.
+        Returns the footprint.
         """
-        footprint = {element for loads in departed for element in loads}
+        footprint = frozenset(
+            element for loads in departed for element in loads
+        )
         fresh = self._fresh_view()
         self._fcfs_view.reset_elements(footprint, fresh)
         self._replay(self._fcfs_view, self._tenants(ledger=True), footprint)
@@ -926,6 +968,7 @@ class SparcleScheduler:
             self._replay(
                 self._gr_residual, self._tenants(ledger=False), footprint
             )
+        return footprint
 
     def _fresh_view(self) -> CapacityView:
         """A view of the *current* raw capacities (fluctuations applied).
@@ -978,7 +1021,7 @@ class SparcleScheduler:
     def _replay(
         view: CapacityView,
         tenants: Iterable[tuple[Loads, float]],
-        footprint: set[str] | None = None,
+        footprint: frozenset[str] | None = None,
     ) -> None:
         """Consume every tenant's load on ``view`` (only on ``footprint``)."""
         for loads, rate in tenants:

@@ -1,6 +1,6 @@
 """Semantic lint for scenario JSON files (``sparcle lint foo.json``).
 
-:func:`repro.emulator.scenario.load_scenario` already *rejects* malformed
+:func:`repro.core.scenario.load_scenario` already *rejects* malformed
 documents, but it stops at the first error and its exceptions point at the
 constructor, not the document.  This validator walks the raw JSON first
 and reports **every** problem with a scenario-level rule id:
@@ -13,7 +13,7 @@ and reports **every** problem with a scenario-level rule id:
 * **SCN004** — everything the model constructors additionally enforce
   (duplicates, self-loops, cyclic task graphs, invalid placements...),
   surfaced by actually building the scenario via
-  :func:`~repro.emulator.scenario.scenario_from_dict`.
+  :func:`~repro.core.scenario.scenario_from_dict`.
 
 The model construction in SCN004 is only attempted when SCN002/SCN003
 found nothing, so reports never duplicate the same root cause.
@@ -81,7 +81,7 @@ def lint_scenario_dict(doc: dict[str, Any], *, source: str = "scenario") -> list
                 ))
     for link in links:
         # "bandwidth" is the scenario format's JSON field name here, not a
-        # resource-key lookup — same carve-out as emulator/scenario.py.
+        # resource-key lookup — same carve-out as core/scenario.py.
         if _negative(link.get("bandwidth")):  # sparcle: ignore[SPC001]
             violations.append(Violation(
                 source, 0, "SCN003",
@@ -184,7 +184,7 @@ def lint_scenario_dict(doc: dict[str, Any], *, source: str = "scenario") -> list
 
     # ---- SCN004: everything the model constructors enforce -----------
     if not violations:
-        from repro.emulator.scenario import scenario_from_dict
+        from repro.core.scenario import scenario_from_dict
 
         try:
             scenario_from_dict(doc)

@@ -1,7 +1,7 @@
 """Testbed emulator (Mininet substitute) and its scenario file format."""
 
 from repro.emulator.emulator import EmulationOutcome, Emulator
-from repro.emulator.scenario import (
+from repro.core.scenario import (
     ScenarioSpec,
     graph_from_dict,
     graph_to_dict,

@@ -29,7 +29,7 @@ from typing import Any
 from repro.core.assignment import AssignmentResult, sparcle_assign
 from repro.core.placement import CapacityView, Placement
 from repro.core.scheduler import Assigner
-from repro.emulator.scenario import ScenarioSpec, load_scenario, scenario_from_dict
+from repro.core.scenario import ScenarioSpec, load_scenario, scenario_from_dict
 from repro.exceptions import ScenarioError
 from repro.simulator.streamsim import SimulationReport, StreamSimulator
 

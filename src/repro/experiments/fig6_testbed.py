@@ -23,7 +23,7 @@ from repro.baselines.vne import vne_assign
 from repro.core.assignment import sparcle_assign
 from repro.core.placement import CapacityView
 from repro.emulator.emulator import Emulator
-from repro.emulator.scenario import ScenarioSpec
+from repro.core.scenario import ScenarioSpec
 from repro.experiments.base import ExperimentResult, safe_rate
 from repro.workloads.facedetect import (
     CLOUD,

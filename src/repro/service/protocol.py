@@ -31,7 +31,7 @@ it in the direct reply to each request, and a :class:`DecisionReply`
 carries the ``seq`` of the submit it resolves.
 
 :class:`SubmitRequest` embeds the application task graph in the scenario
-JSON form (:func:`repro.emulator.scenario.graph_to_dict`), so a wire
+JSON form (:func:`repro.core.scenario.graph_to_dict`), so a wire
 submit converts losslessly to the in-process
 :class:`~repro.core.scheduler.GRRequest` / ``BERequest`` via
 :meth:`SubmitRequest.to_request` — and back via
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Any, ClassVar, TypeVar
 
 from repro.core.scheduler import BERequest, Decision, GRRequest
-from repro.emulator.scenario import graph_from_dict, graph_to_dict
+from repro.core.scenario import graph_from_dict, graph_to_dict
 from repro.exceptions import ProtocolError, ScenarioError
 
 #: The wire schema version; bump on any incompatible message change.
@@ -175,7 +175,7 @@ class SubmitRequest(Message):
     """Submit one GR or BE application for admission.
 
     ``graph`` is the application task graph in the scenario JSON form
-    (:func:`repro.emulator.scenario.graph_to_dict`).  GR submits must
+    (:func:`repro.core.scenario.graph_to_dict`).  GR submits must
     carry ``min_rate``; BE submits use ``priority``/``availability``.
     ``max_paths`` of ``None`` takes the class default (5 for GR, 4 for
     BE, matching the in-process request dataclasses).

@@ -43,7 +43,9 @@ decision logs); clients detect the dropped connection and resubmit.
 Observability: ``server.*`` counters (``accepted``/``shed``/
 ``recovered``/``inflight``/...) land in the
 :class:`~repro.perf.metrics.LabeledRegistry` and therefore in
-``/metrics`` as ``sparcle_server_*``; per-connection trace spans are
+``/metrics`` as ``sparcle_server_*``, next to the per-log
+``shard.log_bytes`` / ``shard.log_records_since_checkpoint`` gauges and
+the ``shard.log_torn_records`` counter; per-connection trace spans are
 emitted when a tracer is installed.
 """
 
@@ -199,6 +201,10 @@ class SparcleServer:
             cross_retry_policy=retry_policy,
             log_dir=log_dir,
         )
+        for label, log in self.coordinator.event_logs().items():
+            self._metrics.incr(
+                "shard.log_torn_records", log.torn_records, shard=label
+            )
         self._server: asyncio.Server | None = None
         self._epoch_task: asyncio.Task[None] | None = None
         self._shutdown_task: asyncio.Task[None] | None = None
@@ -446,6 +452,7 @@ class SparcleServer:
             parts = request_line.decode("latin-1").split()
             target = parts[1] if len(parts) >= 2 else "/"
             if target.split("?", 1)[0] == "/metrics":
+                self._export_log_gauges()
                 body = prometheus_snapshot(labeled=self._metrics)
                 ctype = "text/plain; version=0.0.4; charset=utf-8"
             elif target.split("?", 1)[0] == "/healthz":
@@ -466,6 +473,18 @@ class SparcleServer:
         finally:
             with contextlib.suppress(OSError):
                 writer.close()
+
+    def _export_log_gauges(self) -> None:
+        """Read the event-log sizes at scrape time (nothing on the hot path)."""
+        for label, log in self.coordinator.event_logs().items():
+            self._metrics.set_gauge(
+                "shard.log_bytes", float(log.size_bytes), shard=label
+            )
+            self._metrics.set_gauge(
+                "shard.log_records_since_checkpoint",
+                float(log.records_since_checkpoint),
+                shard=label,
+            )
 
     async def _handle_session(
         self,

@@ -11,8 +11,9 @@ placements that cannot be satisfied inside a single region:
   subnetworks plus the *boundary links* that cross regions.
 * :class:`ShardNode` — one region: a private :class:`SparcleScheduler`
   over the region subnetwork, an :class:`AdmissionGateway` in front of it,
-  and a durable JSONL :class:`ShardEventLog` recording every commit with
-  the post-commit residual snapshot (physical logging).
+  and a durable JSONL :class:`ShardEventLog` recording every state change
+  as the post-event capacity entries of the elements it touched (physical
+  logging, footprint-sized), on top of full-state checkpoints.
 * :class:`ShardCoordinator` — routes submits to the owning shard (pins
   decide; unpinned requests round-robin), and runs a **two-phase
   reserve/commit** for requests whose pins span regions: phase 1 evaluates
@@ -32,20 +33,27 @@ coordinator reserves their evaluated path rates like GR reservations
 boundary-link ledger conservative — a boundary link can never be
 double-booked by two shards because only the coordinator consumes it.
 
-**Durability and warm start.**  Every log record embeds the full residual
-snapshot after the commit it describes, so a killed shard warm-starts by
-thawing the last record (snapshot + replay) bit-for-bit instead of
-re-solving admission; logged live applications are *adopted* as opaque
-external reservations (their capacity stays held, duplicates stay
-rejected, withdrawal still works), while their queued-but-undecided
+**Durability and warm start.**  A log is a *checkpoint* (a record with
+the full residual + FCFS views) followed by *delta* records that carry,
+for the elements their event touched, those elements' complete post-event
+override entries.  A killed shard warm-starts by copying the last
+checkpoint and assigning every later delta over it (:func:`replay_log`)
+— bit-for-bit, because logged values are copied and never re-derived —
+instead of re-solving admission; logged live applications are *adopted*
+as opaque external reservations (their capacity stays held, duplicates
+stay rejected, withdrawal still works), while their queued-but-undecided
 siblings are lost — exactly once-semantics is the submitting client's
-retry loop, not the log's.
+retry loop, not the log's.  A record is flushed to the OS before its
+decision is delivered, so it survives a process kill but not a power
+loss; ``fsync`` runs only when :meth:`ShardEventLog.rewrite` rotates a
+recovered log down to one checkpoint.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Mapping, Sequence
+import os
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, TextIO
@@ -286,13 +294,6 @@ def _entries_to_json(entries: Entries) -> list[list[object]]:
     return [[element, resource, value] for element, resource, value in entries]
 
 
-def _entries_from_json(raw: Sequence[Sequence[object]]) -> Entries:
-    return tuple(
-        (str(element), str(resource), float(value))  # type: ignore[arg-type]
-        for element, resource, value in raw
-    )
-
-
 def _consumptions_to_json(consumptions: Consumptions) -> list[dict[str, Any]]:
     return [
         {
@@ -318,30 +319,88 @@ class ShardEventLog:
     """Append-only JSONL log of one shard's admission/repair events.
 
     Each record is one JSON object per line carrying a monotonically
-    increasing ``seq`` plus the full post-event residual snapshot
-    (physical logging): replay never re-runs admission, it thaws state.
-    With ``path=None`` the log is held in memory only (tests, throwaway
-    federations); with a path, records are flushed line-by-line and an
-    existing file is re-read on open, so a restarted process resumes the
-    same log.
+    increasing ``seq``.  The first record is a *checkpoint* — it carries
+    the full ``residual`` + ``fcfs`` override entries — and the records
+    after it carry a ``delta``: the complete post-event entries of the
+    elements the event touched (physical logging: replay never re-runs
+    admission, it copies values; see :func:`replay_log`).  With
+    ``path=None`` the log is held in memory only (tests, throwaway
+    federations); with a path, every record is flushed to the OS before
+    :meth:`append` returns (it survives a process kill, not a power
+    loss) and an existing file is re-read on open, so a restarted
+    process resumes the same log.
+
+    A process killed inside a write can leave a half-written final line:
+    it is dropped, the file is truncated back to the last complete
+    record and :attr:`torn_records` counts it — the event never
+    returned from :meth:`append`, so its decision was never delivered.
+    An undecodable line anywhere else is corruption and raises
+    :class:`~repro.exceptions.ShardError` naming the file and line.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self._path = Path(path) if path is not None else None
         self._records: list[dict[str, Any]] = []
         self._handle: TextIO | None = None
+        #: Half-written final records dropped when the file was opened.
+        self.torn_records = 0
         if self._path is not None:
             if self._path.exists():
-                for line in self._path.read_text(encoding="utf-8").splitlines():
-                    if line.strip():
-                        self._records.append(json.loads(line))
+                self._load(self._path)
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self._path, "a", encoding="utf-8")
+
+    def _load(self, path: Path) -> None:
+        raw = path.read_bytes()
+        lines = raw.split(b"\n")
+        last = max(
+            (n for n, line in enumerate(lines) if line.strip()), default=-1
+        )
+        offset = 0
+        for number, line in enumerate(lines):
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    if number != last:
+                        raise ShardError(
+                            f"{path}:{number + 1}: undecodable event-log "
+                            "record (only a torn final record is dropped)"
+                        ) from None
+                    self.torn_records = 1
+                    os.truncate(path, offset)
+                    return
+                self._records.append(record)
+            offset += len(line) + 1
+        if raw and not raw.endswith(b"\n"):
+            # The kill fell between a complete record and its newline.
+            with open(path, "ab") as handle:
+                handle.write(b"\n")
 
     @property
     def path(self) -> Path | None:
         """Where this log persists, or ``None`` for in-memory logs."""
         return self._path
+
+    @property
+    def size_bytes(self) -> int:
+        """Bytes this log holds on disk (``0`` when in memory or closed)."""
+        if self._handle is None:
+            return 0
+        return os.fstat(self._handle.fileno()).st_size
+
+    @property
+    def records_since_checkpoint(self) -> int:
+        """Records after the last one that carries full state.
+
+        What the next recovery has to apply on top of that checkpoint
+        (shard logs: a record with ``residual``; the coordinator log: one
+        with ``cross_apps``).
+        """
+        for count, record in enumerate(reversed(self._records)):
+            if "residual" in record or "cross_apps" in record:
+                return count
+        return len(self._records)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -353,6 +412,29 @@ class ShardEventLog:
         if self._handle is not None:
             self._handle.write(json.dumps(stamped, sort_keys=True) + "\n")
             self._handle.flush()
+        return stamped
+
+    def rewrite(self, checkpoint: Mapping[str, Any]) -> dict[str, Any]:
+        """Atomically replace the whole log with one checkpoint record.
+
+        The rotation a recovery ends with: ``checkpoint`` must carry
+        everything replaying the old records produced, because they are
+        gone afterwards.  On disk the record goes to a temporary file
+        that is flushed, ``fsync``-ed and renamed over the log, so a
+        crash at any point leaves either the old log or the new one —
+        both replay to the same state.
+        """
+        stamped: dict[str, Any] = {"seq": 0, **checkpoint}
+        if self._path is not None:
+            self.close()
+            scratch = self._path.with_name(self._path.name + ".tmp")
+            with open(scratch, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(stamped, sort_keys=True) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(scratch, self._path)
+            self._handle = open(self._path, "a", encoding="utf-8")
+        self._records = [stamped]
         return stamped
 
     def records(self) -> tuple[dict[str, Any], ...]:
@@ -375,6 +457,15 @@ class ReplayedApp:
     origin: str  # "local" | "external"
     consumptions: Consumptions
 
+    def to_json(self) -> dict[str, Any]:
+        """This app as a checkpoint record's ``apps`` entry."""
+        return {
+            "app_id": self.app_id,
+            "kind": self.kind,
+            "origin": self.origin,
+            "consumed": _consumptions_to_json(self.consumptions),
+        }
+
 
 @dataclass(frozen=True)
 class ReplayState:
@@ -391,22 +482,71 @@ class ReplayState:
     apps: tuple[ReplayedApp, ...]
 
 
+def _last_with(records: Sequence[Mapping[str, Any]], key: str) -> int | None:
+    for index in range(len(records) - 1, -1, -1):
+        if key in records[index]:
+            return index
+    return None
+
+
+def _replay_view(
+    records: Sequence[Mapping[str, Any]], checkpoint: int, key: str
+) -> Entries:
+    """One capacity view: the checkpoint's entries, then every delta."""
+    view: dict[str, dict[str, float]] = {}
+    for element, resource, value in records[checkpoint].get(key, ()):
+        view.setdefault(str(element), {})[str(resource)] = float(value)
+    for index in range(checkpoint + 1, len(records)):
+        delta = records[index].get("delta")
+        if delta is None:
+            continue
+        for element, bucket in delta[key].items():
+            if bucket:
+                view[element] = bucket
+            else:
+                view.pop(element, None)
+    return tuple(
+        (element, resource, float(view[element][resource]))
+        for element in sorted(view)
+        for resource in sorted(view[element])
+    )
+
+
 def replay_log(records: Sequence[Mapping[str, Any]]) -> ReplayState:
     """Reconstruct residual state and live tenants from log records.
 
-    Raises :class:`~repro.exceptions.ShardError` for an empty log — there
-    is nothing to warm-start from.
+    The capacity views start from the last *checkpoint* — a record that
+    carries the full ``residual`` / ``fcfs`` entries — and every later
+    record's ``delta`` (``{view: {element: {resource: value}}}``) is
+    assigned over them element by element: the element's previous
+    entries are dropped and the logged ones set, an empty bucket meaning
+    "reads the raw capacity again".  Values are copied, never
+    re-derived, so the result is bit-equal to the state that was logged
+    — and applying a record twice changes nothing.  The live
+    applications accumulate from the last checkpoint that lists its
+    ``apps`` (or from the first record when none does).  A log in which
+    every record carries full views — what earlier versions wrote — is
+    a log made of checkpoints and replays the same way.
+
+    Raises :class:`~repro.exceptions.ShardError` for an empty log, or
+    one with no checkpoint — there is nothing to warm-start from.
     """
     if not records:
         raise ShardError("cannot replay an empty shard event log")
-    residual: Entries = ()
-    fcfs: Entries = ()
+    checkpoint = _last_with(records, "residual")
+    if checkpoint is None:
+        raise ShardError(
+            "shard event log has no checkpoint record to replay from"
+        )
     apps: dict[str, ReplayedApp] = {}
-    for record in records:
-        if "residual" in record:
-            residual = _entries_from_json(record["residual"])
-        if "fcfs" in record:
-            fcfs = _entries_from_json(record["fcfs"])
+    for record in records[_last_with(records, "apps") or 0 :]:
+        for app in record.get("apps", ()):
+            apps[app["app_id"]] = ReplayedApp(
+                app_id=app["app_id"],
+                kind=app["kind"],
+                origin=app["origin"],
+                consumptions=_consumptions_from_json(app["consumed"]),
+            )
         kind = record.get("type")
         if kind == "epoch":
             for decision in record["decisions"]:
@@ -428,7 +568,11 @@ def replay_log(records: Sequence[Mapping[str, Any]]) -> ReplayState:
             )
         elif kind == "release":
             apps.pop(record["app_id"], None)
-    return ReplayState(residual=residual, fcfs=fcfs, apps=tuple(apps.values()))
+    return ReplayState(
+        residual=_replay_view(records, checkpoint, "residual"),
+        fcfs=_replay_view(records, checkpoint, "fcfs"),
+        apps=tuple(apps.values()),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -441,8 +585,9 @@ class ShardNode:
     admitted placements can never touch a boundary link or another
     region's elements by construction.  Every state change — gateway
     epoch, cross-shard reservation, withdrawal — appends one log record
-    embedding the post-change residual snapshot, which is what
-    :meth:`warm_start` thaws after a :meth:`kill`.
+    whose ``delta`` holds the post-change entries of the elements the
+    scheduler reports it touched; :meth:`warm_start` replays those over
+    the log's last checkpoint after a :meth:`kill`.
     """
 
     def __init__(
@@ -476,7 +621,7 @@ class ShardNode:
         #: True when the log held records from an earlier process at open
         #: time — the signal :meth:`recover` keys off.
         self._preexisting = len(self.log) > 0
-        if len(self.log) == 0:
+        if not self._preexisting:
             self.log.append(self._stamp({"type": "snapshot"}))
 
     def _build(self) -> None:
@@ -494,14 +639,25 @@ class ShardNode:
 
     # ------------------------------------------------------------------
     def _stamp(self, record: dict[str, Any]) -> dict[str, Any]:
-        """Attach the post-event physical snapshot to one log record."""
+        """Make ``record`` a checkpoint: both full views plus the live apps.
+
+        Only called where every live app is an adopted one — on a fresh
+        node and right after a replay — so the record is self-contained:
+        replaying it alone restores everything the log before it held.
+        """
         record["residual"] = _entries_to_json(
             self.scheduler.residual_snapshot().entries
         )
         record["fcfs"] = _entries_to_json(
             self.scheduler.fcfs_snapshot().entries
         )
+        record["apps"] = [app.to_json() for app in self._adopted.values()]
         return record
+
+    def _delta(self, touched: Iterable[str]) -> dict[str, Any]:
+        """The post-event entries of both views on the touched elements."""
+        residual, fcfs = self.scheduler.entries_on(touched)
+        return {"residual": residual, "fcfs": fcfs}
 
     def _require_alive(self) -> None:
         if not self.alive:
@@ -536,7 +692,7 @@ class ShardNode:
         return self.gateway.submit(request)
 
     def run_epoch(self) -> EpochReport:
-        """Run one gateway epoch and log its decisions + post-state."""
+        """Run one gateway epoch and log its decisions + what they changed."""
         self._require_alive()
         report = self.gateway.run_epoch()
         self._log_new_decisions()
@@ -547,7 +703,9 @@ class ShardNode:
         if not news:
             return
         payload: list[dict[str, Any]] = []
+        touched: set[str] = set()
         for decision in news:
+            touched |= self.scheduler.charged_elements(decision)
             consumed: Consumptions = ()
             if decision.accepted and decision.kind == "GR":
                 consumed = tuple(
@@ -570,36 +728,40 @@ class ShardNode:
             )
         self._decision_mark = len(self.scheduler.decisions)
         self.log.append(
-            self._stamp(
-                {
-                    "type": "epoch",
-                    "epoch": self.gateway.epoch,
-                    "decisions": payload,
-                }
-            )
+            {
+                "type": "epoch",
+                "epoch": self.gateway.epoch,
+                "decisions": payload,
+                "delta": self._delta(touched),
+            }
         )
 
     def apply_external(self, app_id: str, consumptions: Consumptions) -> None:
         """Reserve capacity for a cross-shard app (coordinator phase 2)."""
         self._require_alive()
-        self.scheduler.reserve_external(app_id, consumptions)
+        touched = self.scheduler.reserve_external(app_id, consumptions)
         self.log.append(
-            self._stamp(
-                {
-                    "type": "reserve",
-                    "app_id": app_id,
-                    "consumed": _consumptions_to_json(consumptions),
-                }
-            )
+            {
+                "type": "reserve",
+                "app_id": app_id,
+                "consumed": _consumptions_to_json(consumptions),
+                "delta": self._delta(touched),
+            }
         )
 
     def withdraw(self, app_id: str) -> None:
         """Release one app's reservations (local, adopted, or external)."""
         self._require_alive()
-        self.scheduler.withdraw(app_id)
+        touched = self.scheduler.withdraw(app_id)
         self._local.pop(app_id, None)
         self._adopted.pop(app_id, None)
-        self.log.append(self._stamp({"type": "release", "app_id": app_id}))
+        self.log.append(
+            {
+                "type": "release",
+                "app_id": app_id,
+                "delta": self._delta(touched),
+            }
+        )
 
     # ------------------------------------------------------------------
     # Failure / warm start
@@ -609,17 +771,8 @@ class ShardNode:
         self._require_alive()
         self.alive = False
 
-    def warm_start(self) -> None:
-        """Restart from the event log instead of re-solving admission.
-
-        Thaws the last logged residual/FCFS snapshots bit-for-bit, then
-        adopts every logged live application as an external reservation
-        (capacity stays held, duplicate ids stay rejected, withdrawal
-        still works).  Raises :class:`~repro.exceptions.ShardError` if
-        the shard is still alive or the log is empty.
-        """
-        if self.alive:
-            raise ShardError(f"shard {self.shard_id} is not down")
+    def _restore(self) -> None:
+        """Rebuild the scheduler from the log: views copied, apps adopted."""
         state = replay_log(self.log.records())
         self._build()
         self.scheduler.restore_residual(
@@ -634,6 +787,20 @@ class ShardNode:
             )
             self._adopted[app.app_id] = app
         self.alive = True
+
+    def warm_start(self) -> None:
+        """Restart from the event log instead of re-solving admission.
+
+        Replays the log (:func:`replay_log`) into bit-equal residual/FCFS
+        views, then adopts every logged live application as an external
+        reservation (capacity stays held, duplicate ids stay rejected,
+        withdrawal still works), and appends a ``restart`` checkpoint.
+        Raises :class:`~repro.exceptions.ShardError` if the shard is
+        still alive or the log is empty.
+        """
+        if self.alive:
+            raise ShardError(f"shard {self.shard_id} is not down")
+        self._restore()
         self.log.append(self._stamp({"type": "restart"}))
 
     def recover(self) -> bool:
@@ -643,14 +810,17 @@ class ShardNode:
         sees the previous incarnation's records but starts with an empty
         scheduler; this replays them (exactly like :meth:`warm_start`
         after an in-process :meth:`kill`) so the shard resumes with every
-        reservation re-held before accepting traffic.  Returns ``True``
-        when a replay happened, ``False`` when the log was fresh and the
-        node is already in its initial state.
+        reservation re-held before accepting traffic, then compacts the
+        log to the one checkpoint that state amounts to
+        (:meth:`ShardEventLog.rewrite`) — a log stays O(live state +
+        churn since the last process start).  Returns ``True`` when a
+        replay happened, ``False`` when the log was fresh and the node
+        is already in its initial state.
         """
         if not self._preexisting:
             return False
-        self.alive = False
-        self.warm_start()
+        self._restore()
+        self.log.rewrite(self._stamp({"type": "checkpoint"}))
         return True
 
     def adopted_externals(self) -> tuple[str, ...]:
@@ -692,6 +862,18 @@ class _CrossApp:
             if owner == LEDGER:
                 return consumptions
         return ()
+
+    def to_json(self) -> dict[str, Any]:
+        """This app as the coordinator log records it.
+
+        Only the boundary-link part is logged: the per-shard parts are
+        in the shard logs and re-read from the recovered schedulers.
+        """
+        return {
+            "app_id": self.app_id,
+            "kind": self.kind,
+            "consumed": _consumptions_to_json(self.ledger_consumptions()),
+        }
 
 
 @dataclass(frozen=True)
@@ -815,10 +997,8 @@ class ShardCoordinator:
         #: True when the coordinator log held records from an earlier
         #: process at open time — the signal :meth:`recover` keys off.
         self._log_preexisted = len(self._log) > 0
-        if len(self._log) == 0:
-            self._log.append(
-                {"type": "snapshot", "ledger": _entries_to_json(())}
-            )
+        if not self._log_preexisted:
+            self._log.append(self._checkpoint("snapshot"))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -880,6 +1060,24 @@ class ShardCoordinator:
     def ledger_entries(self) -> Entries:
         """The boundary-link ledger's residual overrides."""
         return self._ledger.freeze().entries
+
+    def event_logs(self) -> dict[str, ShardEventLog]:
+        """Every event log of the federation, keyed like its file stem.
+
+        ``shard-0`` ... per region plus ``coordinator`` — the label set
+        the ``shard.log_*`` series on ``/metrics`` use.
+        """
+        logs = {f"shard-{node.shard_id}": node.log for node in self._nodes}
+        logs["coordinator"] = self._log
+        return logs
+
+    def _checkpoint(self, kind: str) -> dict[str, Any]:
+        """A self-contained coordinator record: live cross-apps + ledger."""
+        return {
+            "type": kind,
+            "cross_apps": [app.to_json() for app in self._apps.values()],
+            "ledger": _entries_to_json(self.ledger_entries()),
+        }
 
     def decision_for(self, ticket: int) -> Decision | None:
         """The decision for one :meth:`submit` ticket, if reached yet.
@@ -1127,17 +1325,7 @@ class ShardCoordinator:
                 for owner, consumptions in per_owner.items()
             ),
         )
-        self._log.append(
-            {
-                "type": "commit",
-                "app_id": app_id,
-                "kind": proposal.kind,
-                "consumed": _consumptions_to_json(
-                    tuple(per_owner.get(LEDGER, []))
-                ),
-                "ledger": _entries_to_json(self.ledger_entries()),
-            }
-        )
+        self._log.append({"type": "commit", **self._apps[app_id].to_json()})
         return Decision(
             app_id,
             proposal.kind,
@@ -1277,9 +1465,6 @@ class ShardCoordinator:
             for loads, rate in app.ledger_consumptions():
                 view.consume(loads, rate, clamp=True)
         self._ledger = view
-        self._log.append(
-            {"type": "ledger", "ledger": _entries_to_json(self.ledger_entries())}
-        )
 
     def kill_shard(self, shard_id: int) -> int:
         """Crash one shard; returns how many queued requests were lost."""
@@ -1325,32 +1510,37 @@ class ShardCoordinator:
         process committed stays held and every admitted app id stays
         rejected as a duplicate.  Queued-but-undecided requests are not
         recovered (the logs are decision logs, not arrival logs);
-        clients resubmit them.
+        clients resubmit them.  Each replayed log is then compacted to
+        one checkpoint record, file by file: a crash between two
+        compactions leaves every file individually replayable.
 
         Returns the number of live applications recovered; ``0`` when
         the logs were fresh and there was nothing to replay.
         """
-        if not self._log_preexisted:
-            for node in self._nodes:
-                node.recover()
-            return 0
         for node in self._nodes:
             node.recover()
+        if not self._log_preexisted:
+            return 0
         self._node_marks = [0] * self.partition.n_shards
         # Rebuild the cross-shard app table from the coordinator log:
-        # a "commit" record carries the app's boundary-link consumptions,
+        # a checkpoint lists the apps live when it was written, a
+        # "commit" record carries one app's boundary-link consumptions,
         # a "release" retires it.
         kinds: dict[str, str] = {}
         ledger_parts: dict[str, Consumptions] = {}
-        for record in self._log.records():
+        records = self._log.records()
+        for record in records[_last_with(records, "cross_apps") or 0 :]:
             rtype = record.get("type")
+            admitted = record.get("cross_apps", ())
             if rtype == "commit":
-                app_id = str(record["app_id"])
-                kinds[app_id] = str(record["kind"])
+                admitted = (record,)
+            for app in admitted:
+                app_id = str(app["app_id"])
+                kinds[app_id] = str(app["kind"])
                 ledger_parts[app_id] = _consumptions_from_json(
-                    record["consumed"]
+                    app["consumed"]
                 )
-            elif rtype == "release":
+            if rtype == "release":
                 app_id = str(record["app_id"])
                 kinds.pop(app_id, None)
                 ledger_parts.pop(app_id, None)
@@ -1385,15 +1575,8 @@ class ShardCoordinator:
         for app in self._apps.values():
             for loads, rate in app.ledger_consumptions():
                 self._ledger.consume(loads, rate, clamp=True)
-        recovered = len(self._all_ids)
-        self._log.append(
-            {
-                "type": "recover",
-                "apps": sorted(self._all_ids),
-                "ledger": _entries_to_json(self.ledger_entries()),
-            }
-        )
-        return recovered
+        self._log.rewrite(self._checkpoint("recover"))
+        return len(self._all_ids)
 
     def _node(self, shard_id: int) -> ShardNode:
         if not 0 <= shard_id < len(self._nodes):

@@ -3,8 +3,8 @@
 The ISSUE's acceptance bar for ``sparcle serve``: a server killed
 mid-burst and restarted with ``recover=True`` must replay the durable
 event logs into exactly the pre-kill admission state — zero
-double-admissions, pre-kill log bytes a bit-identical prefix of the
-recovered logs, and no request silently lost.  :func:`run_serve_soak`
+double-admissions, each recovered log compacted to a checkpoint that
+replays to what its pre-kill records did, and no request silently lost.  :func:`run_serve_soak`
 runs that scenario end-to-end over real sockets; this suite runs it for
 several seeds and checks the report shape the CLI and CI consume.
 """

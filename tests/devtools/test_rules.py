@@ -66,6 +66,7 @@ class TestSPC001ResourceLiterals:
     @pytest.mark.parametrize("relpath", [
         "repro/core/taskgraph.py",
         "repro/core/routing.py",
+        "repro/core/scenario.py",
         "repro/emulator/scenario.py",
     ])
     def test_allowlisted_files_exempt(self, tmp_path, relpath):

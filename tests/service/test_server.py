@@ -11,6 +11,8 @@ deterministic).  Tests are plain sync functions driving their own
 from __future__ import annotations
 
 import asyncio
+import json
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ from repro.service.protocol import (
     encode,
 )
 from repro.service.server import SparcleServer
+from repro.service.shard import replay_log
 
 
 def _network():
@@ -454,6 +457,74 @@ class TestHttp:
 
         _serve(_go)
 
+    def test_metrics_export_event_log_series_per_log(self, tmp_path):
+        log_dir = tmp_path / "logs"
+        series = (
+            "shard.log_bytes",
+            "shard.log_records_since_checkpoint",
+            "shard.log_torn_records",
+        )
+
+        async def _go(server):
+            async with await SparcleClient.open(
+                server.host, server.port
+            ) as client:
+                await client.submit(_gr("m1"))
+                await client.decision("m1")
+            body = await scrape_metrics(server.host, server.port)
+            page = {
+                line.rpartition(" ")[0]: float(line.rpartition(" ")[2])
+                for line in body.splitlines()
+                if line and not line.startswith("#")
+            }
+            logs = server.coordinator.event_logs()
+            assert sorted(logs) == ["coordinator", "shard-0", "shard-1"]
+            since = "sparcle_shard_log_records_since_checkpoint"
+            for label, log in logs.items():
+                size = (log_dir / f"{label}.jsonl").stat().st_size
+                assert page[f'sparcle_shard_log_bytes{{shard="{label}"}}'] == size
+                assert page[f'sparcle_shard_log_torn_records{{shard="{label}"}}'] == 0
+                # Every record after a fresh log's opening snapshot.
+                assert page[f'{since}{{shard="{label}"}}'] == len(log) - 1
+            assert sum(len(log) - 1 for log in logs.values()) >= 1
+
+        _serve(_go, n_shards=2, log_dir=log_dir)
+        # The series are documented where the others are.
+        docs = (
+            Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+        ).read_text()
+        for name in series:
+            assert f"`{name}{{shard}}`" in docs
+
+    def test_torn_final_record_is_counted_not_fatal(self, tmp_path):
+        log_dir = tmp_path / "logs"
+
+        async def _admit(server):
+            async with await SparcleClient.open(
+                server.host, server.port
+            ) as client:
+                await client.submit(_gr("kept"))
+                assert (await client.decision("kept")).accepted
+
+        _serve(_admit, n_shards=1, log_dir=log_dir)
+        with open(log_dir / "shard-0.jsonl", "a") as handle:
+            handle.write('{"seq": 9, "type": "epoch", "decisions": [{"app')
+        registry = LabeledRegistry()
+
+        async def _recovered(server):
+            assert server.recovered == 1
+            assert registry.get(
+                "shard.log_torn_records", shard="shard-0"
+            ) == 1
+            assert registry.get(
+                "shard.log_torn_records", shard="coordinator"
+            ) == 0
+
+        _serve(
+            _recovered, n_shards=1, log_dir=log_dir, recover=True,
+            registry=registry,
+        )
+
     def test_head_request_omits_body(self):
         async def _go(server):
             reader, writer = await asyncio.open_connection(
@@ -516,10 +587,14 @@ class TestRecovery:
             await client2.close()
             await server2.shutdown()
 
-            # Recovery appended to the logs; it never rewrote history.
+            # Recovery compacted each shard log to one checkpoint that
+            # alone replays to what the whole pre-kill log replayed to.
             for name, pre_bytes in pre_logs.items():
-                post = (log_dir / name).read_bytes()
-                assert post.startswith(pre_bytes)
+                if not name.startswith("shard-"):
+                    continue
+                post = (log_dir / name).read_text().splitlines()
+                pre = [json.loads(line) for line in pre_bytes.splitlines()]
+                assert replay_log([json.loads(post[0])]) == replay_log(pre)
 
         asyncio.run(_run())
 

@@ -196,6 +196,125 @@ class TestShardEventLog:
         assert by_id["ext"].consumptions[0][1] == 1.0
 
 
+    def test_replay_without_a_checkpoint_raises(self):
+        with pytest.raises(ShardError, match="no checkpoint"):
+            replay_log([{"type": "release", "app_id": "a",
+                         "delta": {"residual": {}, "fcfs": {}}}])
+
+    def test_replay_assigns_deltas_over_the_last_checkpoint(self):
+        records = [
+            {"type": "snapshot", "apps": [],
+             "residual": [["l1", BANDWIDTH, 9.0], ["l2", BANDWIDTH, 4.0]],
+             "fcfs": [["l1", BANDWIDTH, 9.0]]},
+            # l1 changes, l2 loses its override, l3 gains one; the FCFS
+            # view is told l1 reads the raw capacity again.
+            {"type": "release", "app_id": "gone",
+             "delta": {"residual": {"l1": {BANDWIDTH: 7.5}, "l2": {},
+                                    "l3": {BANDWIDTH: 1.0}},
+                       "fcfs": {"l1": {}}}},
+        ]
+        state = replay_log(records)
+        assert state.residual == (
+            ("l1", BANDWIDTH, 7.5), ("l3", BANDWIDTH, 1.0),
+        )
+        assert state.fcfs == ()
+        # Values are copied, never re-derived: a record applied twice
+        # (a duplicated final write, same seq) changes nothing.
+        assert replay_log(records + [records[-1]]) == state
+
+    def test_torn_final_record_is_dropped_and_truncated(self, tmp_path):
+        path = tmp_path / "shard-0.jsonl"
+        log = ShardEventLog(path)
+        log.append({"type": "snapshot", "residual": [], "fcfs": [],
+                    "apps": []})
+        log.append({"type": "release", "app_id": "a",
+                    "delta": {"residual": {}, "fcfs": {}}})
+        log.close()
+        whole = path.read_bytes()
+        # A SIGKILL inside the next write leaves half a record behind.
+        path.write_bytes(whole + b'{"seq": 2, "type": "epoch", "decis')
+        reopened = ShardEventLog(path)
+        assert reopened.torn_records == 1
+        assert [r["seq"] for r in reopened.records()] == [0, 1]
+        assert path.read_bytes() == whole
+        assert reopened.size_bytes == len(whole)
+        # The next append lands on its own line with the next seq.
+        reopened.append({"type": "release", "app_id": "b",
+                         "delta": {"residual": {}, "fcfs": {}}})
+        reopened.close()
+        again = ShardEventLog(path)
+        assert again.torn_records == 0
+        assert [r["seq"] for r in again.records()] == [0, 1, 2]
+        again.close()
+
+    def test_complete_final_record_missing_its_newline_is_kept(self, tmp_path):
+        path = tmp_path / "shard-0.jsonl"
+        path.write_bytes(b'{"seq": 0, "type": "snapshot", "residual": [], '
+                         b'"fcfs": [], "apps": []}')
+        log = ShardEventLog(path)
+        assert log.torn_records == 0 and len(log) == 1
+        log.append({"type": "release", "app_id": "a",
+                    "delta": {"residual": {}, "fcfs": {}}})
+        log.close()
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_undecodable_record_before_the_end_names_file_and_line(
+        self, tmp_path
+    ):
+        path = tmp_path / "shard-0.jsonl"
+        path.write_text(
+            '{"seq": 0, "type": "snapshot", "residual": [], "fcfs": []}\n'
+            '{"seq": 1, "type": "rele\n'
+            '{"seq": 2, "type": "release", "app_id": "a"}\n'
+        )
+        with pytest.raises(ShardError, match=r"shard-0\.jsonl:2"):
+            ShardEventLog(path)
+        # Corruption is reported, never repaired.
+        assert len(path.read_text().splitlines()) == 3
+
+    def test_duplicated_final_seq_opens_and_replays_the_same(self, tmp_path):
+        path = tmp_path / "shard-0.jsonl"
+        log = ShardEventLog(path)
+        log.append({"type": "snapshot", "apps": [], "fcfs": [],
+                    "residual": [["l1", BANDWIDTH, 9.0]]})
+        log.append({"type": "release", "app_id": "a",
+                    "delta": {"residual": {"l1": {BANDWIDTH: 9.5}},
+                              "fcfs": {"l1": {}}}})
+        log.close()
+        expected = replay_log(ShardEventLog(path).records())
+        last = path.read_text().splitlines()[-1]
+        with open(path, "a") as handle:
+            handle.write(last + "\n")
+        doubled = ShardEventLog(path)
+        assert [r["seq"] for r in doubled.records()] == [0, 1, 1]
+        assert replay_log(doubled.records()) == expected
+        doubled.close()
+
+    def test_rewrite_replaces_the_log_with_one_checkpoint(self, tmp_path):
+        path = tmp_path / "shard-0.jsonl"
+        log = ShardEventLog(path)
+        for index in range(5):
+            log.append({"type": "release", "app_id": f"a{index}"})
+        assert log.records_since_checkpoint == 5
+        stamped = log.rewrite({"type": "checkpoint", "residual": [],
+                               "fcfs": [], "apps": []})
+        assert stamped["seq"] == 0
+        assert len(log) == 1 and log.records_since_checkpoint == 0
+        assert log.size_bytes == path.stat().st_size
+        assert not list(tmp_path.glob("*.tmp"))
+        # Appends continue on the rotated file.
+        log.append({"type": "release", "app_id": "later"})
+        log.close()
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["seq"] for line in lines] == [0, 1]
+        # In-memory logs compact the same way.
+        memory = ShardEventLog()
+        memory.append({"type": "release", "app_id": "x"})
+        memory.rewrite({"type": "checkpoint", "residual": [], "fcfs": [],
+                        "apps": []})
+        assert [r["type"] for r in memory.records()] == ["checkpoint"]
+
+
 # ----------------------------------------------------------------------
 # Scheduler external-reservation plumbing
 # ----------------------------------------------------------------------
@@ -216,6 +335,35 @@ class TestExternalReservations:
         assert residual[(link, BANDWIDTH)] == pytest.approx(6.0)
         scheduler.withdraw("ext")
         assert scheduler.external_tags() == ()
+
+    def test_state_changes_report_the_elements_they_touched(self):
+        network, scheduler = self._scheduler()
+        link = network.links[0].name
+        loads = ({link: {BANDWIDTH: 1.0}}, 4.0)
+        assert scheduler.reserve_external("ext", (loads,)) == {link}
+        assert scheduler.reserve_external(
+            "ghost", (loads,), charge=False
+        ) == frozenset()
+        residual, fcfs = scheduler.entries_on([link, "ncp1"])
+        assert residual == {link: {BANDWIDTH: 6.0}, "ncp1": {}}
+        assert fcfs == residual
+        assert scheduler.withdraw("ext") == {link}
+        gr = scheduler.submit_gr(_gr("g", "ncp1", "ncp2", min_rate=0.5))
+        assert gr.accepted
+        touched = scheduler.charged_elements(gr)
+        assert touched == {
+            element for p in gr.placements for element in p.loads()
+        }
+        # A BE app under prediction is charged to no view.
+        be = scheduler.submit_be(_be("b", "ncp1", "ncp2"))
+        assert be.accepted
+        assert scheduler.charged_elements(be) == frozenset()
+        assert scheduler.withdraw("b") == frozenset()
+        assert scheduler.withdraw("g") == touched
+        rejected = scheduler.submit_gr(
+            _gr("huge", "ncp1", "ncp2", min_rate=1e9)
+        )
+        assert scheduler.charged_elements(rejected) == frozenset()
 
     def test_overcommit_is_atomic(self):
         network, scheduler = self._scheduler()
@@ -471,6 +619,71 @@ class TestKillAndWarmStart:
             # The stale reservation replayed from shard 0's log was
             # released against the coordinator's app table.
             assert "cross0" not in coordinator.nodes[0].scheduler.external_tags()
+
+    def test_recover_compacts_every_log_to_one_checkpoint(self, tmp_path):
+        network, coordinator = self._loaded_coordinator(tmp_path)
+        zones = dict(coordinator.partition.assignments)
+        with coordinator:
+            coordinator.withdraw("g1")
+            before = coordinator.residual_state()
+            held = [
+                sorted(node.consumption_ledger())
+                for node in coordinator.nodes
+            ]
+            cross = sorted(app_id for app_id, _ in coordinator.cross_apps())
+            replayed = [
+                replay_log(node.log.records()) for node in coordinator.nodes
+            ]
+        sizes = {p.name: p.stat().st_size for p in tmp_path.glob("*.jsonl")}
+
+        def reopen():
+            return ShardCoordinator(
+                network, zones=zones, max_queue_depth=64, log_dir=tmp_path
+            )
+
+        with reopen() as second:
+            recovered = second.recover()
+            assert second.residual_state() == before
+            assert [
+                sorted(node.consumption_ledger()) for node in second.nodes
+            ] == held
+            assert sorted(a for a, _ in second.cross_apps()) == cross
+            for label, log in second.event_logs().items():
+                assert len(log) == 1, label
+                assert log.records_since_checkpoint == 0
+                assert log.size_bytes < sizes[f"{label}.jsonl"]
+            for node, state in zip(second.nodes, replayed):
+                assert replay_log(node.log.records()) == state
+            assert not list(tmp_path.glob("*.tmp"))
+            # The compacted federation keeps working and keeps logging.
+            second.withdraw("cross0")
+            after = second.residual_state()
+        # A third process replays checkpoint + churn to the same state.
+        with reopen() as third:
+            assert third.recover() == recovered - 1
+            assert third.residual_state() == after
+            assert "cross0" not in [a for a, _ in third.cross_apps()]
+
+    def test_recover_survives_a_crash_between_two_compactions(self, tmp_path):
+        network, coordinator = self._loaded_coordinator(tmp_path)
+        zones = dict(coordinator.partition.assignments)
+        with coordinator:
+            before = coordinator.residual_state()
+        old = {p.name: p.read_bytes() for p in tmp_path.glob("*.jsonl")}
+        with ShardCoordinator(
+            network, zones=zones, max_queue_depth=64, log_dir=tmp_path
+        ) as second:
+            recovered = second.recover()
+        # Only shard 0 got compacted before the crash: put the other
+        # files back as the first process left them.
+        for name, content in old.items():
+            if name != "shard-0.jsonl":
+                (tmp_path / name).write_bytes(content)
+        with ShardCoordinator(
+            network, zones=zones, max_queue_depth=64, log_dir=tmp_path
+        ) as third:
+            assert third.recover() == recovered
+            assert third.residual_state() == before
 
     def test_restart_alive_shard_and_unknown_shard_raise(self):
         network, zones = _clique_world(4, 2)

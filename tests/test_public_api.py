@@ -228,7 +228,8 @@ API_SIGNATURES = {
     "run_serve_soak":
         "(seed: 'int', n_requests: 'int' = 24, *, n_shards: 'int' = 2, "
         "profile: 'FuzzProfile | None' = None, "
-        "quick: 'bool' = False) -> 'ServeSoakReport'",
+        "quick: 'bool' = False, "
+        "log_dir: 'Path | None' = None) -> 'ServeSoakReport'",
 }
 
 
