@@ -28,7 +28,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.network import (
-    Link,
     Network,
     fully_connected_network,
     linear_network,
@@ -74,11 +73,6 @@ class FuzzProfile:
     min_rate_range: tuple[float, float] = (0.02, 0.3)
     availability_range: tuple[float, float] = (0.3, 0.9)
     max_paths: int = 3
-    #: At most this many links carry a nonzero failure probability.  The
-    #: exact Eq.-(7) enumeration is 2^(fallible elements on the app's
-    #: paths), so an unbounded fallible set makes every admission of an
-    #: availability-seeking GR app cost seconds on dense topologies.
-    max_fallible_links: int = 10
     #: How often fuzz_world retries before declaring the fuzzer broken.
     lint_attempts: int = 5
 
@@ -109,10 +103,7 @@ def fuzz_network(
     family = str(generator.choice(NETWORK_FAMILIES))
     n_ncps = int(generator.integers(profile.min_ncps, profile.max_ncps + 1))
     link_pf = float(generator.uniform(*profile.failure_probability_range))
-    # Only links fail (the paper's Fig.-4 failure model).  Making every
-    # NCP fallible too pushes multi-path Eq.-(7) checks toward the
-    # 2^MAX_EXACT_ELEMENTS exact-enumeration ceiling, turning each
-    # admission into seconds of work — soak traces need thousands.
+    # Only links fail: the paper's Fig.-4 failure model.
     ncp_pf = 0.0
 
     def cpus(count: int) -> list[float]:
@@ -163,36 +154,7 @@ def fuzz_network(
             bandwidth_at_zero=profile.bandwidth_range[1],
             link_failure_probability=link_pf,
         )
-    return _bound_fallible_links(generator, network, profile), family
-
-
-def _bound_fallible_links(
-    generator: np.random.Generator, network: Network, profile: FuzzProfile
-) -> Network:
-    """Keep at most ``profile.max_fallible_links`` links fallible.
-
-    Rebuilds the network with the failure probability retained on a
-    random link subset and zeroed elsewhere, so every downstream exact
-    availability computation stays within its enumeration budget no
-    matter how dense the fuzzed topology is.
-    """
-    links = list(network.links)
-    budget = profile.max_fallible_links
-    if budget < 0 or sum(1 for l in links if l.failure_probability > 0.0) <= budget:
-        return network
-    names = np.array(sorted(l.name for l in links), dtype=object)
-    keep = {
-        str(n) for n in generator.choice(names, size=budget, replace=False)
-    }
-    rebuilt = [
-        link
-        if link.name in keep
-        else Link(link.name, link.a, link.b, link.bandwidth,
-                  failure_probability=0.0)
-        for link in links
-    ]
-    return Network(network.name, list(network.ncps), rebuilt,
-                   directed=network.directed)
+    return network, family
 
 
 def fuzz_graph(

@@ -46,7 +46,6 @@ from repro.core.availability import (
     any_path_availability,
     availability_ceiling,
     min_rate_availability,
-    min_rate_availability_disjoint,
     path_availability,
     single_points_of_failure,
 )
@@ -166,7 +165,6 @@ __all__ = [
     "linear_network",
     "linear_task_graph",
     "min_rate_availability",
-    "min_rate_availability_disjoint",
     "multi_camera_task_graph",
     "path_availability",
     "predict_capacity_factors",

@@ -6,26 +6,34 @@ task assignment path *works* only when every element it uses is up, so:
 * a single path's availability is ``prod over used elements (1 - Pf)``;
 * a BE application with several (possibly overlapping) paths is *available*
   when at least one path works;
-* a GR application with paths of rates ``r_1..r_n`` meets its min-rate
+* a GR application with paths of rates ``r_1..r_k`` meets its min-rate
   requirement ``R`` exactly when the aggregate rate of the *working* paths
   is at least ``R`` — Eq. (7).
 
-Overlap between paths makes path up/down events dependent, so this module
-computes probabilities at the *element* level:
+Overlap between paths makes path up/down events dependent, yet which paths
+work depends only on which fallible elements are up — and two elements
+used by exactly the same paths (the same *path-incidence signature*) can
+only take paths down together.  One evaluator therefore answers both
+questions exactly:
 
-* :func:`any_path_availability` — exact inclusion–exclusion over path
-  subsets (events "all elements of these paths are up" intersect cleanly);
-* :func:`min_rate_availability` — exact enumeration of the failure states
-  of all fallible elements when there are few enough, otherwise a seeded
-  Monte-Carlo estimate;
-* :func:`min_rate_availability_disjoint` — the paper's Eq.-(7) subset-sum
-  form, exact when paths share no elements (used as a cross-check and as
-  the fast path for disjoint routings).
+* the fallible elements are merged by signature into independent *groups*
+  whose up-probability is the product of their members' — at most
+  ``min(#fallible, 2^k - 1)`` groups for ``k`` paths, whatever the size
+  of the network;
+* a depth-first walk branches over the group states, heaviest group
+  first, returning a branch's prefix probability as soon as the paths
+  already certain to be up carry ``R`` and dropping it as soon as the
+  paths not yet killed cannot.
+
+:func:`min_rate_availability` is that walk; :func:`any_path_availability`
+is the same walk with unit rates and ``R = 1``; the paper's subset-sum
+form of Eq. (7) is the special case in which every path is its own group.
+Past :data:`MAX_EXACT_GROUPS` groups a seeded Monte-Carlo estimate over
+the group states takes over.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -36,15 +44,15 @@ from repro.core.network import Network
 from repro.core.placement import Placement
 from repro.utils.rng import ensure_rng
 
-#: Above this many fallible elements, exact state enumeration is refused.
-MAX_EXACT_ELEMENTS = 22
+#: Above this many path-incidence groups the exact walk hands over to a
+#: seeded Monte-Carlo estimate.  ``k`` paths form at most ``2^k - 1``
+#: groups, so only five or more heavily overlapping paths get here.
+MAX_EXACT_GROUPS = 22
 
-#: Above this many paths, the disjoint subset-sum form is refused.  The
-#: sorted-rate pruning in :func:`min_rate_availability_disjoint` usually
-#: collapses the 2^n subset walk long before this, but adversarial rate
-#: vectors (all paths needed, none sufficient) stay exponential — refuse
-#: loudly instead of hanging the process.
-MAX_EXACT_PATHS = 30
+#: Monte-Carlo sample count and seed past :data:`MAX_EXACT_GROUPS`; fixed
+#: so that an admission decision is a function of its inputs.
+_MONTE_CARLO_SAMPLES = 200_000
+_MONTE_CARLO_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -73,216 +81,107 @@ def path_availability(network: Network, elements: frozenset[str] | Placement) ->
 def any_path_availability(
     network: Network, paths: Sequence[frozenset[str] | Placement]
 ) -> float:
-    """P(at least one path fully up), exact via inclusion–exclusion.
+    """P(at least one path fully up), exact at any overlap.
 
-    ``P(union of A_s)`` where ``A_s`` = "all elements of path s are up";
-    the intersection over a subset of paths is the product of up-
-    probabilities over the *union* of their elements, so overlap is handled
-    exactly.  Exponential only in the number of paths (small by design —
-    the scheduler adds paths one at a time).
+    The min-rate walk with every path at unit rate and ``R = 1``.
     """
-    element_sets = [
-        p.used_elements() if isinstance(p, Placement) else frozenset(p) for p in paths
+    profiles = [
+        PathProfile(p.used_elements() if isinstance(p, Placement) else frozenset(p), 1.0)
+        for p in paths
     ]
-    if not element_sets:
-        return 0.0
-    total = 0.0
-    for size in range(1, len(element_sets) + 1):
-        sign = 1.0 if size % 2 == 1 else -1.0
-        for combo in itertools.combinations(element_sets, size):
-            union: frozenset[str] = frozenset().union(*combo)
-            total += sign * path_availability(network, union)
-    return min(max(total, 0.0), 1.0)
-
-
-def _fallible_elements(network: Network, profiles: Sequence[PathProfile]) -> list[str]:
-    """Elements used by any path that can actually fail, sorted."""
-    used: set[str] = set()
-    for profile in profiles:
-        used |= profile.elements
-    return sorted(e for e in used if network.failure_probability(e) > 0.0)
-
-
-def rate_distribution(
-    network: Network, profiles: Sequence[PathProfile]
-) -> dict[float, float]:
-    """Exact distribution of the aggregate rate of working paths.
-
-    Enumerates the up/down state of every fallible element (elements with
-    ``Pf = 0`` are always up).  Raises when more than
-    :data:`MAX_EXACT_ELEMENTS` elements are fallible — use the Monte-Carlo
-    estimator then.
-    """
-    fallible = _fallible_elements(network, profiles)
-    if len(fallible) > MAX_EXACT_ELEMENTS:
-        raise ValueError(
-            f"{len(fallible)} fallible elements exceed the exact-enumeration "
-            f"limit of {MAX_EXACT_ELEMENTS}; use min_rate_availability(..., "
-            f'method="monte-carlo")'
-        )
-    up_probability = {e: 1.0 - network.failure_probability(e) for e in fallible}
-    distribution: dict[float, float] = {}
-    for states in itertools.product((True, False), repeat=len(fallible)):
-        state = dict(zip(fallible, states))
-        probability = 1.0
-        for element, up in state.items():
-            probability *= up_probability[element] if up else 1.0 - up_probability[element]
-        if probability == 0.0:
-            continue
-        rate = sum(
-            profile.rate
-            for profile in profiles
-            if all(state.get(e, True) for e in profile.elements)
-        )
-        distribution[rate] = distribution.get(rate, 0.0) + probability
-    return distribution
+    return _eq7(network, profiles, 1.0)
 
 
 def min_rate_availability(
-    network: Network,
-    profiles: Sequence[PathProfile],
-    min_rate: float,
-    *,
-    method: str = "auto",
-    rng: int | np.random.Generator | None = 0,
-    samples: int = 200_000,
+    network: Network, profiles: Sequence[PathProfile], min_rate: float
 ) -> float:
     """``P(aggregate rate of working paths >= min_rate)`` — Eq. (7).
 
-    ``method`` is ``"exact"`` (element-state enumeration), ``"monte-carlo"``
-    (seeded sampling), or ``"auto"`` (exact when tractable).  A small
-    tolerance absorbs floating-point noise at the threshold so a path whose
-    rate *equals* the requirement counts as satisfying it.
+    Exact up to :data:`MAX_EXACT_GROUPS` path-incidence groups, a seeded
+    Monte-Carlo estimate beyond.  A small tolerance absorbs floating-point
+    noise at the threshold so a path whose rate *equals* the requirement
+    counts as satisfying it.
     """
     if min_rate < 0:
         raise ValueError(f"min_rate must be non-negative, got {min_rate}")
-    if method not in ("auto", "exact", "monte-carlo"):
-        raise ValueError(f"unknown method {method!r}")
-    if not profiles:
-        return 1.0 if min_rate <= 0.0 else 0.0
-    tolerance = 1e-9 * max(1.0, min_rate)
-    if method == "auto":
-        fallible = _fallible_elements(network, profiles)
-        method = "exact" if len(fallible) <= MAX_EXACT_ELEMENTS else "monte-carlo"
-    if method == "exact":
-        distribution = rate_distribution(network, profiles)
-        return min(
-            1.0,
-            sum(p for rate, p in distribution.items() if rate >= min_rate - tolerance),
-        )
-    if method == "monte-carlo":
-        return _min_rate_monte_carlo(network, profiles, min_rate - tolerance, rng, samples)
-    raise ValueError(f"unknown method {method!r}")
+    return _eq7(network, profiles, min_rate)
 
 
-def _min_rate_monte_carlo(
-    network: Network,
-    profiles: Sequence[PathProfile],
-    threshold: float,
-    rng: int | np.random.Generator | None,
-    samples: int,
-) -> float:
-    generator = ensure_rng(rng)
-    fallible = _fallible_elements(network, profiles)
-    if not fallible:
-        total = sum(p.rate for p in profiles)
-        return 1.0 if total >= threshold else 0.0
-    failure = np.array([network.failure_probability(e) for e in fallible])
-    index = {e: k for k, e in enumerate(fallible)}
-    # Membership matrix: paths x fallible elements.
-    membership = np.zeros((len(profiles), len(fallible)), dtype=bool)
-    rates = np.zeros(len(profiles))
-    for row, profile in enumerate(profiles):
-        rates[row] = profile.rate
-        for element in profile.elements:
-            if element in index:
-                membership[row, index[element]] = True
-    up = generator.random((samples, len(fallible))) >= failure  # samples x elements
-    # A path works when all of its fallible elements are up.
-    works = np.all(up[:, None, :] | ~membership[None, :, :], axis=2)  # samples x paths
-    aggregate = works @ rates
-    return float(np.mean(aggregate >= threshold))
+def _eq7(network: Network, profiles: Sequence[PathProfile], min_rate: float) -> float:
+    """Eq. (7) at ``min_rate`` less the threshold tolerance."""
+    threshold = min_rate - 1e-9 * max(1.0, min_rate)
+    groups = _groups(network, profiles)
+    rates = [profile.rate for profile in profiles]
+    if len(groups) > MAX_EXACT_GROUPS:
+        return _monte_carlo(groups, rates, threshold)
+    return min(_walk(groups, rates, threshold), 1.0)
 
 
-def min_rate_availability_disjoint(
-    up_probabilities: Sequence[float],
-    rates: Sequence[float],
-    min_rate: float,
-) -> float:
-    """Eq. (7) in its subset-sum form, assuming element-disjoint paths.
+def _groups(network: Network, profiles: Sequence[PathProfile]) -> dict[int, float]:
+    """Up-probability of each path-incidence group, keyed by signature.
 
-    Sums, over every subset of paths whose rates total at least
-    ``min_rate``, the probability that exactly those paths work.  Exact
-    when no two paths share a fallible element; an overestimate otherwise
-    (shared failures are double-counted as independent).
-
-    The subset walk is pruned on sorted rates: a branch whose committed
-    paths already meet the requirement contributes its prefix probability
-    in closed form (every completion of the branch works), and a branch
-    that cannot reach the requirement even with every remaining path is
-    dropped outright.  Typical multipath profiles (a handful of paths,
-    each a sizable fraction of the requirement) therefore finish in
-    near-linear time; pathological rate vectors remain exponential, so
-    more than :data:`MAX_EXACT_PATHS` paths are refused with a clear
-    error instead of hanging the process.
+    An element's signature is the bitmask of the paths that use it (bit
+    ``i`` for ``profiles[i]``).  A group is up iff all its elements are,
+    and disjoint element sets fail independently, so the groups are
+    independent variables.  Elements that cannot fail form no group.
     """
-    if len(up_probabilities) != len(rates):
-        raise ValueError("up_probabilities and rates must have equal length")
-    n = len(rates)
-    if n > MAX_EXACT_PATHS:
-        raise ValueError(
-            f"{n} paths exceed the disjoint subset-sum limit of "
-            f"{MAX_EXACT_PATHS}; aggregate overlapping paths or use "
-            f'min_rate_availability(..., method="monte-carlo")'
-        )
-    tolerance = 1e-9 * max(1.0, min_rate)
-    threshold = min_rate - tolerance
-    # Largest rates first makes both prunes bite earliest: the met-branch
-    # short-circuit fires near the root, and the unreachable-branch bound
-    # (suffix sums) decays fastest.
-    order = sorted(range(n), key=lambda k: -rates[k])
-    sorted_rates = [rates[k] for k in order]
-    sorted_up = [up_probabilities[k] for k in order]
-    suffix = [0.0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + sorted_rates[k]
+    signatures: dict[str, int] = {}
+    for index, profile in enumerate(profiles):
+        for element in profile.elements:
+            signatures[element] = signatures.get(element, 0) | 1 << index
+    groups: dict[int, float] = {}
+    # Sorted so that each group's product, hence the answer, is the same
+    # in every process whatever the string hash seed.
+    for element in sorted(signatures):
+        failure = network.failure_probability(element)
+        if failure > 0.0:
+            signature = signatures[element]
+            groups[signature] = groups.get(signature, 1.0) * (1.0 - failure)
+    return groups
 
-    def walk(k: int, rate: float, probability: float) -> float:
+
+def _walk(groups: dict[int, float], rates: Sequence[float], threshold: float) -> float:
+    """Exact ``P(working paths carry >= threshold)`` over the group states."""
+    def rate_of(paths: int) -> float:
+        return sum(r for i, r in enumerate(rates) if paths >> i & 1)
+
+    # Heaviest first makes both prunes bite nearest the root: a heavy
+    # group's failure kills the most rate, and deciding it up first
+    # completes the paths that carry the most.
+    order = sorted(groups.items(), key=lambda item: (-rate_of(item[0]), item[0]))
+    # pending[k]: the paths some group k.. still has to decide.
+    pending = [0] * (len(order) + 1)
+    for k in range(len(order) - 1, -1, -1):
+        pending[k] = pending[k + 1] | order[k][0]
+
+    def branch(k: int, alive: int, probability: float) -> float:
         if probability == 0.0:
             return 0.0
-        if rate >= threshold:
-            # Every subset extending this prefix works: the remaining
-            # paths' up/down probabilities sum to 1.
-            return probability
-        if rate + suffix[k] < threshold:
-            return 0.0  # even taking every remaining path falls short
-        p_up = sorted_up[k]
-        return walk(k + 1, rate + sorted_rates[k], probability * p_up) + walk(
-            k + 1, rate, probability * (1.0 - p_up)
+        if rate_of(alive & ~pending[k]) >= threshold:
+            return probability  # every completion of this prefix meets R
+        if rate_of(alive) < threshold:
+            return 0.0  # even with every undecided group up, R is out of reach
+        signature, up = order[k]
+        return branch(k + 1, alive, probability * up) + branch(
+            k + 1, alive & ~signature, probability * (1.0 - up)
         )
 
-    if n == 0:
-        return 1.0 if 0.0 >= threshold else 0.0
-    return min(walk(0, 0.0, 1.0), 1.0)
+    return branch(0, (1 << len(rates)) - 1, 1.0)
 
 
-def paths_needed_for_availability(
-    network: Network,
-    candidate_paths: Sequence[frozenset[str] | Placement],
-    target: float,
-) -> int | None:
-    """Smallest prefix of ``candidate_paths`` reaching BE availability ``target``.
-
-    Returns ``None`` when even all candidates together fall short.  Mirrors
-    the Fig.-3 loop: the scheduler asks for paths one at a time and stops as
-    soon as the requested availability is met.
-    """
-    if not 0.0 <= target <= 1.0:
-        raise ValueError(f"target availability must be in [0, 1], got {target}")
-    for count in range(1, len(candidate_paths) + 1):
-        if any_path_availability(network, candidate_paths[:count]) >= target - 1e-12:
-            return count
-    return None
+def _monte_carlo(
+    groups: dict[int, float], rates: Sequence[float], threshold: float
+) -> float:
+    """Seeded estimate of ``P(working paths carry >= threshold)``."""
+    signatures = list(groups)
+    up = ensure_rng(_MONTE_CARLO_SEED).random(
+        (_MONTE_CARLO_SAMPLES, len(signatures))
+    ) < np.array(list(groups.values()))
+    aggregate = np.zeros(_MONTE_CARLO_SAMPLES)
+    for index, rate in enumerate(rates):
+        members = [g for g, signature in enumerate(signatures) if signature >> index & 1]
+        aggregate += rate * up[:, members].all(axis=1)
+    return float(np.mean(aggregate >= threshold))
 
 
 def expected_rate(network: Network, profiles: Sequence[PathProfile]) -> float:
@@ -292,23 +191,6 @@ def expected_rate(network: Network, profiles: Sequence[PathProfile]) -> float:
     contributes ``rate * P(path up)``.
     """
     return sum(p.rate * path_availability(network, p.elements) for p in profiles)
-
-
-def availability_with_and_without(
-    network: Network, profiles: Sequence[PathProfile], min_rate: float
-) -> tuple[float, float]:
-    """(exact, disjoint-approximation) min-rate availability pair.
-
-    Convenience for experiments that want to report how much path overlap
-    matters; both numbers use the same path rates.
-    """
-    exact = min_rate_availability(network, profiles, min_rate, method="auto")
-    approx = min_rate_availability_disjoint(
-        [path_availability(network, p.elements) for p in profiles],
-        [p.rate for p in profiles],
-        min_rate,
-    )
-    return exact, approx
 
 
 def worst_case_paths(profiles: Sequence[PathProfile]) -> float:

@@ -26,6 +26,7 @@ Best-Effort (BE) applications
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -74,8 +75,10 @@ class BERequest:
     max_paths: int = 4
 
     def __post_init__(self) -> None:
-        if self.priority <= 0:
-            raise AdmissionError(f"BE app {self.app_id!r} needs a positive priority")
+        if not (math.isfinite(self.priority) and self.priority > 0):
+            raise AdmissionError(
+                f"BE app {self.app_id!r} needs a positive finite priority"
+            )
         if self.availability is not None and not 0.0 <= self.availability <= 1.0:
             raise AdmissionError(
                 f"BE app {self.app_id!r} availability must be in [0, 1]"
@@ -100,8 +103,10 @@ class GRRequest:
     max_paths: int = 5
 
     def __post_init__(self) -> None:
-        if self.min_rate <= 0:
-            raise AdmissionError(f"GR app {self.app_id!r} needs a positive min_rate")
+        if not (math.isfinite(self.min_rate) and self.min_rate > 0):
+            raise AdmissionError(
+                f"GR app {self.app_id!r} needs a positive finite min_rate"
+            )
         if not 0.0 <= self.min_rate_availability <= 1.0:
             raise AdmissionError(
                 f"GR app {self.app_id!r} min-rate availability must be in [0, 1]"

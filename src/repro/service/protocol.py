@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, ClassVar, TypeVar
@@ -198,6 +200,30 @@ class SubmitRequest(Message):
             raise ProtocolError(
                 f"submit kind must be 'GR' or 'BE', got {self.kind!r}"
             )
+        # JSON carries any number (and Python's json reads NaN/Infinity),
+        # so the types are checked here: past the ack, a bad value would
+        # fail inside an epoch instead of in the submitter's reply.
+        if self.max_paths is not None and (
+            isinstance(self.max_paths, bool)
+            or not isinstance(self.max_paths, numbers.Integral)
+        ):
+            raise ProtocolError(
+                f"submit {self.app_id!r} max_paths must be an integer, "
+                f"got {self.max_paths!r}"
+            )
+        for name in ("min_rate", "min_rate_availability", "priority", "availability"):
+            value = getattr(self, name)
+            if value is None and name in ("min_rate", "availability"):
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ProtocolError(
+                    f"submit {self.app_id!r} {name} must be a finite number, "
+                    f"got {value!r}"
+                )
         if self.kind == "GR" and self.min_rate is None:
             raise ProtocolError(
                 f"GR submit {self.app_id!r} must carry min_rate"

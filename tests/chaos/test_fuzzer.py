@@ -29,18 +29,8 @@ class TestFuzzNetwork:
         assert len(network.ncp_names) >= profile.min_ncps - 1  # star keeps >=4
         assert network.links  # connected families always have links
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_fallible_links_bounded(self, seed):
-        profile = FuzzProfile(max_fallible_links=3)
-        network, _ = fuzz_network(seed, profile)
-        fallible = [
-            link for link in network.links if link.failure_probability > 0.0
-        ]
-        assert len(fallible) <= 3
-
     def test_ncps_never_fallible(self):
-        # The fuzzer pins NCP failure probability to zero so Eq.-(7)
-        # exact enumeration stays within budget on every world.
+        # Only links fail in the fuzzed worlds: the paper's Fig.-4 model.
         for seed in SEEDS:
             network, _ = fuzz_network(seed, FuzzProfile())
             assert all(ncp.failure_probability == 0.0 for ncp in network.ncps)

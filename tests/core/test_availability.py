@@ -2,25 +2,37 @@
 
 from __future__ import annotations
 
+import math
+import time
+
 import pytest
 
-import itertools
-
+from repro.core.assignment import sparcle_assign
 from repro.core.availability import (
-    MAX_EXACT_ELEMENTS,
-    MAX_EXACT_PATHS,
+    MAX_EXACT_GROUPS,
     PathProfile,
+    _groups,
+    _monte_carlo,
     any_path_availability,
-    availability_with_and_without,
     expected_rate,
     min_rate_availability,
-    min_rate_availability_disjoint,
     path_availability,
-    paths_needed_for_availability,
-    rate_distribution,
     worst_case_paths,
 )
 from repro.core.network import NCP, Link, Network
+from repro.core.placement import CapacityView
+from repro.core.scheduler import GRRequest, SparcleScheduler
+from repro.workloads.scenarios import (
+    GraphKind,
+    TopologyKind,
+    random_network,
+    random_task_graph,
+)
+from tests.availability_oracles import (
+    enumerated_min_rate_availability,
+    inclusion_exclusion_any_path,
+    subset_sum_min_rate_availability,
+)
 
 
 def failing_star(pf_link: float = 0.02, n: int = 4) -> Network:
@@ -31,6 +43,18 @@ def failing_star(pf_link: float = 0.02, n: int = 4) -> Network:
         [
             Link(f"l{k}", "hub", f"n{k}", 10.0, failure_probability=pf_link)
             for k in range(1, n + 1)
+        ],
+    )
+
+
+def star_with(pfs: list[float]) -> Network:
+    """A star whose link ``l{k}`` (k from 1) fails with ``pfs[k - 1]``."""
+    return Network(
+        "s",
+        [NCP("hub")] + [NCP(f"n{k}") for k in range(1, len(pfs) + 1)],
+        [
+            Link(f"l{k}", "hub", f"n{k}", 10.0, failure_probability=pf)
+            for k, pf in enumerate(pfs, start=1)
         ],
     )
 
@@ -78,8 +102,13 @@ class TestAnyPathAvailability:
                  frozenset({"l3", "l4"})]
         profiles = [PathProfile(p, 1.0) for p in paths]
         # P(any up) == P(total rate >= 1) when every path has rate 1.
-        exact = min_rate_availability(net, profiles, 1.0, method="exact")
-        assert any_path_availability(net, paths) == pytest.approx(exact)
+        value = any_path_availability(net, paths)
+        assert value == pytest.approx(
+            enumerated_min_rate_availability(net, profiles, 1.0), abs=1e-12
+        )
+        assert value == pytest.approx(
+            inclusion_exclusion_any_path(net, paths), abs=1e-12
+        )
 
 
 class TestRateDistribution:
@@ -87,19 +116,32 @@ class TestRateDistribution:
         net = failing_star(0.1)
         profiles = [PathProfile(frozenset({"l1"}), 2.0),
                     PathProfile(frozenset({"l2"}), 1.0)]
-        dist = rate_distribution(net, profiles)
-        assert dist[3.0] == pytest.approx(0.81)
-        assert dist[2.0] == pytest.approx(0.09)
-        assert dist[1.0] == pytest.approx(0.09)
-        assert dist[0.0] == pytest.approx(0.01)
-        assert sum(dist.values()) == pytest.approx(1.0)
+        # Rate 3 w.p. .81, 2 w.p. .09, 1 w.p. .09, 0 w.p. .01: Eq. (7) at
+        # each level is the distribution's upper tail.
+        assert min_rate_availability(net, profiles, 3.0) == pytest.approx(0.81)
+        assert min_rate_availability(net, profiles, 2.0) == pytest.approx(0.90)
+        assert min_rate_availability(net, profiles, 1.0) == pytest.approx(0.99)
+        assert min_rate_availability(net, profiles, 0.5) == pytest.approx(0.99)
+        assert min_rate_availability(net, profiles, 0.0) == 1.0
 
-    def test_too_many_elements_refused(self):
-        n = MAX_EXACT_ELEMENTS + 1
-        net = failing_star(0.01, n=n)
-        profiles = [PathProfile(frozenset({f"l{k}"}), 1.0) for k in range(1, n + 1)]
-        with pytest.raises(ValueError, match="exceed the exact-enumeration"):
-            rate_distribution(net, profiles)
+    def test_too_many_elements_exact(self):
+        # More fallible links than the group limit, on two disjoint paths:
+        # two groups, so every level of the tail is exact, not sampled.
+        lengths = (11, 13)
+        assert sum(lengths) > MAX_EXACT_GROUPS
+        net = failing_star(0.05, n=sum(lengths))
+        first = frozenset(f"l{k}" for k in range(1, lengths[0] + 1))
+        second = frozenset(f"l{k}" for k in range(lengths[0] + 1, sum(lengths) + 1))
+        profiles = [PathProfile(first, 2.0), PathProfile(second, 1.0)]
+        a, b = (0.95**length for length in lengths)
+        assert len(_groups(net, profiles)) == 2
+        assert min_rate_availability(net, profiles, 3.0) == pytest.approx(
+            a * b, abs=1e-12
+        )
+        assert min_rate_availability(net, profiles, 2.0) == pytest.approx(a, abs=1e-12)
+        assert min_rate_availability(net, profiles, 1.0) == pytest.approx(
+            a + b - a * b, abs=1e-12
+        )
 
 
 class TestMinRateAvailability:
@@ -120,7 +162,7 @@ class TestMinRateAvailability:
             PathProfile(frozenset({"p3"}), 0.42),
         ]
         # P(p1 up AND (p2 or p3 up)) = 0.9 * (1 - 0.01) = 0.891
-        value = min_rate_availability(net, profiles, 2.7, method="exact")
+        value = min_rate_availability(net, profiles, 2.7)
         assert value == pytest.approx(0.9 * 0.99)
 
     def test_threshold_equality_counts(self):
@@ -150,104 +192,140 @@ class TestMinRateAvailability:
             PathProfile(frozenset({"l2", "l3"}), 1.5),
             PathProfile(frozenset({"l4"}), 1.0),
         ]
-        exact = min_rate_availability(net, profiles, 2.5, method="exact")
-        mc = min_rate_availability(
-            net, profiles, 2.5, method="monte-carlo", rng=7, samples=200_000
+        exact = min_rate_availability(net, profiles, 2.5)
+        mc = _monte_carlo(
+            _groups(net, profiles), [p.rate for p in profiles], 2.5 - 1e-9
         )
         assert mc == pytest.approx(exact, abs=5e-3)
 
     def test_monte_carlo_with_reliable_elements_only(self):
         net = failing_star(0.0)
         profiles = [PathProfile(frozenset({"l1"}), 2.0)]
-        assert min_rate_availability(
-            net, profiles, 1.0, method="monte-carlo", rng=1, samples=10
-        ) == 1.0
-
-    def test_unknown_method_rejected(self):
-        net = failing_star()
-        with pytest.raises(ValueError, match="unknown method"):
-            min_rate_availability(net, [], 1.0, method="oracle")
+        groups = _groups(net, profiles)
+        assert groups == {}
+        assert _monte_carlo(groups, [2.0], 1.0) == 1.0
 
 
 class TestDisjointFormula:
+    """The paper's subset-sum form is the walk with one group per path."""
+
     def test_matches_exact_for_disjoint_paths(self):
         net = failing_star(0.2)
         profiles = [
             PathProfile(frozenset({"l1"}), 2.0),
             PathProfile(frozenset({"l2"}), 1.0),
         ]
-        exact = min_rate_availability(net, profiles, 2.0, method="exact")
-        approx = min_rate_availability_disjoint([0.8, 0.8], [2.0, 1.0], 2.0)
-        assert approx == pytest.approx(exact)
+        exact = min_rate_availability(net, profiles, 2.0)
+        paper = subset_sum_min_rate_availability([0.8, 0.8], [2.0, 1.0], 2.0)
+        assert exact == pytest.approx(paper, abs=1e-12)
 
     def test_overestimates_for_shared_elements(self):
         net = failing_star(0.2)
         shared = frozenset({"l1"})
         profiles = [PathProfile(shared, 1.0), PathProfile(shared, 1.0)]
-        exact, approx = availability_with_and_without(net, profiles, 1.0)
+        exact = min_rate_availability(net, profiles, 1.0)
+        paper = subset_sum_min_rate_availability(
+            [path_availability(net, p.elements) for p in profiles], [1.0, 1.0], 1.0
+        )
         assert exact == pytest.approx(0.8)
-        assert approx > exact  # treats the shared link as two independent ones
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            min_rate_availability_disjoint([0.9], [1.0, 2.0], 1.0)
-
-    def test_too_many_paths_refused(self):
-        n = MAX_EXACT_PATHS + 1
-        with pytest.raises(ValueError, match="subset-sum limit"):
-            min_rate_availability_disjoint([0.9] * n, [1.0] * n, float(n))
+        assert paper > exact  # treats the shared link as two independent ones
 
     def test_pruned_walk_matches_brute_force(self):
         up = [0.9, 0.8, 0.7, 0.95, 0.6, 0.85, 0.75, 0.9, 0.5, 0.99]
         rates = [2.0, 1.5, 0.7, 3.1, 0.2, 1.1, 0.9, 2.4, 0.05, 1.3]
-
-        def brute_force(min_rate: float) -> float:
-            tolerance = 1e-9 * max(1.0, min_rate)
-            total = 0.0
-            for states in itertools.product((True, False), repeat=len(up)):
-                probability = 1.0
-                for p, on in zip(up, states):
-                    probability *= p if on else 1.0 - p
-                rate = sum(r for r, on in zip(rates, states) if on)
-                if rate >= min_rate - tolerance:
-                    total += probability
-            return total
-
+        net = star_with([1.0 - p for p in up])
+        profiles = [
+            PathProfile(frozenset({f"l{k}"}), rate)
+            for k, rate in enumerate(rates, start=1)
+        ]
         for min_rate in (0.0, 1.0, 3.0, 6.5, sum(rates), sum(rates) + 1.0):
-            assert min_rate_availability_disjoint(
-                up, rates, min_rate
-            ) == pytest.approx(brute_force(min_rate)), min_rate
+            assert min_rate_availability(net, profiles, min_rate) == pytest.approx(
+                subset_sum_min_rate_availability(up, rates, min_rate), abs=1e-12
+            ), min_rate
 
     def test_pruning_collapses_the_walk_at_the_size_limit(self):
-        # 2^30 subsets would never finish; the met-branch short-circuit
-        # (any single path suffices) makes this a linear scan.
-        value = min_rate_availability_disjoint(
-            [0.9] * MAX_EXACT_PATHS, [1.0] * MAX_EXACT_PATHS, 1.0
-        )
-        assert value == pytest.approx(1.0 - 0.1**MAX_EXACT_PATHS)
+        # 2^22 branches would take minutes; the two prunes make "any one
+        # path suffices" and "every path is needed" linear walks.
+        n = MAX_EXACT_GROUPS
+        net = failing_star(0.1, n=n)
+        profiles = [PathProfile(frozenset({f"l{k}"}), 1.0) for k in range(1, n + 1)]
+        start = time.perf_counter()
+        any_one = min_rate_availability(net, profiles, 1.0)
+        every = min_rate_availability(net, profiles, float(n))
+        assert time.perf_counter() - start < 1.0
+        assert any_one == pytest.approx(1.0 - 0.1**n)
+        assert every == pytest.approx(0.9**n, rel=1e-12)
+
+    def test_too_many_paths_sampled(self):
+        # One more single-link path than the exact walk takes: the seeded
+        # estimate answers instead of an error, close to the binomial tail.
+        n = MAX_EXACT_GROUPS + 1
+        net = failing_star(0.5, n=n)
+        profiles = [PathProfile(frozenset({f"l{k}"}), 1.0) for k in range(1, n + 1)]
+        value = min_rate_availability(net, profiles, 11.0)
+        assert value == _monte_carlo(_groups(net, profiles), [1.0] * n, 11.0 - 1e-8)
+        tail = sum(math.comb(n, k) for k in range(11, n + 1)) / 2.0**n
+        assert value == pytest.approx(tail, abs=0.01)
 
     def test_zero_paths_edge_cases(self):
-        assert min_rate_availability_disjoint([], [], 0.0) == 1.0
-        assert min_rate_availability_disjoint([], [], 1.0) == 0.0
-
-
-class TestPathsNeeded:
-    def test_counts_until_target(self):
-        net = failing_star(0.15)
-        paths = [frozenset({"l1"}), frozenset({"l2"}), frozenset({"l3"})]
-        # 1 path: 0.85; 2 paths: 1-0.0225=0.9775
-        assert paths_needed_for_availability(net, paths, 0.9) == 2
-        assert paths_needed_for_availability(net, paths, 0.85) == 1
-
-    def test_unreachable_target_returns_none(self):
-        net = failing_star(0.5)
-        paths = [frozenset({"l1"})]
-        assert paths_needed_for_availability(net, paths, 0.99) is None
-
-    def test_invalid_target_rejected(self):
         net = failing_star()
-        with pytest.raises(ValueError):
-            paths_needed_for_availability(net, [], 1.5)
+        assert min_rate_availability(net, [], 0.0) == 1.0
+        assert min_rate_availability(net, [], 1.0) == 0.0
+        # Paths on reliable elements only form zero groups.
+        reliable = [PathProfile(frozenset({"hub", "n1"}), 2.0)]
+        assert min_rate_availability(net, reliable, 2.0) == 1.0
+        assert min_rate_availability(net, reliable, 2.5) == 0.0
+
+
+class TestGroups:
+    def test_elements_merge_by_path_incidence(self):
+        net = failing_star(0.1, n=9)
+        shared = {f"l{k}" for k in range(1, 6)}
+        profiles = [
+            PathProfile(frozenset(shared | {"l6", "l7"}), 1.0),
+            PathProfile(frozenset(shared | {"l8", "l9", "hub"}), 1.0),
+        ]
+        # Bit i of a signature is profiles[i]; the reliable hub forms none.
+        assert _groups(net, profiles) == pytest.approx(
+            {0b11: 0.9**5, 0b01: 0.9**2, 0b10: 0.9**2}
+        )
+
+    def test_many_fallible_links_few_groups_is_exact(self):
+        # Three element-disjoint paths over 42 fallible links are three
+        # groups: exact, where enumerating elements would need 2^42 states.
+        lengths = (12, 14, 16)
+        net = failing_star(0.02, n=sum(lengths))
+        profiles, first = [], 1
+        for length, rate in zip(lengths, (2.0, 1.5, 1.0)):
+            links = frozenset(f"l{k}" for k in range(first, first + length))
+            profiles.append(PathProfile(links, rate))
+            first += length
+        a, b, c = (0.98**length for length in lengths)
+        # Any two of the three paths carry R = 2.5.
+        closed_form = a * b + a * c + b * c - 2.0 * a * b * c
+        assert len(_groups(net, profiles)) == 3
+        assert min_rate_availability(net, profiles, 2.5) == pytest.approx(
+            closed_form, abs=1e-12
+        )
+
+    def test_gr_admission_on_a_fallible_mesh_is_fast(self):
+        network = random_network(
+            TopologyKind.FULL, 1207, n_ncps=12,
+            ncp_failure_probability=0.03, link_failure_probability=0.02,
+        )
+        names = sorted(network.ncp_names)
+        graph = random_task_graph(GraphKind.LINEAR, 2).with_pins(
+            {"source": names[2], "sink": names[1]}, name="qoe"
+        )
+        solo = sparcle_assign(graph, network, CapacityView(network)).rate
+        request = GRRequest("qoe", graph, min_rate=0.3 * solo,
+                            min_rate_availability=0.7, max_paths=3)
+        start = time.perf_counter()
+        decision = SparcleScheduler(network).submit_gr(request)
+        assert time.perf_counter() - start < 1.0
+        assert decision.accepted
+        assert len(decision.placements) == 3
+        assert decision.availability >= 0.7
 
 
 class TestExpectations:

@@ -42,16 +42,21 @@ def failing_net():
 
 class TestRequestValidation:
     def test_be_request_bounds(self):
-        with pytest.raises(AdmissionError):
-            BERequest("a", small_app(), priority=0.0)
+        for priority in (0.0, float("nan"), float("inf")):
+            with pytest.raises(AdmissionError):
+                BERequest("a", small_app(), priority=priority)
         with pytest.raises(AdmissionError):
             BERequest("a", small_app(), availability=1.5)
         with pytest.raises(AdmissionError):
             BERequest("a", small_app(), max_paths=0)
 
     def test_gr_request_bounds(self):
+        for min_rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(AdmissionError):
+                GRRequest("a", small_app(), min_rate=min_rate)
         with pytest.raises(AdmissionError):
-            GRRequest("a", small_app(), min_rate=0.0)
+            GRRequest("a", small_app(), min_rate=1.0,
+                      min_rate_availability=float("nan"))
         with pytest.raises(AdmissionError):
             GRRequest("a", small_app(), min_rate=1.0, min_rate_availability=-0.1)
 

@@ -1,7 +1,12 @@
-"""Property-based tests for availability analysis."""
+"""Property-based tests for availability analysis.
+
+The exact walk is checked against the naive reference forms in
+``tests/availability_oracles.py``.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from hypothesis import HealthCheck, given, settings
@@ -9,12 +14,18 @@ from hypothesis import strategies as st
 
 from repro.core.availability import (
     PathProfile,
+    _groups,
+    _monte_carlo,
     any_path_availability,
     min_rate_availability,
-    min_rate_availability_disjoint,
-    rate_distribution,
+    path_availability,
 )
 from repro.core.network import NCP, Link, Network
+from tests.availability_oracles import (
+    enumerated_min_rate_availability,
+    inclusion_exclusion_any_path,
+    subset_sum_min_rate_availability,
+)
 
 SETTINGS = settings(
     max_examples=40,
@@ -24,51 +35,97 @@ SETTINGS = settings(
 
 
 @st.composite
-def failing_networks_with_paths(draw):
-    """A hub network with fallible links plus random path profiles."""
-    n_links = draw(st.integers(min_value=1, max_value=6))
+def failing_networks_with_paths(draw, max_links: int = 6):
+    """A hub network with fallible links plus random path profiles.
+
+    The hub NCP may fail too; it lies on no path unless drawn into one.
+    Rates come from a coarse grid half the time so that subset sums tie
+    with each other and with grid thresholds.
+    """
+    n_links = draw(st.integers(min_value=1, max_value=max_links))
     pfs = [draw(st.floats(0.0, 0.9)) for _ in range(n_links)]
-    ncps = [NCP("hub")] + [NCP(f"n{k}") for k in range(n_links)]
+    ncps = [NCP("hub", failure_probability=draw(st.floats(0.0, 0.3)))] + [
+        NCP(f"n{k}") for k in range(n_links)
+    ]
     links = [
         Link(f"l{k}", "hub", f"n{k}", 1.0, failure_probability=pfs[k])
         for k in range(n_links)
     ]
     network = Network("net", ncps, links)
+    elements = ["hub"] + [f"l{k}" for k in range(n_links)]
     n_paths = draw(st.integers(min_value=1, max_value=4))
     profiles = []
     for _ in range(n_paths):
-        size = draw(st.integers(min_value=1, max_value=n_links))
+        size = draw(st.integers(min_value=1, max_value=len(elements)))
         members = draw(
             st.lists(
-                st.sampled_from([f"l{k}" for k in range(n_links)]),
+                st.sampled_from(elements),
                 min_size=size, max_size=size, unique=True,
             )
         )
-        rate = draw(st.floats(0.1, 5.0))
+        rate = draw(st.floats(0.1, 5.0) | st.sampled_from([0.5, 1.0, 1.5, 2.0]))
         profiles.append(PathProfile(frozenset(members), rate))
     return network, profiles
+
+
+thresholds = st.floats(0.0, 10.0) | st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.5])
+
+
+@st.composite
+def disjoint_paths(draw):
+    """Element-disjoint paths on a star: path i owns its own 1-3 links."""
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    pfs = [draw(st.floats(0.0, 0.9)) for _ in range(sum(lengths))]
+    network = Network(
+        "star",
+        [NCP("hub")] + [NCP(f"n{k}") for k in range(len(pfs))],
+        [
+            Link(f"l{k}", "hub", f"n{k}", 1.0, failure_probability=pf)
+            for k, pf in enumerate(pfs)
+        ],
+    )
+    profiles, first = [], 0
+    for length in lengths:
+        links = frozenset(f"l{k}" for k in range(first, first + length))
+        profiles.append(PathProfile(links, draw(st.floats(0.1, 5.0))))
+        first += length
+    return network, profiles
+
+
+def fallible_count(network: Network, profiles: list[PathProfile]) -> int:
+    used = set().union(*(p.elements for p in profiles))
+    return sum(1 for e in used if network.failure_probability(e) > 0.0)
 
 
 class TestDistributionProperties:
     @SETTINGS
     @given(data=failing_networks_with_paths())
     def test_distribution_sums_to_one(self, data):
+        """Differencing Eq. (7) over the achievable rates gives a distribution."""
         network, profiles = data
-        dist = rate_distribution(network, profiles)
-        assert math.isclose(sum(dist.values()), 1.0, rel_tol=1e-9)
+        levels = sorted(
+            {
+                sum(p.rate for p, on in zip(profiles, states) if on)
+                for states in itertools.product((True, False), repeat=len(profiles))
+            }
+        )
+        tail = [min_rate_availability(network, profiles, r) for r in levels] + [0.0]
+        masses = [tail[k] - tail[k + 1] for k in range(len(levels))]
+        assert tail[0] == 1.0
+        assert all(mass >= -1e-12 for mass in masses)
+        assert math.isclose(sum(masses), 1.0, rel_tol=1e-9)
 
     @SETTINGS
     @given(data=failing_networks_with_paths())
     def test_max_rate_is_total(self, data):
         network, profiles = data
-        dist = rate_distribution(network, profiles)
         total = sum(p.rate for p in profiles)
-        assert max(dist) <= total + 1e-9
+        assert min_rate_availability(network, profiles, total * (1 + 1e-6) + 1e-6) == 0.0
 
 
 class TestMinRateProperties:
     @SETTINGS
-    @given(data=failing_networks_with_paths(), threshold=st.floats(0.0, 10.0))
+    @given(data=failing_networks_with_paths(), threshold=thresholds)
     def test_bounded_probability(self, data, threshold):
         network, profiles = data
         value = min_rate_availability(network, profiles, threshold)
@@ -84,13 +141,22 @@ class TestMinRateProperties:
         assert high_value <= low_value + 1e-9
 
     @SETTINGS
+    @given(data=failing_networks_with_paths(max_links=15), threshold=thresholds)
+    def test_walk_equals_element_enumeration(self, data, threshold):
+        network, profiles = data
+        assert fallible_count(network, profiles) <= 16
+        exact = min_rate_availability(network, profiles, threshold)
+        oracle = enumerated_min_rate_availability(network, profiles, threshold)
+        assert abs(exact - oracle) <= 1e-12
+
+    @SETTINGS
     @given(data=failing_networks_with_paths(), threshold=st.floats(0.1, 10.0))
     def test_monte_carlo_agrees_with_exact(self, data, threshold):
         network, profiles = data
-        exact = min_rate_availability(network, profiles, threshold, method="exact")
-        mc = min_rate_availability(
-            network, profiles, threshold, method="monte-carlo",
-            rng=0, samples=30_000,
+        exact = min_rate_availability(network, profiles, threshold)
+        mc = _monte_carlo(
+            _groups(network, profiles), [p.rate for p in profiles],
+            threshold - 1e-9 * max(1.0, threshold),
         )
         assert abs(mc - exact) < 0.02
 
@@ -105,6 +171,16 @@ class TestMinRateProperties:
         more = min_rate_availability(network, profiles, threshold)
         assert more >= fewer - 1e-9
 
+    @SETTINGS
+    @given(data=failing_networks_with_paths(max_links=15))
+    def test_group_count_bounded(self, data):
+        network, profiles = data
+        groups = _groups(network, profiles)
+        assert len(groups) <= min(
+            fallible_count(network, profiles), 2 ** len(profiles) - 1
+        )
+        assert all(0 < signature < 2 ** len(profiles) for signature in groups)
+
 
 class TestAnyPathProperties:
     @SETTINGS
@@ -118,6 +194,16 @@ class TestAnyPathProperties:
         )
         via_rate = min_rate_availability(network, unit_profiles, 1.0)
         assert math.isclose(via_union, via_rate, rel_tol=1e-9, abs_tol=1e-12)
+
+    @SETTINGS
+    @given(data=failing_networks_with_paths())
+    def test_equals_inclusion_exclusion(self, data):
+        network, profiles = data
+        paths = [p.elements for p in profiles]
+        assert abs(
+            any_path_availability(network, paths)
+            - inclusion_exclusion_any_path(network, paths)
+        ) <= 1e-12
 
     @SETTINGS
     @given(data=failing_networks_with_paths())
@@ -139,6 +225,25 @@ class TestDisjointFormulaProperties:
         threshold=st.floats(0.0, 5.0),
     )
     def test_disjoint_formula_bounded(self, ups, threshold):
-        rates = [1.0] * len(ups)
-        value = min_rate_availability_disjoint(ups, rates, threshold)
+        network = Network(
+            "star",
+            [NCP("hub")] + [NCP(f"n{k}") for k in range(len(ups))],
+            [
+                Link(f"l{k}", "hub", f"n{k}", 1.0, failure_probability=1.0 - up)
+                for k, up in enumerate(ups)
+            ],
+        )
+        profiles = [PathProfile(frozenset({f"l{k}"}), 1.0) for k in range(len(ups))]
+        value = min_rate_availability(network, profiles, threshold)
         assert -1e-9 <= value <= 1.0 + 1e-9
+
+    @SETTINGS
+    @given(data=disjoint_paths(), threshold=thresholds)
+    def test_equals_subset_sum_on_disjoint_paths(self, data, threshold):
+        network, profiles = data
+        paper = subset_sum_min_rate_availability(
+            [path_availability(network, p.elements) for p in profiles],
+            [p.rate for p in profiles],
+            threshold,
+        )
+        assert abs(min_rate_availability(network, profiles, threshold) - paper) <= 1e-12

@@ -238,6 +238,35 @@ class TestRejection:
         with pytest.raises(ProtocolError, match="kind"):
             SubmitRequest(app_id="a", kind="XX", graph=_GRAPH_DICTS[0])
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_paths", 2.5),
+            ("max_paths", "3"),
+            ("max_paths", True),
+            ("min_rate", float("nan")),
+            ("min_rate", float("inf")),
+            ("min_rate", "0.5"),
+            ("min_rate", False),
+            ("min_rate_availability", None),
+            ("min_rate_availability", float("nan")),
+            ("priority", float("nan")),
+            ("priority", float("-inf")),
+            ("priority", "Infinity"),
+            ("priority", None),
+            ("priority", True),
+            ("availability", float("nan")),
+            ("availability", [0.5]),
+        ],
+    )
+    def test_submit_numbers_validated(self, field, value):
+        doc = SubmitRequest(
+            app_id="a", kind="GR", graph=_GRAPH_DICTS[0], min_rate=0.5
+        ).to_wire()
+        doc[field] = value
+        with pytest.raises(ProtocolError, match=field):
+            from_wire(doc)
+
     def test_gr_submit_requires_min_rate(self):
         with pytest.raises(ProtocolError, match="min_rate"):
             SubmitRequest(app_id="a", kind="GR", graph=_GRAPH_DICTS[0])

@@ -363,6 +363,49 @@ class TestProtocolErrors:
 
         _serve(_go)
 
+    @pytest.mark.parametrize(
+        "kind,field,raw",
+        [
+            ("GR", "max_paths", "2.5"),
+            ("BE", "priority", "NaN"),
+            ("BE", "priority", '"Infinity"'),
+        ],
+    )
+    def test_malformed_submit_refused_and_session_keeps_deciding(
+        self, kind, field, raw
+    ):
+        # Regression: each of these was acked (or crashed the session) and
+        # then broke the epoch loop or every later BE evaluation.
+        bad = _gr("bad") if kind == "GR" else _be("bad")
+        doc = SubmitRequest.from_request(bad, seq=1).to_wire()
+        doc[field] = "@RAW@"
+        line = json.dumps(doc).replace('"@RAW@"', raw).encode() + b"\n"
+
+        async def _go(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port, limit=WIRE_LINE_LIMIT
+            )
+            try:
+                writer.write(line)
+                await writer.drain()
+                reply = decode(await reader.readline())
+                assert isinstance(reply, ErrorReply)
+                assert reply.code == "protocol"
+                assert field in reply.message
+                writer.write(encode(SubmitRequest.from_request(_gr("good"), seq=2)))
+                await writer.drain()
+                replies = [
+                    decode(await asyncio.wait_for(reader.readline(), 5.0))
+                    for _ in range(2)
+                ]
+                assert isinstance(replies[0], SubmitReply)
+                assert isinstance(replies[1], DecisionReply)
+                assert replies[1].app_id == "good" and replies[1].accepted
+            finally:
+                writer.close()
+
+        _serve(_go)
+
     def test_error_reply_maps_to_typed_exception(self):
         from repro.service.client import error_to_exception
 

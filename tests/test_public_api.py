@@ -154,9 +154,7 @@ API_SIGNATURES = {
         "order: 'str' = 'arrival') -> 'tuple[list[Decision], float]'",
     "min_rate_availability":
         "(network: 'Network', profiles: 'Sequence[PathProfile]', "
-        "min_rate: 'float', *, method: 'str' = 'auto', "
-        "rng: 'int | np.random.Generator | None' = 0, "
-        "samples: 'int' = 200000) -> 'float'",
+        "min_rate: 'float') -> 'float'",
     "predicted_view":
         "(capacities: 'CapacityView', new_priority: 'float', "
         "tenants: 'Sequence[tuple[float, Sequence[Placement]]]') "
