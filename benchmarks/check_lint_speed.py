@@ -6,7 +6,7 @@ cheap; this script turns that requirement into two checkable bounds,
 matching how the engine actually runs:
 
 * **uncached** — lint the entire ``src/`` tree from scratch (per-file
-  rules *and* the SPC007–SPC010 whole-program analyses) within
+  rules *and* the SPC008–SPC010 whole-program analyses) within
   ``--budget`` seconds (default 10);
 * **cached** — repeat the same run against a warm on-disk facts cache
   within ``--cached-budget`` seconds (default 5).  The cache is keyed

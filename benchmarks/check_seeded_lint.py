@@ -7,7 +7,7 @@ that drops every call edge — and the tree keeps linting "clean".  This
 script guards against that: it lints the committed seeded-violation
 fixture tree (``tests/devtools/fixtures/seeded/``, a miniature of the
 serving stack with one deliberate bug per analysis) and fails unless
-each of SPC007–SPC010 reports at least one violation.
+each of SPC008–SPC010 reports at least one violation.
 
 Usage::
 

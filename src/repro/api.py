@@ -31,8 +31,8 @@ The facade groups the supported entry points by concern:
   the ``sparcle serve`` CLI wraps.
 * **Observability** — traced experiment runs and metric/trace exporters.
 * **Devtools** — the ``sparcle lint`` static-analysis pass: the
-  per-file rules SPC001–SPC006 (:class:`LintEngine`,
-  :data:`DEFAULT_RULES`), the whole-program analyses SPC007–SPC010
+  per-file rules SPC001, SPC002 and SPC004–SPC006 (:class:`LintEngine`,
+  :data:`DEFAULT_RULES`), the whole-program analyses SPC008–SPC010
   (:class:`Analysis`, :data:`DEFAULT_ANALYSES`), structured per-file
   error reporting (:class:`LintError`), and the scenario-document
   validator :func:`lint_scenario`.

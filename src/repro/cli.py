@@ -548,7 +548,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments.base import export_observability, traced_run
-    from repro.perf.metrics import LabeledRegistry, use_registry
+    from repro.perf import PerfRegistry, use_registry
 
     name = args.experiment
     run = _experiments()[name]
@@ -556,7 +556,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trials is not None and name not in _NO_TRIALS:
         kwargs["trials"] = args.trials
     kwargs.update(_seed_kwargs(run, args.seed))
-    labeled = LabeledRegistry()
+    labeled = PerfRegistry()
     with use_registry(labeled):
         result, tracer = traced_run(run, capacity=args.capacity, **kwargs)
     print(result.to_text())
@@ -581,11 +581,11 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     from repro.core.scenario import load_scenario
     from repro.perf import exporters
-    from repro.perf.metrics import LabeledRegistry, use_registry
+    from repro.perf import PerfRegistry, use_registry
 
     spec = load_scenario(args.scenario)
     algorithm = _resolve_algorithm(args.algorithm)
-    labeled = LabeledRegistry()
+    labeled = PerfRegistry()
     with use_registry(labeled):
         result = algorithm(spec.graph, spec.network)
     if args.format == "prom":

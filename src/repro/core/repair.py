@@ -47,8 +47,7 @@ from dataclasses import dataclass, field
 
 from repro.core.scheduler import SparcleScheduler
 from repro.exceptions import SparcleError
-from repro.perf import counters, timer, tracing
-from repro.perf.metrics import get_metrics
+from repro.perf import counters, get_metrics, timer, tracing
 
 
 @dataclass(frozen=True)
@@ -359,7 +358,7 @@ class RepairController:
         self._failed_attempts.pop(app_id, None)
         self._next_retry.pop(app_id, None)
         counters.incr("repair.apps_recovered")
-        counters.add_time("repair.time_to_repair", max(0.0, now - since))
+        counters.observe("repair.time_to_repair", max(0.0, now - since))
         get_metrics().observe(
             "repair.time_to_repair", max(0.0, now - since), app=app_id
         )

@@ -50,8 +50,7 @@ from repro.exceptions import (
     InfeasiblePlacementError,
     SparcleError,
 )
-from repro.perf import tracing
-from repro.perf.metrics import get_metrics
+from repro.perf import get_metrics, tracing
 
 #: Signature of a task-assignment algorithm pluggable into the scheduler.
 Assigner = Callable[[TaskGraph, Network, CapacityView], AssignmentResult]

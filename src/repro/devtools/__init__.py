@@ -6,14 +6,15 @@ The package has two analysis layers plus shared machinery:
   (:class:`LintEngine`), suppression/baseline handling, the on-disk
   facts cache, report formatting;
 * :mod:`repro.devtools.rules` — the **per-file** SPARCLE rule set
-  (SPC001–SPC006, :data:`DEFAULT_RULES`): one AST at a time;
+  (SPC001, SPC002, SPC004–SPC006, :data:`DEFAULT_RULES`): one AST at a
+  time;
 * :mod:`repro.devtools.callgraph` / :mod:`repro.devtools.cfg` — the
   whole-program substrate: project symbol table, call-edge resolution,
   and an intraprocedural control-flow graph;
 * :mod:`repro.devtools.analyses` — the **whole-program** analyses
-  (SPC007–SPC010, :data:`DEFAULT_ANALYSES`): lock-order cycles,
-  async-safety of the serving front-end, two-phase reserve/commit
-  typestate, and wire-schema drift;
+  (SPC008–SPC010, :data:`DEFAULT_ANALYSES`): async-safety of the
+  serving front-end, two-phase reserve/commit typestate, and
+  wire-schema drift;
 * :mod:`repro.devtools.scenario_lint` — semantic validation of scenario
   JSON documents (SCN001–SCN004).
 

@@ -1,4 +1,4 @@
-"""Whole-program analyses (SPC007–SPC010) over the project index.
+"""Whole-program analyses (SPC008–SPC010) over the project index.
 
 Where a :class:`~repro.devtools.engine.Rule` sees one file's AST, an
 :class:`Analysis` sees the whole program: the engine parses every file,
@@ -10,8 +10,6 @@ through the same suppression/baseline machinery as the per-file rules.
 
 The shipped set:
 
-* **SPC007** (:mod:`.lockorder`) — lock-acquisition-order cycles and
-  ``await``/pool-submit calls inside held-lock regions;
 * **SPC008** (:mod:`.asyncsafety`) — blocking calls reachable from
   ``async def`` bodies in the serving front-end, unawaited coroutines,
   and fire-and-forget ``create_task``;
@@ -20,19 +18,20 @@ The shipped set:
 * **SPC010** (:mod:`.wire_schema`) — wire-protocol schema drift between
   the message dataclasses, the error-code registry, the client's
   exception map, and the documented schema tables.
+
+SPC007 (lock-acquisition order) is retired with the ``repro.perf`` locks
+it policed; its ID is not reused.
 """
 
 from __future__ import annotations
 
 from repro.devtools.analyses.asyncsafety import AsyncSafetyAnalysis
 from repro.devtools.analyses.base import Analysis
-from repro.devtools.analyses.lockorder import LockOrderAnalysis
 from repro.devtools.analyses.typestate import TwoPhaseTypestateAnalysis
 from repro.devtools.analyses.wire_schema import WireSchemaAnalysis
 
 #: The analyses ``sparcle lint`` runs by default, in report order.
 DEFAULT_ANALYSES: tuple[Analysis, ...] = (
-    LockOrderAnalysis(),
     AsyncSafetyAnalysis(),
     TwoPhaseTypestateAnalysis(),
     WireSchemaAnalysis(),
@@ -42,7 +41,6 @@ __all__ = [
     "Analysis",
     "AsyncSafetyAnalysis",
     "DEFAULT_ANALYSES",
-    "LockOrderAnalysis",
     "TwoPhaseTypestateAnalysis",
     "WireSchemaAnalysis",
 ]

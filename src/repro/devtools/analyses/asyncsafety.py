@@ -7,11 +7,11 @@ reaches stalls every connection at once.  Three checks:
 * **Blocking calls reachable from async code.**  Starting from every
   ``async def`` in the scoped files, walk the call graph (following
   ``self.m``, imported names, and method-name CHA) and flag blocking
-  sinks: ``time.sleep``, ``open``/pathlib file IO, ``socket.*``,
-  ``subprocess.*``, and ``pool.result()``-style future joins.  The
-  *intentional* synchronous-backend-on-loop boundary is allowlisted by
-  qualname prefix — every entry carries a rationale string, and the
-  traversal stops there instead of descending into the backend.
+  sinks: ``time.sleep``, ``open``/pathlib file IO, ``socket.*``, and
+  ``subprocess.*``.  The *intentional* synchronous-backend-on-loop
+  boundary is allowlisted by qualname prefix — every entry carries a
+  rationale string, and the traversal stops there instead of descending
+  into the backend.
 * **Unawaited coroutines.**  A bare expression statement calling a
   project ``async def`` creates a coroutine that is never awaited — the
   call silently does nothing.
@@ -27,26 +27,21 @@ from collections.abc import Iterable, Mapping
 from typing import Any
 
 from repro.devtools.analyses.base import Analysis
-from repro.devtools.callgraph import ProjectIndex, identifier_tokens
+from repro.devtools.callgraph import ProjectIndex
 from repro.devtools.engine import Violation
 
 #: Files whose async discipline is in scope (the asyncio front-end).
 SCOPE_SUFFIXES = ("service/server.py", "service/client.py")
 
 #: Qualname prefixes the traversal does not descend into, with the
-#: rationale for each.  These are the documented synchronous-backend-
-#: on-the-loop boundaries (docs/serving.md: the backend is explicitly
-#: single-threaded; every backend call runs synchronously on the loop).
+#: rationale for each.  There is no worker side: every backend call runs
+#: synchronously on the event loop (docs/serving.md), so an entry here
+#: accepts that the backend's blocking IO stalls the loop, on purpose.
 ALLOWLIST: Mapping[str, str] = {
-    "repro.service.gateway.": (
-        "the admission gateway is the synchronous backend the server "
-        "drives on the event loop by design (single-threaded "
-        "control-loop contract, docs/serving.md)"
-    ),
     "repro.service.shard.": (
-        "the shard coordinator and its durable event logs are the "
-        "synchronous backend the server drives on the event loop by "
-        "design (decisions must hit the log before the reply is sent)"
+        "the shard event logs open, append and rewrite their files on the "
+        "event loop: a decision must be durable before its reply is "
+        "sent, and recovery runs before the listening socket opens"
     ),
 }
 
@@ -61,9 +56,6 @@ _SINK_ATTRS = frozenset({
     "read_text", "write_text", "read_bytes", "write_bytes",
 })
 
-#: ``.result()`` joins block when the receiver looks like a pool/future.
-_JOIN_TOKENS = frozenset({"pool", "executor", "future", "futures", "promise"})
-
 #: Task-spawn entry points for the fire-and-forget check.
 _SPAWN_ATTRS = frozenset({"create_task", "ensure_future"})
 
@@ -74,11 +66,9 @@ def _sink_reason(dotted: str) -> str | None:
         return f"{dotted}(...) blocks the event loop"
     if any(dotted.startswith(prefix) for prefix in _SINK_PREFIXES):
         return f"{dotted}(...) performs blocking IO"
-    head, _, attr = dotted.rpartition(".")
+    attr = dotted.rpartition(".")[2]
     if attr in _SINK_ATTRS:
         return f"{dotted}(...) performs blocking file IO"
-    if attr == "result" and (identifier_tokens(head) & _JOIN_TOKENS):
-        return f"{dotted}(...) joins a worker future synchronously"
     return None
 
 

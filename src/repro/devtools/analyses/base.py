@@ -1,4 +1,4 @@
-"""The :class:`Analysis` interface shared by the SPC007–SPC010 passes."""
+"""The :class:`Analysis` interface shared by the SPC008–SPC010 passes."""
 
 from __future__ import annotations
 

@@ -1,16 +1,14 @@
 """Project symbol table and call graph for the whole-program analyses.
 
-The per-file rules (SPC001–SPC006) see one AST at a time; the analyses
-(SPC007–SPC010) need to answer questions that span files — "is this
-blocking call reachable from an ``async def`` in the server?", "do two
-locks get acquired in inconsistent orders anywhere?".  This module
-builds the shared substrate:
+The per-file rules see one AST at a time; the analyses (SPC008–SPC010)
+need to answer questions that span files — "is this blocking call
+reachable from an ``async def`` in the server?".  This module builds the
+shared substrate:
 
 * :meth:`ProjectIndex.extract_module` distills one parsed file into a
-  **JSON-serializable summary**: the module's import map, its classes
-  (with the lock attributes discovered from ``threading.Lock``/``RLock``
-  assignments), and every function — qualname, async-ness, call sites
-  (with await/bare-expression context), and lock-region facts.
+  **JSON-serializable summary**: the module's import map and every
+  function and method — qualname, async-ness, and call sites (with
+  await/bare-expression context).
 * :meth:`ProjectIndex.from_summaries` assembles the summaries into a
   queryable index.  Because the summaries are plain JSON, the lint
   engine caches them on disk keyed by file mtime/size and rebuilds the
@@ -29,20 +27,11 @@ code.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 from typing import Any
 
 from repro.devtools.engine import FileContext
-
-#: Constructors whose assignment marks an attribute/global as a lock.
-_LOCK_CTORS = frozenset({"threading.Lock", "threading.RLock"})
-
-#: Thread-pool submission attributes (``pool.submit`` / ``pool.map``).
-_SUBMIT_ATTRS = frozenset({"submit", "map"})
-
-#: Identifier tokens that mark a receiver as a worker pool.
-_POOL_TOKENS = frozenset({"pool", "executor", "workers"})
 
 
 def module_name_for(relpath: str) -> str:
@@ -82,13 +71,6 @@ def dotted_chain(node: ast.expr) -> str | None:
             return None
 
 
-def identifier_tokens(dotted: str) -> frozenset[str]:
-    tokens: set[str] = set()
-    for part in dotted.split("."):
-        tokens.update(filter(None, part.lower().split("_")))
-    return frozenset(tokens)
-
-
 def _walk_outside_defs(node: ast.AST) -> Iterator[ast.AST]:
     """Child nodes, not descending into nested defs/classes/lambdas.
 
@@ -113,22 +95,15 @@ class _ModuleExtractor:
         self.ctx = ctx
         self.module = module_name_for(ctx.relpath)
         self.imports: dict[str, str] = {}
-        self.class_locks: dict[str, set[str]] = {}
-        self.module_locks: set[str] = set()
         self.functions: list[dict[str, Any]] = []
-        self.classes: dict[str, dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> dict[str, Any]:
-        self._collect_imports_and_locks()
+        self._collect_imports()
         for stmt in self.ctx.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._function(stmt, cls=None, prefix=self.module)
             elif isinstance(stmt, ast.ClassDef):
-                self.classes.setdefault(stmt.name, {
-                    "line": stmt.lineno,
-                    "lock_attrs": sorted(self.class_locks.get(stmt.name, ())),
-                })
                 for sub in stmt.body:
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         self._function(
@@ -139,13 +114,11 @@ class _ModuleExtractor:
             "module": self.module,
             "relpath": self.ctx.relpath,
             "imports": dict(sorted(self.imports.items())),
-            "module_locks": sorted(self.module_locks),
-            "classes": self.classes,
             "functions": self.functions,
         }
 
     # ------------------------------------------------------------------
-    def _collect_imports_and_locks(self) -> None:
+    def _collect_imports(self) -> None:
         for node in ast.walk(self.ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -158,46 +131,6 @@ class _ModuleExtractor:
                         self.imports[alias.asname or alias.name] = (
                             f"{node.module}.{alias.name}"
                         )
-        for stmt in self.ctx.tree.body:
-            self._lock_assignments(stmt, cls=None)
-            if isinstance(stmt, ast.ClassDef):
-                for node in ast.walk(stmt):
-                    self._lock_assignments(node, cls=stmt.name)
-
-    def _lock_assignments(self, node: ast.AST, *, cls: str | None) -> None:
-        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-            return
-        dotted = dotted_chain(node.value.func)
-        if dotted is None:
-            return
-        resolved = self.imports.get(dotted, dotted)
-        if resolved not in _LOCK_CTORS and dotted not in _LOCK_CTORS:
-            return
-        for target in node.targets:
-            if (
-                cls is not None
-                and isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                self.class_locks.setdefault(cls, set()).add(target.attr)
-            elif cls is None and isinstance(target, ast.Name):
-                self.module_locks.add(target.id)
-
-    # ------------------------------------------------------------------
-    def _lock_id(self, expr: ast.expr, cls: str | None) -> str | None:
-        """The project-wide id of a lock acquired by ``with expr:``."""
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-            and cls is not None
-            and expr.attr in self.class_locks.get(cls, ())
-        ):
-            return f"{self.module}.{cls}.{expr.attr}"
-        if isinstance(expr, ast.Name) and expr.id in self.module_locks:
-            return f"{self.module}.{expr.id}"
-        return None
 
     def _function(
         self,
@@ -214,11 +147,7 @@ class _ModuleExtractor:
             "line": node.lineno,
             "is_async": isinstance(node, ast.AsyncFunctionDef),
             "calls": self._calls(node),
-            "acquires": [],
-            "lock_edges": [],
-            "in_lock": [],
         }
-        self._lock_regions(node.body, cls, held=[], record=record)
         self.functions.append(record)
         for child in self._direct_nested_defs(node):
             self._function(child, cls=cls, prefix=qualname)
@@ -266,70 +195,6 @@ class _ModuleExtractor:
                 "bare": isinstance(enclosing, ast.Expr),
             })
         return calls
-
-    def _lock_regions(
-        self,
-        body: Sequence[ast.stmt],
-        cls: str | None,
-        *,
-        held: list[str],
-        record: dict[str, Any],
-    ) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                acquired = [
-                    lock for item in stmt.items
-                    if (lock := self._lock_id(item.context_expr, cls))
-                ]
-                for lock in acquired:
-                    record["acquires"].append({"lock": lock, "line": stmt.lineno})
-                    for outer in held:
-                        record["lock_edges"].append(
-                            [outer, lock, stmt.lineno]
-                        )
-                self._lock_regions(
-                    stmt.body, cls, held=held + acquired, record=record
-                )
-            elif isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            elif isinstance(stmt, (ast.If, ast.For, ast.AsyncFor, ast.While)):
-                self._lock_regions(stmt.body, cls, held=held, record=record)
-                self._lock_regions(stmt.orelse, cls, held=held, record=record)
-            elif isinstance(stmt, ast.Try):
-                for suite in (
-                    stmt.body, stmt.orelse, stmt.finalbody,
-                    *(h.body for h in stmt.handlers),
-                ):
-                    self._lock_regions(suite, cls, held=held, record=record)
-            elif held:
-                self._in_lock_events(stmt, held, record)
-
-    def _in_lock_events(
-        self, stmt: ast.stmt, held: list[str], record: dict[str, Any]
-    ) -> None:
-        lock = held[-1]
-        for node in _walk_outside_defs(stmt):
-            if isinstance(node, ast.Await):
-                record["in_lock"].append({
-                    "kind": "await", "lock": lock,
-                    "dotted": None, "line": node.lineno,
-                })
-            elif isinstance(node, ast.Call):
-                dotted = dotted_chain(node.func)
-                if dotted is None:
-                    continue
-                head, _, attr = dotted.rpartition(".")
-                kind = "call"
-                if attr in _SUBMIT_ATTRS and (
-                    identifier_tokens(head) & _POOL_TOKENS
-                ):
-                    kind = "submit"
-                record["in_lock"].append({
-                    "kind": kind, "lock": lock,
-                    "dotted": dotted, "line": node.lineno,
-                })
 
 
 class ProjectIndex:

@@ -1,8 +1,8 @@
 """AST-based lint engine encoding SPARCLE's domain invariants.
 
 The repo's bug history falls into a handful of mechanically detectable
-classes (raw resource-key literals, unseeded randomness, un-lock-guarded
-registry mutation, float equality on rates, frozen-snapshot mutation).
+classes (raw resource-key literals, unseeded randomness, float equality
+on rates, frozen-snapshot mutation, broad excepts).
 This module provides the machinery that turns those classes into
 checkable rules:
 
@@ -13,7 +13,7 @@ checkable rules:
   :mod:`repro.devtools.rules` for the built-in SPC001–SPC006 set);
 * :class:`LintEngine` — walks files/directories, parses each Python file
   once, runs every rule over the shared AST, feeds each file to the
-  whole-program analyses (:mod:`repro.devtools.analyses`, SPC007–SPC010),
+  whole-program analyses (:mod:`repro.devtools.analyses`, SPC008–SPC010),
   and applies ``# sparcle: ignore[RULE]`` suppressions plus an optional
   baseline;
 * an on-disk **facts cache**: per-file results (rule violations,

@@ -1,4 +1,4 @@
-"""The built-in SPARCLE lint rules (SPC001–SPC006).
+"""The built-in SPARCLE lint rules (SPC001, SPC002, SPC004–SPC006).
 
 Each rule encodes an invariant whose violation has already cost a real
 debugging session in this repo's history (see ``docs/static-analysis.md``
@@ -8,8 +8,6 @@ for the rule-by-rule rationale and the originating bugs):
   :mod:`repro.core.taskgraph` constants are required;
 * **SPC002** — ``random`` / ``numpy.random`` use outside the seeded
   :mod:`repro.utils.rng` path (determinism guard);
-* **SPC003** — read-modify-write on shared ``self._*`` dict state outside
-  a ``with lock:`` block in :mod:`repro.perf`;
 * **SPC004** — ``==`` / ``!=`` between float-typed rate/capacity
   expressions in ``core/`` and ``simulator/`` (epsilon discipline);
 * **SPC005** — attribute or element assignment on frozen values
@@ -18,6 +16,9 @@ for the rule-by-rule rationale and the originating bugs):
 * **SPC006** — bare or broad ``except`` clauses (``except:`` /
   ``except Exception`` / ``except BaseException``) outside a small
   documented allowlist (silent-degradation guard).
+
+SPC003 (unguarded read-modify-write in the lock-guarded ``repro.perf``
+registries) is retired with those locks; its ID is not reused.
 
 Allowlists are part of each rule's definition, not suppressions in the
 linted code: a JSON schema legitimately spells ``"bandwidth"`` in
@@ -168,123 +169,6 @@ class UnseededRandomnessRule(Rule):
                         f"direct call {dotted}(...); draw from a Generator "
                         "obtained via repro.utils.rng.ensure_rng",
                     )
-
-
-class UnlockedSharedMutationRule(Rule):
-    """SPC003: dict read-modify-write on ``self._*`` state outside a lock.
-
-    PR 3 fixed lost-update races where ``repro.perf`` registries ran
-    ``self._counts[key] = self._counts.get(key, 0) + n`` without holding
-    ``self._lock``.  In the concurrently-driven modules, every
-    read-modify-write of instance dict state must sit inside a
-    ``with <...lock...>:`` block.
-    """
-
-    rule_id = "SPC003"
-    summary = "read-modify-write on shared instance state outside a lock"
-
-    #: Only modules that are documented as thread-shared are in scope
-    #: (the single-threaded, lock-free admission gateway is not).
-    SCOPE_DIRS = ("perf/",)
-
-    def _in_scope(self, relpath: str) -> bool:
-        return any(f"/{d}" in f"/{relpath}" for d in self.SCOPE_DIRS)
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if not self._in_scope(ctx.relpath):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.FunctionDef) and node.name != "__init__":
-                yield from self._check_function(ctx, node)
-
-    # ------------------------------------------------------------------
-    def _check_function(
-        self, ctx: FileContext, func: ast.FunctionDef
-    ) -> Iterator[Violation]:
-        yield from self._walk_block(ctx, func.body, locked=False)
-
-    def _walk_block(
-        self, ctx: FileContext, body: list[ast.stmt], *, locked: bool
-    ) -> Iterator[Violation]:
-        for stmt in body:
-            if isinstance(stmt, ast.With):
-                inner = locked or any(
-                    self._is_lock_expr(item.context_expr) for item in stmt.items
-                )
-                yield from self._walk_block(ctx, stmt.body, locked=inner)
-            elif isinstance(stmt, ast.FunctionDef):
-                # Nested defs (callbacks) run later, outside this lock —
-                # the outer ast.walk visits them as their own functions,
-                # starting unlocked, so no recursion here.
-                continue
-            elif isinstance(stmt, (ast.If, ast.For, ast.While)):
-                yield from self._walk_block(ctx, stmt.body, locked=locked)
-                yield from self._walk_block(ctx, stmt.orelse, locked=locked)
-            elif isinstance(stmt, ast.Try):
-                yield from self._walk_block(ctx, stmt.body, locked=locked)
-                for handler in stmt.handlers:
-                    yield from self._walk_block(ctx, handler.body, locked=locked)
-                yield from self._walk_block(ctx, stmt.orelse, locked=locked)
-                yield from self._walk_block(ctx, stmt.finalbody, locked=locked)
-            elif not locked:
-                violation = self._rmw_violation(ctx, stmt)
-                if violation is not None:
-                    yield violation
-
-    @staticmethod
-    def _is_lock_expr(expr: ast.expr) -> bool:
-        for node in ast.walk(expr):
-            name = None
-            if isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.Name):
-                name = node.id
-            if name is not None and "lock" in name.lower():
-                return True
-        return False
-
-    @staticmethod
-    def _self_attr_of_subscript(target: ast.expr) -> str | None:
-        """``attr`` when target is ``self.<attr>[...]``, else ``None``."""
-        if (
-            isinstance(target, ast.Subscript)
-            and isinstance(target.value, ast.Attribute)
-            and isinstance(target.value.value, ast.Name)
-            and target.value.value.id == "self"
-        ):
-            return target.value.attr
-        return None
-
-    def _rmw_violation(self, ctx: FileContext, stmt: ast.stmt) -> Violation | None:
-        if isinstance(stmt, ast.AugAssign):
-            attr = self._self_attr_of_subscript(stmt.target)
-            if attr is not None:
-                return ctx.violation(
-                    stmt, self.rule_id,
-                    f"augmented assignment to self.{attr}[...] outside a "
-                    "'with lock:' block",
-                )
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            attr = self._self_attr_of_subscript(stmt.targets[0])
-            if attr is not None and self._reads_self_attr(stmt.value, attr):
-                return ctx.violation(
-                    stmt, self.rule_id,
-                    f"read-modify-write of self.{attr}[...] outside a "
-                    "'with lock:' block",
-                )
-        return None
-
-    @staticmethod
-    def _reads_self_attr(expr: ast.expr, attr: str) -> bool:
-        for node in ast.walk(expr):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr == attr
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                return True
-        return False
 
 
 class FloatEqualityRule(Rule):
@@ -529,7 +413,6 @@ class BroadExceptRule(Rule):
 DEFAULT_RULES: tuple[Rule, ...] = (
     ResourceLiteralRule(),
     UnseededRandomnessRule(),
-    UnlockedSharedMutationRule(),
     FloatEqualityRule(),
     FrozenSnapshotMutationRule(),
     BroadExceptRule(),

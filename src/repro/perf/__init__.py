@@ -1,20 +1,28 @@
 """Observability for the scheduling hot path and control loops.
 
-Three layers, cheapest first:
+Two layers, cheapest first:
 
-* :mod:`repro.perf.counters` — process-wide counters and wall-clock
-  timers keyed by bare strings (a locked dict update per event); used by
-  the Algorithm-2 hot path and exported into ``BENCH_*.json``.
-* :mod:`repro.perf.metrics` — labeled, optionally scoped registries
-  (``incr("scheduler.decisions", kind="GR")``) so per-app / per-element
-  series don't collide and concurrent runs don't share one global dict.
+* :mod:`repro.perf.counters` — one registry class of counters, gauges,
+  and wall-clock timers keyed by a name plus an optional label set
+  (``incr("assignment.width_tables")``, ``incr("scheduler.decisions",
+  kind="GR")``; one dict update per event).  :data:`counters` is the
+  process-wide instance every call site reports into and
+  ``BENCH_*.json`` exports; :func:`use_registry` installs a private one
+  for the current context.
 * :mod:`repro.perf.tracing` — structured, timestamped event/span records
   in a bounded ring buffer with JSONL export: the post-hoc audit trail
   for admission decisions, path selections, repair actions, and
   simulator element transitions.
 
-:mod:`repro.perf.exporters` renders any of them as a Prometheus-style
-text snapshot or a merged JSON run report.
+:mod:`repro.perf.exporters` renders them as a Prometheus-style text
+snapshot or a merged JSON run report.
+
+Thread contract: one writer thread.  Registries and tracers take no
+lock; every write comes from the serving or experiment thread (the asyncio
+loop of ``sparcle serve``, or the thread running an experiment).  The
+pacing workers of :mod:`repro.runtime.engine`, the only threads in the
+package, import nothing from :mod:`repro.perf`
+(``tests/test_thread_contract.py`` checks both).
 
 Tracing is **off by default**; instrumented call sites guard with one
 attribute check (``if tr.enabled:``) so a disabled tracer is free —
@@ -36,15 +44,16 @@ Usage::
     tr.export_jsonl("trace.jsonl")
 """
 
-from repro.perf import exporters, metrics, tracing
-from repro.perf.counters import PerfRegistry, counters, timed, timer
-from repro.perf.exporters import export_run, prometheus_snapshot, run_report
-from repro.perf.metrics import (
-    LabeledRegistry,
-    ScopedMetrics,
+from repro.perf import exporters, tracing
+from repro.perf.counters import (
+    PerfRegistry,
+    counters,
     get_metrics,
+    timed,
+    timer,
     use_registry,
 )
+from repro.perf.exporters import export_run, prometheus_snapshot, run_report
 from repro.perf.tracing import TraceEvent, Tracer, get_tracer, use_tracer
 
 __all__ = [
@@ -53,14 +62,11 @@ __all__ = [
     "timed",
     "timer",
     "tracing",
-    "metrics",
     "exporters",
     "TraceEvent",
     "Tracer",
     "get_tracer",
     "use_tracer",
-    "LabeledRegistry",
-    "ScopedMetrics",
     "get_metrics",
     "use_registry",
     "prometheus_snapshot",

@@ -1,26 +1,41 @@
-"""Process-wide perf counters, ``@timed`` hooks, and JSON export.
+"""The metrics registry, ``@timed`` hooks, and the per-context override.
 
 A single module-level :class:`PerfRegistry` (:data:`counters`) backs all
 instrumentation so callers never have to thread a registry through the
-scheduler layers.  Events cost one dict update; timers add two
-``perf_counter`` calls around the wrapped block.  Everything is queryable
-(``get``, ``timer_stats``, ``snapshot``) and resettable, which is what the
-benchmark runner and the perf-counter tests rely on.
+scheduler layers.  Every series is keyed by a name plus a label set;
+a bare ``counters.incr("assignment.commits")`` writes the series with
+the empty label set, and ``incr("scheduler.decisions", kind="GR")``
+writes a labeled one.  Events cost one dict update; timers add two
+``perf_counter`` calls around the wrapped block.  Everything is
+queryable (``get``, ``timer_stats``, ``snapshot``) and resettable,
+which is what the benchmark runner and the perf-counter tests rely on.
+
+:func:`use_registry` installs a private registry for the current
+context (``contextvars``); :func:`get_metrics` returns it, or
+:data:`counters` when none is installed.
 """
 
 from __future__ import annotations
 
-import json
-import threading
+import contextvars
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import wraps
-from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 F = TypeVar("F", bound=Callable[..., Any])
+
+#: A metric identity: name plus its sorted ``(label, value)`` pairs.
+MetricKey = tuple[str, tuple[tuple[str, str], ...]]
+
+
+def _metric_key(name: str, labels: dict[str, Any]) -> MetricKey:
+    """Canonical key for ``name`` under ``labels`` (values stringified)."""
+    if not labels:
+        return name, ()
+    return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
 @dataclass
@@ -43,123 +58,139 @@ class TimerStat:
 
 
 class PerfRegistry:
-    """Named monotonic counters plus named wall-clock timers.
+    """Counters, gauges, and timers keyed by ``(name, labels)``.
 
-    Thread-safe: the exporters and simulator probes may report from
-    worker threads, and an unsynchronized ``dict.get``/store pair loses
-    increments under contention.  One registry-wide lock guards every
-    read-modify-write; uncontended acquisition is tens of nanoseconds,
-    invisible next to the work being counted.
+    Unsynchronized by design: the package contract (:mod:`repro.perf`)
+    is one writer thread.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, int] = {}
-        self._timers: dict[str, TimerStat] = {}
-        self._gauges: dict[str, float] = {}
-        self._lock = threading.Lock()
+        self._counters: dict[MetricKey, float] = {}
+        self._gauges: dict[MetricKey, float] = {}
+        self._timers: dict[MetricKey, TimerStat] = {}
 
-    # -- counters ------------------------------------------------------
-    def incr(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to counter ``name`` (created at zero)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
+    # -- writes --------------------------------------------------------
+    def incr(self, name: str, amount: float = 1, **labels: Any) -> None:
+        """Add ``amount`` to the counter ``name{labels}`` (created at 0)."""
+        key = _metric_key(name, labels)
+        self._counters[key] = self._counters.get(key, 0) + amount
 
-    def get(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never incremented)."""
-        return self._counters.get(name, 0)
+    def accumulate(self, name: str, amount: float, **labels: Any) -> None:
+        """Add a float ``amount`` to the gauge ``name{labels}`` (from 0.0).
 
-    def counter_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._counters))
-
-    # -- gauges (float accumulators) -----------------------------------
-    def accumulate(self, name: str, amount: float) -> None:
-        """Add a float ``amount`` to gauge ``name`` (created at zero).
-
-        Gauges carry physical quantities (capacity units released, rate
-        restored) that integer counters cannot represent.
+        Accumulated gauges carry physical quantities (capacity units
+        released, rate restored) that integer counters cannot represent.
         """
-        with self._lock:
-            self._gauges[name] = self._gauges.get(name, 0.0) + amount
+        key = _metric_key(name, labels)
+        self._gauges[key] = self._gauges.get(key, 0.0) + amount
 
-    def gauge(self, name: str) -> float:
-        """Current value of gauge ``name`` (0.0 if never accumulated)."""
-        return self._gauges.get(name, 0.0)
+    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
+        """Set the gauge ``name{labels}`` to ``value`` (last write wins)."""
+        self._gauges[_metric_key(name, labels)] = value
 
-    def hit_rate(self, hits: str, misses: str) -> float:
-        """``hits / (hits + misses)`` — the fraction of events that hit.
+    def observe(self, name: str, seconds: float, **labels: Any) -> None:
+        """Record one duration sample under the timer ``name{labels}``."""
+        key = _metric_key(name, labels)
+        stat = self._timers.get(key)
+        if stat is None:
+            stat = self._timers[key] = TimerStat()
+        stat.record(seconds)
 
-        Returns 0.0 when both counters are zero.  Note this is *not* a
-        plain quotient of the two counters: the second argument is the
-        complementary outcome count, not a denominator.
-        """
-        n, d = self.get(hits), self.get(misses)
-        total = n + d
-        return n / total if total else 0.0
+    # -- reads ---------------------------------------------------------
+    def get(self, name: str, **labels: Any) -> float:
+        """Counter value for exactly ``name{labels}`` (0 when absent)."""
+        return self._counters.get(_metric_key(name, labels), 0)
 
-    # -- timers --------------------------------------------------------
-    def add_time(self, name: str, seconds: float) -> None:
-        with self._lock:
-            stat = self._timers.get(name)
-            if stat is None:
-                stat = self._timers[name] = TimerStat()
-            stat.record(seconds)
+    def gauge(self, name: str, **labels: Any) -> float:
+        """Gauge value for exactly ``name{labels}`` (0.0 when absent)."""
+        return self._gauges.get(_metric_key(name, labels), 0.0)
 
-    def timer_stats(self, name: str) -> TimerStat:
-        """Stats of timer ``name`` (a zero stat if never recorded)."""
-        return self._timers.get(name, TimerStat())
+    def timer_stats(self, name: str, **labels: Any) -> TimerStat:
+        """Timer stats for ``name{labels}`` (a zero stat when absent)."""
+        return self._timers.get(_metric_key(name, labels), TimerStat())
 
     # -- lifecycle / export --------------------------------------------
     def reset(self) -> None:
         """Zero every counter, gauge, and timer (between benchmark rounds)."""
-        with self._lock:
-            self._counters.clear()
-            self._timers.clear()
-            self._gauges.clear()
+        self._counters.clear()
+        self._gauges.clear()
+        self._timers.clear()
 
     def snapshot(self) -> dict[str, Any]:
-        """All counters, gauges, and timers as a JSON-serializable dict."""
-        with self._lock:
-            return {
-                "counters": dict(sorted(self._counters.items())),
-                "gauges": dict(sorted(self._gauges.items())),
-                "timers": {
-                    name: {
-                        "calls": stat.calls,
-                        "total_seconds": stat.total_seconds,
-                        "mean_seconds": stat.mean_seconds,
-                        "max_seconds": stat.max_seconds,
-                    }
-                    for name, stat in sorted(self._timers.items())
-                },
-            }
+        """JSON-serializable dump; label sets render as ``name{k=v,...}``."""
 
-    def export_json(self, path: str | Path, *, extra: dict[str, Any] | None = None) -> Path:
-        """Write :meth:`snapshot` (plus optional metadata) to ``path``."""
-        payload = self.snapshot()
-        if extra:
-            payload.update(extra)
-        target = Path(path)
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return target
+        def render(key: MetricKey) -> str:
+            name, labels = key
+            if not labels:
+                return name
+            inner = ",".join(f"{k}={v}" for k, v in labels)
+            return f"{name}{{{inner}}}"
+
+        timers = {
+            render(k): {
+                "calls": stat.calls,
+                "total_seconds": stat.total_seconds,
+                "mean_seconds": stat.mean_seconds,
+                "max_seconds": stat.max_seconds,
+            }
+            for k, stat in self._timers.items()
+        }
+        return {
+            "counters": dict(sorted((render(k), v) for k, v in self._counters.items())),
+            "gauges": dict(sorted((render(k), v) for k, v in self._gauges.items())),
+            "timers": dict(sorted(timers.items())),
+        }
+
+    def raw_items(self) -> dict[str, dict[MetricKey, Any]]:
+        """The tables keyed by :data:`MetricKey` (exporter input; read-only)."""
+        return {
+            "counters": self._counters,
+            "gauges": self._gauges,
+            "timers": self._timers,
+        }
 
 
 #: The process-wide registry every instrumented call site reports into.
 counters = PerfRegistry()
 
+_current: contextvars.ContextVar[PerfRegistry | None] = contextvars.ContextVar(
+    "repro_perf_metrics", default=None
+)
 
-def timed(name: str, registry: PerfRegistry | None = None) -> Callable[[F], F]:
+
+def get_metrics() -> PerfRegistry:
+    """The registry for the current context (override or :data:`counters`)."""
+    scoped = _current.get()
+    return scoped if scoped is not None else counters
+
+
+@contextmanager
+def use_registry(registry: PerfRegistry) -> Iterator[PerfRegistry]:
+    """Route this context's :func:`get_metrics` writes into ``registry``.
+
+    The metrics counterpart of :func:`repro.perf.tracing.use_tracer`: a
+    run that wants its own series (``sparcle trace``, ``sparcle perf``)
+    installs a private registry so they stay apart from the process-wide
+    one.
+    """
+    token = _current.set(registry)
+    try:
+        yield registry
+    finally:
+        _current.reset(token)
+
+
+def timed(name: str) -> Callable[[F], F]:
     """Decorator recording call count and wall time under timer ``name``."""
 
     def decorate(fn: F) -> F:
-        reg = registry if registry is not None else counters
-
         @wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                reg.add_time(name, time.perf_counter() - start)
+                counters.observe(name, time.perf_counter() - start)
 
         return wrapper  # type: ignore[return-value]
 
@@ -167,11 +198,10 @@ def timed(name: str, registry: PerfRegistry | None = None) -> Callable[[F], F]:
 
 
 @contextmanager
-def timer(name: str, registry: PerfRegistry | None = None) -> Iterator[None]:
+def timer(name: str) -> Iterator[None]:
     """Context-manager flavour of :func:`timed`."""
-    reg = registry if registry is not None else counters
     start = time.perf_counter()
     try:
         yield
     finally:
-        reg.add_time(name, time.perf_counter() - start)
+        counters.observe(name, time.perf_counter() - start)

@@ -10,7 +10,7 @@ Three output formats, one per consumer:
 * :meth:`Tracer.export_jsonl` (in :mod:`repro.perf.tracing`) — the raw
   event stream for post-hoc audit.
 * :func:`run_report` / :func:`export_run` — one merged JSON document tying
-  both together with run metadata, which is what the CLI ``trace``
+  the metrics and the trace digest together with run metadata, which is what the CLI ``trace``
   subcommand and ``experiments/base.export_observability`` write next to
   the experiment artifacts.
 """
@@ -25,8 +25,7 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
-from repro.perf.counters import PerfRegistry, counters
-from repro.perf.metrics import LabeledRegistry, get_metrics
+from repro.perf.counters import PerfRegistry, counters, get_metrics
 from repro.perf.tracing import Tracer, get_tracer
 
 #: Prefix applied to every exported metric name.
@@ -73,47 +72,15 @@ def _format_value(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def prometheus_snapshot(
-    registry: PerfRegistry | None = None,
-    labeled: LabeledRegistry | None = None,
-) -> str:
-    """Render both registries in the Prometheus text exposition format.
-
-    ``registry`` defaults to the process-wide :data:`repro.perf.counters`
-    and ``labeled`` to the context's :func:`~repro.perf.metrics
-    .get_metrics` registry, so a bare call snapshots whatever the run
-    recorded.
-    """
-    registry = registry if registry is not None else counters
-    labeled = labeled if labeled is not None else get_metrics()
-    lines: list[str] = []
-
-    snap = registry.snapshot()
-    for name, value in snap["counters"].items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {_format_value(value)}")
-    for name, value in snap["gauges"].items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {_format_value(value)}")
-    for name, stat in snap["timers"].items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} summary")
-        lines.append(f"{prom}_count {stat['calls']}")
-        lines.append(f"{prom}_seconds_sum {_format_value(stat['total_seconds'])}")
-        lines.append(f"{prom}_seconds_max {_format_value(stat['max_seconds'])}")
-
-    raw = labeled.raw_items()
+def _exposition(registry: PerfRegistry) -> list[str]:
+    """One registry's series, one ``# TYPE`` header per name and kind."""
+    raw = registry.raw_items()
     by_name: dict[str, list[str]] = {}
-    for (name, labels), value in sorted(raw["counters"].items()):
-        by_name.setdefault(f"counter {name}", []).append(
-            f"{_prom_name(name)}{_prom_labels(labels)} {_format_value(value)}"
-        )
-    for (name, labels), value in sorted(raw["gauges"].items()):
-        by_name.setdefault(f"gauge {name}", []).append(
-            f"{_prom_name(name)}{_prom_labels(labels)} {_format_value(value)}"
-        )
+    for kind in ("counter", "gauge"):
+        for (name, labels), value in sorted(raw[f"{kind}s"].items()):
+            by_name.setdefault(f"{kind} {name}", []).append(
+                f"{_prom_name(name)}{_prom_labels(labels)} {_format_value(value)}"
+            )
     for (name, labels), stat in sorted(raw["timers"].items()):
         prom, suffix = _prom_name(name), _prom_labels(labels)
         by_name.setdefault(f"summary {name}", []).extend(
@@ -123,35 +90,59 @@ def prometheus_snapshot(
                 f"{prom}_seconds_max{suffix} {_format_value(stat.max_seconds)}",
             ]
         )
+    lines: list[str] = []
     for header, samples in sorted(by_name.items()):
         kind, name = header.split(" ", 1)
         lines.append(f"# TYPE {_prom_name(name)} {kind}")
         lines.extend(samples)
+    return lines
+
+
+def _registries(labeled: PerfRegistry | None) -> list[PerfRegistry]:
+    """:data:`counters`, then the context registry when it is another one."""
+    labeled = labeled if labeled is not None else get_metrics()
+    return [counters] if labeled is counters else [counters, labeled]
+
+
+def prometheus_snapshot(labeled: PerfRegistry | None = None) -> str:
+    """Render the metrics in the Prometheus text exposition format.
+
+    Always the process-wide :data:`repro.perf.counters`, followed by
+    ``labeled`` (default: the context's :func:`~repro.perf.counters
+    .get_metrics` registry) when that is a different registry, so a bare
+    call snapshots whatever the run recorded.
+    """
+    lines = [
+        line for registry in _registries(labeled)
+        for line in _exposition(registry)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def run_report(
     *,
     tracer_obj: Tracer | None = None,
-    registry: PerfRegistry | None = None,
-    labeled: LabeledRegistry | None = None,
+    labeled: PerfRegistry | None = None,
     extra: dict[str, Any] | None = None,
     clock: Callable[[], float] | None = None,
 ) -> dict[str, Any]:
-    """One merged JSON document: counters + labeled metrics + trace digest.
+    """One merged JSON document: every metric series + trace digest.
 
-    The trace digest carries per-kind record counts and drop statistics —
-    enough to sanity-check coverage without re-reading the JSONL stream.
+    ``metrics`` is the snapshot of the registries
+    :func:`prometheus_snapshot` prints, merged per kind.  The trace
+    digest carries per-kind record counts and drop statistics — enough
+    to sanity-check coverage without re-reading the JSONL stream.
     ``clock`` (or the ``SOURCE_DATE_EPOCH`` environment variable) pins
     ``generated_at_unix`` so two exports of the same run compare equal.
     """
     tracer_obj = tracer_obj if tracer_obj is not None else get_tracer()
-    registry = registry if registry is not None else counters
-    labeled = labeled if labeled is not None else get_metrics()
+    metrics: dict[str, dict[str, Any]] = {}
+    for registry in _registries(labeled):
+        for kind, series in registry.snapshot().items():
+            metrics[kind] = dict(sorted({**metrics.get(kind, {}), **series}.items()))
     report: dict[str, Any] = {
         "generated_at_unix": _report_timestamp(clock),
-        "perf": registry.snapshot(),
-        "metrics": labeled.snapshot(),
+        "metrics": metrics,
         "trace": {
             "records": len(tracer_obj),
             "dropped": tracer_obj.dropped,
@@ -168,8 +159,7 @@ def export_run(
     directory: str | Path,
     *,
     tracer_obj: Tracer | None = None,
-    registry: PerfRegistry | None = None,
-    labeled: LabeledRegistry | None = None,
+    labeled: PerfRegistry | None = None,
     extra: dict[str, Any] | None = None,
     prefix: str = "",
     clock: Callable[[], float] | None = None,
@@ -190,12 +180,11 @@ def export_run(
         "prom": target / f"{prefix}perf.prom",
         "report": target / f"{prefix}report.json",
     }
-    paths["prom"].write_text(prometheus_snapshot(registry, labeled))
+    paths["prom"].write_text(prometheus_snapshot(labeled))
     paths["report"].write_text(
         json.dumps(
             run_report(
                 tracer_obj=tracer_obj,
-                registry=registry,
                 labeled=labeled,
                 extra=extra,
                 clock=clock,

@@ -23,9 +23,10 @@ Design constraints, in priority order:
    the process through its own telemetry.  Drops are counted
    (:attr:`Tracer.dropped`) rather than silent.
 3. **Scoped, not global-only.**  :func:`use_tracer` installs a tracer for
-   the current context (``contextvars``), so concurrent runs — threaded
-   experiments, parallel tests — each get their own buffer instead of
-   interleaving into one shared global.
+   the current context (``contextvars``), so a run that wants its own
+   buffer (``sparcle trace``, a test) does not share the global one.
+   Like the metrics registry, a tracer takes no lock: the
+   :mod:`repro.perf` contract is one writer thread.
 
 Record schema (see ``docs/observability.md``)::
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 import contextvars
 import io
 import json
-import threading
 import time
 from collections import Counter, deque
 from collections.abc import Iterator
@@ -85,12 +85,10 @@ class TraceEvent:
 
 
 class Tracer:
-    """A bounded, thread-safe buffer of :class:`TraceEvent` records.
+    """A bounded buffer of :class:`TraceEvent` records (one writer thread).
 
     Disabled on construction; :meth:`enable` / :meth:`disable` toggle
-    recording.  All mutation is guarded by one lock — trace call sites
-    are coarse (per decision, not per inner-loop iteration), so the lock
-    is uncontended in practice.
+    recording.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -101,7 +99,6 @@ class Tracer:
         self.dropped = 0
         self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
         self._seq = 0
-        self._lock = threading.Lock()
 
     # -- recording -----------------------------------------------------
     def enable(self) -> None:
@@ -124,18 +121,7 @@ class Tracer:
         """
         if not self.enabled:
             return
-        with self._lock:
-            if len(self._buffer) == self.capacity:
-                self.dropped += 1
-            self._buffer.append(
-                TraceEvent(
-                    ts=time.monotonic() if ts is None else ts,
-                    seq=self._seq,
-                    kind=kind,
-                    fields=fields,
-                )
-            )
-            self._seq += 1
+        self._append(time.monotonic() if ts is None else ts, kind, fields, None)
 
     @contextmanager
     def span(self, kind: str, /, **fields: Any) -> Iterator[dict[str, Any]]:
@@ -156,19 +142,19 @@ class Tracer:
             yield fields
         finally:
             elapsed = time.perf_counter() - start
-            with self._lock:
-                if len(self._buffer) == self.capacity:
-                    self.dropped += 1
-                self._buffer.append(
-                    TraceEvent(
-                        ts=time.monotonic(),
-                        seq=self._seq,
-                        kind=kind,
-                        fields=fields,
-                        duration_s=elapsed,
-                    )
-                )
-                self._seq += 1
+            self._append(time.monotonic(), kind, fields, elapsed)
+
+    def _append(
+        self,
+        ts: float,
+        kind: str,
+        fields: dict[str, Any],
+        duration_s: float | None,
+    ) -> None:
+        if len(self._buffer) == self.capacity:
+            self.dropped += 1
+        self._buffer.append(TraceEvent(ts, self._seq, kind, fields, duration_s))
+        self._seq += 1
 
     # -- querying ------------------------------------------------------
     def records(self, kind: str | None = None) -> tuple[TraceEvent, ...]:
@@ -177,8 +163,7 @@ class Tracer:
         ``kind`` matches exactly, or as a dotted prefix when it ends with
         ``.`` (``records("repair.")`` returns every repair record).
         """
-        with self._lock:
-            snapshot = tuple(self._buffer)
+        snapshot = tuple(self._buffer)
         if kind is None:
             return snapshot
         if kind.endswith("."):
@@ -190,25 +175,21 @@ class Tracer:
 
     def kind_counts(self) -> dict[str, int]:
         """``kind -> record count`` over the current buffer, sorted."""
-        with self._lock:
-            counts = Counter(r.kind for r in self._buffer)
+        counts = Counter(r.kind for r in self._buffer)
         return dict(sorted(counts.items()))
 
     def clear(self) -> None:
         """Drop every buffered record and reset the drop counter."""
-        with self._lock:
-            self._buffer.clear()
-            self.dropped = 0
-            self._seq = 0
+        self._buffer.clear()
+        self.dropped = 0
+        self._seq = 0
 
     # -- export --------------------------------------------------------
     def export_jsonl(self, path: str | Path) -> Path:
         """Write the buffer as JSON Lines (one record per line)."""
         target = Path(path)
-        with self._lock:
-            snapshot = tuple(self._buffer)
         with io.StringIO() as sink:
-            for record in snapshot:
+            for record in self._buffer:
                 sink.write(json.dumps(record.to_dict(), sort_keys=True))
                 sink.write("\n")
             target.write_text(sink.getvalue())
@@ -234,8 +215,8 @@ def get_tracer() -> Tracer:
 def use_tracer(scoped: Tracer) -> Iterator[Tracer]:
     """Route this context's trace records into ``scoped``.
 
-    Concurrent runs (threads, parallel experiment sweeps) each install
-    their own tracer so their records never interleave into one buffer::
+    A run installs its own tracer so its records stay out of the
+    process-wide buffer::
 
         with use_tracer(Tracer()) as tr:
             tr.enable()

@@ -55,8 +55,7 @@ from repro.exceptions import (
     BackpressureError,
     GatewayError,
 )
-from repro.perf import timer, tracing
-from repro.perf.metrics import get_metrics
+from repro.perf import get_metrics, timer, tracing
 
 if TYPE_CHECKING:
     from repro.service.protocol import DecisionReply, SubmitRequest

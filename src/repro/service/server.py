@@ -42,7 +42,7 @@ decision logs); clients detect the dropped connection and resubmit.
 
 Observability: ``server.*`` counters (``accepted``/``shed``/
 ``recovered``/``inflight``/...) land in the
-:class:`~repro.perf.metrics.LabeledRegistry` and therefore in
+metrics registry (:func:`~repro.perf.get_metrics`) and therefore in
 ``/metrics`` as ``sparcle_server_*``, next to the per-log
 ``shard.log_bytes`` / ``shard.log_records_since_checkpoint`` gauges and
 the ``shard.log_torn_records`` counter; per-connection trace spans are
@@ -71,9 +71,8 @@ from repro.exceptions import (
     ShardError,
     SparcleError,
 )
-from repro.perf import tracing
+from repro.perf import PerfRegistry, get_metrics, tracing
 from repro.perf.exporters import prometheus_snapshot
-from repro.perf.metrics import LabeledRegistry, get_metrics
 from repro.service.gateway import MAX_DRAIN_EPOCHS
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -168,7 +167,7 @@ class SparcleServer:
         epoch_interval: float = 0.02,
         recover: bool = False,
         install_signal_handlers: bool = False,
-        registry: LabeledRegistry | None = None,
+        registry: PerfRegistry | None = None,
     ) -> None:
         if max_inflight < 1:
             raise ServerError(

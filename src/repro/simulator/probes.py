@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import SimulationError
-from repro.perf import tracing
-from repro.perf.metrics import get_metrics
+from repro.perf import get_metrics, tracing
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tests for the whole-program analyses (SPC007–SPC010).
+"""Tests for the whole-program analyses (SPC008–SPC010).
 
 Two layers: the seeded fixture tree (a miniature serving stack with one
 deliberate bug per analysis, also exercised by CI's self-test step) must
@@ -51,106 +51,12 @@ class TestSeededFixtures:
         fired = _rules_fired(report)
         assert rule_id in fired, f"{rule_id} never fired on seeded fixtures"
 
-    def test_lock_cycle_names_both_sites(self, report):
-        spc007 = [
-            v for v in report.violations if v.rule_id == "SPC007"
-        ]
-        files = {v.file.rpartition("/")[2] for v in spc007}
-        assert "registry.py" in files  # the names/values order cycle
-        assert "shard.py" in files  # await inside a held lock
-
     def test_typestate_flags_conditional_commit(self, report):
         spc009 = [
             v for v in report.violations if v.rule_id == "SPC009"
         ]
         assert all(v.file.endswith("service/shard.py") for v in spc009)
         assert len(spc009) >= 2
-
-
-class TestLockOrderDiscrimination:
-    def test_consistent_order_is_clean(self, tmp_path):
-        _write_tree(
-            tmp_path,
-            {
-                "perf/registry.py": """
-                import threading
-
-
-                class Registry:
-                    def __init__(self):
-                        self._names = threading.Lock()
-                        self._values = threading.Lock()
-                        self.counters = {}
-
-                    def record(self, name):
-                        with self._names:
-                            with self._values:
-                                self.counters[name] = 1
-
-                    def snapshot(self):
-                        with self._names:
-                            with self._values:
-                                return dict(self.counters)
-                """
-            },
-        )
-        report = lint_paths([tmp_path], root=tmp_path)
-        assert "SPC007" not in _rules_fired(report)
-
-    def test_interprocedural_cycle_detected(self, tmp_path):
-        _write_tree(
-            tmp_path,
-            {
-                "perf/registry.py": """
-                import threading
-
-
-                class Registry:
-                    def __init__(self):
-                        self._names = threading.Lock()
-                        self._values = threading.Lock()
-                        self.counters = {}
-
-                    def record(self, name):
-                        with self._names:
-                            self._bump(name)
-
-                    def _bump(self, name):
-                        with self._values:
-                            self.counters[name] = 1
-
-                    def snapshot(self):
-                        with self._values:
-                            with self._names:
-                                return dict(self.counters)
-                """
-            },
-        )
-        fired = _rules_fired(lint_paths([tmp_path], root=tmp_path))
-        assert "SPC007" in fired
-
-    def test_rlock_reentry_not_a_cycle(self, tmp_path):
-        _write_tree(
-            tmp_path,
-            {
-                "perf/counter.py": """
-                import threading
-
-
-                class Counter:
-                    def __init__(self):
-                        self._lock = threading.RLock()
-                        self.n = 0
-
-                    def incr(self):
-                        with self._lock:
-                            with self._lock:
-                                self.n += 1
-                """
-            },
-        )
-        fired = _rules_fired(lint_paths([tmp_path], root=tmp_path))
-        assert "SPC007" not in fired
 
 
 class TestAsyncSafetyDiscrimination:

@@ -9,7 +9,6 @@ from pathlib import Path
 from repro.devtools.callgraph import (
     ProjectIndex,
     dotted_chain,
-    identifier_tokens,
     module_name_for,
 )
 from repro.devtools.engine import FileContext
@@ -52,11 +51,6 @@ class TestHelpers:
         subscript = ast.parse("handlers[0](x)").body[0].value
         assert dotted_chain(subscript.func) is None
 
-    def test_identifier_tokens(self):
-        assert identifier_tokens("self._worker_pool.submit") >= {
-            "self", "worker", "pool", "submit",
-        }
-
 
 class TestExtraction:
     def test_locks_and_functions(self):
@@ -80,8 +74,11 @@ class TestExtraction:
             }
         )
         summary = index.summaries["pkg/mod.py"]
-        assert "GLOBAL_LOCK" in summary["module_locks"]
-        assert summary["classes"]["Box"]["lock_attrs"] == ["_lock"]
+        # Functions and methods are indexed; locks are not facts any more.
+        assert sorted(summary) == ["functions", "imports", "module", "relpath"]
+        assert set(summary["functions"][0]) == {
+            "qualname", "name", "cls", "line", "is_async", "calls",
+        }
         assert "pkg.mod.Box.push" in index.functions
 
     def test_nested_def_calls_not_attributed_to_parent(self):

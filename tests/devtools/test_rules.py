@@ -14,7 +14,6 @@ from repro.devtools.rules import (
     FloatEqualityRule,
     FrozenSnapshotMutationRule,
     ResourceLiteralRule,
-    UnlockedSharedMutationRule,
     UnseededRandomnessRule,
 )
 
@@ -31,8 +30,8 @@ def lint_snippet(tmp_path, relpath: str, snippet: str, rule) -> list:
 class TestRuleSet:
     def test_default_rules_cover_spc001_to_spc006(self):
         assert [r.rule_id for r in DEFAULT_RULES] == [
-            "SPC001", "SPC002", "SPC003", "SPC004", "SPC005", "SPC006",
-        ]
+            "SPC001", "SPC002", "SPC004", "SPC005", "SPC006",
+        ]  # SPC003 is retired and its ID not reused
 
     def test_every_rule_has_a_summary(self):
         assert all(r.summary for r in DEFAULT_RULES)
@@ -133,82 +132,6 @@ class TestSPC002Randomness:
             tmp_path, "repro/utils/rng.py",
             "import numpy as np\nGEN = np.random.default_rng()\n", self.RULE,
         )
-        assert found == []
-
-
-class TestSPC003UnlockedMutation:
-    RULE = UnlockedSharedMutationRule()
-
-    UNGUARDED = '''
-        class Registry:
-            def incr(self, key, n=1):
-                self._counts[key] = self._counts.get(key, 0) + n
-    '''
-    GUARDED = '''
-        class Registry:
-            def incr(self, key, n=1):
-                with self._lock:
-                    self._counts[key] = self._counts.get(key, 0) + n
-    '''
-
-    def test_flags_unguarded_rmw_in_perf(self, tmp_path):
-        found = lint_snippet(
-            tmp_path, "repro/perf/registry.py", self.UNGUARDED, self.RULE
-        )
-        assert [v.rule_id for v in found] == ["SPC003"]
-        assert "_counts" in found[0].message
-
-    def test_flags_unguarded_augassign(self, tmp_path):
-        found = lint_snippet(tmp_path, "repro/perf/registry.py", '''
-            class Registry:
-                def bump(self, key):
-                    self._seen[key] += 1
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC003"]
-
-    def test_lock_guard_accepted(self, tmp_path):
-        found = lint_snippet(
-            tmp_path, "repro/perf/registry.py", self.GUARDED, self.RULE
-        )
-        assert found == []
-
-    def test_guard_does_not_leak_into_nested_defs(self, tmp_path):
-        found = lint_snippet(tmp_path, "repro/perf/registry.py", '''
-            class Registry:
-                def incr(self, key):
-                    with self._lock:
-                        def later():
-                            self._counts[key] += 1
-                        return later
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC003"]
-
-    def test_init_and_local_dicts_exempt(self, tmp_path):
-        found = lint_snippet(tmp_path, "repro/perf/registry.py", '''
-            class Registry:
-                def __init__(self):
-                    self._counts = {}
-                    self._counts["boot"] = self._counts.get("boot", 0) + 1
-
-                def snapshot(self):
-                    out = {}
-                    out["total"] = out.get("total", 0) + 1
-                    return out
-        ''', self.RULE)
-        assert found == []
-
-    def test_out_of_scope_module_exempt(self, tmp_path):
-        # The single-threaded gateway left the scope with its locks.
-        for relpath in ("repro/core/scheduler.py", "repro/service/gateway.py"):
-            found = lint_snippet(tmp_path, relpath, self.UNGUARDED, self.RULE)
-            assert found == []
-
-    def test_suppression(self, tmp_path):
-        found = lint_snippet(tmp_path, "repro/perf/registry.py", '''
-            class Registry:
-                def incr(self, key):
-                    self._counts[key] += 1  # sparcle: ignore[SPC003]
-        ''', self.RULE)
         assert found == []
 
 

@@ -1,51 +1,53 @@
-"""Unit tests for the labeled/scoped metric registries."""
+"""Unit tests for labeled series and the per-context registry override."""
 
 from __future__ import annotations
 
-import threading
-
-from repro.perf.metrics import (
-    LabeledRegistry,
+from repro.perf.counters import (
+    PerfRegistry,
+    counters,
     get_metrics,
-    metrics,
     use_registry,
 )
 
 
 class TestLabeledSeries:
     def test_label_sets_do_not_collide(self):
-        reg = LabeledRegistry()
+        reg = PerfRegistry()
         reg.incr("decisions", kind="GR")
         reg.incr("decisions", kind="BE")
         reg.incr("decisions", kind="GR")
         assert reg.get("decisions", kind="GR") == 2
         assert reg.get("decisions", kind="BE") == 1
         assert reg.get("decisions") == 0  # the unlabeled series is distinct
-        assert reg.total("decisions") == 3
+        reg.incr("decisions")
+        assert reg.snapshot()["counters"] == {
+            "decisions": 1,
+            "decisions{kind=BE}": 1,
+            "decisions{kind=GR}": 2,
+        }
 
     def test_label_order_is_canonical(self):
-        reg = LabeledRegistry()
+        reg = PerfRegistry()
         reg.incr("m", a="1", b="2")
         assert reg.get("m", b="2", a="1") == 1
 
     def test_series_lists_every_label_combination(self):
-        reg = LabeledRegistry()
+        reg = PerfRegistry()
         reg.incr("m", app="x")
         reg.incr("m", app="y", path="0")
-        series = reg.series("m")
-        assert series == {
-            (("app", "x"),): 1,
-            (("app", "y"), ("path", "0")): 1,
+        assert reg.raw_items()["counters"] == {
+            ("m", (("app", "x"),)): 1,
+            ("m", (("app", "y"), ("path", "0"))): 1,
         }
 
     def test_gauge_last_write_wins(self):
-        reg = LabeledRegistry()
+        reg = PerfRegistry()
         reg.set_gauge("rate", 1.0, app="a")
         reg.set_gauge("rate", 2.5, app="a")
         assert reg.gauge("rate", app="a") == 2.5
 
     def test_observe_accumulates_timer_stats(self):
-        reg = LabeledRegistry()
+        reg = PerfRegistry()
         reg.observe("t", 0.1, app="a")
         reg.observe("t", 0.3, app="a")
         stat = reg.timer_stats("t", app="a")
@@ -54,7 +56,7 @@ class TestLabeledSeries:
         assert stat.max_seconds == 0.3
 
     def test_snapshot_renders_labels(self):
-        reg = LabeledRegistry()
+        reg = PerfRegistry()
         reg.incr("m", kind="GR")
         reg.set_gauge("g", 1.5)
         snap = reg.snapshot()
@@ -62,7 +64,7 @@ class TestLabeledSeries:
         assert snap["gauges"] == {"g": 1.5}
 
     def test_reset_clears_everything(self):
-        reg = LabeledRegistry()
+        reg = PerfRegistry()
         reg.incr("m", k="v")
         reg.set_gauge("g", 1.0)
         reg.observe("t", 0.1)
@@ -71,51 +73,14 @@ class TestLabeledSeries:
         assert not raw["counters"] and not raw["gauges"] and not raw["timers"]
 
 
-class TestScopedView:
-    def test_scope_injects_labels(self):
-        reg = LabeledRegistry()
-        app = reg.scoped(app="face")
-        app.incr("paths")
-        assert reg.get("paths", app="face") == 1
-        assert app.get("paths") == 1
-
-    def test_scopes_nest(self):
-        reg = LabeledRegistry()
-        reg.scoped(app="a").scoped(path="0").incr("m")
-        assert reg.get("m", app="a", path="0") == 1
-
-    def test_call_site_labels_win_on_collision(self):
-        reg = LabeledRegistry()
-        reg.scoped(app="a").incr("m", app="b")
-        assert reg.get("m", app="b") == 1
-        assert reg.get("m", app="a") == 0
-
-
 class TestContextScoping:
     def test_use_registry_overrides_and_restores(self):
-        private = LabeledRegistry()
-        assert get_metrics() is metrics
+        private = PerfRegistry()
+        counters.reset()
+        assert get_metrics() is counters
         with use_registry(private):
             assert get_metrics() is private
             get_metrics().incr("m")
-        assert get_metrics() is metrics
+        assert get_metrics() is counters
         assert private.get("m") == 1
-        assert metrics.get("m") == 0
-
-
-class TestThreadSafety:
-    def test_threaded_incr_loses_no_updates(self):
-        reg = LabeledRegistry()
-        threads = 8
-        per_thread = 2_000
-
-        def hammer() -> None:
-            for _ in range(per_thread):
-                reg.incr("hits", worker="shared")
-
-        workers = [threading.Thread(target=hammer) for _ in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert reg.get("hits", worker="shared") == threads * per_thread
+        assert counters.get("m") == 0

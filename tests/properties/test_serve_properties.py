@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.network import star_network
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
 from repro.core.taskgraph import linear_task_graph
-from repro.perf.metrics import LabeledRegistry
+from repro.perf.counters import PerfRegistry
 from repro.service.client import SparcleClient
 from repro.service.gateway import AdmissionGateway
 from repro.service.server import SparcleServer
@@ -90,7 +90,7 @@ def _wire_decisions(network, requests):
             network,
             n_shards=1,
             epoch_interval=0.005,
-            registry=LabeledRegistry(),
+            registry=PerfRegistry(),
         ) as server:
             async with await SparcleClient.open(
                 server.host, server.port

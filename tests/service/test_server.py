@@ -25,7 +25,7 @@ from repro.exceptions import (
     ProtocolError,
     ServerError,
 )
-from repro.perf.metrics import LabeledRegistry
+from repro.perf.counters import PerfRegistry
 from repro.service.client import SparcleClient, scrape_metrics
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -63,7 +63,7 @@ def _be(app_id: str, *, priority: float = 1.0) -> BERequest:
 def _serve(coro_factory, **server_kwargs):
     """Run one server plus the test coroutine against it."""
     server_kwargs.setdefault("epoch_interval", 0.005)
-    server_kwargs.setdefault("registry", LabeledRegistry())
+    server_kwargs.setdefault("registry", PerfRegistry())
 
     async def _run():
         async with SparcleServer(_network(), **server_kwargs) as server:
@@ -95,7 +95,7 @@ class TestLifecycle:
 
     def test_shutdown_is_idempotent(self):
         async def _run():
-            server = SparcleServer(_network(), registry=LabeledRegistry())
+            server = SparcleServer(_network(), registry=PerfRegistry())
             await server.start()
             await server.shutdown()
             await server.shutdown()  # second call just waits for the first
@@ -107,7 +107,7 @@ class TestLifecycle:
         # shutdown coroutine — the Task could be garbage-collected
         # mid-shutdown and its exception silently dropped.
         async def _run():
-            server = SparcleServer(_network(), registry=LabeledRegistry())
+            server = SparcleServer(_network(), registry=PerfRegistry())
             await server.start()
             server._begin_shutdown(drain=False)
             first = server._shutdown_task
@@ -120,7 +120,7 @@ class TestLifecycle:
         asyncio.run(_run())
 
     def test_begin_shutdown_surfaces_task_exception(self, capsys):
-        registry = LabeledRegistry()
+        registry = PerfRegistry()
 
         async def _run():
             server = SparcleServer(_network(), registry=registry)
@@ -552,7 +552,7 @@ class TestHttp:
         _serve(_admit, n_shards=1, log_dir=log_dir)
         with open(log_dir / "shard-0.jsonl", "a") as handle:
             handle.write('{"seq": 9, "type": "epoch", "decisions": [{"app')
-        registry = LabeledRegistry()
+        registry = PerfRegistry()
 
         async def _recovered(server):
             assert server.recovered == 1
@@ -588,7 +588,7 @@ class TestRecovery:
     def test_kill_and_recover_rejects_double_admission(self, tmp_path):
         log_dir = tmp_path / "logs"
         log_dir.mkdir()
-        registry = LabeledRegistry()
+        registry = PerfRegistry()
 
         async def _run():
             server = SparcleServer(

@@ -8,7 +8,7 @@ from repro.core.assignment import sparcle_assign
 from repro.core.network import star_network
 from repro.core.taskgraph import linear_task_graph
 from repro.exceptions import SimulationError
-from repro.perf.metrics import LabeledRegistry, use_registry
+from repro.perf.counters import PerfRegistry, use_registry
 from repro.perf.tracing import Tracer, use_tracer
 from repro.simulator import StreamSimulator, TimeSeriesProbe
 
@@ -109,7 +109,7 @@ class TestObservabilityWiring:
         probe = TimeSeriesProbe(sim, horizon / 5.0).attach()
         tr = Tracer()
         tr.enable()
-        registry = LabeledRegistry()
+        registry = PerfRegistry()
         with use_tracer(tr), use_registry(registry):
             sim.run(horizon)
         records = tr.records("sim.probe")

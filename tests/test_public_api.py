@@ -223,6 +223,18 @@ API_SIGNATURES = {
         "log_dir: 'str | Path | None' = None, max_inflight: 'int' = 8, "
         "recover: 'bool' = False, "
         "ready: 'asyncio.Queue[int] | None' = None) -> 'None'",
+    "prometheus_snapshot":
+        "(labeled: 'PerfRegistry | None' = None) -> 'str'",
+    "run_report":
+        "(*, tracer_obj: 'Tracer | None' = None, "
+        "labeled: 'PerfRegistry | None' = None, "
+        "extra: 'dict[str, Any] | None' = None, "
+        "clock: 'Callable[[], float] | None' = None) -> 'dict[str, Any]'",
+    "export_run":
+        "(directory: 'str | Path', *, tracer_obj: 'Tracer | None' = None, "
+        "labeled: 'PerfRegistry | None' = None, "
+        "extra: 'dict[str, Any] | None' = None, prefix: 'str' = '', "
+        "clock: 'Callable[[], float] | None' = None) -> 'dict[str, Path]'",
     "run_serve_soak":
         "(seed: 'int', n_requests: 'int' = 24, *, n_shards: 'int' = 2, "
         "profile: 'FuzzProfile | None' = None, "
