@@ -27,12 +27,15 @@ its losses in the link-bottleneck cases.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.assignment import AssignmentResult, fixed_placement
 from repro.core.network import Network
 from repro.core.placement import CapacityView
 from repro.core.taskgraph import CPU, TaskGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: PageRank damping factor used by the random-walk ranking.
 DAMPING = 0.85
@@ -40,6 +43,8 @@ DAMPING = 0.85
 
 def rank_ncps(network: Network) -> list[str]:
     """NCPs by descending random-walk resource rank."""
+    import networkx as nx
+
     graph = nx.Graph()
     strength: dict[str, float] = {}
     for ncp in network.ncps:
@@ -54,6 +59,8 @@ def rank_ncps(network: Network) -> list[str]:
 
 def rank_cts(graph: TaskGraph) -> list[str]:
     """Unpinned CTs by descending random-walk requirement rank."""
+    import networkx as nx
+
     undirected = nx.Graph()
     strength: dict[str, float] = {}
     for ct in graph.cts:
@@ -83,6 +90,8 @@ def _random_walk_scores(graph: nx.Graph, strength: dict[str, float]) -> dict[str
     personalization = {n: strength[n] / total for n in graph}
     if graph.number_of_edges() == 0:
         return dict(personalization)
+    import networkx as nx
+
     return nx.pagerank(
         graph,
         alpha=DAMPING,

@@ -13,13 +13,16 @@ paper's footnote 2); a directed variant is supported for asymmetric links.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.taskgraph import BANDWIDTH, CPU
 from repro.exceptions import InvalidNetworkError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,10 @@ class NCP:
         if not self.name:
             raise InvalidNetworkError("an NCP must have a non-empty name")
         for resource, cap in self.capacities.items():
-            if cap < 0:
+            if not (math.isfinite(cap) and cap >= 0):
                 raise InvalidNetworkError(
-                    f"NCP {self.name!r} has negative capacity for {resource!r}: {cap}"
+                    f"NCP {self.name!r} has non-finite or negative capacity "
+                    f"for {resource!r}: {cap}"
                 )
         if not 0.0 <= self.failure_probability <= 1.0:
             raise InvalidNetworkError(
@@ -72,9 +76,9 @@ class Link:
             raise InvalidNetworkError("a link must have a non-empty name")
         if self.a == self.b:
             raise InvalidNetworkError(f"link {self.name!r} is a self-loop on {self.a!r}")
-        if self.bandwidth < 0:
+        if not (math.isfinite(self.bandwidth) and self.bandwidth >= 0):
             raise InvalidNetworkError(
-                f"link {self.name!r} has negative bandwidth {self.bandwidth}"
+                f"link {self.name!r} has non-finite or negative bandwidth {self.bandwidth}"
             )
         if not 0.0 <= self.failure_probability <= 1.0:
             raise InvalidNetworkError(
@@ -141,8 +145,11 @@ class Network:
                 raise InvalidNetworkError(f"duplicate NCP name {ncp.name!r}")
             self._ncps[ncp.name] = ncp
         self._links: dict[str, Link] = {}
-        self._graph = nx.DiGraph() if directed else nx.Graph()
-        self._graph.add_nodes_from(self._ncps)
+        # Insertion-ordered adjacency: NCP -> {neighbour NCP: link}.  An
+        # undirected link is entered in both directions, so ``_pred`` is
+        # ``_succ`` itself unless the network is directed.
+        self._succ: dict[str, dict[str, Link]] = {n: {} for n in self._ncps}
+        self._pred = {n: {} for n in self._ncps} if directed else self._succ
         for link in links:
             if link.name in self._links:
                 raise InvalidNetworkError(f"duplicate link name {link.name!r}")
@@ -153,22 +160,24 @@ class Network:
                     raise InvalidNetworkError(
                         f"link {link.name!r} references unknown NCP {endpoint!r}"
                     )
-            if self._graph.has_edge(link.a, link.b):
+            if link.b in self._succ[link.a]:
                 direction = "from" if directed else "between"
                 raise InvalidNetworkError(
                     f"parallel links {direction} {link.a!r} "
                     f"{'to' if directed else 'and'} {link.b!r} are not supported"
                 )
             self._links[link.name] = link
-            self._graph.add_edge(link.a, link.b, link=link)
+            self._succ[link.a][link.b] = link
+            self._pred[link.b][link.a] = link
         if not self._ncps:
             raise InvalidNetworkError("a network needs at least one NCP")
         # The topology is immutable, so adjacency and capacity lookups —
         # both on the widest-path hot path — are memoized lazily.
         self._capacity_cache: dict[tuple[str, str], float] = {}
         self._incident_cache: dict[str, tuple[Link, ...]] = {}
-        self._forward_cache: dict[str, tuple[Link, ...]] = {}
-        self._backward_cache: dict[str, tuple[Link, ...]] = {}
+        # Undirected, all three views hold the same links: share one memo.
+        self._forward_cache = {} if directed else self._incident_cache
+        self._backward_cache = {} if directed else self._incident_cache
         self._routing_graph: nx.Graph | nx.DiGraph | None = None
 
     # ------------------------------------------------------------------
@@ -234,21 +243,11 @@ class Network:
 
         In a directed network only the ``a -> b`` direction matches.
         """
-        if self._graph.has_edge(a, b):
-            return self._graph.edges[a, b]["link"]
-        return None
+        return self._succ.get(a, {}).get(b)
 
     def incident_links(self, ncp_name: str) -> tuple[Link, ...]:
         """Links touching ``ncp_name`` (either direction), sorted by name."""
-        cached = self._incident_cache.get(ncp_name)
-        if cached is None:
-            self.ncp(ncp_name)
-            touching = [
-                link for link in self._links.values() if ncp_name in link.endpoints()
-            ]
-            cached = tuple(sorted(touching, key=lambda l: l.name))
-            self._incident_cache[ncp_name] = cached
-        return cached
+        return self._links_at(self._incident_cache, ncp_name, self._succ, self._pred)
 
     def forward_links(self, ncp_name: str) -> tuple[Link, ...]:
         """Links traversable *from* ``ncp_name`` (what routing may use).
@@ -256,19 +255,7 @@ class Network:
         Every incident link in an undirected network; only outgoing links
         (``link.a == ncp_name``) in a directed one.
         """
-        if not self.directed:
-            return self.incident_links(ncp_name)
-        cached = self._forward_cache.get(ncp_name)
-        if cached is None:
-            self.ncp(ncp_name)
-            cached = tuple(
-                sorted(
-                    (l for l in self._links.values() if l.a == ncp_name),
-                    key=lambda l: l.name,
-                )
-            )
-            self._forward_cache[ncp_name] = cached
-        return cached
+        return self._links_at(self._forward_cache, ncp_name, self._succ)
 
     def backward_links(self, ncp_name: str) -> tuple[Link, ...]:
         """Links traversable *into* ``ncp_name`` (reverse routing).
@@ -277,36 +264,35 @@ class Network:
         (``link.b == ncp_name``) in a directed one.  Used by the reverse
         widest-path trees (``widest_path_tree(reverse=True)``).
         """
-        if not self.directed:
-            return self.incident_links(ncp_name)
-        cached = self._backward_cache.get(ncp_name)
+        return self._links_at(self._backward_cache, ncp_name, self._pred)
+
+    def _links_at(
+        self,
+        cache: dict[str, tuple[Link, ...]],
+        ncp_name: str,
+        *sides: dict[str, dict[str, Link]],
+    ) -> tuple[Link, ...]:
+        """The links of ``sides`` at ``ncp_name``, sorted by name, memoized."""
+        cached = cache.get(ncp_name)
         if cached is None:
             self.ncp(ncp_name)
-            cached = tuple(
-                sorted(
-                    (l for l in self._links.values() if l.b == ncp_name),
-                    key=lambda l: l.name,
-                )
-            )
-            self._backward_cache[ncp_name] = cached
+            touching = {link for side in sides for link in side[ncp_name].values()}
+            cached = tuple(sorted(touching, key=lambda l: l.name))
+            cache[ncp_name] = cached
         return cached
 
     def neighbors(self, ncp_name: str) -> list[str]:
         """NCPs adjacent to ``ncp_name`` (either direction), sorted."""
         self.ncp(ncp_name)
-        if self.directed:
-            adjacent = set(self._graph.successors(ncp_name)) | set(
-                self._graph.predecessors(ncp_name)
-            )
-            return sorted(adjacent)
-        return sorted(self._graph.neighbors(ncp_name))
+        return sorted(self._succ[ncp_name].keys() | self._pred[ncp_name].keys())
 
-    def routing_graph(self) -> "nx.Graph | nx.DiGraph":
+    def routing_graph(self) -> nx.Graph | nx.DiGraph:
         """The memoized networkx view the hop-count routers search over.
 
-        Edges carry ``link`` (the link *name*) and ``bandwidth`` (the raw
-        capacity).  The topology is immutable, so the graph is built once
-        per network and reused by every subsequent call — there is no
+        Edges carry ``link`` (the link *name*).  networkx is imported here,
+        not at module level: only the baselines' routers search this graph,
+        and the serving path never loads the package.  The topology is
+        immutable, so the graph is built once per network and reused by every subsequent call — there is no
         topology-change path that could invalidate it, and constructing a
         changed topology means constructing a new :class:`Network` (with
         its own fresh cache).  ``network.routing_graph_build`` /
@@ -317,12 +303,12 @@ class Network:
         from repro.perf import counters
 
         if self._routing_graph is None:
+            import networkx as nx
+
             counters.incr("network.routing_graph_build")
             graph = nx.DiGraph() if self.directed else nx.Graph()
             for link in self._links.values():
-                graph.add_edge(
-                    link.a, link.b, link=link.name, bandwidth=link.bandwidth
-                )
+                graph.add_edge(link.a, link.b, link=link.name)
             graph.add_nodes_from(self._ncps)
             self._routing_graph = graph
         else:
@@ -331,9 +317,16 @@ class Network:
 
     def is_connected(self) -> bool:
         """Single connected component (weakly connected when directed)."""
-        if self.directed:
-            return nx.is_weakly_connected(self._graph)
-        return nx.is_connected(self._graph)
+        root = next(iter(self._ncps))
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            for neighbour in itertools.chain(self._succ[node], self._pred[node]):
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    frontier.append(neighbour)
+        return len(seen) == len(self._ncps)
 
     def capacity(self, element_name: str, resource: str) -> float:
         """Capacity of ``resource`` on the given NCP or link.

@@ -40,8 +40,6 @@ from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core import arrays
 from repro.core.network import Network
 from repro.core.placement import CapacityView
@@ -453,6 +451,8 @@ def hop_shortest_path(network: Network, src: str, dst: str) -> RouteResult | Non
     once per (immutable) network and reused across calls, instead of
     being reconstructed per query as it historically was.
     """
+    import networkx as nx
+
     network.ncp(src)
     network.ncp(dst)
     counters.incr("routing.hop_shortest_path")
@@ -463,13 +463,9 @@ def hop_shortest_path(network: Network, src: str, dst: str) -> RouteResult | Non
         nodes = nx.shortest_path(graph, src, dst)
     except nx.NetworkXNoPath:
         return None
-    links: list[str] = []
-    bottleneck = math.inf
-    for a, b in zip(nodes, nodes[1:]):
-        data = graph.edges[a, b]
-        links.append(data["link"])
-        bottleneck = min(bottleneck, data["bandwidth"])
-    return RouteResult(tuple(links), bottleneck)
+    links = tuple(graph.edges[a, b]["link"] for a, b in zip(nodes, nodes[1:]))
+    bottleneck = min(network.link(name).bandwidth for name in links)
+    return RouteResult(links, bottleneck)
 
 
 def all_simple_routes(
@@ -480,6 +476,8 @@ def all_simple_routes(
     Used by the exhaustive-search optimal baseline; exponential in general,
     so ``cutoff`` bounds path length.  Deterministically ordered.
     """
+    import networkx as nx
+
     network.ncp(src)
     network.ncp(dst)
     if src == dst:

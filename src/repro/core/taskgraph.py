@@ -14,12 +14,12 @@ requirements, exactly as footnote 1 of the paper allows.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-
-import networkx as nx
 
 from repro.exceptions import InvalidTaskGraphError
 
@@ -65,9 +65,10 @@ class ComputationTask:
         if not self.name:
             raise InvalidTaskGraphError("a CT must have a non-empty name")
         for resource, amount in self.requirements.items():
-            if amount < 0:
+            if not (math.isfinite(amount) and amount >= 0):
                 raise InvalidTaskGraphError(
-                    f"CT {self.name!r} has negative requirement for {resource!r}: {amount}"
+                    f"CT {self.name!r} has non-finite or negative requirement "
+                    f"for {resource!r}: {amount}"
                 )
         # Freeze the mapping so the dataclass is hashable and safe to share.
         object.__setattr__(self, "requirements", dict(self.requirements))
@@ -107,9 +108,10 @@ class TransportTask:
             raise InvalidTaskGraphError("a TT must have a non-empty name")
         if self.src == self.dst:
             raise InvalidTaskGraphError(f"TT {self.name!r} is a self-loop on {self.src!r}")
-        if self.megabits_per_unit < 0:
+        if not (math.isfinite(self.megabits_per_unit) and self.megabits_per_unit >= 0):
             raise InvalidTaskGraphError(
-                f"TT {self.name!r} has negative size {self.megabits_per_unit}"
+                f"TT {self.name!r} has non-finite or negative size "
+                f"megabits_per_unit={self.megabits_per_unit}"
             )
 
     def __hash__(self) -> int:
@@ -137,8 +139,9 @@ class TaskGraph:
                 raise InvalidTaskGraphError(f"duplicate CT name {ct.name!r}")
             self._cts[ct.name] = ct
         self._tts: dict[str, TransportTask] = {}
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(self._cts)
+        # Insertion-ordered adjacency: CT -> {neighbour CT: connecting TT}.
+        self._succ: dict[str, dict[str, TransportTask]] = {n: {} for n in self._cts}
+        self._pred: dict[str, dict[str, TransportTask]] = {n: {} for n in self._cts}
         for tt in tts:
             if tt.name in self._tts:
                 raise InvalidTaskGraphError(f"duplicate TT name {tt.name!r}")
@@ -149,25 +152,58 @@ class TaskGraph:
                     raise InvalidTaskGraphError(
                         f"TT {tt.name!r} references unknown CT {endpoint!r}"
                     )
-            if self._graph.has_edge(tt.src, tt.dst):
+            if tt.dst in self._succ[tt.src]:
                 raise InvalidTaskGraphError(
                     f"parallel TTs between {tt.src!r} and {tt.dst!r} are not supported"
                 )
             self._tts[tt.name] = tt
-            self._graph.add_edge(tt.src, tt.dst, tt=tt)
+            self._succ[tt.src][tt.dst] = tt
+            self._pred[tt.dst][tt.src] = tt
         if len(self._cts) == 0:
             raise InvalidTaskGraphError("a task graph needs at least one CT")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            cycle = nx.find_cycle(self._graph)
-            raise InvalidTaskGraphError(f"task graph contains a cycle: {cycle}")
-        self._sources = tuple(
-            n for n in nx.topological_sort(self._graph) if self._graph.in_degree(n) == 0
-        )
-        self._sinks = tuple(
-            n for n in nx.topological_sort(self._graph) if self._graph.out_degree(n) == 0
-        )
-        self._descendants = {n: frozenset(nx.descendants(self._graph, n)) for n in self._graph}
+        # Kahn's algorithm, generation by generation: ``order`` doubles as
+        # the FIFO queue, so it ends in the order nx.topological_sort gives.
+        indegree = {n: len(pred) for n, pred in self._pred.items()}
+        order = [n for n, d in indegree.items() if d == 0]
+        for n in order:
+            for child in self._succ[n]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    order.append(child)
+        if len(order) < len(self._cts):
+            raise InvalidTaskGraphError(f"task graph contains a cycle: {self._find_cycle()}")
+        self._sources = tuple(n for n in order if not self._pred[n])
+        self._sinks = tuple(n for n in order if not self._succ[n])
+        self._descendants: dict[str, frozenset[str]] = {}
+        for n in reversed(order):
+            below = (self._descendants[child] for child in self._succ[n])
+            self._descendants[n] = frozenset(self._succ[n]).union(*below)
         self._tts_between_cache: dict[tuple[str, str], frozenset[TransportTask]] = {}
+
+    def _find_cycle(self) -> list[tuple[str, str]]:
+        """The first directed cycle a depth-first search meets, as TT edges.
+
+        Roots and successors are visited in insertion order, so this is the
+        cycle, in the rotation, that ``networkx.find_cycle`` reports.
+        """
+        done: set[str] = set()
+        for root in self._succ:
+            if root in done:
+                continue
+            path = [root]
+            stack = [iter(self._succ[root])]
+            while stack:
+                child = next(stack[-1], None)
+                if child is None:
+                    stack.pop()
+                    done.add(path.pop())
+                elif child in path:
+                    cycle = path[path.index(child):] + [child]
+                    return list(zip(cycle, cycle[1:]))
+                elif child not in done:
+                    path.append(child)
+                    stack.append(iter(self._succ[child]))
+        return []
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -220,8 +256,22 @@ class TaskGraph:
         return TaskRole.COMPUTE
 
     def topological_order(self) -> list[str]:
-        """CT names in a deterministic topological order."""
-        return list(nx.lexicographical_topological_sort(self._graph))
+        """CT names in topological order, ties broken by smallest name.
+
+        Heap-based Kahn: the order ``networkx.lexicographical_topological_sort``
+        gives.
+        """
+        indegree = {n: len(pred) for n, pred in self._pred.items()}
+        ready = [n for n, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            order.append(heapq.heappop(ready))
+            for child in self._succ[order[-1]]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, child)
+        return order
 
     # ------------------------------------------------------------------
     # Structure queries used by Algorithm 2
@@ -229,17 +279,11 @@ class TaskGraph:
     def neighbors(self, ct_name: str) -> list[str]:
         """CTs adjacent to ``ct_name`` in either direction."""
         self.ct(ct_name)
-        return sorted(
-            set(self._graph.predecessors(ct_name)) | set(self._graph.successors(ct_name))
-        )
+        return sorted(self._pred[ct_name].keys() | self._succ[ct_name].keys())
 
     def connecting_tt(self, a: str, b: str) -> TransportTask | None:
         """The TT directly between CTs ``a`` and ``b`` (either direction)."""
-        if self._graph.has_edge(a, b):
-            return self._graph.edges[a, b]["tt"]
-        if self._graph.has_edge(b, a):
-            return self._graph.edges[b, a]["tt"]
-        return None
+        return self._succ.get(a, {}).get(b) or self._pred.get(a, {}).get(b)
 
     def is_reachable(self, a: str, b: str) -> bool:
         """Whether there is a directed path ``a -> b`` or ``b -> a``."""
@@ -280,13 +324,13 @@ class TaskGraph:
         else:
             self._tts_between_cache[key] = frozenset()
             return frozenset()
-        on_path = {
-            self._graph.edges[u, v]["tt"]
-            for u, v in self._graph.edges
-            if (u == upstream or u in self._descendants[upstream])
-            and (v == downstream or downstream in self._descendants[v])
-        }
-        result = frozenset(on_path)
+        below = self._descendants[upstream]
+        result = frozenset(
+            tt
+            for tt in self._tts.values()
+            if (tt.src == upstream or tt.src in below)
+            and (tt.dst == downstream or downstream in self._descendants[tt.dst])
+        )
         self._tts_between_cache[key] = result
         return result
 

@@ -22,8 +22,7 @@ registries) is retired with those locks; its ID is not reused.
 
 Allowlists are part of each rule's definition, not suppressions in the
 linted code: a JSON schema legitimately spells ``"bandwidth"`` in
-``core/scenario.py``, and the networkx edge attribute in
-``core/routing.py`` predates the constants.
+``core/scenario.py``.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class ResourceLiteralRule(Rule):
     #: Files where the bare strings are the point, not a drift hazard.
     ALLOWLIST = (
         "core/taskgraph.py",   # the definition site of the constants
-        "core/routing.py",     # networkx edge attribute name
         "core/scenario.py",  # JSON field names of the scenario format
         "emulator/scenario.py",  # the same module's original import path
     )

@@ -51,7 +51,7 @@ from typing import Any, ClassVar, TypeVar
 
 from repro.core.scheduler import BERequest, Decision, GRRequest
 from repro.core.scenario import graph_from_dict, graph_to_dict
-from repro.exceptions import ProtocolError, ScenarioError
+from repro.exceptions import InvalidTaskGraphError, ProtocolError, ScenarioError
 
 #: The wire schema version; bump on any incompatible message change.
 PROTOCOL_VERSION = 1
@@ -233,7 +233,7 @@ class SubmitRequest(Message):
         """The in-process admission request this wire submit describes."""
         try:
             graph = graph_from_dict(self.graph)
-        except ScenarioError as error:
+        except (ScenarioError, InvalidTaskGraphError) as error:
             raise ProtocolError(
                 f"submit {self.app_id!r} carries a malformed task graph: "
                 f"{error}"

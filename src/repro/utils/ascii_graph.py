@@ -8,8 +8,6 @@ cross which link.  No plotting dependency, deterministic output.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.network import Network
 from repro.core.placement import Placement
 from repro.core.taskgraph import TaskGraph
@@ -17,6 +15,8 @@ from repro.core.taskgraph import TaskGraph
 
 def _generations(graph: TaskGraph) -> list[list[str]]:
     """Topological generations of the CT DAG."""
+    import networkx as nx
+
     digraph = nx.DiGraph()
     digraph.add_nodes_from(ct.name for ct in graph.cts)
     digraph.add_edges_from((tt.src, tt.dst) for tt in graph.tts)

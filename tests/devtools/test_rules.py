@@ -64,13 +64,19 @@ class TestSPC001ResourceLiterals:
 
     @pytest.mark.parametrize("relpath", [
         "repro/core/taskgraph.py",
-        "repro/core/routing.py",
         "repro/core/scenario.py",
         "repro/emulator/scenario.py",
     ])
     def test_allowlisted_files_exempt(self, tmp_path, relpath):
         found = lint_snippet(tmp_path, relpath, 'KEY = "bandwidth"\n', self.RULE)
         assert found == []
+
+    def test_routing_is_not_exempt(self, tmp_path):
+        # The hop router reads Link.bandwidth, not a networkx edge attribute.
+        found = lint_snippet(
+            tmp_path, "repro/core/routing.py", 'KEY = "bandwidth"\n', self.RULE
+        )
+        assert [v.rule_id for v in found] == ["SPC001"]
 
 
 class TestSPC002Randomness:

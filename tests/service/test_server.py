@@ -364,21 +364,30 @@ class TestProtocolErrors:
         _serve(_go)
 
     @pytest.mark.parametrize(
-        "kind,field,raw",
+        "kind,path,raw",
         [
             ("GR", "max_paths", "2.5"),
             ("BE", "priority", "NaN"),
             ("BE", "priority", '"Infinity"'),
+            ("GR", "graph.cts.1.requirements.cpu", "NaN"),
+            ("GR", "graph.cts.1.requirements.cpu", "Infinity"),
+            ("BE", "graph.tts.1.megabits_per_unit", "NaN"),
+            ("BE", "graph.tts.1.megabits_per_unit", "Infinity"),
         ],
     )
     def test_malformed_submit_refused_and_session_keeps_deciding(
-        self, kind, field, raw
+        self, kind, path, raw
     ):
         # Regression: each of these was acked (or crashed the session) and
-        # then broke the epoch loop or every later BE evaluation.
+        # then broke the epoch loop or every later BE evaluation; a NaN CT
+        # requirement was admitted and zeroed its host's residual.
         bad = _gr("bad") if kind == "GR" else _be("bad")
         doc = SubmitRequest.from_request(bad, seq=1).to_wire()
-        doc[field] = "@RAW@"
+        *parents, field = path.split(".")
+        target = doc
+        for key in parents:
+            target = target[int(key) if key.isdigit() else key]
+        target[field] = "@RAW@"
         line = json.dumps(doc).replace('"@RAW@"', raw).encode() + b"\n"
 
         async def _go(server):

@@ -2,9 +2,10 @@
 
 ``sparcle serve --recover`` is unavailable for as long as it takes to
 start, and most of that is imports: ``scipy.optimize`` alone costs about
-as much as everything else ``repro.cli`` needs.  Nothing on the wire path
-solves Problem (4), runs an experiment, or emulates a testbed, so those
-packages must stay off it.  Deterministic — module names, not timings.
+as much as everything else ``repro.cli`` needs, and networkx half as much.
+Nothing on the wire path solves Problem (4), runs a baseline's router,
+runs an experiment, or emulates a testbed, so those packages must stay
+off it.  Deterministic — module names, not timings.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import sys
 
-BANNED = ("scipy", "matplotlib", "repro.experiments", "repro.emulator",
-          "repro.simulator")
+BANNED = ("scipy", "networkx", "matplotlib", "repro.experiments",
+          "repro.emulator", "repro.simulator")
 
 
 def loaded():
@@ -55,6 +56,17 @@ result = solve_proportional_fairness(
 assert abs(result.app_rates["a"] - 4.0) < 1e-3, result.app_rates
 assert abs(result.app_rates["b"] - 8.0) < 1e-3, result.app_rates
 assert "scipy.optimize" in sys.modules
+
+# So does the function-local networkx import when a baseline router runs.
+from repro.core.network import Link
+from repro.core.routing import hop_shortest_path
+
+assert "networkx" not in sys.modules
+line = Network("line", [NCP("a"), NCP("b"), NCP("c")],
+               [Link("ab", "a", "b", 4.0), Link("bc", "b", "c", 2.5)])
+route = hop_shortest_path(line, "a", "c")
+assert route.links == ("ab", "bc") and route.bottleneck == 2.5, route
+assert "networkx" in sys.modules
 print("ok")
 """
 
