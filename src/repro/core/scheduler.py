@@ -518,9 +518,12 @@ class SparcleScheduler:
         self._repair_controller = None
         # Residual view after GR reservations; BE apps share this.
         self._gr_residual = CapacityView(network)
-        # FCFS bookkeeping for the no-prediction ablation: BE apps consume
+        # FCFS ledger for the no-prediction ablation: BE apps consume
         # their predicted rates here so later arrivals see leftovers only.
-        self._fcfs_view = CapacityView(network)
+        # Under prediction nothing reads it, so it is not kept at all.
+        self._fcfs_view: CapacityView | None = (
+            None if use_prediction else CapacityView(network)
+        )
         self._be: list[_PlacedBE] = []
         self._gr: list[_PlacedGR] = []
         self._decisions: list[Decision] = []
@@ -617,14 +620,14 @@ class SparcleScheduler:
     # ------------------------------------------------------------------
     def _be_admission_view(self, request: BERequest) -> CapacityView:
         """The view a BE request is evaluated against (predicted or FCFS)."""
-        if self.use_prediction:
-            tenants = [
-                (placed.request.priority, list(placed.placements))
-                for placed in self._be
-            ]
-            return predicted_view(self._gr_residual, request.priority, tenants)
-        # FCFS ablation: see only what earlier BE arrivals left behind.
-        return self._fcfs_view.copy()
+        if self._fcfs_view is not None:
+            # FCFS ablation: see only what earlier BE arrivals left behind.
+            return self._fcfs_view.copy()
+        tenants = [
+            (placed.request.priority, list(placed.placements))
+            for placed in self._be
+        ]
+        return predicted_view(self._gr_residual, request.priority, tenants)
 
     def evaluate(self, request: "BERequest | GRRequest") -> AdmissionProposal:
         """Evaluate one request against the current state, mutating nothing.
@@ -657,37 +660,42 @@ class SparcleScheduler:
         """
         return self._gr_residual.freeze()
 
-    def fcfs_snapshot(self) -> ResidualSnapshot:
-        """Freeze the FCFS bookkeeping view (no-prediction ablation ledger)."""
+    def fcfs_snapshot(self) -> ResidualSnapshot | None:
+        """Freeze the FCFS ledger (no-prediction ablation); ``None`` under
+        prediction, which keeps no ledger."""
+        if self._fcfs_view is None:
+            return None
         return self._fcfs_view.freeze()
 
     def entries_on(
         self, elements: Iterable[str]
-    ) -> tuple[dict[str, dict[str, float]], dict[str, dict[str, float]]]:
+    ) -> tuple[dict[str, dict[str, float]], dict[str, dict[str, float]] | None]:
         """The ``(GR-residual, FCFS)`` override entries on ``elements``.
 
         The footprint-sized counterpart of :meth:`residual_snapshot` +
         :meth:`fcfs_snapshot` (see :meth:`CapacityView.entries_on`): fed
         the elements a state change reports (:meth:`charged_elements`,
         :meth:`withdraw`, :meth:`reserve_external`), it is everything an
-        event log needs to reproduce both views bit for bit.
+        event log needs to reproduce the views bit for bit.  The FCFS
+        half is ``None`` under prediction (no ledger is kept).
         """
         elements = tuple(elements)
-        return (
-            self._gr_residual.entries_on(elements),
-            self._fcfs_view.entries_on(elements),
-        )
+        residual = self._gr_residual.entries_on(elements)
+        if self._fcfs_view is None:
+            return residual, None
+        return residual, self._fcfs_view.entries_on(elements)
 
     def charged_elements(self, decision: Decision) -> frozenset[str]:
         """The elements whose view entries committing ``decision`` changed.
 
-        An accepted GR application is charged to both views on every
-        element its paths load; an accepted BE application only to the
-        FCFS ledger, and only without prediction (the :meth:`_commit_be`
-        rule); a rejection changes nothing.
+        An accepted GR application is charged to the GR residual (and,
+        without prediction, the FCFS ledger) on every element its paths
+        load; an accepted BE application only to the FCFS ledger, so only
+        without prediction (the :meth:`_commit_be` rule); a rejection
+        changes nothing.
         """
         if not decision.accepted or (
-            decision.kind == "BE" and self.use_prediction
+            decision.kind == "BE" and self._fcfs_view is None
         ):
             return frozenset()
         return frozenset(
@@ -709,12 +717,17 @@ class SparcleScheduler:
         admission.  Tenant bookkeeping is *not* restored here — adopt the
         logged applications with :meth:`reserve_external` (``charge=False``)
         so rebuilds keep accounting for their capacity.
+
+        ``fcfs`` restores the FCFS ledger without prediction; when it is
+        missing (a log written under prediction) the ledger starts as a
+        copy of the residual.  Under prediction ``fcfs`` is ignored.
         """
         self._gr_residual = CapacityView.from_snapshot(self.network, residual)
-        if fcfs is not None:
-            self._fcfs_view = CapacityView.from_snapshot(self.network, fcfs)
-        else:
-            self._fcfs_view = CapacityView(self.network)
+        if self.use_prediction:
+            return
+        self._fcfs_view = CapacityView.from_snapshot(
+            self.network, fcfs if fcfs is not None else residual
+        )
 
     def external_tags(self) -> tuple[str, ...]:
         """Tags of currently-held external reservations, insertion order."""
@@ -757,8 +770,9 @@ class SparcleScheduler:
             for loads, rate in held:
                 working.consume(loads, rate)
             self._gr_residual = working
-            for loads, rate in held:
-                self._fcfs_view.consume(loads, rate, clamp=True)
+            if self._fcfs_view is not None:
+                for loads, rate in held:
+                    self._fcfs_view.consume(loads, rate, clamp=True)
         self._external[tag] = held
         if not charge:
             return frozenset()
@@ -798,8 +812,11 @@ class SparcleScheduler:
         for placement, rate in zip(proposal.placements, proposal.path_rates):
             working.consume(placement.loads(), rate)
         self._gr_residual = working
-        for placement, rate in zip(proposal.placements, proposal.path_rates):
-            self._fcfs_view.consume(placement.loads(), rate, clamp=True)
+        if self._fcfs_view is not None:
+            for placement, rate in zip(
+                proposal.placements, proposal.path_rates
+            ):
+                self._fcfs_view.consume(placement.loads(), rate, clamp=True)
         self._gr.append(
             _PlacedGR(request, proposal.placements, proposal.path_rates)
         )
@@ -821,7 +838,7 @@ class SparcleScheduler:
         self._be.append(
             _PlacedBE(request, proposal.placements, proposal.path_rates)
         )
-        if not self.use_prediction:
+        if self._fcfs_view is not None:
             for placement, rate in zip(proposal.placements, proposal.path_rates):
                 self._fcfs_view.consume(placement.loads(), rate, clamp=True)
         return Decision(
@@ -936,7 +953,7 @@ class SparcleScheduler:
         for index, placed in enumerate(self._be):
             if placed.request.app_id == app_id:
                 del self._be[index]
-                if self.use_prediction:
+                if self._fcfs_view is None:
                     return frozenset()
                 return self._release(
                     (p.loads() for p in placed.placements), gr=False
@@ -965,8 +982,11 @@ class SparcleScheduler:
             element for loads in departed for element in loads
         )
         fresh = self._fresh_view()
-        self._fcfs_view.reset_elements(footprint, fresh)
-        self._replay(self._fcfs_view, self._tenants(ledger=True), footprint)
+        if self._fcfs_view is not None:
+            self._fcfs_view.reset_elements(footprint, fresh)
+            self._replay(
+                self._fcfs_view, self._tenants(ledger=True), footprint
+            )
         if gr:
             self._gr_residual.reset_elements(footprint, fresh)
             self._replay(
@@ -998,8 +1018,8 @@ class SparcleScheduler:
 
         Both views hold the *active* GR paths (a path suspended by an
         element outage has released its capacity back to the pool) and,
-        last, the external reservations.  The FCFS ``ledger`` also holds
-        BE predicted rates, but only without prediction — the rule
+        last, the external reservations.  The FCFS ``ledger`` (kept only
+        without prediction) also holds BE predicted rates — the rule
         :meth:`_commit_be` applies — so its content does not depend on
         whether anything was re-derived since an admission.
         """
@@ -1009,7 +1029,7 @@ class SparcleScheduler:
             ):
                 if active:
                     yield placement.loads(), rate
-        if ledger and not self.use_prediction:
+        if ledger:
             for placed_be in self._be:
                 for placement, rate, active in zip(
                     placed_be.placements,
@@ -1040,7 +1060,9 @@ class SparcleScheduler:
         self._gr_residual = view
 
     def _rebuild_fcfs_view(self) -> None:
-        """Recompute the FCFS bookkeeping from the remaining tenants."""
+        """Recompute the FCFS ledger from the remaining tenants (if kept)."""
+        if self._fcfs_view is None:
+            return
         view = self._fresh_view()
         self._replay(view, self._tenants(ledger=True))
         self._fcfs_view = view
@@ -1430,14 +1452,17 @@ class SparcleScheduler:
         placed.path_rates = placed.path_rates + (rate,)
         placed.active.append(True)
         self._gr_residual.consume(result.placement.loads(), rate, clamp=True)
-        self._fcfs_view.consume(result.placement.loads(), rate, clamp=True)
+        if self._fcfs_view is not None:
+            self._fcfs_view.consume(result.placement.loads(), rate, clamp=True)
         return result.placement, rate
 
     def _add_be_path(self, app_id: str) -> Placement | None:
         placed = self._find_be(app_id)
         if sum(placed.active) >= placed.request.max_paths:
             return None
-        if self.use_prediction:
+        if self._fcfs_view is not None:
+            view = self._fcfs_view.copy()
+        else:
             tenants = [
                 (
                     other.request.priority,
@@ -1453,8 +1478,6 @@ class SparcleScheduler:
             view = predicted_view(
                 self._gr_residual, placed.request.priority, tenants
             )
-        else:
-            view = self._fcfs_view.copy()
         try:
             result = self.assigner(placed.request.graph, self.network, view)
         except InfeasiblePlacementError:
@@ -1466,7 +1489,7 @@ class SparcleScheduler:
         placed.placements = placed.placements + (result.placement,)
         placed.predicted_rates = placed.predicted_rates + (result.rate,)
         placed.active.append(True)
-        if not self.use_prediction:
+        if self._fcfs_view is not None:
             self._fcfs_view.consume(
                 result.placement.loads(), result.rate, clamp=True
             )

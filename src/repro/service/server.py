@@ -425,6 +425,9 @@ class SparcleServer:
                 first = await reader.readline()
             except ConnectionError:
                 first = b""
+            except ValueError:  # the line overran WIRE_LINE_LIMIT
+                await self._refuse_oversize(reader, writer)
+                return
             if not first:
                 writer.close()
                 return
@@ -473,6 +476,39 @@ class SparcleServer:
             with contextlib.suppress(OSError):
                 writer.close()
 
+    @staticmethod
+    async def _refuse_oversize(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer a line longer than the wire frame limit, then hang up.
+
+        The rest of the line cannot be resynchronised on, so the session
+        ends: a ``protocol`` error, end-of-file, and whatever the peer
+        still sends (for up to a second) is read and dropped so closing
+        the socket does not reset the connection under the reply.
+        """
+        error = ErrorReply(
+            code="protocol",
+            message=(
+                f"wire line exceeds the {WIRE_LINE_LIMIT}-byte frame "
+                "limit; closing the session"
+            ),
+        )
+
+        async def _discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        with contextlib.suppress(ConnectionError):
+            writer.write(encode_message(error))
+            await writer.drain()
+            if writer.can_write_eof():
+                writer.write_eof()
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(_discard(), 1.0)
+        with contextlib.suppress(OSError):
+            writer.close()
+
     def _export_log_gauges(self) -> None:
         """Read the event-log sizes at scrape time (nothing on the hot path)."""
         for label, log in self.coordinator.event_logs().items():
@@ -503,6 +539,7 @@ class SparcleServer:
             if tr.enabled
             else contextlib.nullcontext({})
         )
+        oversize = False
         try:
             with span as fields:
                 line = first_line
@@ -515,6 +552,9 @@ class SparcleServer:
                     try:
                         line = await reader.readline()
                     except ConnectionError:
+                        break
+                    except ValueError:  # overran WIRE_LINE_LIMIT
+                        oversize = True
                         break
                 if isinstance(fields, dict):
                     fields["requests"] = conn.requests
@@ -531,6 +571,10 @@ class SparcleServer:
             self._metrics.set_gauge(
                 "server.inflight", float(self._total_inflight())
             )
+            # Refused only once out of service: no decision can be sent
+            # to the half-closed writer.
+            if oversize:
+                await self._refuse_oversize(reader, writer)
             with contextlib.suppress(OSError):
                 writer.close()
 

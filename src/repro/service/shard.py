@@ -34,7 +34,8 @@ boundary-link ledger conservative — a boundary link can never be
 double-booked by two shards because only the coordinator consumes it.
 
 **Durability and warm start.**  A log is a *checkpoint* (a record with
-the full residual + FCFS views) followed by *delta* records that carry,
+the full residual view, plus the FCFS ledger when the scheduler runs
+without prediction) followed by *delta* records that carry,
 for the elements their event touched, those elements' complete post-event
 override entries.  A killed shard warm-starts by copying the last
 checkpoint and assigning every later delta over it (:func:`replay_log`)
@@ -320,7 +321,8 @@ class ShardEventLog:
 
     Each record is one JSON object per line carrying a monotonically
     increasing ``seq``.  The first record is a *checkpoint* — it carries
-    the full ``residual`` + ``fcfs`` override entries — and the records
+    the full ``residual`` override entries, plus the ``fcfs`` ledger's
+    when the scheduler runs without prediction — and the records
     after it carry a ``delta``: the complete post-event entries of the
     elements the event touched (physical logging: replay never re-runs
     admission, it copies values; see :func:`replay_log`).  With
@@ -472,13 +474,15 @@ class ReplayState:
     """What replaying a :class:`ShardEventLog` reconstructs.
 
     ``residual``/``fcfs`` are the bit-exact capacity overrides at the end
-    of the log; ``apps`` are the applications still holding reservations
-    (their logged per-path consumptions included, so a warm-started shard
-    can keep accounting for — and later release — their capacity).
+    of the log (``fcfs`` is ``None`` when the log's checkpoint carries no
+    FCFS ledger, i.e. it was written under prediction); ``apps`` are the
+    applications still holding reservations (their logged per-path
+    consumptions included, so a warm-started shard can keep accounting
+    for — and later release — their capacity).
     """
 
     residual: Entries
-    fcfs: Entries
+    fcfs: Entries | None
     apps: tuple[ReplayedApp, ...]
 
 
@@ -498,7 +502,7 @@ def _replay_view(
         view.setdefault(str(element), {})[str(resource)] = float(value)
     for index in range(checkpoint + 1, len(records)):
         delta = records[index].get("delta")
-        if delta is None:
+        if delta is None or key not in delta:
             continue
         for element, bucket in delta[key].items():
             if bucket:
@@ -516,8 +520,9 @@ def replay_log(records: Sequence[Mapping[str, Any]]) -> ReplayState:
     """Reconstruct residual state and live tenants from log records.
 
     The capacity views start from the last *checkpoint* — a record that
-    carries the full ``residual`` / ``fcfs`` entries — and every later
-    record's ``delta`` (``{view: {element: {resource: value}}}``) is
+    carries the full ``residual`` (and, without prediction, ``fcfs``)
+    entries — and every later record's ``delta``
+    (``{view: {element: {resource: value}}}``) is
     assigned over them element by element: the element's previous
     entries are dropped and the logged ones set, an empty bucket meaning
     "reads the raw capacity again".  Values are copied, never
@@ -526,7 +531,9 @@ def replay_log(records: Sequence[Mapping[str, Any]]) -> ReplayState:
     applications accumulate from the last checkpoint that lists its
     ``apps`` (or from the first record when none does).  A log in which
     every record carries full views — what earlier versions wrote — is
-    a log made of checkpoints and replays the same way.
+    a log made of checkpoints and replays the same way, and so does one
+    written when every record carried the ``fcfs`` ledger under
+    prediction too: ``fcfs`` is applied wherever a record has it.
 
     Raises :class:`~repro.exceptions.ShardError` for an empty log, or
     one with no checkpoint — there is nothing to warm-start from.
@@ -570,7 +577,11 @@ def replay_log(records: Sequence[Mapping[str, Any]]) -> ReplayState:
             apps.pop(record["app_id"], None)
     return ReplayState(
         residual=_replay_view(records, checkpoint, "residual"),
-        fcfs=_replay_view(records, checkpoint, "fcfs"),
+        fcfs=(
+            _replay_view(records, checkpoint, "fcfs")
+            if "fcfs" in records[checkpoint]
+            else None
+        ),
         apps=tuple(apps.values()),
     )
 
@@ -639,7 +650,7 @@ class ShardNode:
 
     # ------------------------------------------------------------------
     def _stamp(self, record: dict[str, Any]) -> dict[str, Any]:
-        """Make ``record`` a checkpoint: both full views plus the live apps.
+        """Make ``record`` a checkpoint: the full views plus the live apps.
 
         Only called where every live app is an adopted one — on a fresh
         node and right after a replay — so the record is self-contained:
@@ -648,15 +659,17 @@ class ShardNode:
         record["residual"] = _entries_to_json(
             self.scheduler.residual_snapshot().entries
         )
-        record["fcfs"] = _entries_to_json(
-            self.scheduler.fcfs_snapshot().entries
-        )
+        fcfs = self.scheduler.fcfs_snapshot()
+        if fcfs is not None:
+            record["fcfs"] = _entries_to_json(fcfs.entries)
         record["apps"] = [app.to_json() for app in self._adopted.values()]
         return record
 
     def _delta(self, touched: Iterable[str]) -> dict[str, Any]:
-        """The post-event entries of both views on the touched elements."""
+        """The post-event entries of the kept views on the touched elements."""
         residual, fcfs = self.scheduler.entries_on(touched)
+        if fcfs is None:
+            return {"residual": residual}
         return {"residual": residual, "fcfs": fcfs}
 
     def _require_alive(self) -> None:
@@ -777,7 +790,11 @@ class ShardNode:
         self._build()
         self.scheduler.restore_residual(
             ResidualSnapshot(self.network.name, state.residual),
-            fcfs=ResidualSnapshot(self.network.name, state.fcfs),
+            fcfs=(
+                ResidualSnapshot(self.network.name, state.fcfs)
+                if state.fcfs is not None
+                else None
+            ),
         )
         self._local = {}
         self._adopted = {}
@@ -791,7 +808,7 @@ class ShardNode:
     def warm_start(self) -> None:
         """Restart from the event log instead of re-solving admission.
 
-        Replays the log (:func:`replay_log`) into bit-equal residual/FCFS
+        Replays the log (:func:`replay_log`) into bit-equal capacity
         views, then adopts every logged live application as an external
         reservation (capacity stays held, duplicate ids stay rejected,
         withdrawal still works), and appends a ``restart`` checkpoint.

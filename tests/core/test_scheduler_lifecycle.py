@@ -70,9 +70,9 @@ class TestWithdraw:
 class TestFcfsLedgerIsWithdrawIndependent:
     """The FCFS ledger follows the commit rule, rebuilt or not.
 
-    Under prediction a BE app is not charged to the ledger at commit;
-    the rebuild used to charge it anyway, so ``fcfs_snapshot()`` — frozen
-    into every event-log record — changed content at the first withdraw.
+    The ledger exists only without prediction (the A3 ablation), where
+    it is read: every BE app is charged to it at commit at its predicted
+    rate, and a withdraw or a full rebuild must agree on that.
     """
 
     @staticmethod
@@ -83,9 +83,8 @@ class TestFcfsLedgerIsWithdrawIndependent:
         twin._rebuild_fcfs_view()
         return twin.fcfs_snapshot()
 
-    @pytest.mark.parametrize("use_prediction", [True, False])
-    def test_ledger_equals_rebuild_at_every_step(self, net, use_prediction):
-        scheduler = SparcleScheduler(net, use_prediction=use_prediction)
+    def test_ledger_equals_rebuild_at_every_step(self, net):
+        scheduler = SparcleScheduler(net, use_prediction=False)
         steps = [
             lambda: scheduler.submit_gr(
                 GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5)),
@@ -101,22 +100,35 @@ class TestFcfsLedgerIsWithdrawIndependent:
             assert scheduler.fcfs_snapshot() == self._from_scratch(scheduler)
 
     def test_withdraw_leaves_untouched_elements_alone(self, net):
+        scheduler = SparcleScheduler(net, use_prediction=False)
+        scheduler.submit_gr(
+            GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5))
+        before_be = scheduler.fcfs_snapshot()
+        scheduler.submit_be(BERequest("be", app("b", "ncp3", "ncp4")))
+        snapshot = scheduler.fcfs_snapshot()
+        assert snapshot != before_be
+        scheduler.submit_gr(
+            GRRequest("gone", app("c", "ncp5", "ncp6"), min_rate=0.5))
+        scheduler.withdraw("gone")
+        # Nothing re-admitted: the ledger is back where it was, the BE
+        # app's charge included.
+        assert scheduler.fcfs_snapshot() == snapshot
+        # A BE app holds ledger capacity only: its departure hands back
+        # exactly that and leaves the GR residual alone.
+        residual = scheduler.residual_snapshot()
+        scheduler.withdraw("be")
+        assert scheduler.fcfs_snapshot() == before_be
+        assert scheduler.residual_snapshot() == residual
+
+    def test_no_ledger_under_prediction(self, net):
         scheduler = SparcleScheduler(net)
         scheduler.submit_gr(
             GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5))
         scheduler.submit_be(BERequest("be", app("b", "ncp3", "ncp4")))
-        snapshot = scheduler.fcfs_snapshot()
-        scheduler.submit_gr(
-            GRRequest("gone", app("c", "ncp5", "ncp6"), min_rate=0.5))
-        scheduler.withdraw("gone")
-        # Nothing re-admitted: the ledger is back where it was, BE
-        # elements (never charged under prediction) included.
-        assert scheduler.fcfs_snapshot() == snapshot
-        # A predicted BE app's departure touches no view at all.
-        residual = scheduler.residual_snapshot()
-        scheduler.withdraw("be")
-        assert scheduler.fcfs_snapshot() == snapshot
-        assert scheduler.residual_snapshot() == residual
+        scheduler.withdraw("gr")
+        assert scheduler._fcfs_view is None
+        assert scheduler.fcfs_snapshot() is None
+        assert scheduler.entries_on(["ncp1", "ncp2"])[1] is None
 
 
 class TestOutageReport:

@@ -8,12 +8,16 @@ kill/restart on one and two shards:
 
 * **every prefix replays exactly** — ``replay_log(records[:k])`` equals
   the live residual and FCFS entries as they were right after record
-  ``k`` was appended, bit for bit, for every ``k``;
+  ``k`` was appended, bit for bit, for every ``k``.  Under prediction no
+  FCFS ledger is kept: no record carries ``fcfs`` and the replayed
+  ``fcfs`` is ``None``;
 * **compaction loses nothing** — recovering a node from its log rewrites
   the log to one checkpoint that replays to the same ``ReplayState``;
 * **one replay path** — the same history written the old way (the full
   views in every record, no ``delta``, no ``apps``) replays to the same
-  ``ReplayState``.
+  ``ReplayState``, and under prediction a log that also carries an
+  ``fcfs`` ledger in every record (what earlier versions wrote) replays
+  to the same residual and applications.
 """
 
 from __future__ import annotations
@@ -107,9 +111,10 @@ def _watch(node: ShardNode, states: list) -> None:
 
     def spy(record):
         stamped = append(record)
+        ledger = node.scheduler.fcfs_snapshot()
         states.append((
             node.residual_entries(),
-            node.scheduler.fcfs_snapshot().entries,
+            None if ledger is None else ledger.entries,
         ))
         return stamped
 
@@ -146,6 +151,27 @@ def _entries_json(entries):
     return [list(entry) for entry in entries]
 
 
+def _fresh_state(use_prediction: bool):
+    """Record 0: the fresh node's snapshot of the empty state."""
+    return ((), None if use_prediction else ())
+
+
+def _carries_fcfs(record) -> bool:
+    return "fcfs" in record or "fcfs" in record.get("delta", {})
+
+
+def _with_ledger_twin(record):
+    """``record`` as earlier versions wrote it under prediction: with an
+    ``fcfs`` ledger beside every ``residual`` view."""
+    record = dict(record)
+    if "residual" in record:
+        record["fcfs"] = record["residual"]
+    if "delta" in record:
+        delta = record["delta"]
+        record["delta"] = {**delta, "fcfs": delta["residual"]}
+    return record
+
+
 class TestDeltaLog:
     @SETTINGS
     @given(scripts())
@@ -157,12 +183,12 @@ class TestDeltaLog:
         ) as coordinator:
             states = {}
             for node in coordinator.nodes:
-                # Record 0 is the fresh node's snapshot of the empty state.
-                states[node.shard_id] = [((), ())]
+                states[node.shard_id] = [_fresh_state(use_prediction)]
                 _watch(node, states[node.shard_id])
             _run(coordinator, operations)
             for node in coordinator.nodes:
                 records = _through_json(node.log.records())
+                assert any(map(_carries_fcfs, records)) is not use_prediction
                 seen = states[node.shard_id]
                 assert len(records) == len(seen)
                 for k, state in enumerate(seen, start=1):
@@ -179,7 +205,7 @@ class TestDeltaLog:
         ) as coordinator:
             states = {}
             for node in coordinator.nodes:
-                states[node.shard_id] = [((), ())]
+                states[node.shard_id] = [_fresh_state(use_prediction)]
                 _watch(node, states[node.shard_id])
             _run(coordinator, operations)
             for node in coordinator.nodes:
@@ -201,9 +227,10 @@ class TestDeltaLog:
                 assert len(copy) == 1
                 assert replay_log(_through_json(copy.records())) == expected
                 assert twin.residual_entries() == expected.residual
+                ledger = twin.scheduler.fcfs_snapshot()
                 assert (
-                    twin.scheduler.fcfs_snapshot().entries == expected.fcfs
-                )
+                    None if ledger is None else ledger.entries
+                ) == expected.fcfs
 
                 # The same history, snapshot-per-record as it used to be
                 # written, goes through the same replay.
@@ -214,10 +241,33 @@ class TestDeltaLog:
                             if key not in ("delta", "apps")
                         },
                         "residual": _entries_json(residual),
-                        "fcfs": _entries_json(fcfs),
+                        **(
+                            {} if fcfs is None
+                            else {"fcfs": _entries_json(fcfs)}
+                        ),
                     }
                     for record, (residual, fcfs) in zip(
                         records, states[node.shard_id]
                     )
                 ]
                 assert replay_log(_through_json(old_format)) == expected
+
+                if use_prediction:
+                    # A log that carries the ledger anyway replays to the
+                    # same residual and apps; recovering it drops the ledger.
+                    with_ledger = [_with_ledger_twin(r) for r in records]
+                    replayed = replay_log(with_ledger)
+                    assert replayed.residual == expected.residual
+                    assert replayed.apps == expected.apps
+                    copy = ShardEventLog()
+                    for record in with_ledger:
+                        copy.append(
+                            {k: v for k, v in record.items() if k != "seq"}
+                        )
+                    twin = ShardNode(
+                        node.shard_id, node.network,
+                        use_prediction=True, log=copy,
+                    )
+                    assert twin.recover()
+                    assert twin.residual_entries() == expected.residual
+                    assert not _carries_fcfs(copy.records()[0])

@@ -1,13 +1,16 @@
 """Differential property: footprint-sized withdraw vs. the full rebuilds.
 
-``SparcleScheduler.withdraw`` re-derives the GR residual and the FCFS
-ledger only on the elements the departing tenant touched.  The two full
-rebuilds (``_rebuild_gr_residual`` / ``_rebuild_fcfs_view``) stay for the
-outage and capacity-change paths — and as the oracle here: over random
-admit / withdraw / ``reserve_external`` / ``mark_element_down`` /
-``mark_element_up`` / ``apply_capacity_change`` sequences, after every
-step the live views must equal what the rebuilds produce on a twin
-scheduler sharing the same tenant lists, and after a withdraw
+``SparcleScheduler.withdraw`` re-derives the GR residual and, without
+prediction, the FCFS ledger only on the elements the departing tenant
+touched.  The two full rebuilds (``_rebuild_gr_residual`` /
+``_rebuild_fcfs_view``) stay for the outage and capacity-change paths —
+and as the oracle here: over random admit / withdraw / ``replan`` /
+``reserve_external`` / ``apply_capacity_change`` / element down and up
+(through a :class:`~repro.core.repair.RepairController`, so replacement
+paths are added too) sequences, after every step the live views must
+equal what the rebuilds produce on a twin scheduler sharing the same
+tenant lists.  Under prediction no FCFS ledger exists at any step.  After
+a withdraw
 
 * every entry on the departed footprint is *bit-equal* to the rebuild
   (same starting value, same tenants, same order), including entries
@@ -29,6 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.network import star_network
+from repro.core.repair import RepairController
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
 from repro.core.taskgraph import BANDWIDTH, CPU, linear_task_graph
 from repro.exceptions import PlacementError
@@ -49,14 +53,16 @@ def _entries(snapshot) -> dict[tuple[str, str], float]:
 
 
 def _views(scheduler):
-    return (
-        _entries(scheduler.residual_snapshot()),
-        _entries(scheduler.fcfs_snapshot()),
-    )
+    """The kept views: the GR residual, then the FCFS ledger if any."""
+    views = [_entries(scheduler.residual_snapshot())]
+    ledger = scheduler.fcfs_snapshot()
+    if ledger is not None:
+        views.append(_entries(ledger))
+    return tuple(views)
 
 
 def _rebuilt(scheduler):
-    """Both views as the full rebuilds derive them, on a twin scheduler."""
+    """The kept views as the full rebuilds derive them, on a twin."""
     twin = copy.copy(scheduler)  # shares the tenant lists, not the views
     twin._rebuild_gr_residual()
     twin._rebuild_fcfs_view()
@@ -122,11 +128,14 @@ class TestFootprintWithdrawEqualsFullRebuild:
         elements = sorted(network.element_names())
         links = sorted(link.name for link in network.links)
         scheduler = SparcleScheduler(network, use_prediction=use_prediction)
+        controller = RepairController(scheduler)
         for step in range(draw(st.integers(4, 14))):
             live = list(scheduler.app_ids())
+            gr_apps = list(scheduler.state().gr_apps)
             op = draw(st.sampled_from(
                 ["admit", "admit", "external", "down", "up", "capacity"]
                 + (["withdraw"] * 3 if live else [])
+                + (["replan"] if gr_apps else [])
             ))
             context = (step, op)
             if op == "admit":
@@ -148,25 +157,30 @@ class TestFootprintWithdrawEqualsFullRebuild:
                 except PlacementError:
                     pass  # did not fit: nothing changed
             elif op == "down":
-                scheduler.mark_element_down(draw(st.sampled_from(elements)))
+                controller.element_down(draw(st.sampled_from(elements)))
             elif op == "up":
                 down = sorted(scheduler.down_elements)
                 if down:
-                    scheduler.mark_element_up(draw(st.sampled_from(down)))
+                    controller.element_up(draw(st.sampled_from(down)))
             elif op == "capacity":
                 leaf = f"ncp{draw(st.integers(1, N_LEAVES))}"
                 scheduler.apply_capacity_change(
                     {leaf: {CPU: draw(st.floats(500.0, 30000.0))}}
                 )
+            elif op == "replan":
+                app_id = draw(st.sampled_from(gr_apps))
+                if not scheduler.replan(app_id).readmitted:
+                    controller.forget(app_id)
             else:
                 app_id = draw(st.sampled_from(live))
                 footprint = _footprint(scheduler, app_id)
                 is_be = app_id in scheduler.state().be_apps
-                # A BE app never holds GR capacity, and under prediction
-                # it is not charged to the FCFS ledger either.
-                rewritten = (not is_be, not (is_be and use_prediction))
+                # A BE app never holds GR capacity; the FCFS ledger (kept
+                # only without prediction) holds every tenant.
+                rewritten = (not is_be, True)
                 before = _views(scheduler)
                 scheduler.withdraw(app_id)
+                controller.forget(app_id)
                 for was, now, oracle, touched in zip(
                     before, _views(scheduler), _rebuilt(scheduler), rewritten
                 ):
@@ -183,10 +197,14 @@ class TestFootprintWithdrawEqualsFullRebuild:
                     assert off == {
                         k: v for k, v in was.items() if k[0] not in footprint
                     }, context
+            if use_prediction:
+                assert scheduler._fcfs_view is None, context
             _assert_matches_rebuild(scheduler, context)
-        # Withdrawing everything returns both views to their fresh state.
+        # Withdrawing everything returns the views to their fresh state.
         for app_id in scheduler.app_ids():
             scheduler.withdraw(app_id)
         fresh = scheduler._fresh_view().freeze()
         assert scheduler.residual_snapshot() == fresh
-        assert scheduler.fcfs_snapshot() == fresh
+        assert scheduler.fcfs_snapshot() == (
+            None if use_prediction else fresh
+        )

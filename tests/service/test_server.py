@@ -32,6 +32,8 @@ from repro.service.protocol import (
     WIRE_LINE_LIMIT,
     DecisionReply,
     ErrorReply,
+    StatusReply,
+    StatusRequest,
     SubmitReply,
     SubmitRequest,
     decode,
@@ -414,6 +416,97 @@ class TestProtocolErrors:
                 writer.close()
 
         _serve(_go)
+
+    @pytest.mark.parametrize("after_status", [False, True])
+    def test_oversize_frame_gets_protocol_error_then_eof(self, after_status):
+        # Regression: a line over WIRE_LINE_LIMIT escaped the connection
+        # task as an unhandled ValueError and the client read EOF with no
+        # reply — as the first line and in mid-session alike.
+        unhandled = []
+
+        async def _go(server):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port, limit=WIRE_LINE_LIMIT
+            )
+            try:
+                if after_status:
+                    writer.write(encode(StatusRequest(seq=1)))
+                    await writer.drain()
+                    status = decode(await reader.readline())
+                    assert isinstance(status, StatusReply)
+                writer.write(b"x" * (WIRE_LINE_LIMIT + 1) + b"\n")
+                await writer.drain()
+                reply = decode(
+                    await asyncio.wait_for(reader.readline(), 10.0)
+                )
+                assert isinstance(reply, ErrorReply)
+                assert reply.code == "protocol"
+                assert str(WIRE_LINE_LIMIT) in reply.message
+                assert await asyncio.wait_for(reader.read(), 10.0) == b""
+            finally:
+                writer.close()
+            # The server keeps serving other connections.
+            async with await SparcleClient.open(
+                server.host, server.port
+            ) as client:
+                assert (await client.status()).submitted == 0
+
+        _serve(_go)
+        assert unhandled == []
+
+    def test_oversize_frame_with_a_decision_in_flight(self):
+        # Regression: the refusal half-closed the writer while the
+        # connection still owned a pending ticket, so deciding that
+        # ticket during the refusal wrote after write_eof() and the
+        # RuntimeError killed the epoch loop for every client.
+        unhandled = []
+        hold = [True]
+
+        async def _go(server):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            # Keep the first submit undecided until the refusal is under
+            # way, as a re-queued cross-region request would be.
+            run_epoch = server.coordinator.run_epoch
+            server.coordinator.run_epoch = (
+                lambda: None if hold[0] else run_epoch()
+            )
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port, limit=WIRE_LINE_LIMIT
+            )
+            try:
+                writer.write(encode(SubmitRequest.from_request(
+                    _gr("held"), seq=1
+                )))
+                await writer.drain()
+                assert isinstance(decode(await reader.readline()), SubmitReply)
+                writer.write(b"x" * (WIRE_LINE_LIMIT + 1) + b"\n")
+                await writer.drain()
+                reply = decode(await asyncio.wait_for(reader.readline(), 10.0))
+                assert isinstance(reply, ErrorReply)
+                assert reply.code == "protocol"
+                # The refused session is still draining its input; the
+                # held ticket is decided now, with nowhere to go.
+                hold[0] = False
+                async with await SparcleClient.open(
+                    server.host, server.port
+                ) as client:
+                    await client.submit(_gr("other", src="ncp3", dst="ncp4"))
+                    decision = await asyncio.wait_for(
+                        client.decision("other"), 10.0
+                    )
+                    assert decision.accepted
+                assert await asyncio.wait_for(reader.read(), 10.0) == b""
+            finally:
+                writer.close()
+            assert server.coordinator.decision_for(0).app_id == "held"
+
+        _serve(_go)
+        assert unhandled == []
 
     def test_error_reply_maps_to_typed_exception(self):
         from repro.service.client import error_to_exception

@@ -222,6 +222,18 @@ class TestShardEventLog:
         # (a duplicated final write, same seq) changes nothing.
         assert replay_log(records + [records[-1]]) == state
 
+    def test_a_log_without_a_ledger_replays_no_fcfs_view(self):
+        # What a node under prediction writes: the residual view only.
+        records = [
+            {"type": "snapshot", "apps": [],
+             "residual": [["l1", BANDWIDTH, 9.0]]},
+            {"type": "release", "app_id": "gone",
+             "delta": {"residual": {"l1": {BANDWIDTH: 7.5}}}},
+        ]
+        state = replay_log(records)
+        assert state.residual == (("l1", BANDWIDTH, 7.5),)
+        assert state.fcfs is None
+
     def test_torn_final_record_is_dropped_and_truncated(self, tmp_path):
         path = tmp_path / "shard-0.jsonl"
         log = ShardEventLog(path)
@@ -319,9 +331,11 @@ class TestShardEventLog:
 # Scheduler external-reservation plumbing
 # ----------------------------------------------------------------------
 class TestExternalReservations:
-    def _scheduler(self):
+    def _scheduler(self, *, use_prediction: bool = True):
         network = fully_connected_network(2, cpu=10000.0, link_bandwidth=10.0)
-        return network, SparcleScheduler(network)
+        return network, SparcleScheduler(
+            network, use_prediction=use_prediction
+        )
 
     def test_reserve_charges_and_withdraw_releases(self):
         network, scheduler = self._scheduler()
@@ -346,7 +360,8 @@ class TestExternalReservations:
         ) == frozenset()
         residual, fcfs = scheduler.entries_on([link, "ncp1"])
         assert residual == {link: {BANDWIDTH: 6.0}, "ncp1": {}}
-        assert fcfs == residual
+        # Under prediction no FCFS ledger is kept.
+        assert fcfs is None
         assert scheduler.withdraw("ext") == {link}
         gr = scheduler.submit_gr(_gr("g", "ncp1", "ncp2", min_rate=0.5))
         assert gr.accepted
@@ -364,6 +379,26 @@ class TestExternalReservations:
             _gr("huge", "ncp1", "ncp2", min_rate=1e9)
         )
         assert scheduler.charged_elements(rejected) == frozenset()
+
+    def test_without_prediction_the_ledger_is_charged_and_reported(self):
+        network, scheduler = self._scheduler(use_prediction=False)
+        link = network.links[0].name
+        loads = ({link: {BANDWIDTH: 1.0}}, 4.0)
+        assert scheduler.reserve_external("ext", (loads,)) == {link}
+        residual, fcfs = scheduler.entries_on([link, "ncp1"])
+        assert residual == {link: {BANDWIDTH: 6.0}, "ncp1": {}}
+        assert fcfs == residual
+        # A BE app is charged to the ledger only, at its predicted rate.
+        be = scheduler.submit_be(_be("b", "ncp1", "ncp2"))
+        assert be.accepted
+        touched = scheduler.charged_elements(be)
+        assert touched == {
+            element for p in be.placements for element in p.loads()
+        }
+        residual, fcfs = scheduler.entries_on(touched)
+        assert residual != fcfs
+        assert scheduler.withdraw("b") == touched
+        assert scheduler.entries_on(touched)[1] == residual
 
     def test_overcommit_is_atomic(self):
         network, scheduler = self._scheduler()
@@ -388,15 +423,32 @@ class TestExternalReservations:
         assert "ghost" in scheduler.external_tags()
 
     def test_restore_residual_round_trips(self):
+        network, scheduler = self._scheduler(use_prediction=False)
+        link = network.links[0].name
+        scheduler.reserve_external("ext", (({link: {BANDWIDTH: 1.0}}, 3.0),))
+        scheduler.submit_be(_be("b", "ncp1", "ncp2"))
+        frozen = scheduler.residual_snapshot()
+        fcfs = scheduler.fcfs_snapshot()
+        assert fcfs is not None and fcfs != frozen
+        fresh = SparcleScheduler(network, use_prediction=False)
+        fresh.restore_residual(frozen, fcfs=fcfs)
+        assert fresh.residual_snapshot() == frozen
+        assert fresh.fcfs_snapshot() == fcfs
+        # A log that carries no ledger seeds it from the residual.
+        seeded = SparcleScheduler(network, use_prediction=False)
+        seeded.restore_residual(frozen)
+        assert seeded.fcfs_snapshot() == frozen
+
+    def test_restore_residual_under_prediction_keeps_no_ledger(self):
         network, scheduler = self._scheduler()
         link = network.links[0].name
         scheduler.reserve_external("ext", (({link: {BANDWIDTH: 1.0}}, 3.0),))
         frozen = scheduler.residual_snapshot()
-        fcfs = scheduler.fcfs_snapshot()
+        assert scheduler.fcfs_snapshot() is None
         fresh = SparcleScheduler(network)
-        fresh.restore_residual(frozen, fcfs=fcfs)
+        fresh.restore_residual(frozen, fcfs=frozen)
         assert fresh.residual_snapshot() == frozen
-        assert fresh.fcfs_snapshot() == fcfs
+        assert fresh.fcfs_snapshot() is None
 
 
 # ----------------------------------------------------------------------
