@@ -7,9 +7,10 @@ Unlike the figure reproductions these use real repeated timing rounds.
 
 The scenario builders are module-level and keyed by a stable ``bench id``
 (:data:`SCENARIOS`) so ``benchmarks/export_bench.py`` can time the exact
-same instances against the straight-line reference implementation, and so
-``--benchmark-json`` output (tagged with ``bench_id`` by ``conftest.py``)
-can be merged into ``BENCH_assignment.json``.
+same instances against the straight-line reference implementation
+(``tests/assignment_oracle.py``), and so ``--benchmark-json`` output
+(tagged with ``bench_id`` by ``conftest.py``) can be merged into
+``BENCH_assignment.json``.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def dense_wide_case() -> tuple[TaskGraph, Network]:
     """48 fully connected NCPs (1128 links) x a 20-CT diamond-chain pipeline.
 
     Headroom case: the straight-line reference is far too slow here, so
-    ``export_bench.py`` times the dict kernel against the array kernel
-    instead (see its ``NO_REFERENCE`` set).
+    ``export_bench.py`` times the dict oracle (``tests/routing_oracles.py``)
+    against the CSR kernel instead (see its ``NO_REFERENCE`` set).
     """
     network = random_network(TopologyKind.FULL, 248, n_ncps=48)
     graph = diamond_chain_task_graph(6, cpu_per_ct=400.0, megabits_per_tt=2.0)
@@ -81,8 +82,8 @@ def dense_huge_case() -> tuple[TaskGraph, Network]:
     """96 fully connected NCPs (4560 links) x a 29-CT diamond-chain pipeline.
 
     The largest case on record (diamond chains have 3k+2 CTs, so 29 is the
-    nearest size to the nominal 28).  Array-kernel only in practice; the
-    dict kernel is timed as the comparison baseline.
+    nearest size to the nominal 28).  The dict oracle is timed as the
+    comparison baseline for the CSR kernel.
     """
     network = random_network(TopologyKind.FULL, 296, n_ncps=96)
     graph = diamond_chain_task_graph(9, cpu_per_ct=400.0, megabits_per_tt=2.0)
@@ -143,7 +144,7 @@ def test_dense_network_deep_graph(benchmark):
     "bench_id", ["dense-48x20", "dense-96x29"]
 )
 def test_dense_headroom_cases(benchmark, bench_id):
-    """The array-kernel headroom cases (see the ``dense_*`` builders)."""
+    """The CSR-kernel headroom cases (see the ``dense_*`` builders)."""
     benchmark.extra_info["bench_id"] = bench_id
     graph, network = SCENARIOS[bench_id]()
     result = benchmark.pedantic(

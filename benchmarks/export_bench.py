@@ -2,21 +2,22 @@
 """Export baseline-vs-optimized assignment timings to ``BENCH_assignment.json``.
 
 For every scenario in :data:`bench_scalability.SCENARIOS` this script times
-the straight-line pre-optimization reference (``repro.core.reference.
-reference_assign``) against the optimized ``sparcle_assign``, checks that
+the straight-line pre-optimization reference (``tests/assignment_oracle.py``,
+``reference_assign``) against the optimized ``sparcle_assign``, checks that
 both return the *same decisions* (hosts, routes, rate, order), and writes a
 JSON report with per-scenario ``baseline_ms`` / ``optimized_ms`` /
 ``speedup`` plus a ``repro.perf`` counter snapshot of the optimized runs.
 
-Every scenario is additionally timed under the dict route kernel
-(``route_kernel("dict")``), recorded as ``dict_kernel_ms`` with
-``kernel_speedup = dict_kernel_ms / optimized_ms``.  Algorithm 2 reads its
-widths from the all-pairs table under either kernel, so the two differ
-only on the point queries that route committed TTs (and confirm
-tie-breaks).  The :data:`NO_REFERENCE` scenarios
-(dense-48x20, dense-96x29) are too large for the straight-line reference
-altogether; there the dict-kernel run doubles as the decision-identity
-check and ``baseline_ms`` / ``speedup`` are omitted.
+Every scenario is additionally timed with the dict oracle of
+``tests/routing_oracles.py`` substituted for Algorithm 2's point queries
+(``repro.core.assignment.widest_path``), recorded as ``dict_kernel_ms``
+with ``kernel_speedup = dict_kernel_ms / optimized_ms``.  Algorithm 2 reads
+its widths from the all-pairs table either way, so the two runs differ only
+on the point queries that route committed TTs (and confirm tie-breaks).
+The :data:`NO_REFERENCE` scenarios (dense-48x20, dense-96x29) are too large
+for the straight-line reference altogether; there the dict-oracle run
+doubles as the decision-identity check and ``baseline_ms`` / ``speedup``
+are omitted.
 
 Usage::
 
@@ -33,10 +34,9 @@ Usage::
 ``--quick`` the gate scenario is pulled back in (3 timing rounds) even
 though it is otherwise skipped.
 ``--min-small-speedup Y`` is the small-scenario non-regression gate: every
-:data:`SMALL_GATE_IDS` scenario (the ones the default ``"auto"`` kernel
-routes through the dict kernel because the CSR warm-up dominates) must
-keep ``kernel_speedup >= Y`` — this is what catches a star-8-style
-``kernel_speedup: 0.88`` regression sneaking back in.
+:data:`SMALL_GATE_IDS` scenario must keep ``kernel_speedup >= Y``, i.e. the
+CSR kernel's compile/warm-up cost may never make a tiny network slower
+than the dict oracle would route it.
 ``--from-json`` merges a pytest-benchmark ``--benchmark-json`` file (records
 are matched on the ``bench_id`` tag added by ``benchmarks/conftest.py``)
 into the report as ``pytest_benchmark_ms`` so both timing sources live in
@@ -51,33 +51,34 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 _HERE = Path(__file__).resolve().parent
 _REPO = _HERE.parent
-for entry in (str(_REPO / "src"), str(_HERE)):
+for entry in (str(_REPO / "src"), str(_HERE), str(_REPO)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
 from bench_scalability import SCENARIOS  # noqa: E402
+from repro.core import assignment  # noqa: E402
 from repro.core.assignment import sparcle_assign  # noqa: E402
-from repro.core.reference import reference_assign  # noqa: E402
-from repro.core.routing import resolve_route_kernel, route_kernel  # noqa: E402
 from repro.perf import counters  # noqa: E402
+from tests.assignment_oracle import reference_assign  # noqa: E402
+from tests.routing_oracles import widest_path_dict  # noqa: E402
 
 #: Scenarios too slow for the CI smoke job (skipped under --quick).
 HEAVY = {"dense-24x14", "dense-48x20", "dense-96x29"}
 
 #: Scenarios where the straight-line reference itself is intractable: the
-#: dict kernel is the decision-identity oracle and the timing baseline.
+#: dict-oracle run is the decision-identity check and the timing baseline.
 NO_REFERENCE = {"dense-48x20", "dense-96x29"}
 
 #: The scenario the --min-speedup gate checks.
 GATE_ID = "dense-24x14"
 
-#: Small scenarios (below routing.SMALL_NETWORK_ELEMENTS) where "auto"
-#: dispatches to the dict kernel; the --min-small-speedup gate holds
-#: their kernel_speedup at ~parity so the CSR warm-up overhead can never
-#: regress them again.
+#: Small scenarios (15-19 NCPs + links) where the CSR compile/warm-up is
+#: largest relative to the search; the --min-small-speedup gate holds
+#: their kernel_speedup at ~parity with the dict oracle.
 SMALL_GATE_IDS = ("star-8", "linear-graph-4", "linear-graph-8",
                   "linear-graph-16")
 
@@ -91,6 +92,12 @@ def _time_ms(fn, graph, network, rounds: int) -> tuple[float, object]:
         result = fn(graph, network)
         samples.append((time.perf_counter() - start) * 1000.0)
     return statistics.median(samples), result
+
+
+def _dict_oracle_assign(graph, network):
+    """``sparcle_assign`` with its point queries on the dict oracle."""
+    with mock.patch.object(assignment, "widest_path", widest_path_dict):
+        return sparcle_assign(graph, network)
 
 
 def _assert_same_decisions(bench_id: str, opt, ref, oracle: str) -> None:
@@ -126,15 +133,14 @@ def run(
             # Gate scenarios need a stable median even in smoke mode.
             n_rounds = 3 if (gated or small_gated) else 1
         else:
-            # The NO_REFERENCE cases take seconds per dict-kernel round.
+            # The NO_REFERENCE cases take seconds per dict-oracle round.
             n_rounds = min(rounds, 3) if bench_id in NO_REFERENCE else rounds
 
-        with route_kernel("dict"):
-            dict_ms, dict_result = _time_ms(
-                sparcle_assign, graph, network, n_rounds
-            )
+        dict_ms, dict_result = _time_ms(
+            _dict_oracle_assign, graph, network, n_rounds
+        )
         optimized_ms, opt = _time_ms(sparcle_assign, graph, network, n_rounds)
-        _assert_same_decisions(bench_id, opt, dict_result, "dict kernel")
+        _assert_same_decisions(bench_id, opt, dict_result, "dict oracle")
         kernel_speedup = (
             dict_ms / optimized_ms if optimized_ms > 0 else float("inf")
         )
@@ -144,7 +150,6 @@ def run(
             "n_links": len(network.links),
             "n_cts": len(graph.cts),
             "n_tts": len(graph.tts),
-            "resolved_kernel": resolve_route_kernel(network),
             "rate": opt.rate,
             "dict_kernel_ms": round(dict_ms, 3),
             "optimized_ms": round(optimized_ms, 3),
@@ -202,7 +207,7 @@ def check_min_speedup(report: dict, min_speedup: float) -> None:
 
 
 def check_min_small_speedup(report: dict, min_small_speedup: float) -> None:
-    """Fail if any small (auto->dict) scenario regressed vs the dict kernel."""
+    """Fail if any small scenario routes slower than under the dict oracle."""
     rows = {row["bench_id"]: row for row in report["scenarios"]}
     failures = []
     for bench_id in SMALL_GATE_IDS:
@@ -216,7 +221,7 @@ def check_min_small_speedup(report: dict, min_small_speedup: float) -> None:
     if failures:
         raise SystemExit(
             "--min-small-speedup gate failed (required >= "
-            f"{min_small_speedup:.2f}x vs the dict kernel): "
+            f"{min_small_speedup:.2f}x vs the dict oracle): "
             + ", ".join(failures)
         )
     print(
@@ -267,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--min-small-speedup", type=float, default=None,
         help="fail unless every small scenario (star-8, linear-graph-*) "
-        "keeps kernel_speedup at least this factor — the auto-kernel "
-        "small-network non-regression gate",
+        "keeps kernel_speedup at least this factor — the small-network "
+        "non-regression gate",
     )
     args = parser.parse_args(argv)
     if args.rounds < 1:

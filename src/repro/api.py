@@ -77,7 +77,7 @@ from repro.core.taskgraph import (
 from repro.core.assignment import AssignmentResult, sparcle_assign
 from repro.core.allocation import predicted_view, solve_proportional_fairness
 from repro.core.availability import min_rate_availability
-from repro.core.routing import resolve_route_kernel, widest_path
+from repro.core.routing import widest_path
 
 # --- Admission ----------------------------------------------------------
 from repro.core.repair import RepairController, RepairEvent, RetryPolicy
@@ -180,7 +180,6 @@ __all__ = [
     "AssignmentResult",
     "min_rate_availability",
     "predicted_view",
-    "resolve_route_kernel",
     "solve_proportional_fairness",
     "sparcle_assign",
     "widest_path",

@@ -69,15 +69,10 @@ from repro.core.arrays import (
     compile_network,
     link_residuals,
     link_weights,
-    residuals_from_snapshot,
 )
 from repro.core.routing import (
     RouteResult,
-    get_route_kernel,
     hop_shortest_path,
-    resolve_route_kernel,
-    route_kernel,
-    set_route_kernel,
     widest_path,
 )
 from repro.core.scheduler import (
@@ -153,15 +148,10 @@ __all__ = [
     "diamond_task_graph",
     "fixed_placement",
     "fully_connected_network",
-    "get_route_kernel",
     "greedy_assign_with_order",
     "hop_shortest_path",
     "link_residuals",
     "link_weights",
-    "residuals_from_snapshot",
-    "resolve_route_kernel",
-    "route_kernel",
-    "set_route_kernel",
     "linear_network",
     "linear_task_graph",
     "min_rate_availability",

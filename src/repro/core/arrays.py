@@ -2,19 +2,18 @@
 
 ``repro.core.network`` models the dispersed computing network as dicts of
 named :class:`~repro.core.network.NCP`/:class:`~repro.core.network.Link`
-objects — ideal for validation and bookkeeping, but every widest-path
-relaxation then pays string hashing, attribute chasing, and a per-edge
-``link_weight`` call.  This module compiles the (immutable) topology once
-into flat int-indexed arrays so the Algorithm-1 hot path becomes:
+objects — ideal for validation and bookkeeping, but a widest-path
+relaxation over them pays string hashing, attribute chasing, and a
+per-edge weight evaluation.  This module compiles the (immutable)
+topology once into flat int-indexed arrays, and is the one Algorithm-1
+implementation :mod:`repro.core.routing` runs:
 
 1. :func:`compile_network` — a cached :class:`CompiledNetwork` holding a
    CSR adjacency (``offsets``/``targets``/``link_ids``) per direction,
    plus the raw link bandwidths, all as frozen ``numpy`` arrays;
 2. :func:`link_residuals` — the residual bandwidth of every link under a
    :class:`~repro.core.placement.CapacityView`, produced in O(overrides)
-   and memoized against the view's mutation version (also available in
-   O(entries) from a frozen :class:`~repro.core.network.ResidualSnapshot`
-   via :func:`residuals_from_snapshot`);
+   and memoized against the view's mutation version;
 3. :func:`link_weights` — the Eq. (3) weight of *every* link for a given
    ``tt_megabits`` + same-path loads, in one vectorized pass;
 4. :func:`run_widest` — the modified-Dijkstra relaxation over int arrays
@@ -25,14 +24,11 @@ into flat int-indexed arrays so the Algorithm-1 hot path becomes:
    searching.
 
 The relaxation loop is pure Python over list mirrors of the CSR arrays.
-It reproduces the dict kernel's decisions bit-for-bit, including Dijkstra
-tiebreaks: node ties break on the lexicographic rank of the NCP name
-(``tie_rank``), and per-node edge order is the sorted-by-link-name order
-of ``Network.forward_links`` / ``backward_links``.
-
-Kernel selection between this module and the legacy dict implementation
-lives in :mod:`repro.core.routing` (``set_route_kernel`` /
-``SPARCLE_ROUTE_KERNEL``).
+Its tiebreaks are those of a name-keyed Dijkstra: node ties break on the
+lexicographic rank of the NCP name (``tie_rank``), and per-node edge
+order is the sorted-by-link-name order of ``Network.forward_links`` /
+``backward_links``.  The dict-of-dicts oracle in
+``tests/routing_oracles.py`` checks it bit for bit.
 """
 
 from __future__ import annotations
@@ -46,10 +42,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.network import Network, ResidualSnapshot
+from repro.core.network import Network
 from repro.core.placement import CapacityView
 from repro.core.taskgraph import BANDWIDTH
-from repro.exceptions import InvalidNetworkError
 from repro.perf import counters
 
 FloatArray = np.ndarray[Any, np.dtype[np.float64]]
@@ -69,11 +64,11 @@ class CompiledNetwork:
     ``node_names[i]`` / ``link_names[i]`` translate back.  The CSR edge
     order within each node replicates ``Network.forward_links`` /
     ``backward_links`` (sorted by link name), and ``tie_rank[i]`` is the
-    lexicographic rank of node ``i``'s name — together these make the
-    array relaxation reproduce the dict kernel's Dijkstra tiebreaks
-    exactly.  Every ``numpy`` array is frozen (``writeable=False``);
-    the ``*_list`` twins are private mirrors for the pure-Python loop
-    (CPython list indexing is ~3x faster than scalar ndarray access).
+    lexicographic rank of node ``i``'s name — together these fix the
+    relaxation's Dijkstra tiebreaks to those of a name-keyed search.
+    Every ``numpy`` array is frozen (``writeable=False``); the ``*_list``
+    twins are private mirrors for the pure-Python loop (CPython list
+    indexing is ~3x faster than scalar ndarray access).
 
     Undirected networks share one adjacency: the ``bwd_*`` fields alias
     the ``fwd_*`` arrays.
@@ -123,7 +118,7 @@ def _csr(
     *,
     reverse: bool,
 ) -> tuple[IntArray, IntArray, IntArray]:
-    """CSR arrays whose per-node edge order matches the dict kernel's."""
+    """CSR arrays in ``forward_links`` (``backward_links``) edge order."""
     offsets = [0]
     targets: list[int] = []
     link_ids: list[int] = []
@@ -236,31 +231,6 @@ def link_residuals(compiled: CompiledNetwork, capacities: CapacityView) -> Float
     return residual
 
 
-def residuals_from_snapshot(
-    compiled: CompiledNetwork, snapshot: ResidualSnapshot
-) -> FloatArray:
-    """Thaw a frozen :class:`~repro.core.network.ResidualSnapshot` to arrays.
-
-    O(entries): the snapshot records only overrides, so shipping a
-    residual state to a worker process and rebuilding the kernel input
-    costs len(entries) writes over a copy of the compiled bandwidths.
-    """
-    if snapshot.network_name != compiled.network_name:
-        raise InvalidNetworkError(
-            f"snapshot of network {snapshot.network_name!r} cannot thaw "
-            f"against compiled {compiled.network_name!r}"
-        )
-    residual = compiled.base_bandwidth.copy()
-    link_index = compiled.link_index
-    for element, resource, value in snapshot.entries:
-        if resource != BANDWIDTH:
-            continue
-        idx = link_index.get(element)
-        if idx is not None:
-            residual[idx] = value
-    return _freeze(residual)
-
-
 def link_weights(
     compiled: CompiledNetwork,
     residual: FloatArray,
@@ -270,14 +240,13 @@ def link_weights(
     """Eq. (3) link weights for *all* links in one vectorized pass.
 
     ``weights[l] = residual[l] / (tt_megabits + link_loads[l])``, with
-    ``inf`` where the denominator is non-positive — exactly
-    :func:`repro.core.routing.link_weight` evaluated per link id.  The
-    division is IEEE-754 float64 either way, so the array weights are
-    bit-identical to the dict kernel's per-edge evaluations.
+    ``inf`` where the denominator is non-positive.  The division is
+    IEEE-754 float64, so every weight is bit-identical to the scalar
+    per-link evaluation (``tests/routing_oracles.link_weight``).
     """
     # Python float division overflows to inf silently; numpy emits a
-    # RuntimeWarning for the same IEEE result — silence it so the two
-    # kernels behave identically under -W error.
+    # RuntimeWarning for the same IEEE result — silence it so the
+    # vectorized pass matches scalar division under -W error.
     if not link_loads:
         if tt_megabits > 0.0:
             with np.errstate(over="ignore"):
@@ -296,7 +265,7 @@ def link_weights(
 
 
 # ----------------------------------------------------------------------
-# Relaxation kernels
+# Relaxation
 # ----------------------------------------------------------------------
 def _relax_python(
     offsets: Sequence[int],
@@ -315,7 +284,7 @@ def _relax_python(
     link-indexed table.  ``dst >= 0`` enables the point-query early exit
     (stop once ``dst`` is settled); ``dst = -1`` runs to exhaustion (the
     tree mode).  Heap entries are ``(-width, tie_rank, node)`` so ties
-    pop in lexicographic node-name order, matching the dict kernel.
+    pop in lexicographic node-name order.
     """
     widths = [_NEG_INF] * n_nodes
     prev_node = [-1] * n_nodes

@@ -12,32 +12,19 @@ what has already been placed, solved with a modified Dijkstra in
 ``O(|L| log |N|)``.  Ties are broken deterministically (lexicographically
 smallest predecessor) so the whole scheduler is reproducible.
 
-Two interchangeable kernels implement the search:
-
-* ``"array"`` — the CSR-compiled kernel of :mod:`repro.core.arrays`:
-  link weights for the whole network are evaluated in one vectorized
-  pass and the relaxation loop runs over int arrays;
-* ``"dict"`` — the original dict-of-dicts kernel, retained verbatim as
-  the equivalence baseline.
-
-The default selection is ``"auto"``: networks with fewer than
-:data:`SMALL_NETWORK_ELEMENTS` elements (NCPs + links) route through the
-dict kernel — below that size the CSR compile/warm-up overhead exceeds
-the vectorized win (the star-8 ``kernel_speedup: 0.88`` regression in
-``BENCH_assignment.json``) — and everything larger uses the array
-kernel.  Both kernels produce bit-identical decisions (widths,
-predecessors, tiebreaks), so the dispatch never changes a scheduling
-outcome; select explicitly with :func:`set_route_kernel` or the
-``SPARCLE_ROUTE_KERNEL`` environment variable.
+The search runs on the CSR-compiled kernel of :mod:`repro.core.arrays`:
+link weights for the whole network are evaluated in one vectorized pass
+and the relaxation loop runs over int arrays.  Every network, however
+small, routes on it.  The original dict-of-dicts search survives only as
+the test oracle in ``tests/routing_oracles.py``; the property and golden
+suites check this kernel against it bit for bit (widths, predecessors,
+tiebreaks).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-import os
-from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core import arrays
@@ -45,70 +32,6 @@ from repro.core.network import Network
 from repro.core.placement import CapacityView
 from repro.exceptions import InvalidNetworkError
 from repro.perf import counters
-
-
-# ----------------------------------------------------------------------
-# Kernel selection
-# ----------------------------------------------------------------------
-_VALID_KERNELS = ("auto", "array", "dict")
-
-#: Networks with fewer elements (NCPs + links) than this route through the
-#: dict kernel under ``"auto"``: the CSR compile + per-query array setup
-#: costs more than the vectorized relaxation saves on tiny graphs
-#: (star-8 is 15 elements and loses ~12%; star-16 at 31 elements already
-#: wins 1.2x), so the crossover sits between those sizes.
-SMALL_NETWORK_ELEMENTS = 24
-
-_route_kernel = os.environ.get("SPARCLE_ROUTE_KERNEL", "auto")
-if _route_kernel not in _VALID_KERNELS:  # pragma: no cover - env misuse
-    raise ValueError(
-        f"SPARCLE_ROUTE_KERNEL must be one of {_VALID_KERNELS}, "
-        f"got {_route_kernel!r}"
-    )
-
-
-def get_route_kernel() -> str:
-    """The selected Algorithm-1 kernel: ``"auto"``, ``"array"`` or ``"dict"``."""
-    return _route_kernel
-
-
-def resolve_route_kernel(network: Network) -> str:
-    """The concrete kernel (``"array"`` or ``"dict"``) a query would use.
-
-    ``"auto"`` resolves per network by element count; an explicit
-    selection is returned unchanged.
-    """
-    if _route_kernel != "auto":
-        return _route_kernel
-    return "dict" if network.n_elements < SMALL_NETWORK_ELEMENTS else "array"
-
-
-def set_route_kernel(kernel: str) -> str:
-    """Select the Algorithm-1 kernel; returns the previous selection.
-
-    ``"array"`` is the CSR/numpy kernel, ``"dict"`` the legacy reference
-    kernel, and ``"auto"`` (the default) dispatches per network size via
-    :func:`resolve_route_kernel`.  Decision identity between the kernels
-    is enforced by the equivalence suites, so switching is safe at any
-    point — the flag exists for benchmarking and for bisecting kernel
-    regressions.
-    """
-    global _route_kernel
-    if kernel not in _VALID_KERNELS:
-        raise ValueError(f"kernel must be one of {_VALID_KERNELS}, got {kernel!r}")
-    previous = _route_kernel
-    _route_kernel = kernel
-    return previous
-
-
-@contextmanager
-def route_kernel(kernel: str) -> Iterator[None]:
-    """Temporarily select a kernel (tests and A/B benchmarks)."""
-    previous = set_route_kernel(kernel)
-    try:
-        yield
-    finally:
-        set_route_kernel(previous)
 
 
 @dataclass(frozen=True)
@@ -123,66 +46,13 @@ class RouteResult:
     bottleneck: float
 
 
-def link_weight(
-    network: Network,
-    capacities: CapacityView,
-    link_name: str,
-    tt_megabits: float,
-    link_loads: Mapping[str, float],
-) -> float:
-    """The rate the link could sustain if the TT were added to it.
-
-    ``link_loads`` carries the per-unit megabit load of TTs *of the same
-    assignment path* already routed over each link (the ``y_{i'',l}`` terms
-    in Eq. (3)); capacity consumed by other applications/paths is already
-    reflected in ``capacities``.
-    """
-    from repro.core.taskgraph import BANDWIDTH
-
-    denominator = tt_megabits + link_loads.get(link_name, 0.0)
-    if denominator <= 0.0:
-        return math.inf
-    return capacities.capacity(link_name, BANDWIDTH) / denominator
-
-
 #: Caller-owned memo for Eq.-(3) weight arrays, keyed by
 #: ``(CapacityView.version, tt_megabits)``.  The caller owns the link-load
 #: state, so it also owns the cache's validity: pass the same dict across
 #: queries made under one load state and *clear it whenever the loads
 #: mutate* (capacity mutations are keyed out automatically via the view
-#: version).  Only the array kernel consults it; the dict kernel computes
-#: per-edge weights inline either way.
+#: version).
 WeightsCache = dict[tuple[int, float], "arrays.FloatArray"]
-
-
-def widest_path(
-    network: Network,
-    capacities: CapacityView,
-    src: str,
-    dst: str,
-    tt_megabits: float,
-    link_loads: Mapping[str, float] | None = None,
-    *,
-    weights_cache: WeightsCache | None = None,
-) -> RouteResult | None:
-    """Find ``P*_k(src, dst)`` with the modified Dijkstra of Algorithm 1.
-
-    Returns ``None`` when ``dst`` is unreachable from ``src``.  A path whose
-    bottleneck is ``0`` (some link has zero residual bandwidth) is still
-    returned — the caller decides whether a zero-rate path is acceptable —
-    but wider paths always win over it.
-    """
-    network.ncp(src)
-    network.ncp(dst)
-    loads = link_loads or {}
-    counters.incr("routing.widest_path")
-    if src == dst:
-        return RouteResult((), math.inf)
-    if resolve_route_kernel(network) == "array":
-        return _widest_path_array(
-            network, capacities, src, dst, tt_megabits, loads, weights_cache
-        )
-    return _widest_path_dict(network, capacities, src, dst, tt_megabits, loads)
 
 
 def cached_link_weights(
@@ -205,19 +75,32 @@ def cached_link_weights(
     return weights
 
 
-def _widest_path_array(
+def widest_path(
     network: Network,
     capacities: CapacityView,
     src: str,
     dst: str,
     tt_megabits: float,
-    loads: Mapping[str, float],
+    link_loads: Mapping[str, float] | None = None,
+    *,
     weights_cache: WeightsCache | None = None,
 ) -> RouteResult | None:
-    """Point query on the CSR kernel, early-exiting once ``dst`` settles."""
+    """Find ``P*_k(src, dst)`` with the modified Dijkstra of Algorithm 1.
+
+    Returns ``None`` when ``dst`` is unreachable from ``src``.  A path whose
+    bottleneck is ``0`` (some link has zero residual bandwidth) is still
+    returned — the caller decides whether a zero-rate path is acceptable —
+    but wider paths always win over it.  The relaxation early-exits once
+    ``dst`` settles.
+    """
+    network.ncp(src)
+    network.ncp(dst)
+    counters.incr("routing.widest_path")
+    if src == dst:
+        return RouteResult((), math.inf)
     compiled = arrays.compile_network(network)
     weights = cached_link_weights(
-        compiled, capacities, tt_megabits, loads, weights_cache
+        compiled, capacities, tt_megabits, link_loads or {}, weights_cache
     )
     src_idx = compiled.node_index[src]
     dst_idx = compiled.node_index[dst]
@@ -234,51 +117,6 @@ def _widest_path_array(
         node = prev_node[node]
     links.reverse()
     return RouteResult(tuple(links), widths[dst_idx])
-
-
-def _widest_path_dict(
-    network: Network,
-    capacities: CapacityView,
-    src: str,
-    dst: str,
-    tt_megabits: float,
-    loads: Mapping[str, float],
-) -> RouteResult | None:
-    """The original dict-of-dicts Algorithm-1 point search (reference)."""
-    # phi[v]: best known bottleneck from src to v (Algorithm 1's phi).
-    phi: dict[str, float] = {src: math.inf}
-    prev: dict[str, tuple[str, str]] = {}  # v -> (previous NCP, link used)
-    visited: set[str] = set()
-    # Max-heap via negated keys; the node name is the deterministic tiebreak.
-    heap: list[tuple[float, str]] = [(-math.inf, src)]
-    while heap:
-        negwidth, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == dst:
-            break
-        width = -negwidth
-        for link in network.forward_links(node):
-            neighbor = link.other(node)
-            if neighbor in visited:
-                continue
-            w = link_weight(network, capacities, link.name, tt_megabits, loads)
-            candidate = min(width, w)
-            if candidate > phi.get(neighbor, -math.inf):
-                phi[neighbor] = candidate
-                prev[neighbor] = (node, link.name)
-                heapq.heappush(heap, (-candidate, neighbor))
-    if dst not in prev:
-        return None
-    links: list[str] = []
-    node = dst
-    while node != src:
-        parent, link_name = prev[node]
-        links.append(link_name)
-        node = parent
-    links.reverse()
-    return RouteResult(tuple(links), phi[dst])
 
 
 @dataclass(frozen=True)
@@ -361,30 +199,10 @@ def widest_path_tree(
     root, so every search of one round hits the same array.
     """
     network.ncp(root)
-    loads = link_loads or {}
     counters.incr("routing.widest_path_tree")
-    if resolve_route_kernel(network) == "array":
-        return _widest_path_tree_array(
-            network, capacities, root, tt_megabits, loads, reverse, weights_cache
-        )
-    return _widest_path_tree_dict(
-        network, capacities, root, tt_megabits, loads, reverse
-    )
-
-
-def _widest_path_tree_array(
-    network: Network,
-    capacities: CapacityView,
-    root: str,
-    tt_megabits: float,
-    loads: Mapping[str, float],
-    reverse: bool,
-    weights_cache: WeightsCache | None = None,
-) -> WidestPathTree:
-    """Single-source tree on the CSR kernel (run to exhaustion)."""
     compiled = arrays.compile_network(network)
     weights = cached_link_weights(
-        compiled, capacities, tt_megabits, loads, weights_cache
+        compiled, capacities, tt_megabits, link_loads or {}, weights_cache
     )
     root_idx = compiled.node_index[root]
     width_l, prev_node, prev_link = arrays.run_widest(
@@ -404,39 +222,6 @@ def _widest_path_tree_array(
         for i, p in enumerate(prev_node)
         if p >= 0
     }
-    return WidestPathTree(root, tt_megabits, reverse, phi, prev)
-
-
-def _widest_path_tree_dict(
-    network: Network,
-    capacities: CapacityView,
-    root: str,
-    tt_megabits: float,
-    loads: Mapping[str, float],
-    reverse: bool,
-) -> WidestPathTree:
-    """The original dict-of-dicts single-source tree (reference)."""
-    expand = network.backward_links if reverse else network.forward_links
-    phi: dict[str, float] = {root: math.inf}
-    prev: dict[str, tuple[str, str]] = {}
-    visited: set[str] = set()
-    heap: list[tuple[float, str]] = [(-math.inf, root)]
-    while heap:
-        negwidth, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        width = -negwidth
-        for link in expand(node):
-            neighbor = link.other(node)
-            if neighbor in visited:
-                continue
-            w = link_weight(network, capacities, link.name, tt_megabits, loads)
-            candidate = min(width, w)
-            if candidate > phi.get(neighbor, -math.inf):
-                phi[neighbor] = candidate
-                prev[neighbor] = (node, link.name)
-                heapq.heappush(heap, (-candidate, neighbor))
     return WidestPathTree(root, tt_megabits, reverse, phi, prev)
 
 

@@ -1,8 +1,8 @@
 """Unit tests for the CSR-compiled network kernels (``repro.core.arrays``).
 
 Covers the compilation cache, the frozen-array contract (SPC005: compiled
-CSR arrays are immutable), residual-array production from live views and
-frozen snapshots, the vectorized Eq.-(3) weight pass, the relaxation loop
+CSR arrays are immutable), residual-array production from live views,
+the vectorized Eq.-(3) weight pass, the relaxation loop
 and the all-pairs width table.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.arrays import (
@@ -19,15 +18,13 @@ from repro.core.arrays import (
     compile_network,
     link_residuals,
     link_weights,
-    residuals_from_snapshot,
     run_widest,
 )
 from repro.core.network import NCP, Link, Network, as_directed
 from repro.core.placement import CapacityView
-from repro.core.routing import link_weight
 from repro.core.taskgraph import BANDWIDTH
-from repro.exceptions import InvalidNetworkError
 from repro.perf import counters
+from tests.routing_oracles import link_weight
 
 
 def _diamond() -> Network:
@@ -159,24 +156,6 @@ class TestResidualArrays:
         assert second is not first
         assert second[compiled.link_index["ab"]] == 1.5
         assert first[compiled.link_index["ab"]] == 10.0  # old array untouched
-
-    def test_snapshot_round_trip_matches_live_view(self):
-        network = _diamond()
-        compiled = compile_network(network)
-        caps = CapacityView(network)
-        caps.override("ab", BANDWIDTH, 2.5)
-        caps.override("cd", BANDWIDTH, 0.0)
-        thawed = residuals_from_snapshot(compiled, caps.freeze())
-        live = link_residuals(compiled, caps)
-        assert np.array_equal(thawed, live)
-        assert not thawed.flags.writeable
-
-    def test_snapshot_network_mismatch_raises(self):
-        network = _diamond()
-        other = Network("other", [NCP("x"), NCP("y")], [Link("xy", "x", "y", 1.0)])
-        snapshot = CapacityView(other).freeze()
-        with pytest.raises(InvalidNetworkError):
-            residuals_from_snapshot(compile_network(network), snapshot)
 
 
 class TestLinkWeights:

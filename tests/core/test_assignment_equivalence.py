@@ -1,12 +1,14 @@
 """Golden equivalence suite: optimized Algorithm 2 vs the straight-line reference.
 
 The width-table assignment in ``repro.core.assignment`` must be
-*decision-identical* to the retained reference implementation
-(``repro.core.reference``): same CT hosts, same TT routes, same rate, same
-placement order — not merely the same rate.  The suite sweeps seeded random
-scenarios over every topology x graph-shape combination (plus the
-face-detection testbed and a directed network), and additionally pins down
-the two mechanisms the optimization relies on:
+*decision-identical* to the straight-line reference implementation
+(``tests/assignment_oracle.py``): same CT hosts, same TT routes, same rate,
+same placement order — not merely the same rate.  The reference routes on
+the dict oracle of ``tests/routing_oracles.py``, so it shares no
+Algorithm-1 code with ``src/``.  The suite sweeps seeded random scenarios
+over every topology x graph-shape combination (plus the face-detection
+testbed and directed networks), and additionally pins down the two
+mechanisms the optimization relies on:
 
 * the all-pairs width tables and the memoized current rate live exactly as
   long as the load state they were built under (dropped by a commit that
@@ -20,9 +22,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from unittest import mock
 
 import pytest
 
+from repro.core import assignment
 from repro.core.arrays import (
     all_pairs_widths,
     compile_network,
@@ -32,7 +36,6 @@ from repro.core.arrays import (
 from repro.core.assignment import _State, sparcle_assign
 from repro.core.network import NCP, Link, Network, as_directed
 from repro.core.placement import CapacityView
-from repro.core.reference import reference_assign
 from repro.core.taskgraph import CPU, ComputationTask, TaskGraph, TransportTask
 from repro.perf import counters
 from repro.workloads.facedetect import face_detection_graph, testbed_network
@@ -42,6 +45,8 @@ from repro.workloads.scenarios import (
     TopologyKind,
     make_scenario,
 )
+from tests.assignment_oracle import reference_assign
+from tests.routing_oracles import widest_path_dict
 
 #: 2 shapes x 3 topologies x 3 regimes x 2 draws = 36 seeded scenarios.
 SCENARIO_GRID = [
@@ -68,11 +73,16 @@ class TestGoldenEquivalence:
         scenario = make_scenario(case, graph_kind, topology, seed)
         assert_identical(scenario.graph, scenario.network)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_directed_networks(self, seed):
-        scenario = make_scenario(
-            BottleneckCase.BALANCED, GraphKind.DIAMOND, TopologyKind.FULL, 31 + seed
-        )
+    @pytest.mark.parametrize(
+        "case,seed",
+        [pytest.param(BottleneckCase.BALANCED, 31 + k, id=str(k)) for k in range(4)]
+        + [
+            pytest.param(BottleneckCase.LINK, seed, id=f"link-{seed}")
+            for seed in (61, 62, 63)
+        ],
+    )
+    def test_directed_networks(self, case, seed):
+        scenario = make_scenario(case, GraphKind.DIAMOND, TopologyKind.FULL, seed)
         assert_identical(scenario.graph, as_directed(scenario.network))
 
     @pytest.mark.parametrize("field_bandwidth", [0.5, 5.0, 10.0, 22.0])
@@ -96,20 +106,18 @@ class TestGoldenEquivalence:
 
 
 class TestKernelIdentity:
-    """dict-kernel vs array-kernel ``sparcle_assign`` decision identity.
+    """dict-oracle vs CSR-kernel ``sparcle_assign`` decision identity.
 
-    The PR-6 array kernel replaces the innermost Algorithm-1 machinery, so
-    beyond the straight-line-reference equivalence above, the two kernels
-    themselves must agree bit-for-bit on whole assignment runs.
+    Beyond the straight-line-reference equivalence above, whole assignment
+    runs must not change when only Algorithm 2's point queries are swapped
+    for the dict oracle (the substitution ``benchmarks/export_bench.py``
+    times as ``dict_kernel_ms``).
     """
 
     def _assert_kernels_agree(self, graph, network, capacities=None) -> None:
-        from repro.core.routing import route_kernel
-
-        with route_kernel("dict"):
+        with mock.patch.object(assignment, "widest_path", widest_path_dict):
             ref = sparcle_assign(graph, network, capacities)
-        with route_kernel("array"):
-            opt = sparcle_assign(graph, network, capacities)
+        opt = sparcle_assign(graph, network, capacities)
         assert opt.placement.ct_hosts == ref.placement.ct_hosts
         assert opt.placement.tt_routes == ref.placement.tt_routes
         assert opt.rate == ref.rate

@@ -9,7 +9,6 @@ import pytest
 from repro.core.assignment import _State, sparcle_assign
 from repro.core.network import NCP, Link, Network, star_network
 from repro.core.placement import CapacityView, Placement
-from repro.core.routing import link_weight
 from repro.core.scheduler import Decision
 from repro.core.taskgraph import (
     CPU,
@@ -19,6 +18,7 @@ from repro.core.taskgraph import (
     linear_task_graph,
 )
 from repro.experiments.base import safe_rate
+from tests.routing_oracles import link_weight
 
 
 @pytest.fixture

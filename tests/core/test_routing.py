@@ -10,24 +10,20 @@ from repro.core.network import (
     NCP,
     Link,
     Network,
-    fully_connected_network,
-    linear_network,
     star_network,
 )
 from repro.core.placement import CapacityView
 from repro.core.routing import (
     all_simple_routes,
-    get_route_kernel,
     hop_shortest_path,
-    resolve_route_kernel,
-    route_kernel,
-    set_route_kernel,
     validate_route,
     widest_path,
     widest_path_tree,
 )
 from repro.core.taskgraph import CPU
 from repro.exceptions import InvalidNetworkError
+from repro.perf import counters
+from tests.routing_oracles import widest_path_dict
 
 
 def diamond_net(bw_top=10.0, bw_bottom=4.0) -> Network:
@@ -267,57 +263,27 @@ class TestValidateRoute:
             validate_route(net, "a", "a", ("ab", "ab"))
 
 
-class TestKernelDispatch:
-    """The "auto" kernel resolves by network size; explicit kernels win."""
+class TestOneKernel:
+    """Every network, however small, routes on the compiled CSR kernel."""
 
     def _small(self):
         return star_network(7, hub_cpu=100.0, leaf_cpu=100.0,
                             link_bandwidth=10.0)  # 8 NCPs + 7 links = 15
 
-    def _dense(self):
-        return fully_connected_network(8, cpu=100.0,
-                                       link_bandwidth=10.0)  # 8 + 28 = 36
+    def test_small_network_routes_on_the_compiled_kernel(self):
+        net = self._small()
+        compiles = counters.get("arrays.compile_miss") + counters.get(
+            "arrays.compile_hit"
+        )
+        widest_path(net, CapacityView(net), "ncp1", "ncp2", 1.0)
+        assert (
+            counters.get("arrays.compile_miss") + counters.get("arrays.compile_hit")
+            == compiles + 1
+        )
 
-    def test_auto_picks_dict_below_the_threshold(self):
-        with route_kernel("auto"):
-            assert resolve_route_kernel(self._small()) == "dict"
-
-    def test_auto_picks_array_at_scale(self):
-        with route_kernel("auto"):
-            assert resolve_route_kernel(self._dense()) == "array"
-
-    def test_threshold_is_exact(self):
-        with route_kernel("auto"):
-            # linear_network(n) has n NCPs and n-1 links = 2n-1 elements.
-            assert resolve_route_kernel(
-                linear_network(12, cpu=1.0, link_bandwidth=1.0)
-            ) == "dict"   # 23 elements
-            assert resolve_route_kernel(
-                linear_network(13, cpu=1.0, link_bandwidth=1.0)
-            ) == "array"  # 25 elements
-
-    def test_explicit_kernels_override_auto_resolution(self):
-        for kernel in ("array", "dict"):
-            with route_kernel(kernel):
-                assert resolve_route_kernel(self._small()) == kernel
-                assert resolve_route_kernel(self._dense()) == kernel
-
-    def test_auto_is_a_valid_kernel_setting(self):
-        previous = set_route_kernel("auto")
-        try:
-            assert get_route_kernel() == "auto"
-        finally:
-            set_route_kernel(previous)
-
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            set_route_kernel("quantum")
-
-    def test_kernels_agree_on_the_small_dispatch_regime(self):
+    def test_small_network_matches_the_oracle(self):
         net = self._small()
         view = CapacityView(net)
-        with route_kernel("dict"):
-            via_dict = widest_path(net, view, "ncp1", "ncp2", 1.0)
-        with route_kernel("array"):
-            via_array = widest_path(net, view, "ncp1", "ncp2", 1.0)
-        assert via_dict == via_array
+        assert widest_path(net, view, "ncp1", "ncp2", 1.0) == widest_path_dict(
+            net, view, "ncp1", "ncp2", 1.0
+        )

@@ -1,18 +1,26 @@
-"""Property-based equivalence: dict vs CSR-array Algorithm-1 kernels.
+"""Property-based equivalence: the CSR Algorithm-1 kernel vs the dict oracle.
 
-The ``"array"`` kernel of :mod:`repro.core.routing` must reproduce the
-``"dict"`` reference *bit-for-bit* — widths, predecessors and tiebreaks —
-on arbitrary connected networks (undirected and directed, forward and
-reverse trees, loaded and unloaded links), and the all-pairs width table
-Algorithm 2 reads must equal those trees root by root.  Hypothesis sweeps
-random topologies; every comparison is exact ``==``, never ``isclose``.
+:func:`repro.core.routing.widest_path` / ``widest_path_tree`` must
+reproduce the dict-of-dicts oracle of ``tests/routing_oracles.py``
+*bit-for-bit* — widths, predecessors and tiebreaks — on arbitrary
+connected networks (undirected and directed, forward and reverse trees,
+loaded and unloaded links), and the all-pairs width table Algorithm 2
+reads must equal those trees root by root.  Hypothesis sweeps random
+topologies; every comparison is exact ``==``, never ``isclose``.
+
+Bandwidths and loads are drawn partly from a small grid that includes
+``0.0``, so distinct links of equal weight — and with them the
+lexicographic tie-break both implementations must share — occur in many
+examples, not only ties through a shared upstream bottleneck
+(``hypothesis.event`` reports both: run with
+``--hypothesis-show-statistics``).
 """
 
 from __future__ import annotations
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.arrays import (
@@ -23,13 +31,24 @@ from repro.core.arrays import (
 )
 from repro.core.network import NCP, Link, Network, as_directed
 from repro.core.placement import CapacityView
-from repro.core.routing import route_kernel, widest_path, widest_path_tree
+from repro.core.routing import widest_path, widest_path_tree
+from tests.routing_oracles import (
+    link_weight,
+    widest_path_dict,
+    widest_path_tree_dict,
+)
 
 SETTINGS = settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+#: A grid value collides with another draw often enough to make ties;
+#: the continuous range keeps the widths otherwise arbitrary.
+_GRID = st.sampled_from([0.0, 1.0, 2.0, 5.0])
+bandwidth_values = st.one_of(_GRID, st.floats(0.1, 100.0))
+load_values = st.one_of(_GRID, st.floats(0.0, 30.0))
 
 
 @st.composite
@@ -41,7 +60,7 @@ def connected_networks(draw) -> Network:
     for k in range(1, n):
         parent = draw(st.integers(min_value=0, max_value=k - 1))
         links.append(
-            Link(f"t{k}", f"n{parent}", f"n{k}", draw(st.floats(0.1, 100.0)))
+            Link(f"t{k}", f"n{parent}", f"n{k}", draw(bandwidth_values))
         )
     existing = {frozenset((link.a, link.b)) for link in links}
     for attempt in range(draw(st.integers(min_value=0, max_value=6))):
@@ -50,7 +69,7 @@ def connected_networks(draw) -> Network:
         if a == b or frozenset((f"n{a}", f"n{b}")) in existing:
             continue
         links.append(
-            Link(f"e{attempt}", f"n{a}", f"n{b}", draw(st.floats(0.1, 100.0)))
+            Link(f"e{attempt}", f"n{a}", f"n{b}", draw(bandwidth_values))
         )
         existing.add(frozenset((f"n{a}", f"n{b}")))
     return Network("net", ncps, links)
@@ -61,15 +80,42 @@ def link_load_maps(draw, network: Network) -> dict[str, float]:
     loads = {}
     for name in network.link_names:
         if draw(st.booleans()):
-            loads[name] = draw(st.floats(0.0, 30.0))
+            loads[name] = draw(load_values)
     return loads
 
 
+def _tie_kind(network, caps, tt, loads, tree) -> str:
+    """Label a tree by how some node is reached equally wide over two links.
+
+    ``"equal-weight tie"``: two of those links are themselves the bottleneck
+    at the same width (what the grid draws make likely); ``"shared-bottleneck
+    tie"``: the routes tie only because they share an upstream bottleneck.
+    """
+    into = network.forward_links if tree.reverse else network.backward_links
+    kind = "no tie"
+    for node, width in tree.widths.items():
+        if node == tree.root:
+            continue
+        ways = bottlenecks = 0
+        for link in into(node):
+            parent = link.other(node)
+            if parent not in tree.widths:
+                continue
+            w = link_weight(network, caps, link.name, tt, loads)
+            if min(tree.widths[parent], w) == width:
+                ways += 1
+                bottlenecks += w == width
+        if bottlenecks > 1:
+            return "equal-weight tie"
+        if ways > 1:
+            kind = "shared-bottleneck tie"
+    return kind
+
+
 def _tree_pair(network, caps, root, tt, loads, reverse):
-    with route_kernel("dict"):
-        ref = widest_path_tree(network, caps, root, tt, loads, reverse=reverse)
-    with route_kernel("array"):
-        arr = widest_path_tree(network, caps, root, tt, loads, reverse=reverse)
+    ref = widest_path_tree_dict(network, caps, root, tt, loads, reverse=reverse)
+    arr = widest_path_tree(network, caps, root, tt, loads, reverse=reverse)
+    event(_tie_kind(network, caps, tt, loads, ref))
     return ref, arr
 
 
@@ -147,10 +193,10 @@ class TestPointQueryEquivalence:
         a, b = names[src % len(names)], names[dst % len(names)]
         loads = data.draw(link_load_maps(network))
         caps = CapacityView(network)
-        with route_kernel("dict"):
-            ref = widest_path(network, caps, a, b, tt, loads)
-        with route_kernel("array"):
-            arr = widest_path(network, caps, a, b, tt, loads)
+        ref = widest_path_dict(network, caps, a, b, tt, loads)
+        arr = widest_path(network, caps, a, b, tt, loads)
+        tree = widest_path_tree_dict(network, caps, a, tt, loads)
+        event(_tie_kind(network, caps, tt, loads, tree))
         if ref is None:
             assert arr is None
             return
@@ -169,15 +215,14 @@ class TestPointQueryEquivalence:
         names = network.ncp_names
         a = names[src % len(names)]
         caps = CapacityView(network)
-        with route_kernel("array"):
-            tree = widest_path_tree(network, caps, a, tt)
-            for b in names:
-                result = widest_path(network, caps, a, b, tt)
-                if result is None:
-                    assert tree.width_to(b) is None
-                else:
-                    assert result.bottleneck == tree.width_to(b)
-                    assert result.links == (tree.links_to(b) or ())
+        tree = widest_path_tree(network, caps, a, tt)
+        for b in names:
+            result = widest_path(network, caps, a, b, tt)
+            if result is None:
+                assert tree.width_to(b) is None
+            else:
+                assert result.bottleneck == tree.width_to(b)
+                assert result.links == (tree.links_to(b) or ())
 
 
 @st.composite
@@ -214,7 +259,7 @@ class TestAllPairsTable:
 
         ``tt`` 0 with no load makes every weight ``inf``; residual overrides
         and same-path loads exercise the Eq.-(3) denominator.  The oracle
-        is the dict kernel, which shares no code with the table.
+        is the dict oracle, which shares no code with the table.
         """
         loads = data.draw(link_load_maps(network))
         caps = CapacityView(network)
@@ -225,13 +270,12 @@ class TestAllPairsTable:
         weights = link_weights(compiled, link_residuals(compiled, caps), tt, loads)
         table = all_pairs_widths(compiled, weights)
         names = network.ncp_names
-        with route_kernel("dict"):
-            for r, root in enumerate(names):
-                for reverse in (False, True):
-                    tree = widest_path_tree(
-                        network, caps, root, tt, loads, reverse=reverse
-                    )
-                    got = table[:, r] if reverse else table[r, :]
-                    assert got.tolist() == [
-                        tree.widths.get(v, -math.inf) for v in names
-                    ]
+        for r, root in enumerate(names):
+            for reverse in (False, True):
+                tree = widest_path_tree_dict(
+                    network, caps, root, tt, loads, reverse=reverse
+                )
+                got = table[:, r] if reverse else table[r, :]
+                assert got.tolist() == [
+                    tree.widths.get(v, -math.inf) for v in names
+                ]

@@ -13,12 +13,13 @@ import math
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import assignment, reference
+from repro.core import assignment
 from repro.core.assignment import sparcle_assign
 from repro.core.network import NCP, Link, Network
 from repro.core.placement import CapacityView
 from repro.core.taskgraph import CPU, ComputationTask, TaskGraph, TransportTask
 from repro.exceptions import InfeasiblePlacementError
+from tests import assignment_oracle
 
 SETTINGS = settings(
     max_examples=40,
@@ -249,9 +250,9 @@ def _fan_graph(
 
 def _paired_states(graph: TaskGraph, network: Network):
     state = assignment._State(graph, network, CapacityView(network))
-    oracle = reference._ReferenceState(graph, network, CapacityView(network))
+    oracle = assignment_oracle._ReferenceState(graph, network, CapacityView(network))
     assignment._pin_initial_cts(state)
-    reference._pin_initial_cts(oracle)
+    assignment_oracle._pin_initial_cts(oracle)
     return state, oracle
 
 

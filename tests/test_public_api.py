@@ -63,7 +63,6 @@ API_EXPORTS = [
     "AssignmentResult",
     "min_rate_availability",
     "predicted_view",
-    "resolve_route_kernel",
     "solve_proportional_fairness",
     "sparcle_assign",
     "widest_path",
@@ -185,8 +184,6 @@ API_SIGNATURES = {
         "cache_path: 'str | Path | None' = None) -> 'LintReport'",
     "lint_scenario":
         "(path: 'str | Path') -> 'list[Violation]'",
-    "resolve_route_kernel":
-        "(network: 'Network') -> 'str'",
     "run_soak":
         "(seed: 'int', n_events: 'int', *, "
         "profile: 'FuzzProfile | None' = None, quick: 'bool' = False, "
