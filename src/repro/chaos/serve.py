@@ -4,23 +4,27 @@ The scenario the ISSUE's acceptance criteria name, end to end over real
 sockets:
 
 1. **Burst** — start a :class:`~repro.service.server.SparcleServer`
-   (sharded backend, durable event logs) and drive a fuzzed request
-   burst through a :class:`~repro.service.client.SparcleClient`.
+   (sharded backend, durable event logs), drive a fuzzed request burst
+   through a :class:`~repro.service.client.SparcleClient`, and withdraw
+   a seeded third of the apps accepted so far, so the logs hold
+   ``release`` records for the recovery to redo.
 2. **Kill** — hard-abort the server mid-burst (no drain: queued work is
    lost, the logs end wherever the last epoch left them — exactly what a
    crashed process leaves behind).
 3. **Recover** — start a fresh server over the same log directory with
-   ``recover=True``, reconnect, and resubmit the entire burst.
+   ``recover=True``, reconnect, and resubmit the burst (the withdrawn
+   apps left for good and are not resubmitted).
 4. **Verify** — three invariants over the durable logs and the replies:
 
-   * ``serve-log-checkpoint`` — the checkpoint record recovery compacts
-     each shard log to replays, alone, to exactly what the whole
-     pre-kill file replayed to (compaction loses nothing);
+   * ``serve-log-checkpoint`` — each shard's pre-kill log redoes to
+     exactly the live residual the killed server held, and the
+     checkpoint record recovery compacts it to replays, alone, to the
+     same state (neither the redo nor compaction loses anything);
    * ``serve-no-double-admission`` — no application is accepted twice
      across the pre-kill and post-recovery shard logs: everything
      admitted before the kill is rejected as a duplicate after it;
-   * ``serve-all-decided`` — every request in the burst ends decided or
-     duplicate-rejected; nothing vanishes silently.
+   * ``serve-all-decided`` — every request in the burst ends decided,
+     duplicate-rejected or withdrawn; nothing vanishes silently.
 
 The invariants are deterministic in the seed; which requests were still
 undecided at the kill point depends on event-loop timing, so the *stats*
@@ -32,11 +36,14 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.chaos.fuzzer import FuzzProfile, fuzz_network, fuzz_request
 from repro.chaos.invariants import InvariantViolation
@@ -103,6 +110,7 @@ async def _run_scenario(
     *,
     n_shards: int,
     log_dir: Path,
+    withdraw_rng: np.random.Generator,
     stats: dict[str, Any],
     violations: list[InvariantViolation],
 ) -> None:
@@ -122,11 +130,22 @@ async def _run_scenario(
     # Give the epoch loop a moment so the kill lands mid-burst with some
     # decisions committed and (typically) some still queued.
     for _ in range(200):
-        if client.decisions:
+        if any(reply.accepted for reply in client.decisions.values()):
             break
         await asyncio.sleep(0.005)
+    accepted = sorted(
+        app_id for app_id, reply in client.decisions.items() if reply.accepted
+    )
+    chosen = withdraw_rng.permutation(len(accepted))
+    withdrawn = {accepted[i] for i in chosen[: math.ceil(len(accepted) / 3)]}
+    for app_id in sorted(withdrawn):
+        await client.withdraw(app_id)
     # --------------------------------------------------------------- kill
     await server.abort()
+    live_residuals = {
+        f"shard-{node.shard_id}.jsonl": node.residual_entries()
+        for node in server.coordinator.nodes
+    }
     await client.close()
     pre_decisions = dict(client.decisions)
     pre_logs = _snapshot_logs(log_dir)
@@ -136,6 +155,7 @@ async def _run_scenario(
     stats["accepted_pre_kill"] = sum(
         1 for reply in pre_decisions.values() if reply.accepted
     )
+    stats["withdrawn_pre_kill"] = len(withdrawn)
 
     # ------------------------------------------------------------ recover
     server2 = SparcleServer(
@@ -152,6 +172,8 @@ async def _run_scenario(
     error_ids: set[str] = set()
     decided_post: dict[str, bool] = {}
     for request in requests:
+        if request.app_id in withdrawn:
+            continue
         try:
             await client2.submit(request)
         except AdmissionError:
@@ -174,15 +196,21 @@ async def _run_scenario(
     post_records = _shard_records(post_logs)
     for name, pre in _shard_records(pre_logs).items():
         post = post_records.get(name, [])
-        if not post or replay_log(post[:1]) != replay_log(pre):
+        replayed = replay_log(pre)
+        if (
+            not post
+            or replayed.residual != live_residuals[name]
+            or replay_log(post[:1]) != replayed
+        ):
             violations.append(
                 InvariantViolation(
                     invariant="serve-log-checkpoint",
                     event_index=0,
                     detail=(
                         f"log {name} lost state across the recovery: its "
-                        "first record does not replay to what the "
-                        f"{len(pre)} pre-kill records replayed to"
+                        f"{len(pre)} pre-kill records do not redo to the "
+                        "killed server's live residual, or its first "
+                        "record does not replay to what they redo to"
                     ),
                 )
             )
@@ -229,6 +257,7 @@ async def _run_scenario(
         if request.app_id not in decided_post
         and request.app_id not in duplicate_ids
         and request.app_id not in error_ids
+        and request.app_id not in withdrawn
     )
     if undecided:
         violations.append(
@@ -236,8 +265,8 @@ async def _run_scenario(
                 invariant="serve-all-decided",
                 event_index=0,
                 detail=(
-                    f"{len(undecided)} request(s) ended neither decided "
-                    f"nor duplicate-rejected: {undecided[:5]}"
+                    f"{len(undecided)} request(s) ended neither decided, "
+                    f"duplicate-rejected nor withdrawn: {undecided[:5]}"
                 ),
             )
         )
@@ -275,6 +304,7 @@ def run_serve_soak(
         fuzz_request(rng, network, f"serve{index}", profile)
         for index, rng in enumerate(request_rngs)
     ]
+    (withdraw_rng,) = spawn_rngs(burst_rng, 1)
     stats: dict[str, Any] = {"n_shards": n_shards}
     violations: list[InvariantViolation] = []
     with contextlib.ExitStack() as stack:
@@ -293,6 +323,7 @@ def run_serve_soak(
                 requests,
                 n_shards=n_shards,
                 log_dir=log_dir,
+                withdraw_rng=withdraw_rng,
                 stats=stats,
                 violations=violations,
             )

@@ -170,7 +170,7 @@ def _shard_log_consistency(context: ChaosContext) -> list[str]:
     for node in federation.nodes:
         if not node.alive or len(node.log) == 0:
             continue
-        replayed = replay_log(node.log.records()).residual
+        replayed = replay_log(node.log.records(), node.network).residual
         live = node.residual_entries()
         if replayed != live:
             problems.append(

@@ -903,7 +903,8 @@ def _cmd_soak_serve(args: argparse.Namespace, seed: int) -> int:
     print(
         f"  pre-kill: {stats['submitted_pre_kill']} submitted, "
         f"{stats['decided_pre_kill']} decided, "
-        f"{stats['accepted_pre_kill']} accepted"
+        f"{stats['accepted_pre_kill']} accepted, "
+        f"{stats['withdrawn_pre_kill']} withdrawn"
     )
     print(
         f"  recovered {stats['recovered']} app(s); post-recovery: "

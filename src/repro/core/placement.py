@@ -358,9 +358,7 @@ class CapacityView:
         ``elements`` is dropped, then ``source``'s overrides on that
         element are copied in — so an entry ``source`` does not carry
         reads the raw network capacity again and leaves :meth:`freeze`.
-        Other elements are not rewritten.  The scheduler's footprint-sized
-        withdraw resets a departing application's elements this way
-        before replaying the surviving tenants on them.
+        Other elements are not rewritten (see :meth:`rederive`).
         """
         wanted = set(elements)
         for key in [key for key in self._flat if key[0] in wanted]:
@@ -370,24 +368,24 @@ class CapacityView:
                 self._flat[key] = value
         self._version += 1
 
-    def entries_on(
-        self, elements: Iterable[str]
-    ) -> dict[str, dict[str, float]]:
-        """This view's override entries on ``elements``, keyed by element.
+    def rederive(
+        self,
+        elements: frozenset[str],
+        source: "CapacityView",
+        holds: Iterable[tuple[Loads, float]],
+    ) -> None:
+        """Re-derive this view's entries on ``elements`` from ``source``.
 
-        Every requested element is a key: an element the view holds no
-        override on maps to an empty bucket, which is what tells a reader
-        "this element reads the raw network capacity" apart from "this
-        element was not asked about".  Assigning each bucket over the
-        element's previous one is :meth:`reset_elements` on plain dicts —
-        the shard event log records state changes this way.
+        :meth:`reset_elements`, then every ``(loads, rate)`` hold consumed
+        again on ``elements`` only, clamped, in the order given: those
+        entries come out bit-equal to a full rebuild from ``source``.  A
+        withdraw runs this on the departed tenant's footprint, live and
+        when a shard log is redone.
         """
-        out: dict[str, dict[str, float]] = {element: {} for element in elements}
-        for (element, resource), value in self._flat.items():
-            bucket = out.get(element)
-            if bucket is not None:
-                bucket[resource] = value
-        return out
+        self.reset_elements(elements, source)
+        for loads, rate in holds:
+            kept = {e: bucket for e, bucket in loads.items() if e in elements}
+            self.consume(kept, rate, clamp=True)
 
     def copy(self) -> "CapacityView":
         """An independent deep copy of this view (``version`` restarts at 0)."""

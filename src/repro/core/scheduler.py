@@ -667,43 +667,6 @@ class SparcleScheduler:
             return None
         return self._fcfs_view.freeze()
 
-    def entries_on(
-        self, elements: Iterable[str]
-    ) -> tuple[dict[str, dict[str, float]], dict[str, dict[str, float]] | None]:
-        """The ``(GR-residual, FCFS)`` override entries on ``elements``.
-
-        The footprint-sized counterpart of :meth:`residual_snapshot` +
-        :meth:`fcfs_snapshot` (see :meth:`CapacityView.entries_on`): fed
-        the elements a state change reports (:meth:`charged_elements`,
-        :meth:`withdraw`, :meth:`reserve_external`), it is everything an
-        event log needs to reproduce the views bit for bit.  The FCFS
-        half is ``None`` under prediction (no ledger is kept).
-        """
-        elements = tuple(elements)
-        residual = self._gr_residual.entries_on(elements)
-        if self._fcfs_view is None:
-            return residual, None
-        return residual, self._fcfs_view.entries_on(elements)
-
-    def charged_elements(self, decision: Decision) -> frozenset[str]:
-        """The elements whose view entries committing ``decision`` changed.
-
-        An accepted GR application is charged to the GR residual (and,
-        without prediction, the FCFS ledger) on every element its paths
-        load; an accepted BE application only to the FCFS ledger, so only
-        without prediction (the :meth:`_commit_be` rule); a rejection
-        changes nothing.
-        """
-        if not decision.accepted or (
-            decision.kind == "BE" and self._fcfs_view is None
-        ):
-            return frozenset()
-        return frozenset(
-            element
-            for placement in decision.placements
-            for element in placement.loads()
-        )
-
     def restore_residual(
         self,
         residual: ResidualSnapshot,
@@ -712,11 +675,11 @@ class SparcleScheduler:
     ) -> None:
         """Overwrite the capacity views from frozen snapshots (warm start).
 
-        The physical half of log replay: a restarted shard thaws the
-        residual state its event log recorded instead of re-running
-        admission.  Tenant bookkeeping is *not* restored here — adopt the
-        logged applications with :meth:`reserve_external` (``charge=False``)
-        so rebuilds keep accounting for their capacity.
+        What a restarted shard runs on the views its event log replays
+        to, instead of re-running admission.  Tenant bookkeeping is *not*
+        restored here — adopt the logged applications with
+        :meth:`reserve_external` (``charge=False``) so rebuilds keep
+        accounting for their capacity.
 
         ``fcfs`` restores the FCFS ledger without prediction; when it is
         missing (a log written under prediction) the ledger starts as a
@@ -968,29 +931,24 @@ class SparcleScheduler:
     ) -> frozenset[str]:
         """Re-derive the views on the elements a departed tenant touched.
 
-        The footprint-sized form of the two full rebuilds: the footprint's
-        entries are reset to their :meth:`_fresh_view` value and the
-        surviving tenants replayed on them in the rebuilds' order, so
-        those entries come out bit-equal to a full rebuild and no other
-        entry is rewritten.  Re-deriving (rather than adding the departed
-        rate back) keeps capacity fluctuations and outages applied since
-        admission respected — a plain release against the raw network
-        capacities could mint capacity an override has taken away.
-        Returns the footprint.
+        The footprint-sized form of the two full rebuilds: each view's
+        footprint entries are re-derived from :meth:`_fresh_view` and the
+        surviving tenants in the rebuilds' order
+        (:meth:`CapacityView.rederive`).  Re-deriving, rather than adding
+        the departed rate back, keeps capacity fluctuations and outages
+        applied since admission respected.  Returns the footprint.
         """
         footprint = frozenset(
             element for loads in departed for element in loads
         )
         fresh = self._fresh_view()
         if self._fcfs_view is not None:
-            self._fcfs_view.reset_elements(footprint, fresh)
-            self._replay(
-                self._fcfs_view, self._tenants(ledger=True), footprint
+            self._fcfs_view.rederive(
+                footprint, fresh, self._tenants(ledger=True)
             )
         if gr:
-            self._gr_residual.reset_elements(footprint, fresh)
-            self._replay(
-                self._gr_residual, self._tenants(ledger=False), footprint
+            self._gr_residual.rederive(
+                footprint, fresh, self._tenants(ledger=False)
             )
         return footprint
 
@@ -1043,14 +1001,10 @@ class SparcleScheduler:
 
     @staticmethod
     def _replay(
-        view: CapacityView,
-        tenants: Iterable[tuple[Loads, float]],
-        footprint: frozenset[str] | None = None,
+        view: CapacityView, tenants: Iterable[tuple[Loads, float]]
     ) -> None:
-        """Consume every tenant's load on ``view`` (only on ``footprint``)."""
+        """Consume every tenant's load on ``view``."""
         for loads, rate in tenants:
-            if footprint is not None:
-                loads = {e: b for e, b in loads.items() if e in footprint}
             view.consume(loads, rate, clamp=True)
 
     def _rebuild_gr_residual(self) -> None:

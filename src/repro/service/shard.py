@@ -12,8 +12,8 @@ placements that cannot be satisfied inside a single region:
 * :class:`ShardNode` — one region: a private :class:`SparcleScheduler`
   over the region subnetwork, an :class:`AdmissionGateway` in front of it,
   and a durable JSONL :class:`ShardEventLog` recording every state change
-  as the post-event capacity entries of the elements it touched (physical
-  logging, footprint-sized), on top of full-state checkpoints.
+  as the decision that caused it (a redo log: admitted loads, reserved
+  loads, withdrawn ids), on top of full-state checkpoints.
 * :class:`ShardCoordinator` — routes submits to the owning shard (pins
   decide; unpinned requests round-robin), and runs a **two-phase
   reserve/commit** for requests whose pins span regions: phase 1 evaluates
@@ -33,21 +33,22 @@ coordinator reserves their evaluated path rates like GR reservations
 boundary-link ledger conservative — a boundary link can never be
 double-booked by two shards because only the coordinator consumes it.
 
-**Durability and warm start.**  A log is a *checkpoint* (a record with
-the full residual view, plus the FCFS ledger when the scheduler runs
-without prediction) followed by *delta* records that carry,
-for the elements their event touched, those elements' complete post-event
-override entries.  A killed shard warm-starts by copying the last
-checkpoint and assigning every later delta over it (:func:`replay_log`)
-— bit-for-bit, because logged values are copied and never re-derived —
-instead of re-solving admission; logged live applications are *adopted*
-as opaque external reservations (their capacity stays held, duplicates
-stay rejected, withdrawal still works), while their queued-but-undecided
-siblings are lost — exactly once-semantics is the submitting client's
-retry loop, not the log's.  A record is flushed to the OS before its
-decision is delivered, so it survives a process kill but not a power
-loss; ``fsync`` runs only when :meth:`ShardEventLog.rewrite` rotates a
-recovered log down to one checkpoint.
+**Durability and warm start.**  A log is a *checkpoint* (the full
+residual view, plus the FCFS ledger without prediction, the live
+applications and the shard network) followed by records that carry each
+decision, not its consequence: the loads an epoch admitted or a
+cross-shard reservation took, the id a withdrawal released.  A killed
+shard warm-starts by redoing those over the last checkpoint
+(:func:`replay_log`) — the scheduler's own operations on the same values
+in the same order, so the views come out bit-for-bit — instead of
+re-solving admission.  Logged live applications are *adopted* as opaque
+external reservations (their capacity stays held, duplicates stay
+rejected, withdrawal still works); queued-but-undecided siblings are
+lost — exactly-once is the submitting client's retry loop, not the
+log's.  A record is flushed to the OS before its decision is delivered,
+so it survives a process kill but not a power loss; ``fsync`` runs only
+when :meth:`ShardEventLog.rewrite` rotates a recovered log down to one
+checkpoint.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.core.assignment import sparcle_assign
 from repro.core.network import NCP, Link, Network, ResidualSnapshot
 from repro.core.placement import CapacityView, Loads
 from repro.core.repair import RetryPolicy
+from repro.core.scenario import network_from_dict, network_to_dict
 from repro.core.scheduler import (
     AdmissionProposal,
     Assigner,
@@ -297,40 +299,37 @@ def _entries_to_json(entries: Entries) -> list[list[object]]:
 
 def _consumptions_to_json(consumptions: Consumptions) -> list[dict[str, Any]]:
     return [
-        {
-            "loads": {element: dict(bucket) for element, bucket in loads.items()},
-            "rate": rate,
-        }
+        {"loads": {e: dict(bucket) for e, bucket in loads.items()}, "rate": rate}
         for loads, rate in consumptions
     ]
 
 
 def _consumptions_from_json(raw: Sequence[Mapping[str, Any]]) -> Consumptions:
-    out: list[tuple[Loads, float]] = []
-    for item in raw:
-        loads: Loads = {
-            str(element): {str(r): float(v) for r, v in bucket.items()}
-            for element, bucket in item["loads"].items()
-        }
-        out.append((loads, float(item["rate"])))
-    return tuple(out)
+    return tuple(
+        (
+            {
+                str(element): {str(r): float(v) for r, v in bucket.items()}
+                for element, bucket in item["loads"].items()
+            },
+            float(item["rate"]),
+        )
+        for item in raw
+    )
 
 
 class ShardEventLog:
     """Append-only JSONL log of one shard's admission/repair events.
 
-    Each record is one JSON object per line carrying a monotonically
-    increasing ``seq``.  The first record is a *checkpoint* — it carries
-    the full ``residual`` override entries, plus the ``fcfs`` ledger's
-    when the scheduler runs without prediction — and the records
-    after it carry a ``delta``: the complete post-event entries of the
-    elements the event touched (physical logging: replay never re-runs
-    admission, it copies values; see :func:`replay_log`).  With
-    ``path=None`` the log is held in memory only (tests, throwaway
-    federations); with a path, every record is flushed to the OS before
-    :meth:`append` returns (it survives a process kill, not a power
-    loss) and an existing file is re-read on open, so a restarted
-    process resumes the same log.
+    One JSON object per line, each with a monotonically increasing
+    ``seq``.  The first record is a *checkpoint* (full ``residual``
+    entries, the ``fcfs`` ledger's without prediction, the live ``apps``
+    and the ``network``); the records after it carry decisions, which
+    :func:`replay_log` redoes over it.  With ``path=None`` the log is
+    held in memory (tests, throwaway federations).  With a path, every
+    record is flushed to the OS before :meth:`append` returns (it
+    survives a process kill, not a power loss), an existing file is
+    re-read on open so a restarted process resumes the same log, and
+    only counts stay in memory — :meth:`records` re-reads the file.
 
     A process killed inside a write can leave a half-written final line:
     it is dropped, the file is truncated back to the last complete
@@ -342,7 +341,12 @@ class ShardEventLog:
 
     def __init__(self, path: str | Path | None = None) -> None:
         self._path = Path(path) if path is not None else None
-        self._records: list[dict[str, Any]] = []
+        #: The records of an in-memory log (``None`` when file-backed).
+        self._records: list[dict[str, Any]] | None = (
+            [] if self._path is None else None
+        )
+        self._count = 0
+        self._since_checkpoint = 0
         self._handle: TextIO | None = None
         #: Half-written final records dropped when the file was opened.
         self.torn_records = 0
@@ -372,12 +376,19 @@ class ShardEventLog:
                     self.torn_records = 1
                     os.truncate(path, offset)
                     return
-                self._records.append(record)
+                self._count_record(record)
             offset += len(line) + 1
         if raw and not raw.endswith(b"\n"):
             # The kill fell between a complete record and its newline.
             with open(path, "ab") as handle:
                 handle.write(b"\n")
+
+    def _count_record(self, record: Mapping[str, Any]) -> None:
+        self._count += 1
+        if "residual" in record or "cross_apps" in record:
+            self._since_checkpoint = 0
+        else:
+            self._since_checkpoint += 1
 
     @property
     def path(self) -> Path | None:
@@ -395,22 +406,21 @@ class ShardEventLog:
     def records_since_checkpoint(self) -> int:
         """Records after the last one that carries full state.
 
-        What the next recovery has to apply on top of that checkpoint
+        What the next recovery has to redo on top of that checkpoint
         (shard logs: a record with ``residual``; the coordinator log: one
         with ``cross_apps``).
         """
-        for count, record in enumerate(reversed(self._records)):
-            if "residual" in record or "cross_apps" in record:
-                return count
-        return len(self._records)
+        return self._since_checkpoint
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def append(self, record: Mapping[str, Any]) -> dict[str, Any]:
         """Stamp, persist, and return one record."""
-        stamped: dict[str, Any] = {"seq": len(self._records), **record}
-        self._records.append(stamped)
+        stamped: dict[str, Any] = {"seq": self._count, **record}
+        self._count_record(stamped)
+        if self._records is not None:
+            self._records.append(stamped)
         if self._handle is not None:
             self._handle.write(json.dumps(stamped, sort_keys=True) + "\n")
             self._handle.flush()
@@ -436,12 +446,21 @@ class ShardEventLog:
                 os.fsync(handle.fileno())
             os.replace(scratch, self._path)
             self._handle = open(self._path, "a", encoding="utf-8")
-        self._records = [stamped]
+        else:
+            self._records = [stamped]
+        self._count = self._since_checkpoint = 0
+        self._count_record(stamped)
         return stamped
 
     def records(self) -> tuple[dict[str, Any], ...]:
         """Every record appended (or recovered) so far, in order."""
-        return tuple(self._records)
+        if self._path is None:
+            return tuple(self._records or ())
+        return tuple(
+            json.loads(line)
+            for line in self._path.read_bytes().splitlines()
+            if line.strip()
+        )
 
     def close(self) -> None:
         """Release the underlying file handle (idempotent)."""
@@ -473,9 +492,10 @@ class ReplayedApp:
 class ReplayState:
     """What replaying a :class:`ShardEventLog` reconstructs.
 
-    ``residual``/``fcfs`` are the bit-exact capacity overrides at the end
-    of the log (``fcfs`` is ``None`` when the log's checkpoint carries no
-    FCFS ledger, i.e. it was written under prediction); ``apps`` are the
+    ``residual``/``fcfs`` are the capacity overrides at the end of the
+    log, bit-equal to the live views of the scheduler that wrote it
+    (``fcfs`` is ``None`` when the log's checkpoint carries no FCFS
+    ledger, i.e. it was written under prediction); ``apps`` are the
     applications still holding reservations (their logged per-path
     consumptions included, so a warm-started shard can keep accounting
     for — and later release — their capacity).
@@ -496,19 +516,14 @@ def _last_with(records: Sequence[Mapping[str, Any]], key: str) -> int | None:
 def _replay_view(
     records: Sequence[Mapping[str, Any]], checkpoint: int, key: str
 ) -> Entries:
-    """One capacity view: the checkpoint's entries, then every delta."""
+    """One view of a log written before the redo log: the checkpoint's
+    entries, then each later record's ``delta`` assigned element by
+    element (an empty bucket reads the raw capacity again)."""
     view: dict[str, dict[str, float]] = {}
     for element, resource, value in records[checkpoint].get(key, ()):
         view.setdefault(str(element), {})[str(resource)] = float(value)
-    for index in range(checkpoint + 1, len(records)):
-        delta = records[index].get("delta")
-        if delta is None or key not in delta:
-            continue
-        for element, bucket in delta[key].items():
-            if bucket:
-                view[element] = bucket
-            else:
-                view.pop(element, None)
+    for record in records[checkpoint + 1 :]:
+        view.update(record.get("delta", {}).get(key, {}))
     return tuple(
         (element, resource, float(view[element][resource]))
         for element in sorted(view)
@@ -516,24 +531,167 @@ def _replay_view(
     )
 
 
-def replay_log(records: Sequence[Mapping[str, Any]]) -> ReplayState:
+def _fold_apps(apps: dict[str, ReplayedApp], record: Mapping[str, Any]) -> None:
+    """Fold one record into the live applications, in adoption order."""
+    admitted = [(app, app["kind"], app["origin"]) for app in record.get("apps", ())]
+    kind = record.get("type")
+    if kind == "epoch":
+        admitted += [
+            (decision, decision["kind"], "local")
+            for decision in record["decisions"]
+            if decision["accepted"]
+        ]
+    elif kind == "reserve":
+        admitted.append((record, record.get("kind", "GR"), "external"))
+    elif kind == "release":
+        apps.pop(record["app_id"], None)
+    for raw, app_kind, origin in admitted:
+        # A local BE app holds no reservation: the loads a node without
+        # prediction logs for it feed only the FCFS ledger's redo.
+        local_be = app_kind == "BE" and origin == "local"
+        apps[raw["app_id"]] = ReplayedApp(
+            app_id=raw["app_id"],
+            kind=app_kind,
+            origin=origin,
+            consumptions=(
+                () if local_be else _consumptions_from_json(raw["consumed"])
+            ),
+        )
+
+
+#: Tenant groups of a redo, in :meth:`SparcleScheduler._tenants` order,
+#: and the marker of a release.
+_GR, _BE, _EXTERNAL, _RELEASE = range(4)
+
+
+class _Redo:
+    """A warm-started scheduler, reduced to what redoing its log needs.
+
+    The views are thawed from the checkpoint.  The tenants are grouped
+    and ordered as :meth:`SparcleScheduler._tenants` yields them: local
+    GR apps in admission order, local BE apps (FCFS ledger only), then
+    the externals — the checkpoint's apps, later ``reserve`` records.
+    """
+
+    def __init__(
+        self,
+        checkpoint: Mapping[str, Any],
+        adopted: Iterable[ReplayedApp],
+        network: Network,
+    ) -> None:
+        self.network = network
+        self.residual = self._thaw(checkpoint["residual"])
+        self.fcfs = (
+            self._thaw(checkpoint["fcfs"]) if "fcfs" in checkpoint else None
+        )
+        self.adopted = {app.app_id: (_EXTERNAL, app.consumptions) for app in adopted}
+        #: ``(group, app_id, consumptions)`` per hold or release, in order.
+        self.ops: list[tuple[int, str, Consumptions]] = []
+
+    def _thaw(self, entries: Sequence[Sequence[Any]]) -> CapacityView:
+        thawed = tuple((str(e), str(r), float(v)) for e, r, v in entries)
+        snapshot = ResidualSnapshot(self.network.name, thawed)
+        return CapacityView.from_snapshot(self.network, snapshot)
+
+    def read(
+        self, record: Mapping[str, Any], apps: Mapping[str, ReplayedApp]
+    ) -> None:
+        """Queue one record's ops (``apps`` already holds what it admitted)."""
+        kind = record.get("type")
+        if kind == "epoch":
+            for decision in record["decisions"]:
+                app_id = decision["app_id"]
+                if decision["accepted"] and decision["kind"] == "GR":
+                    self.ops.append((_GR, app_id, apps[app_id].consumptions))
+                elif decision["accepted"] and self.fcfs is not None:
+                    loads = _consumptions_from_json(decision["consumed"])
+                    self.ops.append((_BE, app_id, loads))
+        elif kind == "reserve":
+            app_id = record["app_id"]
+            self.ops.append((_EXTERNAL, app_id, apps[app_id].consumptions))
+        elif kind == "release":
+            self.ops.append((_RELEASE, record["app_id"], ()))
+
+    def _views(self, group: int) -> Iterator[tuple[int, CapacityView]]:
+        """(view index, view) for each view a tenant of ``group`` holds."""
+        if group != _BE:
+            yield 0, self.residual
+        if self.fcfs is not None:
+            yield 1, self.fcfs
+
+    def run(self) -> None:
+        """Apply the queued ops to the views.
+
+        An entry depends only on the last release that re-derives its
+        element and on the consumptions after that release, so every
+        earlier op on that element is skipped: the views come out as if
+        each op ran in full, at the cost of one rebuild instead of one
+        per release.
+        """
+        last: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        tenants = dict(self.adopted)
+        for index, (group, app_id, held) in enumerate(self.ops):
+            if group != _RELEASE:
+                tenants[app_id] = (group, held)
+            elif app_id in tenants:
+                gone_group, gone = tenants.pop(app_id)
+                for view, _capacities in self._views(gone_group):
+                    last[view].update((e, index) for loads, _ in gone for e in loads)
+        tenants = dict(self.adopted)
+        for index, (group, app_id, held) in enumerate(self.ops):
+            if group != _RELEASE:
+                tenants[app_id] = (group, held)
+                for view, capacities in self._views(group):
+                    for loads, rate in held:
+                        kept = {
+                            e: bucket for e, bucket in loads.items()
+                            if last[view].get(e, -1) < index
+                        }
+                        capacities.consume(kept, rate, clamp=True)
+            elif app_id in tenants:
+                gone_group, gone = tenants.pop(app_id)
+                fresh = CapacityView(self.network)
+                for view, capacities in self._views(gone_group):
+                    footprint = frozenset(
+                        e for loads, _ in gone for e in loads
+                        if last[view][e] == index
+                    )
+                    if footprint:
+                        groups = (_GR, _EXTERNAL) if view == 0 else (_GR, _BE, _EXTERNAL)
+                        capacities.rederive(footprint, fresh, _holds(tenants, groups))
+
+
+def _holds(
+    tenants: Mapping[str, tuple[int, Consumptions]], groups: Sequence[int]
+) -> Iterator[tuple[Loads, float]]:
+    for wanted in groups:
+        for group, consumptions in tenants.values():
+            if group == wanted:
+                yield from consumptions
+
+
+def replay_log(
+    records: Sequence[Mapping[str, Any]], network: Network | None = None
+) -> ReplayState:
     """Reconstruct residual state and live tenants from log records.
 
-    The capacity views start from the last *checkpoint* — a record that
-    carries the full ``residual`` (and, without prediction, ``fcfs``)
-    entries — and every later record's ``delta``
-    (``{view: {element: {resource: value}}}``) is
-    assigned over them element by element: the element's previous
-    entries are dropped and the logged ones set, an empty bucket meaning
-    "reads the raw capacity again".  Values are copied, never
-    re-derived, so the result is bit-equal to the state that was logged
-    — and applying a record twice changes nothing.  The live
-    applications accumulate from the last checkpoint that lists its
-    ``apps`` (or from the first record when none does).  A log in which
-    every record carries full views — what earlier versions wrote — is
-    a log made of checkpoints and replays the same way, and so does one
-    written when every record carried the ``fcfs`` ledger under
-    prediction too: ``fcfs`` is applied wherever a record has it.
+    A redo log: the views start from the last *checkpoint* (a record
+    with the full ``residual`` and, without prediction, ``fcfs``
+    entries) and each later record is redone over them, in order, the
+    way the scheduler that wrote it did it: an accepted GR placement or
+    a ``reserve`` is :meth:`CapacityView.consume`-d per path (an
+    accepted BE placement on the FCFS ledger only), and a ``release``
+    re-derives the departed footprint from the surviving tenants
+    (:meth:`CapacityView.rederive`) — so the views come out bit-equal
+    to the live ones.  Work a later release overwrites is skipped
+    (:meth:`_Redo.run`).  A record repeating the previous ``seq`` (a
+    duplicated final write) is redone once.  ``network`` is the shard
+    network the log was written against (default: the checkpoint's).
+
+    A log written before the redo log carries a ``delta`` in every
+    record after its checkpoint and replays by assigning those.  The
+    live applications accumulate from the last checkpoint that lists
+    its ``apps`` (or from the first record when none does).
 
     Raises :class:`~repro.exceptions.ShardError` for an empty log, or
     one with no checkpoint — there is nothing to warm-start from.
@@ -545,45 +703,28 @@ def replay_log(records: Sequence[Mapping[str, Any]]) -> ReplayState:
         raise ShardError(
             "shard event log has no checkpoint record to replay from"
         )
+    base, tail = records[checkpoint], records[checkpoint + 1 :]
     apps: dict[str, ReplayedApp] = {}
-    for record in records[_last_with(records, "apps") or 0 :]:
-        for app in record.get("apps", ()):
-            apps[app["app_id"]] = ReplayedApp(
-                app_id=app["app_id"],
-                kind=app["kind"],
-                origin=app["origin"],
-                consumptions=_consumptions_from_json(app["consumed"]),
-            )
-        kind = record.get("type")
-        if kind == "epoch":
-            for decision in record["decisions"]:
-                if decision["accepted"]:
-                    apps[decision["app_id"]] = ReplayedApp(
-                        app_id=decision["app_id"],
-                        kind=decision["kind"],
-                        origin="local",
-                        consumptions=_consumptions_from_json(
-                            decision["consumed"]
-                        ),
-                    )
-        elif kind == "reserve":
-            apps[record["app_id"]] = ReplayedApp(
-                app_id=record["app_id"],
-                kind=record.get("kind", "GR"),
-                origin="external",
-                consumptions=_consumptions_from_json(record["consumed"]),
-            )
-        elif kind == "release":
-            apps.pop(record["app_id"], None)
-    return ReplayState(
-        residual=_replay_view(records, checkpoint, "residual"),
-        fcfs=(
-            _replay_view(records, checkpoint, "fcfs")
-            if "fcfs" in records[checkpoint]
-            else None
-        ),
-        apps=tuple(apps.values()),
-    )
+    for record in records[_last_with(records, "apps") or 0 : checkpoint + 1]:
+        _fold_apps(apps, record)
+    if not tail or any("delta" in record for record in tail):
+        for record in tail:
+            _fold_apps(apps, record)
+        fcfs = _replay_view(records, checkpoint, "fcfs") if "fcfs" in base else None
+        residual = _replay_view(records, checkpoint, "residual")
+        return ReplayState(residual, fcfs, tuple(apps.values()))
+    if network is None and "network" not in base:
+        raise ShardError("the log's checkpoint names no network to redo on")
+    redo = _Redo(base, apps.values(), network or network_from_dict(base["network"]))
+    previous = base.get("seq")
+    for record in tail:
+        if previous is None or record.get("seq") != previous:
+            _fold_apps(apps, record)
+            redo.read(record, apps)
+        previous = record.get("seq")
+    redo.run()
+    ledger = None if redo.fcfs is None else redo.fcfs.freeze().entries
+    return ReplayState(redo.residual.freeze().entries, ledger, tuple(apps.values()))
 
 
 # ----------------------------------------------------------------------
@@ -594,11 +735,12 @@ class ShardNode:
 
     The node's scheduler sees only the region *subnetwork*, so locally
     admitted placements can never touch a boundary link or another
-    region's elements by construction.  Every state change — gateway
-    epoch, cross-shard reservation, withdrawal — appends one log record
-    whose ``delta`` holds the post-change entries of the elements the
-    scheduler reports it touched; :meth:`warm_start` replays those over
-    the log's last checkpoint after a :meth:`kill`.
+    region's elements by construction.  Every state change appends one
+    log record holding the decision, not its consequence: a gateway
+    epoch's decisions with the per-path loads of each accepted GR app
+    (and, without prediction, of each accepted BE app), a cross-shard
+    reservation's loads, a withdrawal's app id.  :meth:`warm_start`
+    redoes those over the log's last checkpoint after a :meth:`kill`.
     """
 
     def __init__(
@@ -650,7 +792,7 @@ class ShardNode:
 
     # ------------------------------------------------------------------
     def _stamp(self, record: dict[str, Any]) -> dict[str, Any]:
-        """Make ``record`` a checkpoint: the full views plus the live apps.
+        """Make ``record`` a checkpoint: full views, live apps, network.
 
         Only called where every live app is an adopted one — on a fresh
         node and right after a replay — so the record is self-contained:
@@ -663,14 +805,8 @@ class ShardNode:
         if fcfs is not None:
             record["fcfs"] = _entries_to_json(fcfs.entries)
         record["apps"] = [app.to_json() for app in self._adopted.values()]
+        record["network"] = network_to_dict(self.network)
         return record
-
-    def _delta(self, touched: Iterable[str]) -> dict[str, Any]:
-        """The post-event entries of the kept views on the touched elements."""
-        residual, fcfs = self.scheduler.entries_on(touched)
-        if fcfs is None:
-            return {"residual": residual}
-        return {"residual": residual, "fcfs": fcfs}
 
     def _require_alive(self) -> None:
         if not self.alive:
@@ -712,23 +848,19 @@ class ShardNode:
         return report
 
     def _log_new_decisions(self) -> None:
-        news = self.scheduler.decisions[self._decision_mark :]
+        news = self.gateway.decisions[self._decision_mark :]
         if not news:
             return
+        self._decision_mark += len(news)
         payload: list[dict[str, Any]] = []
-        touched: set[str] = set()
         for decision in news:
-            touched |= self.scheduler.charged_elements(decision)
+            gr = decision.kind == "GR"
             consumed: Consumptions = ()
-            if decision.accepted and decision.kind == "GR":
-                consumed = tuple(
-                    (placement.loads(), rate)
-                    for placement, rate in zip(
-                        decision.placements, decision.path_rates
-                    )
-                )
+            if decision.accepted and (gr or not self._use_prediction):
+                loads = [placement.loads() for placement in decision.placements]
+                consumed = tuple(zip(loads, decision.path_rates))
             if decision.accepted:
-                self._local[decision.app_id] = consumed
+                self._local[decision.app_id] = consumed if gr else ()
             payload.append(
                 {
                     "app_id": decision.app_id,
@@ -739,42 +871,29 @@ class ShardNode:
                     "consumed": _consumptions_to_json(consumed),
                 }
             )
-        self._decision_mark = len(self.scheduler.decisions)
         self.log.append(
-            {
-                "type": "epoch",
-                "epoch": self.gateway.epoch,
-                "decisions": payload,
-                "delta": self._delta(touched),
-            }
+            {"type": "epoch", "epoch": self.gateway.epoch, "decisions": payload}
         )
 
     def apply_external(self, app_id: str, consumptions: Consumptions) -> None:
         """Reserve capacity for a cross-shard app (coordinator phase 2)."""
         self._require_alive()
-        touched = self.scheduler.reserve_external(app_id, consumptions)
+        self.scheduler.reserve_external(app_id, consumptions)
         self.log.append(
             {
                 "type": "reserve",
                 "app_id": app_id,
                 "consumed": _consumptions_to_json(consumptions),
-                "delta": self._delta(touched),
             }
         )
 
     def withdraw(self, app_id: str) -> None:
         """Release one app's reservations (local, adopted, or external)."""
         self._require_alive()
-        touched = self.scheduler.withdraw(app_id)
+        self.scheduler.withdraw(app_id)
         self._local.pop(app_id, None)
         self._adopted.pop(app_id, None)
-        self.log.append(
-            {
-                "type": "release",
-                "app_id": app_id,
-                "delta": self._delta(touched),
-            }
-        )
+        self.log.append({"type": "release", "app_id": app_id})
 
     # ------------------------------------------------------------------
     # Failure / warm start
@@ -785,8 +904,8 @@ class ShardNode:
         self.alive = False
 
     def _restore(self) -> None:
-        """Rebuild the scheduler from the log: views copied, apps adopted."""
-        state = replay_log(self.log.records())
+        """Rebuild the scheduler from the log: views redone, apps adopted."""
+        state = replay_log(self.log.records(), self.network)
         self._build()
         self.scheduler.restore_residual(
             ResidualSnapshot(self.network.name, state.residual),
@@ -808,7 +927,7 @@ class ShardNode:
     def warm_start(self) -> None:
         """Restart from the event log instead of re-solving admission.
 
-        Replays the log (:func:`replay_log`) into bit-equal capacity
+        Redoes the log (:func:`replay_log`) into bit-equal capacity
         views, then adopts every logged live application as an external
         reservation (capacity stays held, duplicate ids stay rejected,
         withdrawal still works), and appends a ``restart`` checkpoint.
@@ -1543,40 +1662,26 @@ class ShardCoordinator:
         # a checkpoint lists the apps live when it was written, a
         # "commit" record carries one app's boundary-link consumptions,
         # a "release" retires it.
-        kinds: dict[str, str] = {}
-        ledger_parts: dict[str, Consumptions] = {}
+        held: dict[str, tuple[str, Consumptions]] = {}
         records = self._log.records()
         for record in records[_last_with(records, "cross_apps") or 0 :]:
             rtype = record.get("type")
-            admitted = record.get("cross_apps", ())
-            if rtype == "commit":
-                admitted = (record,)
+            admitted = (record,) if rtype == "commit" else record.get("cross_apps", ())
             for app in admitted:
-                app_id = str(app["app_id"])
-                kinds[app_id] = str(app["kind"])
-                ledger_parts[app_id] = _consumptions_from_json(
-                    app["consumed"]
+                held[str(app["app_id"])] = (
+                    str(app["kind"]), _consumptions_from_json(app["consumed"])
                 )
             if rtype == "release":
-                app_id = str(record["app_id"])
-                kinds.pop(app_id, None)
-                ledger_parts.pop(app_id, None)
+                held.pop(str(record["app_id"]), None)
         self._apps = {}
-        for app_id, kind in kinds.items():
-            per_owner: list[tuple[int, Consumptions]] = []
-            if ledger_parts[app_id]:
-                per_owner.append((LEDGER, ledger_parts[app_id]))
-            for node in self._nodes:
-                if app_id in node.scheduler.external_tags():
-                    per_owner.append(
-                        (
-                            node.shard_id,
-                            node.scheduler.external_consumptions(app_id),
-                        )
-                    )
-            self._apps[app_id] = _CrossApp(
-                app_id=app_id, kind=kind, per_owner=tuple(per_owner)
-            )
+        for app_id, (kind, boundary) in held.items():
+            per_owner = [(LEDGER, boundary)] if boundary else []
+            per_owner += [
+                (node.shard_id, node.scheduler.external_consumptions(app_id))
+                for node in self._nodes
+                if app_id in node.scheduler.external_tags()
+            ]
+            self._apps[app_id] = _CrossApp(app_id, kind, tuple(per_owner))
         # Reservations whose cross-shard app was withdrawn globally while
         # a shard was down were already reconciled by restart_shard in the
         # crashed process when possible; re-run the same reconciliation
@@ -1588,10 +1693,7 @@ class ShardCoordinator:
         self._all_ids = set(self._apps)
         for node in self._nodes:
             self._all_ids.update(node.live_apps())
-        self._ledger = CapacityView(self.network)
-        for app in self._apps.values():
-            for loads, rate in app.ledger_consumptions():
-                self._ledger.consume(loads, rate, clamp=True)
+        self._rebuild_ledger()
         self._log.rewrite(self._checkpoint("recover"))
         return len(self._all_ids)
 

@@ -128,7 +128,6 @@ class TestFcfsLedgerIsWithdrawIndependent:
         scheduler.withdraw("gr")
         assert scheduler._fcfs_view is None
         assert scheduler.fcfs_snapshot() is None
-        assert scheduler.entries_on(["ncp1", "ncp2"])[1] is None
 
 
 class TestOutageReport:

@@ -1,12 +1,15 @@
-"""Event logs written with an FCFS ledger in every record still recover.
+"""Event logs written by earlier versions still replay and recover.
 
 ``tests/data/parent_logs`` holds the logs of two small federations on the
-smoke scenario's network, written by the version that logged the FCFS
-ledger beside the GR residual in every checkpoint and delta, prediction
-on or off (see the README there).  ``expected.json`` records, next to
-them, what that version replayed them to and how many applications its
-``--recover`` server reported.  Today a node under prediction keeps no
-ledger; these logs must still replay and recover to the same state.
+smoke scenario's network in two formats (see the README there): written
+by the version that logged the FCFS ledger beside the GR residual in
+every checkpoint and delta, prediction on or off, and (``delta_only/``)
+by the last version whose records carried a ``delta`` instead of the
+decision alone.  ``expected.json`` records, next to them, what each
+version replayed them to and how many applications its ``--recover``
+server reported.  Today a node under prediction keeps no ledger and logs
+decisions, not deltas; these logs must still replay and recover to the
+same state.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ from repro.service.shard import (
 DATA = Path(__file__).resolve().parents[1] / "data"
 FIXTURES = DATA / "parent_logs"
 EXPECTED = json.loads((FIXTURES / "expected.json").read_text())
-FEDERATIONS = ("one_shard", "two_shard")
+FEDERATIONS = (
+    "one_shard",
+    "two_shard",
+    "delta_only/one_shard",
+    "delta_only/two_shard",
+)
 
 
 def _network():
@@ -55,18 +63,33 @@ def _copy(name: str, tmp_path: Path) -> Path:
     return target
 
 
-@pytest.mark.parametrize("name", FEDERATIONS)
-def test_replay_gives_the_recorded_state(name):
-    for _, path, expected in _shard_logs(name):
-        records = _records(path)
+def _entries(entries):
+    return None if entries is None else [list(entry) for entry in entries]
+
+
+def _check_format(name: str, records: list[dict]) -> None:
+    if name.startswith("delta_only/"):
+        # Every record after a checkpoint carries a delta; none carries
+        # an FCFS ledger.
+        assert all("delta" in r for r in records if "residual" not in r)
+        assert not any("fcfs" in r or "fcfs" in r.get("delta", {})
+                       for r in records)
+    else:
         assert all(
             "fcfs" in record.get("delta", record)
             for record in records
             if "residual" in record or "delta" in record
         )
+
+
+@pytest.mark.parametrize("name", FEDERATIONS)
+def test_replay_gives_the_recorded_state(name):
+    for _, path, expected in _shard_logs(name):
+        records = _records(path)
+        _check_format(name, records)
         state = replay_log(records)
         assert [list(entry) for entry in state.residual] == expected["residual"]
-        assert [list(entry) for entry in state.fcfs] == expected["fcfs"]
+        assert _entries(state.fcfs) == expected["fcfs"]
         assert [app.to_json() for app in state.apps] == expected["apps"]
 
 
@@ -86,6 +109,14 @@ def test_recover_compacts_to_a_checkpoint_without_a_ledger(name, tmp_path):
             assert state.fcfs is None
             assert [list(e) for e in state.residual] == expected["residual"]
             assert [app.to_json() for app in state.apps] == expected["apps"]
+            # Redo records append to the compacted log and replay exactly.
+            node.withdraw(state.apps[0].app_id)
+            assert log.records()[-1] == {
+                "seq": 1, "type": "release", "app_id": state.apps[0].app_id,
+            }
+            redone = replay_log(log.records())
+            assert redone.residual == node.residual_entries()
+            assert len(redone.apps) == len(state.apps) - 1
         finally:
             node.close()
 

@@ -11,6 +11,7 @@ on withdraw, and bit-for-bit warm starts after a shard kill.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -327,6 +328,144 @@ class TestShardEventLog:
         assert [r["type"] for r in memory.records()] == ["checkpoint"]
 
 
+    def test_file_log_memory_does_not_grow_with_appends(self, tmp_path):
+        record = {"type": "epoch", "epoch": 1, "decisions": [
+            {"app_id": "app", "kind": "GR", "accepted": True, "reason": "",
+             "path_rates": [1.0], "consumed": [
+                 {"loads": {"l1": {BANDWIDTH: 1.0}}, "rate": 1.0}]}]}
+        log = ShardEventLog(tmp_path / "shard-0.jsonl")
+        tracemalloc.start()
+        try:
+            for _ in range(1000):
+                log.append(record)
+            at_1000 = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                log.append(record)
+            at_2000 = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            log.close()
+        assert len(log) == 2000 and log.records_since_checkpoint == 2000
+        assert at_2000 - at_1000 < 16 * 1024
+        # The records are on disk, and read back from there.
+        assert [r["seq"] for r in log.records()] == list(range(2000))
+
+    def test_counts_are_rebuilt_when_a_file_is_reopened(self, tmp_path):
+        path = tmp_path / "shard-0.jsonl"
+        log = ShardEventLog(path)
+        log.append({"type": "release", "app_id": "a"})
+        log.append({"type": "snapshot", "residual": [], "apps": []})
+        log.append({"type": "release", "app_id": "b"})
+        log.close()
+        reopened = ShardEventLog(path)
+        assert len(reopened) == 3
+        assert reopened.records_since_checkpoint == 1
+        reopened.close()
+
+    def test_duplicated_final_redo_record_is_redone_once(self, tmp_path):
+        network, zones = _clique_world(4, 1)
+        with ShardCoordinator(network, zones=zones, log_dir=tmp_path) as fed:
+            fed.process([_gr("g", "ncp1", "ncp2", min_rate=0.5)])
+            live = fed.nodes[0].residual_entries()
+        path = tmp_path / "shard-0.jsonl"
+        last = path.read_text().splitlines()[-1]
+        with open(path, "a") as handle:
+            handle.write(last + "\n")
+        doubled = ShardEventLog(path)
+        assert [r["seq"] for r in doubled.records()] == [0, 1, 1]
+        # A consumption redone twice would charge the app twice.
+        assert replay_log(doubled.records()).residual == live
+        doubled.close()
+
+    def test_a_redo_log_replays_on_the_network_it_names(self):
+        network, zones = _clique_world(4, 1)
+        with ShardCoordinator(network, zones=zones) as fed:
+            fed.process([_gr("g", "ncp1", "ncp2", min_rate=0.5)])
+            node = fed.nodes[0]
+            records = [dict(r) for r in node.log.records()]
+            live = node.residual_entries()
+        assert replay_log(records).residual == live
+        assert replay_log(records, node.network).residual == live
+        del records[0]["network"]
+        with pytest.raises(ShardError, match="network"):
+            replay_log(records)
+        assert replay_log(records, node.network).residual == live
+
+
+# ----------------------------------------------------------------------
+# What a shard log record holds
+# ----------------------------------------------------------------------
+#: Record types that carry full state (see ``ShardNode._stamp``).
+CHECKPOINTS = ("snapshot", "restart", "checkpoint")
+
+
+class TestRecordShape:
+    """A record holds the decision, not its consequence."""
+
+    def _scripted_run(self, n_shards: int, use_prediction: bool):
+        network, zones = _clique_world(8, n_shards)
+        with ShardCoordinator(
+            network, zones=zones, use_prediction=use_prediction,
+            max_queue_depth=64,
+        ) as fed:
+            burst = [
+                _gr("g0", "ncp1", "ncp2", min_rate=0.5),
+                _be("b0", "ncp2", "ncp3"),
+                _gr("g1", "ncp5", "ncp6", min_rate=0.5),
+                _be("b1", "ncp6", "ncp7", priority=2.0),
+                _gr("x0", "ncp1", "ncp5", min_rate=0.5),
+                _be("x1", "ncp4", "ncp8"),
+            ]
+            decisions = dict(zip([r.app_id for r in burst],
+                                 fed.process(burst)))
+            for app_id in ("g0", "b0", "x0"):
+                fed.withdraw(app_id)
+            fed.kill_shard(0)
+            fed.restart_shard(0)
+            later = [_gr("g2", "ncp2", "ncp3", min_rate=0.5),
+                     _be("b2", "ncp3", "ncp4")]
+            decisions.update(zip(["g2", "b2"], fed.process(later)))
+            fed.withdraw("b2")
+            assert all(d is not None and d.accepted
+                       for d in decisions.values())
+            return decisions, [
+                _json(node.log.records()) for node in fed.nodes
+            ]
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize("use_prediction", [True, False])
+    def test_records_carry_decisions_not_consequences(
+        self, n_shards, use_prediction
+    ):
+        decisions, logs = self._scripted_run(n_shards, use_prediction)
+        releases = be_checked = 0
+        for records in logs:
+            for record in records:
+                if record["type"] in CHECKPOINTS:
+                    continue
+                assert not {"residual", "delta", "fcfs"} & set(record)
+                if record["type"] == "release":
+                    assert set(record) == {"seq", "type", "app_id"}
+                    releases += 1
+                for logged in record.get("decisions", ()):
+                    if logged["kind"] != "BE" or not logged["accepted"]:
+                        continue
+                    decision = decisions[logged["app_id"]]
+                    loads = [] if use_prediction else _json([
+                        {"loads": p.loads(), "rate": rate}
+                        for p, rate in zip(
+                            decision.placements, decision.path_rates
+                        )
+                    ])
+                    assert logged["consumed"] == loads
+                    be_checked += 1
+        assert releases >= 3 and be_checked >= 2
+
+
+def _json(value):
+    return json.loads(json.dumps(value, sort_keys=True))
+
+
 # ----------------------------------------------------------------------
 # Scheduler external-reservation plumbing
 # ----------------------------------------------------------------------
@@ -358,47 +497,41 @@ class TestExternalReservations:
         assert scheduler.reserve_external(
             "ghost", (loads,), charge=False
         ) == frozenset()
-        residual, fcfs = scheduler.entries_on([link, "ncp1"])
-        assert residual == {link: {BANDWIDTH: 6.0}, "ncp1": {}}
+        assert scheduler.residual_snapshot().entries == (
+            (link, BANDWIDTH, 6.0),
+        )
         # Under prediction no FCFS ledger is kept.
-        assert fcfs is None
+        assert scheduler.fcfs_snapshot() is None
         assert scheduler.withdraw("ext") == {link}
         gr = scheduler.submit_gr(_gr("g", "ncp1", "ncp2", min_rate=0.5))
         assert gr.accepted
-        touched = scheduler.charged_elements(gr)
-        assert touched == {
-            element for p in gr.placements for element in p.loads()
-        }
         # A BE app under prediction is charged to no view.
+        before = scheduler.residual_snapshot()
         be = scheduler.submit_be(_be("b", "ncp1", "ncp2"))
         assert be.accepted
-        assert scheduler.charged_elements(be) == frozenset()
+        assert scheduler.residual_snapshot() == before
         assert scheduler.withdraw("b") == frozenset()
-        assert scheduler.withdraw("g") == touched
-        rejected = scheduler.submit_gr(
-            _gr("huge", "ncp1", "ncp2", min_rate=1e9)
-        )
-        assert scheduler.charged_elements(rejected) == frozenset()
+        assert scheduler.withdraw("g") == {
+            element for p in gr.placements for element in p.loads()
+        }
 
     def test_without_prediction_the_ledger_is_charged_and_reported(self):
         network, scheduler = self._scheduler(use_prediction=False)
         link = network.links[0].name
         loads = ({link: {BANDWIDTH: 1.0}}, 4.0)
         assert scheduler.reserve_external("ext", (loads,)) == {link}
-        residual, fcfs = scheduler.entries_on([link, "ncp1"])
-        assert residual == {link: {BANDWIDTH: 6.0}, "ncp1": {}}
-        assert fcfs == residual
+        residual = scheduler.residual_snapshot().entries
+        assert residual == ((link, BANDWIDTH, 6.0),)
+        assert scheduler.fcfs_snapshot().entries == residual
         # A BE app is charged to the ledger only, at its predicted rate.
         be = scheduler.submit_be(_be("b", "ncp1", "ncp2"))
         assert be.accepted
-        touched = scheduler.charged_elements(be)
-        assert touched == {
+        assert scheduler.residual_snapshot().entries == residual
+        assert scheduler.fcfs_snapshot().entries != residual
+        assert scheduler.withdraw("b") == {
             element for p in be.placements for element in p.loads()
         }
-        residual, fcfs = scheduler.entries_on(touched)
-        assert residual != fcfs
-        assert scheduler.withdraw("b") == touched
-        assert scheduler.entries_on(touched)[1] == residual
+        assert scheduler.fcfs_snapshot().entries == residual
 
     def test_overcommit_is_atomic(self):
         network, scheduler = self._scheduler()
@@ -677,6 +810,17 @@ class TestKillAndWarmStart:
         zones = dict(coordinator.partition.assignments)
         with coordinator:
             coordinator.withdraw("g1")
+            # Churn: a redo record is smaller than the state it implies,
+            # so a log outgrows the checkpoint it compacts to only once
+            # apps come and go.
+            for index, (src, dst) in enumerate([("ncp1", "ncp2"),
+                                                ("ncp5", "ncp6")] * 3):
+                app_id = f"churn{index}"
+                (decision,) = coordinator.process(
+                    [_gr(app_id, src, dst, min_rate=0.1)]
+                )
+                assert decision is not None and decision.accepted
+                coordinator.withdraw(app_id)
             before = coordinator.residual_state()
             held = [
                 sorted(node.consumption_ledger())
