@@ -5,9 +5,10 @@ A whole-program analysis can die silently — a scope suffix that no
 longer matches, an extractor that returns nothing, a resolver change
 that drops every call edge — and the tree keeps linting "clean".  This
 script guards against that: it lints the committed seeded-violation
-fixture tree (``tests/devtools/fixtures/seeded/``, a miniature of the
-serving stack with one deliberate bug per analysis) and fails unless
-each of SPC008–SPC010 reports at least one violation.
+fixture tree (``tests/devtools/fixtures/seeded/``, a miniature serving
+front-end with one deliberate bug per SPC008 pattern) and fails unless
+every analysis in ``DEFAULT_ANALYSES`` (today SPC008 alone) reports at
+least one violation.
 
 Usage::
 

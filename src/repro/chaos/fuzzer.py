@@ -16,8 +16,8 @@ every GR/BE request's task graph is re-serialized against the world's
 network and lint-checked before it is handed to the admission gateway.
 
 All randomness flows through one :mod:`numpy` generator (the repo-wide
-SPC002 discipline), so a seed reproduces the exact same world and
-request stream bit-for-bit.
+``repro.utils.rng`` discipline), so a seed reproduces the exact same
+world and request stream bit-for-bit.
 """
 
 from __future__ import annotations

@@ -34,10 +34,11 @@ Subcommands:
     drives a synthesized burst through a local client and exits.
 
 ``lint [paths ...] [--format text|json] [--baseline FILE]``
-    Run the SPARCLE static-analysis pass (SPC001–SPC005 AST rules on
-    ``.py`` paths, the SCN scenario validator on ``.json`` paths) and
-    exit non-zero when violations remain.  ``--write-baseline`` records
-    the current findings so they can be burned down incrementally.
+    Run the SPARCLE static-analysis pass (the SPC rules and the SPC008
+    analysis on ``.py`` paths, the SCN scenario validator on ``.json``
+    paths) and exit non-zero when violations remain.
+    ``--write-baseline`` records the current findings so they can be
+    burned down incrementally.
 
 The observability-oriented subcommands (``trace``, ``perf``, ``gateway``)
 share ``--seed`` / ``--out-dir`` conventions via one helper.  The sharded
@@ -428,15 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rules", metavar="IDS", default=None,
         help="comma-separated rule/analysis ids to run (default: all)",
-    )
-    lint.add_argument(
-        "--changed", metavar="BASE", nargs="?", const="HEAD", default=None,
-        help="lint only Python files changed vs the given git ref "
-             "(default ref when the flag is bare: HEAD)",
-    )
-    lint.add_argument(
-        "--cache", metavar="FILE", default=None,
-        help="on-disk facts cache; warm runs re-parse only changed files",
     )
     return parser
 
@@ -996,7 +988,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         DEFAULT_ANALYSES,
         DEFAULT_RULES,
         LintConfigError,
-        changed_python_files,
         format_json,
         format_text,
         lint_paths,
@@ -1020,26 +1011,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             a for a in DEFAULT_ANALYSES if a.rule_id in wanted
         )
     try:
-        paths: Sequence[str | Path] = args.paths
-        if args.changed is not None:
-            changed = changed_python_files(args.changed)
-            requested = [Path(p).resolve() for p in args.paths]
-            paths = [
-                path for path in changed
-                if any(
-                    path.resolve().is_relative_to(req) for req in requested
-                )
-            ]
-            if not paths:
-                print(
-                    f"no Python files changed vs {args.changed} under "
-                    f"{', '.join(args.paths)}"
-                )
-                return 0
         baseline = load_baseline(args.baseline) if args.baseline else frozenset()
         report = lint_paths(
-            paths, rules=rules, analyses=analyses,
-            baseline=baseline, cache_path=args.cache,
+            args.paths, rules=rules, analyses=analyses, baseline=baseline,
         )
     except LintConfigError as error:
         print(str(error), file=sys.stderr)

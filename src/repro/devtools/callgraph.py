@@ -1,18 +1,15 @@
 """Project symbol table and call graph for the whole-program analyses.
 
-The per-file rules see one AST at a time; the analyses (SPC008–SPC010)
-need to answer questions that span files — "is this blocking call
-reachable from an ``async def`` in the server?".  This module builds the
-shared substrate:
+The per-file rules see one AST at a time; the SPC008 analysis needs to
+answer a question that spans files — "is this blocking call reachable
+from an ``async def`` in the server?".  This module builds the shared
+substrate:
 
 * :meth:`ProjectIndex.extract_module` distills one parsed file into a
-  **JSON-serializable summary**: the module's import map and every
-  function and method — qualname, async-ness, and call sites (with
+  plain-data **summary**: the module's import map and every function
+  and method — qualname, async-ness, and call sites (with
   await/bare-expression context).
-* :meth:`ProjectIndex.from_summaries` assembles the summaries into a
-  queryable index.  Because the summaries are plain JSON, the lint
-  engine caches them on disk keyed by file mtime/size and rebuilds the
-  index without re-parsing unchanged files.
+* :class:`ProjectIndex` assembles the summaries into a queryable index.
 * :meth:`ProjectIndex.resolve` is the call-edge resolver: ``self.m``
   binds to the caller's class, bare names follow the module's import map
   (including facade re-exports, e.g. ``repro.api`` names), and
@@ -89,7 +86,7 @@ def _walk_outside_defs(node: ast.AST) -> Iterator[ast.AST]:
 
 
 class _ModuleExtractor:
-    """Distill one parsed file into the JSON module summary."""
+    """Distill one parsed file into its module summary."""
 
     def __init__(self, ctx: FileContext) -> None:
         self.ctx = ctx
@@ -200,20 +197,8 @@ class _ModuleExtractor:
 class ProjectIndex:
     """Queryable symbol table + call graph over module summaries."""
 
-    def __init__(
-        self,
-        summaries: Mapping[str, Mapping[str, Any]],
-        *,
-        root: Path,
-        analysis_facts: Mapping[str, Mapping[str, Any]] | None = None,
-    ) -> None:
-        self.root = root
+    def __init__(self, summaries: Mapping[str, Mapping[str, Any]]) -> None:
         self.summaries = dict(summaries)
-        #: Per-analysis per-file extraction results: rule_id -> relpath -> facts.
-        self.analysis_facts: dict[str, dict[str, Any]] = {
-            rule_id: dict(per_file)
-            for rule_id, per_file in (analysis_facts or {}).items()
-        }
         self.modules: dict[str, Mapping[str, Any]] = {}
         self.functions: dict[str, Mapping[str, Any]] = {}
         self.methods_by_name: dict[str, list[str]] = {}
@@ -229,19 +214,8 @@ class ProjectIndex:
     # ------------------------------------------------------------------
     @classmethod
     def extract_module(cls, ctx: FileContext) -> dict[str, Any]:
-        """The JSON-serializable summary of one parsed file."""
+        """The summary of one parsed file."""
         return _ModuleExtractor(ctx).run()
-
-    @classmethod
-    def from_summaries(
-        cls,
-        summaries: Mapping[str, Mapping[str, Any]],
-        *,
-        root: str | Path,
-        analysis_facts: Mapping[str, Mapping[str, Any]] | None = None,
-    ) -> "ProjectIndex":
-        """Assemble an index from per-file summaries (fresh or cached)."""
-        return cls(summaries, root=Path(root), analysis_facts=analysis_facts)
 
     # ------------------------------------------------------------------
     def files_matching(self, *suffixes: str) -> list[str]:

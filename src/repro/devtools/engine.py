@@ -1,8 +1,8 @@
 """AST-based lint engine encoding SPARCLE's domain invariants.
 
 The repo's bug history falls into a handful of mechanically detectable
-classes (raw resource-key literals, unseeded randomness, float equality
-on rates, frozen-snapshot mutation, broad excepts).
+classes that the tests cannot see (raw resource-key literals, float
+equality on rates, broad excepts, blocking calls on the event loop).
 This module provides the machinery that turns those classes into
 checkable rules:
 
@@ -10,15 +10,12 @@ checkable rules:
 * :class:`LintError` — a file the engine could not analyze (syntax
   error, bad encoding); reported structurally, never as a traceback;
 * :class:`Rule` — the interface a per-file check implements (see
-  :mod:`repro.devtools.rules` for the built-in SPC001–SPC006 set);
+  :mod:`repro.devtools.rules` for the built-in SPC001/SPC004/SPC006);
 * :class:`LintEngine` — walks files/directories, parses each Python file
   once, runs every rule over the shared AST, feeds each file to the
-  whole-program analyses (:mod:`repro.devtools.analyses`, SPC008–SPC010),
+  whole-program analyses (:mod:`repro.devtools.analyses`, SPC008),
   and applies ``# sparcle: ignore[RULE]`` suppressions plus an optional
   baseline;
-* an on-disk **facts cache**: per-file results (rule violations,
-  suppression map, module summary, analysis extracts) are JSON and keyed
-  by file mtime/size, so a warm re-run only re-parses changed files;
 * text/JSON formatting helpers used by ``sparcle lint``.
 
 Suppression syntax, on the offending statement::
@@ -59,9 +56,6 @@ _SUPPRESSION = re.compile(
 
 #: Directory names never descended into during file discovery.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis", ".venv", "venv"})
-
-#: Bumped whenever the cached facts shape changes.
-_CACHE_VERSION = 1
 
 
 class LintConfigError(SparcleError):
@@ -276,7 +270,7 @@ class LintEngine:
     current directory); ``baseline`` is an iterable of fingerprints (see
     :meth:`Violation.fingerprint`) to mute; ``analyses`` is the
     whole-program pass set (:data:`repro.devtools.DEFAULT_ANALYSES` in
-    the CLI); ``cache_path`` enables the on-disk facts cache.
+    the CLI).
     """
 
     def __init__(
@@ -286,7 +280,6 @@ class LintEngine:
         root: str | Path | None = None,
         baseline: Iterable[str] = (),
         analyses: Sequence["Analysis"] = (),
-        cache_path: str | Path | None = None,
     ) -> None:
         ids = [rule.rule_id for rule in rules]
         ids.extend(analysis.rule_id for analysis in analyses)
@@ -296,7 +289,6 @@ class LintEngine:
         self.analyses = tuple(analyses)
         self.root = Path(root) if root is not None else Path.cwd()
         self.baseline = frozenset(baseline)
-        self.cache_path = Path(cache_path) if cache_path is not None else None
 
     # ------------------------------------------------------------------
     def _relpath(self, path: Path) -> str:
@@ -307,233 +299,105 @@ class LintEngine:
         return rel.as_posix()
 
     # ------------------------------------------------------------------
-    # Per-file fact computation (the cacheable unit)
-    # ------------------------------------------------------------------
-    def _compute_facts(
-        self, path: Path, relpath: str, *, with_analyses: bool = True
-    ) -> dict[str, Any]:
-        facts: dict[str, Any] = {
-            "violations": [],
-            "suppressed": 0,
-            "errors": [],
-            "suppress": {},
-            "index": None,
-            "analysis": {},
-        }
+    def _parse(self, path: Path, relpath: str) -> FileContext | str:
+        """The parsed file, or why it cannot be analyzed."""
         try:
             raw = path.read_bytes()
         except OSError as error:
-            facts["errors"].append(f"cannot read file: {error}")
-            return facts
+            return f"cannot read file: {error}"
         try:
             source = raw.decode("utf-8")
         except UnicodeDecodeError as error:
-            facts["errors"].append(
-                f"not valid UTF-8 at byte {error.start}: {error.reason}"
-            )
-            return facts
+            return f"not valid UTF-8 at byte {error.start}: {error.reason}"
         if not source.strip() and path.name != "__init__.py":
             # An empty package marker is idiomatic; any other empty
             # module is unvetted dead weight, not clean code.
-            facts["errors"].append("file is empty (nothing to analyze)")
-            return facts
+            return "file is empty (nothing to analyze)"
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as error:
-            facts["errors"].append(
-                f"line {error.lineno or 0}: file does not parse: {error.msg}"
-            )
-            return facts
-        ctx = FileContext(
+            return f"line {error.lineno or 0}: file does not parse: {error.msg}"
+        return FileContext(
             path=path,
             relpath=relpath,
             source=source,
             tree=tree,
             lines=tuple(source.splitlines()),
         )
-        suppress = _suppression_index(tree, ctx.lines)
-        facts["suppress"] = {
-            str(lineno): (None if rules is None else sorted(rules))
-            for lineno, rules in suppress.items()
-        }
+
+    def _check_file(
+        self, report: LintReport, path: Path
+    ) -> tuple[FileContext, Mapping[int, frozenset[str] | None]] | None:
+        """Run the per-file rules on ``path`` into ``report``.
+
+        Returns the parsed file and its suppression index for the
+        whole-program pass, or ``None`` when the file is unanalyzable
+        (recorded as a :class:`LintError`).
+        """
+        relpath = self._relpath(path)
+        ctx = self._parse(path, relpath)
+        if isinstance(ctx, str):
+            report.errors.append(LintError(relpath, ctx))
+            return None
+        suppress = _suppression_index(ctx.tree, ctx.lines)
         for rule in self.rules:
             for violation in rule.check(ctx):
-                if _line_suppressed(suppress, violation.line, violation.rule_id):
-                    facts["suppressed"] += 1
-                else:
-                    facts["violations"].append(violation.to_dict())
-        if self.analyses and with_analyses:
-            from repro.devtools.callgraph import ProjectIndex
+                self._record(report, violation, suppress)
+        return ctx, suppress
 
-            facts["index"] = ProjectIndex.extract_module(ctx)
-            for analysis in self.analyses:
-                extracted = analysis.extract(ctx)
-                if extracted is not None:
-                    facts["analysis"][analysis.rule_id] = extracted
-        return facts
+    def _record(
+        self,
+        report: LintReport,
+        violation: Violation,
+        suppress: Mapping[int, frozenset[str] | None],
+    ) -> None:
+        if _line_suppressed(suppress, violation.line, violation.rule_id):
+            report.suppressed += 1
+        elif violation.fingerprint() in self.baseline:
+            report.baselined += 1
+        else:
+            report.violations.append(violation)
 
-    @staticmethod
-    def _facts_suppressed(
-        facts: Mapping[str, Any], line: int, rule_id: str
-    ) -> bool:
-        directive = facts.get("suppress", {}).get(str(line))
-        if directive is None:
-            return False
-        return not directive or rule_id in directive
-
-    # ------------------------------------------------------------------
-    # Cache
-    # ------------------------------------------------------------------
-    def _cache_signature(self) -> list[str]:
-        return sorted(
-            [rule.rule_id for rule in self.rules]
-            + [analysis.rule_id for analysis in self.analyses]
-        )
-
-    def _load_cache(self) -> dict[str, Any]:
-        if self.cache_path is None or not self.cache_path.exists():
-            return {}
-        try:
-            doc = json.loads(self.cache_path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            return {}
-        if (
-            not isinstance(doc, dict)
-            or doc.get("version") != _CACHE_VERSION
-            or doc.get("signature") != self._cache_signature()
-        ):
-            return {}
-        files = doc.get("files")
-        return files if isinstance(files, dict) else {}
-
-    def _save_cache(self, files: dict[str, Any]) -> None:
-        if self.cache_path is None:
-            return
-        doc = {
-            "version": _CACHE_VERSION,
-            "signature": self._cache_signature(),
-            "files": files,
-        }
-        try:
-            self.cache_path.parent.mkdir(parents=True, exist_ok=True)
-            self.cache_path.write_text(json.dumps(doc), encoding="utf-8")
-        except OSError:
-            pass  # a cache that cannot be written is just a cold cache
-
-    # ------------------------------------------------------------------
     def lint_file(self, path: str | Path) -> LintReport:
         """Lint one file with the per-file rules (no whole-program passes).
 
         Unanalyzable files (syntax errors, non-UTF-8 bytes) surface as
         structured :class:`LintError` entries, never tracebacks.
         """
-        path = Path(path)
-        relpath = self._relpath(path)
-        facts = self._compute_facts(path, relpath, with_analyses=False)
         report = LintReport(files_checked=1)
-        self._assemble_file(report, relpath, facts)
+        self._check_file(report, Path(path))
         report.violations.sort()
         return report
-
-    def _assemble_file(
-        self, report: LintReport, relpath: str, facts: Mapping[str, Any]
-    ) -> None:
-        report.suppressed += int(facts["suppressed"])
-        for message in facts["errors"]:
-            report.errors.append(LintError(relpath, str(message)))
-        for doc in facts["violations"]:
-            violation = Violation(
-                str(doc["file"]), int(doc["line"]),
-                str(doc["rule"]), str(doc["message"]),
-            )
-            if violation.fingerprint() in self.baseline:
-                report.baselined += 1
-            else:
-                report.violations.append(violation)
 
     def lint_paths(self, paths: Sequence[str | Path]) -> LintReport:
         """Lint every ``.py`` file reachable from ``paths``.
 
         Runs the per-file rules on each file, then the whole-program
-        analyses once over the assembled project index.  With a
-        ``cache_path``, per-file facts are reused when the file's
-        mtime and size are unchanged.
+        analyses once over the assembled project index.
         """
-        cache = self._load_cache()
-        next_cache: dict[str, Any] = {}
-        facts_by_relpath: dict[str, Mapping[str, Any]] = {}
-        report = LintReport()
-        for path in _iter_python_files(paths):
-            relpath = self._relpath(path)
-            if relpath in facts_by_relpath:
-                continue
-            report.files_checked += 1
-            facts: Mapping[str, Any] | None = None
-            try:
-                stat = path.stat()
-            except OSError:
-                stat = None
-            if stat is not None:
-                entry = cache.get(relpath)
-                if (
-                    isinstance(entry, dict)
-                    and entry.get("mtime") == stat.st_mtime
-                    and entry.get("size") == stat.st_size
-                ):
-                    facts = entry["facts"]
-            if facts is None:
-                facts = self._compute_facts(path, relpath)
-            facts_by_relpath[relpath] = facts
-            if stat is not None:
-                next_cache[relpath] = {
-                    "mtime": stat.st_mtime,
-                    "size": stat.st_size,
-                    "facts": facts,
-                }
-            self._assemble_file(report, relpath, facts)
-        self._run_analyses(report, facts_by_relpath)
-        report.violations.sort()
-        report.errors.sort()
-        if self.cache_path is not None:
-            self._save_cache(next_cache)
-        return report
-
-    def _run_analyses(
-        self,
-        report: LintReport,
-        facts_by_relpath: Mapping[str, Mapping[str, Any]],
-    ) -> None:
-        if not self.analyses:
-            return
         from repro.devtools.callgraph import ProjectIndex
 
-        summaries = {
-            relpath: facts["index"]
-            for relpath, facts in facts_by_relpath.items()
-            if facts.get("index")
-        }
-        analysis_facts = {
-            analysis.rule_id: {
-                relpath: facts["analysis"][analysis.rule_id]
-                for relpath, facts in facts_by_relpath.items()
-                if analysis.rule_id in facts.get("analysis", {})
-            }
-            for analysis in self.analyses
-        }
-        project = ProjectIndex.from_summaries(
-            summaries, root=self.root, analysis_facts=analysis_facts
-        )
-        for analysis in self.analyses:
-            for violation in analysis.check(project):
-                facts = facts_by_relpath.get(violation.file)
-                if facts is not None and self._facts_suppressed(
-                    facts, violation.line, violation.rule_id
-                ):
-                    report.suppressed += 1
-                elif violation.fingerprint() in self.baseline:
-                    report.baselined += 1
-                else:
-                    report.violations.append(violation)
+        report = LintReport()
+        summaries: dict[str, dict[str, Any]] = {}
+        suppressions: dict[str, Mapping[int, frozenset[str] | None]] = {}
+        for path in _iter_python_files(paths):
+            report.files_checked += 1
+            checked = self._check_file(report, path)
+            if checked is None or not self.analyses:
+                continue
+            ctx, suppress = checked
+            suppressions[ctx.relpath] = suppress
+            summaries[ctx.relpath] = ProjectIndex.extract_module(ctx)
+        if self.analyses:
+            project = ProjectIndex(summaries)
+            for analysis in self.analyses:
+                for violation in analysis.check(project):
+                    self._record(
+                        report, violation, suppressions.get(violation.file, {})
+                    )
+        report.violations.sort()
+        report.errors.sort()
+        return report
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,23 @@
-"""The built-in SPARCLE lint rules (SPC001, SPC002, SPC004–SPC006).
+"""The built-in SPARCLE lint rules (SPC001, SPC004, SPC006).
 
 Each rule encodes an invariant whose violation has already cost a real
-debugging session in this repo's history (see ``docs/static-analysis.md``
-for the rule-by-rule rationale and the originating bugs):
+debugging session in this repo's history, and whose planted bug tier-1
+misses (see ``docs/static-analysis.md`` for the rule-by-rule rationale,
+the originating bugs, and the plants):
 
 * **SPC001** — raw resource-name string literals where the
   :mod:`repro.core.taskgraph` constants are required;
-* **SPC002** — ``random`` / ``numpy.random`` use outside the seeded
-  :mod:`repro.utils.rng` path (determinism guard);
 * **SPC004** — ``==`` / ``!=`` between float-typed rate/capacity
   expressions in ``core/`` and ``simulator/`` (epsilon discipline);
-* **SPC005** — attribute or element assignment on frozen values
-  (``ResidualSnapshot`` / the array kernel's ``CompiledNetwork`` CSR
-  arrays);
 * **SPC006** — bare or broad ``except`` clauses (``except:`` /
   ``except Exception`` / ``except BaseException``) outside a small
   documented allowlist (silent-degradation guard).
 
-SPC003 (unguarded read-modify-write in the lock-guarded ``repro.perf``
-registries) is retired with those locks; its ID is not reused.
+Retired IDs, not reused: SPC003 (unguarded read-modify-write in the
+lock-guarded ``repro.perf`` registries) left with those locks; SPC002
+(unseeded randomness) and SPC005 (frozen-value mutation) left because
+tier-1 catches their planted bugs — the same-seed determinism tests and
+the frozen dataclasses / read-only arrays respectively.
 
 Allowlists are part of each rule's definition, not suppressions in the
 linted code: a JSON schema legitimately spells ``"bandwidth"`` in
@@ -47,18 +46,6 @@ _SNAKE = re.compile(r"[a-z0-9]+")
 def _tokens(identifier: str) -> frozenset[str]:
     """Snake-case tokens of an identifier, lowercased."""
     return frozenset(_SNAKE.findall(identifier.lower()))
-
-
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _matches_any(relpath: str, suffixes: Iterable[str]) -> bool:
@@ -100,73 +87,6 @@ class ResourceLiteralRule(Rule):
                     f"raw resource literal {node.value!r}; use "
                     f"repro.core.taskgraph.{constant}",
                 )
-
-
-class UnseededRandomnessRule(Rule):
-    """SPC002: randomness outside the seeded ``utils/rng.py`` path.
-
-    The simulator's traces, the Hypothesis suites, and workflow-style
-    seeding all assume every stochastic draw flows through
-    :func:`repro.utils.rng.ensure_rng`.  A stray ``import random`` or
-    ``np.random.default_rng()`` call silently breaks run-to-run
-    reproducibility.
-    """
-
-    rule_id = "SPC002"
-    summary = "randomness outside repro.utils.rng; pass an rng through ensure_rng"
-
-    ALLOWLIST = ("utils/rng.py",)
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if _matches_any(ctx.relpath, self.ALLOWLIST):
-            return
-        numpy_aliases = {"numpy"}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith("random."):
-                        yield ctx.violation(
-                            node, self.rule_id,
-                            "import of the stdlib 'random' module; use "
-                            "repro.utils.rng.ensure_rng instead",
-                        )
-                    if alias.name == "numpy":
-                        numpy_aliases.add(alias.asname or "numpy")
-                    if alias.name.startswith("numpy.random"):
-                        yield ctx.violation(
-                            node, self.rule_id,
-                            "direct numpy.random import; use "
-                            "repro.utils.rng.ensure_rng instead",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module == "random" or module.startswith("random."):
-                    yield ctx.violation(
-                        node, self.rule_id,
-                        "import from the stdlib 'random' module; use "
-                        "repro.utils.rng.ensure_rng instead",
-                    )
-                elif module.startswith("numpy.random") or (
-                    module == "numpy"
-                    and any(alias.name == "random" for alias in node.names)
-                ):
-                    yield ctx.violation(
-                        node, self.rule_id,
-                        "direct numpy.random import; use "
-                        "repro.utils.rng.ensure_rng instead",
-                    )
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
-                if dotted is None:
-                    continue
-                parts = dotted.split(".")
-                if len(parts) >= 3 and parts[0] in numpy_aliases and parts[1] == "random":
-                    yield ctx.violation(
-                        node, self.rule_id,
-                        f"direct call {dotted}(...); draw from a Generator "
-                        "obtained via repro.utils.rng.ensure_rng",
-                    )
 
 
 class FloatEqualityRule(Rule):
@@ -232,114 +152,6 @@ class FloatEqualityRule(Rule):
         if identifier is None:
             return False
         return bool(_tokens(identifier) & self.STEMS)
-
-
-class FrozenSnapshotMutationRule(Rule):
-    """SPC005: mutation of frozen snapshot / compiled-network values.
-
-    ``ResidualSnapshot`` is immutable by contract — it is what the event
-    log records and a warm start thaws.  ``CompiledNetwork`` (the CSR
-    arrays behind the array route kernel) is likewise frozen: its numpy
-    arrays are shared by every cached tree, and all carry
-    ``writeable=False``, so a write that slips past this rule still raises
-    at runtime — but only at the call site, far from the bug.  Writing
-    through either — attribute assignment, element assignment
-    (``compiled.tie_rank[i] = ...``), or ``object.__setattr__`` — corrupts
-    every holder of the value.
-    """
-
-    rule_id = "SPC005"
-    summary = "mutation of a frozen snapshot or compiled-network value"
-
-    FROZEN_CONSTRUCTORS = frozenset(
-        {"ResidualSnapshot", "CompiledNetwork"}
-    )
-    FROZEN_FACTORIES = frozenset(
-        {"freeze", "compile_network"}
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        frozen_names = self._collect_frozen_names(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and self._is_frozen_name(target.value.id, frozen_names)
-                    ):
-                        yield ctx.violation(
-                            node, self.rule_id,
-                            f"attribute assignment on frozen value "
-                            f"{target.value.id!r} ({target.value.id}."
-                            f"{target.attr} = ...)",
-                        )
-                    elif isinstance(target, ast.Subscript):
-                        # Element writes into a frozen value's arrays:
-                        # compiled.fwd_targets[i] = ... or snapshot[k] = ...
-                        base = target.value
-                        name = None
-                        spelled = ""
-                        if (
-                            isinstance(base, ast.Attribute)
-                            and isinstance(base.value, ast.Name)
-                        ):
-                            name = base.value.id
-                            spelled = f"{name}.{base.attr}[...]"
-                        elif isinstance(base, ast.Name):
-                            name = base.id
-                            spelled = f"{name}[...]"
-                        if name is not None and self._is_frozen_name(
-                            name, frozen_names
-                        ):
-                            yield ctx.violation(
-                                node, self.rule_id,
-                                f"element assignment into frozen value "
-                                f"{name!r} ({spelled} = ...)",
-                            )
-            elif isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
-                if dotted == "object.__setattr__" and node.args:
-                    first = node.args[0]
-                    if isinstance(first, ast.Name) and self._is_frozen_name(
-                        first.id, frozen_names
-                    ):
-                        yield ctx.violation(
-                            node, self.rule_id,
-                            f"object.__setattr__ on frozen snapshot {first.id!r}",
-                        )
-
-    def _collect_frozen_names(self, tree: ast.Module) -> frozenset[str]:
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-                continue
-            func = node.value.func
-            frozen = (
-                isinstance(func, ast.Name) and func.id in self.FROZEN_CONSTRUCTORS
-            ) or (
-                isinstance(func, ast.Attribute)
-                and (
-                    func.attr in self.FROZEN_CONSTRUCTORS
-                    or func.attr in self.FROZEN_FACTORIES
-                )
-            )
-            if frozen:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return frozenset(names)
-
-    @staticmethod
-    def _is_frozen_name(identifier: str, frozen_names: frozenset[str]) -> bool:
-        lowered = identifier.lower()
-        return (
-            identifier in frozen_names
-            or lowered.endswith("snapshot")
-            or lowered.endswith("compiled")
-            or lowered.startswith("compiled")
-        )
 
 
 class BroadExceptRule(Rule):
@@ -410,8 +222,6 @@ class BroadExceptRule(Rule):
 #: The rule set ``sparcle lint`` runs by default, in report order.
 DEFAULT_RULES: tuple[Rule, ...] = (
     ResourceLiteralRule(),
-    UnseededRandomnessRule(),
     FloatEqualityRule(),
-    FrozenSnapshotMutationRule(),
     BroadExceptRule(),
 )

@@ -1,7 +1,7 @@
 """Unit tests for the CSR-compiled network kernels (``repro.core.arrays``).
 
-Covers the compilation cache, the frozen-array contract (SPC005: compiled
-CSR arrays are immutable), residual-array production from live views,
+Covers the compilation cache, the frozen-array contract (compiled CSR
+arrays are immutable), residual-array production from live views,
 the vectorized Eq.-(3) weight pass, the relaxation loop
 and the all-pairs width table.
 """
@@ -112,7 +112,7 @@ class TestCompileNetwork:
         assert into_d == {"bd>", "cd>"}
 
     def test_compiled_arrays_are_frozen(self):
-        """SPC005: every array on the compiled topology is read-only."""
+        """Every array on the compiled topology is read-only."""
         compiled = compile_network(_diamond())
         arrays = [
             compiled.tie_rank,

@@ -30,7 +30,7 @@ def _index(**files: str) -> ProjectIndex:
         relpath: ProjectIndex.extract_module(_ctx(relpath, source))
         for relpath, source in files.items()
     }
-    return ProjectIndex.from_summaries(summaries, root=Path("/nonexistent"))
+    return ProjectIndex(summaries)
 
 
 class TestHelpers:

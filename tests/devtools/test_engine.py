@@ -292,66 +292,3 @@ class TestSuppressionSpans:
         f = tmp_path / "a.py"
         f.write_text("x = 1  # sparcle: ignore[TST001]\n")
         assert engine.lint_file(f).clean
-
-
-class TestFactsCache:
-    """The on-disk cache must be a pure speedup, never a behavior change."""
-
-    def test_warm_run_reports_identically(self, tmp_path):
-        f = tmp_path / "a.py"
-        f.write_text("x = 1\n")
-        cache = tmp_path / "cache.json"
-        engine = LintEngine(
-            [FlagEveryAssign()], root=tmp_path, cache_path=cache
-        )
-        cold = engine.lint_paths([f])
-        assert cache.exists()
-        warm = engine.lint_paths([f])
-        assert [v.to_dict() for v in warm.violations] == [
-            v.to_dict() for v in cold.violations
-        ]
-        assert warm.files_checked == cold.files_checked
-
-    def test_modified_file_invalidates_entry(self, tmp_path):
-        import os
-
-        f = tmp_path / "a.py"
-        f.write_text("x = 1\n")
-        cache = tmp_path / "cache.json"
-        engine = LintEngine(
-            [FlagEveryAssign()], root=tmp_path, cache_path=cache
-        )
-        assert len(engine.lint_paths([f]).violations) == 1
-        f.write_text("x = 1\ny = 2\n")
-        os.utime(f, (1, 1))  # force a distinct mtime even on fast FS
-        assert len(engine.lint_paths([f]).violations) == 2
-
-    def test_rule_set_change_invalidates_cache(self, tmp_path):
-        f = tmp_path / "a.py"
-        f.write_text("x = 1\n")
-        cache = tmp_path / "cache.json"
-        LintEngine(
-            [FlagEveryAssign()], root=tmp_path, cache_path=cache
-        ).lint_paths([f])
-
-        class Quiet(Rule):
-            rule_id = "TST002"
-            summary = "never fires"
-
-            def check(self, ctx):
-                return []
-
-        report = LintEngine(
-            [Quiet()], root=tmp_path, cache_path=cache
-        ).lint_paths([f])
-        assert report.clean  # stale TST001 facts must not be replayed
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        f = tmp_path / "a.py"
-        f.write_text("x = 1\n")
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        engine = LintEngine(
-            [FlagEveryAssign()], root=tmp_path, cache_path=cache
-        )
-        assert len(engine.lint_paths([f]).violations) == 1

@@ -31,17 +31,12 @@ class TestParser:
         assert args.format == "json"
         assert args.rules == "SPC001"
 
-    def test_changed_and_cache_flags(self):
-        args = build_parser().parse_args(
-            ["lint", "--changed", "--cache", "lint.json"]
-        )
-        assert args.changed == "HEAD"
-        assert args.cache == "lint.json"
-        explicit = build_parser().parse_args(["lint", "--changed", "main"])
-        assert explicit.changed == "main"
-        default = build_parser().parse_args(["lint"])
-        assert default.changed is None
-        assert default.cache is None
+    def test_cache_and_changed_flags_are_rejected(self):
+        # A full run takes under a second, so neither a git-diff scope
+        # nor an on-disk facts cache earns an option.
+        for argv in (["lint", "--changed"], ["lint", "--cache", "c.json"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestSelfCheck:
@@ -65,24 +60,25 @@ class TestCliBehavior:
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "bad.py").write_text(
-            'import random\n\ndef f(caps):\n    return caps.get("cpu")\n'
+            'def f(caps):\n    try:\n        return caps.get("cpu")\n'
+            '    except Exception:\n        return None\n'
         )
         return pkg
 
     def test_violations_exit_nonzero_text(self, dirty_tree, capsys):
         assert main(["lint", str(dirty_tree)]) == 1
         out = capsys.readouterr().out
-        assert "SPC001" in out and "SPC002" in out
+        assert "SPC001" in out and "SPC006" in out
 
     def test_json_format(self, dirty_tree, capsys):
         assert main(["lint", str(dirty_tree), "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in doc["violations"]} == {"SPC001", "SPC002"}
+        assert {v["rule"] for v in doc["violations"]} == {"SPC001", "SPC006"}
 
     def test_rule_filter(self, dirty_tree, capsys):
-        assert main(["lint", str(dirty_tree), "--rules", "SPC002"]) == 1
+        assert main(["lint", str(dirty_tree), "--rules", "SPC006"]) == 1
         out = capsys.readouterr().out
-        assert "SPC002" in out and "SPC001" not in out
+        assert "SPC006" in out and "SPC001" not in out
 
     def test_unknown_rule_filter_is_config_error(self, dirty_tree, capsys):
         assert main(["lint", str(dirty_tree), "--rules", "SPC777"]) == 2
@@ -116,77 +112,6 @@ class TestCliBehavior:
         assert main(["lint", str(tmp_path)]) == 2
         out = capsys.readouterr().out
         assert "error:" in out
-
-    def test_cache_flag_round_trip(self, dirty_tree, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        assert main(["lint", str(dirty_tree), "--cache", str(cache)]) == 1
-        cold = capsys.readouterr().out
-        assert cache.exists()
-        assert main(["lint", str(dirty_tree), "--cache", str(cache)]) == 1
-        warm = capsys.readouterr().out
-        assert warm == cold
-
-    def test_changed_in_non_git_dir_is_config_error(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        (tmp_path / "a.py").write_text("x = 1\n")
-        monkeypatch.chdir(tmp_path)
-        assert main(["lint", str(tmp_path), "--changed"]) == 2
-
-    def test_changed_scopes_to_modified_files(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import subprocess
-
-        def git(*argv):
-            subprocess.run(
-                ["git", *argv], cwd=tmp_path, check=True,
-                capture_output=True,
-                env={
-                    "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-                    "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
-                    "HOME": str(tmp_path), "PATH": "/usr/bin:/bin",
-                },
-            )
-
-        (tmp_path / "clean.py").write_text("import random\n")
-        (tmp_path / "untouched.py").write_text("import random\n")
-        git("init", "-q")
-        git("add", ".")
-        git("commit", "-q", "-m", "seed")
-        # Only clean.py changes after the commit; untouched.py's
-        # violation must stay out of a --changed run.
-        (tmp_path / "clean.py").write_text(
-            "import random\nimport random as r2\n"
-        )
-        monkeypatch.chdir(tmp_path)
-        assert main(["lint", str(tmp_path), "--changed", "HEAD"]) == 1
-        out = capsys.readouterr().out
-        assert "clean.py" in out
-        assert "untouched.py" not in out
-
-    def test_changed_with_no_modifications_exits_zero(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import subprocess
-
-        subprocess.run(
-            ["git", "init", "-q"], cwd=tmp_path, check=True,
-            capture_output=True,
-        )
-        (tmp_path / "a.py").write_text("x = 1\n")
-        subprocess.run(
-            ["git", "add", "."], cwd=tmp_path, check=True,
-            capture_output=True,
-        )
-        subprocess.run(
-            ["git", "-c", "user.name=t", "-c", "user.email=t@t",
-             "commit", "-q", "-m", "seed"],
-            cwd=tmp_path, check=True, capture_output=True,
-        )
-        monkeypatch.chdir(tmp_path)
-        assert main(["lint", str(tmp_path), "--changed", "HEAD"]) == 0
-        assert "no Python files changed" in capsys.readouterr().out
 
     def test_scenario_json_path_uses_semantic_validator(self, tmp_path, capsys):
         doc = {

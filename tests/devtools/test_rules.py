@@ -12,9 +12,7 @@ from repro.devtools.rules import (
     DEFAULT_RULES,
     BroadExceptRule,
     FloatEqualityRule,
-    FrozenSnapshotMutationRule,
     ResourceLiteralRule,
-    UnseededRandomnessRule,
 )
 
 
@@ -30,8 +28,8 @@ def lint_snippet(tmp_path, relpath: str, snippet: str, rule) -> list:
 class TestRuleSet:
     def test_default_rules_cover_spc001_to_spc006(self):
         assert [r.rule_id for r in DEFAULT_RULES] == [
-            "SPC001", "SPC002", "SPC004", "SPC005", "SPC006",
-        ]  # SPC003 is retired and its ID not reused
+            "SPC001", "SPC004", "SPC006",
+        ]  # SPC002, SPC003 and SPC005 are retired and their IDs not reused
 
     def test_every_rule_has_a_summary(self):
         assert all(r.summary for r in DEFAULT_RULES)
@@ -77,68 +75,6 @@ class TestSPC001ResourceLiterals:
             tmp_path, "repro/core/routing.py", 'KEY = "bandwidth"\n', self.RULE
         )
         assert [v.rule_id for v in found] == ["SPC001"]
-
-
-class TestSPC002Randomness:
-    RULE = UnseededRandomnessRule()
-
-    def test_flags_stdlib_random_import(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            import random
-
-            def roll():
-                return random.random()
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC002"]
-
-    def test_flags_from_random_import(self, tmp_path):
-        found = lint_snippet(
-            tmp_path, "mymod.py", "from random import choice\n", self.RULE
-        )
-        assert [v.rule_id for v in found] == ["SPC002"]
-
-    def test_flags_numpy_default_rng_call(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            import numpy as np
-
-            def draw():
-                return np.random.default_rng().uniform()
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC002"]
-        assert "np.random.default_rng" in found[0].message
-
-    def test_flags_numpy_random_import(self, tmp_path):
-        found = lint_snippet(
-            tmp_path, "mymod.py",
-            "from numpy.random import default_rng\n", self.RULE,
-        )
-        assert [v.rule_id for v in found] == ["SPC002"]
-
-    def test_generator_annotations_are_fine(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            import numpy as np
-            from repro.utils.rng import ensure_rng
-
-            def draw(rng: int | np.random.Generator | None = None) -> float:
-                if isinstance(rng, np.random.Generator):
-                    pass
-                return float(ensure_rng(rng).uniform())
-        ''', self.RULE)
-        assert found == []
-
-    def test_suppression(self, tmp_path):
-        found = lint_snippet(
-            tmp_path, "mymod.py",
-            "import random  # sparcle: ignore[SPC002]\n", self.RULE,
-        )
-        assert found == []
-
-    def test_rng_module_exempt(self, tmp_path):
-        found = lint_snippet(
-            tmp_path, "repro/utils/rng.py",
-            "import numpy as np\nGEN = np.random.default_rng()\n", self.RULE,
-        )
-        assert found == []
 
 
 class TestSPC004FloatEquality:
@@ -187,103 +123,6 @@ class TestSPC004FloatEquality:
         found = lint_snippet(tmp_path, "repro/core/mymod.py", '''
             def check(rate):
                 return rate == 0.0  # sparcle: ignore[SPC004]
-        ''', self.RULE)
-        assert found == []
-
-
-class TestSPC005FrozenMutation:
-    RULE = FrozenSnapshotMutationRule()
-
-    def test_flags_attribute_write_on_frozen_constructor_result(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            from repro.core.network import ResidualSnapshot
-
-            def corrupt():
-                snap = ResidualSnapshot("net")
-                snap.entries = ()
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC005"]
-        assert "snap" in found[0].message
-
-    def test_flags_write_on_freeze_result(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            def corrupt(view):
-                frozen_view = view.freeze()
-                frozen_view.network_name = "other"
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC005"]
-
-    def test_flags_setattr_on_snapshot_named_value(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            def corrupt(residual_snapshot):
-                object.__setattr__(residual_snapshot, "entries", None)
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC005"]
-
-    def test_flags_element_write_into_compiled_network_array(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            from repro.core.arrays import compile_network
-
-            def corrupt(network):
-                compiled = compile_network(network)
-                compiled.tie_rank[0] = 99
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC005"]
-        assert "compiled.tie_rank[...]" in found[0].message
-
-    def test_flags_subscript_write_on_snapshot(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            def corrupt(view):
-                snapshot = view.freeze()
-                snapshot[0] = None
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC005"]
-
-    def test_flags_attribute_write_on_compiled_network(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            from repro.core.arrays import CompiledNetwork
-
-            def corrupt(args):
-                compiled_net = CompiledNetwork(*args)
-                compiled_net.network_name = "other"
-        ''', self.RULE)
-        assert [v.rule_id for v in found] == ["SPC005"]
-
-    def test_reads_from_compiled_arrays_fine(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            from repro.core.arrays import compile_network
-
-            def ok(network, weights):
-                compiled = compile_network(network)
-                first = compiled.fwd_targets[0]
-                weights[0] = 1.0
-                return first
-        ''', self.RULE)
-        assert found == []
-
-    def test_reading_and_rebinding_fine(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            def ok(view):
-                snapshot = view.freeze()
-                entries = snapshot.entries
-                snapshot = view.freeze()
-                return entries, snapshot
-        ''', self.RULE)
-        assert found == []
-
-    def test_dataclass_post_init_on_self_fine(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            class NCP:
-                def __post_init__(self):
-                    object.__setattr__(self, "capacities", {})
-        ''', self.RULE)
-        assert found == []
-
-    def test_suppression(self, tmp_path):
-        found = lint_snippet(tmp_path, "mymod.py", '''
-            def corrupt(view):
-                snap = view.freeze()
-                snap.entries = ()  # sparcle: ignore[SPC005]
         ''', self.RULE)
         assert found == []
 

@@ -4,12 +4,16 @@ The core contract is ``from_wire(to_wire(msg)) == msg`` for every
 message type — proved through a real JSON serialize/parse cycle, not
 just dict identity — plus the closed-schema guarantees: wrong version,
 unknown type, unknown field, missing field, and malformed JSON all
-raise :class:`~repro.exceptions.ProtocolError`.
+raise :class:`~repro.exceptions.ProtocolError`.  :class:`TestWireSchema`
+checks that the schema's four declarations agree with each other.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +23,7 @@ from repro.core.scheduler import BERequest, GRRequest
 from repro.core.taskgraph import linear_task_graph
 from repro.emulator.scenario import graph_to_dict
 from repro.exceptions import ProtocolError
+from repro.service import client, protocol
 from repro.service.protocol import (
     ERROR_CODES,
     MESSAGE_TYPES,
@@ -317,3 +322,113 @@ class TestRequestConversion:
         graph = linear_task_graph(2, cpu_per_ct=300.0, megabits_per_tt=1.0)
         wire = SubmitRequest.from_request(BERequest("app", graph))
         assert decode(encode(wire)) == wire
+
+
+#: The documented schema tables ``TestWireSchema`` holds to the code.
+SERVING_DOCS = Path(__file__).resolve().parents[2] / "docs" / "serving.md"
+
+
+def _message_classes() -> list[type[protocol.Message]]:
+    """Every message dataclass ``repro.service.protocol`` declares."""
+    return [
+        obj for obj in vars(protocol).values()
+        if isinstance(obj, type) and issubclass(obj, protocol.Message)
+        and obj.TYPE
+    ]
+
+
+def _registry_drift() -> list[str]:
+    problems = []
+    seen: dict[str, str] = {}
+    for cls in _message_classes():
+        if cls.TYPE in seen:
+            problems.append(
+                f"{seen[cls.TYPE]} and {cls.__name__} share type {cls.TYPE!r}"
+            )
+        seen[cls.TYPE] = cls.__name__
+        if protocol.MESSAGE_TYPES.get(cls.TYPE) is not cls:
+            problems.append(f"{cls.__name__} is not in MESSAGE_TYPES")
+    problems.extend(
+        f"REQUEST_TYPES lists undeclared {kind!r}"
+        for kind in protocol.REQUEST_TYPES
+        if kind not in protocol.MESSAGE_TYPES
+    )
+    return problems
+
+
+def _error_map_drift() -> list[str]:
+    codes, mapped = set(protocol.ERROR_CODES), set(client._ERROR_TYPES)
+    return [
+        *(f"ERROR_CODES {c!r} has no client exception"
+          for c in sorted(codes - mapped)),
+        *(f"client maps {c!r}, not in ERROR_CODES"
+          for c in sorted(mapped - codes)),
+    ]
+
+
+def _docs_drift(text: str) -> list[str]:
+    """The documented error codes and message-fields table vs the code."""
+    problems = []
+    codes = re.search(r"`code` ∈ `([^`]+)`", text)
+    documented_codes = codes.group(1).split(", ") if codes else None
+    if documented_codes != list(protocol.ERROR_CODES):
+        problems.append(f"documented error codes {documented_codes}")
+    table = text.split("### Message fields", 1)[-1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", table, re.M)
+    documented = {kind: fields.split(", ") for kind, fields in rows}
+    declared = {
+        cls.TYPE: [field.name for field in dataclasses.fields(cls)]
+        for cls in _message_classes()
+    }
+    problems.extend(
+        f"{kind!r}: documented {documented.get(kind)}, declared "
+        f"{declared.get(kind)}"
+        for kind in sorted(documented.keys() | declared.keys())
+        if documented.get(kind) != declared.get(kind)
+    )
+    return problems
+
+
+class TestWireSchema:
+    """The wire schema is declared four times and the four must agree.
+
+    The message dataclasses are the source of truth; ``MESSAGE_TYPES``
+    routes parsing, the client's ``_ERROR_TYPES`` turns ``error`` replies
+    back into typed exceptions, and ``docs/serving.md`` documents both.
+    """
+
+    def test_every_message_class_is_registered_once(self):
+        assert len(_message_classes()) == len(protocol.MESSAGE_TYPES)
+        assert _registry_drift() == []
+
+    def test_error_codes_match_client_exceptions(self):
+        assert _error_map_drift() == []
+
+    def test_docs_tables_match_dataclasses(self):
+        assert _docs_drift(SERVING_DOCS.read_text(encoding="utf-8")) == []
+
+    def test_drift_in_each_declaration_is_caught(self, monkeypatch):
+        # Without this, a check that silently stopped reading one
+        # declaration would pass forever.
+        drifted = dict(client._ERROR_TYPES)
+        del drifted["shard"]
+        monkeypatch.setattr(client, "_ERROR_TYPES", drifted)
+        assert _error_map_drift() == [
+            "ERROR_CODES 'shard' has no client exception"
+        ]
+
+        docs = SERVING_DOCS.read_text(encoding="utf-8").replace(
+            "| `drain_reply` | `decided, epochs, seq` |",
+            "| `drain_reply` | `decided, epoch, seq` |",
+        )
+        assert _docs_drift(docs) == [
+            "'drain_reply': documented ['decided', 'epoch', 'seq'], "
+            "declared ['decided', 'epochs', 'seq']"
+        ]
+
+        @dataclasses.dataclass(frozen=True)
+        class StrayReply(protocol.Message):
+            TYPE = "stray"
+
+        monkeypatch.setattr(protocol, "StrayReply", StrayReply, raising=False)
+        assert _registry_drift() == ["StrayReply is not in MESSAGE_TYPES"]

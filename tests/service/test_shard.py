@@ -760,6 +760,23 @@ class TestKillAndWarmStart:
             assert (tmp_path / "shard-0.jsonl").exists()
             assert (tmp_path / "coordinator.jsonl").exists()
 
+    def test_multipath_cross_reserve_survives_warm_start(self, tmp_path):
+        # Two paths give each owner a multi-entry reservation: a reserve
+        # left out of the log on that path alone must not go unseen.
+        network, zones = _clique_world(8, 2)
+        coordinator = ShardCoordinator(network, zones=zones, log_dir=tmp_path)
+        with coordinator:
+            ticket = coordinator.submit(
+                _gr("wide", "ncp1", "ncp5", min_rate=2.0, megabits=40.0)
+            )
+            coordinator.drain()
+            assert len(coordinator.decision_for(ticket).path_rates) == 2
+            before = coordinator.residual_state()
+            for shard in (0, 1):
+                coordinator.kill_shard(shard)
+                coordinator.restart_shard(shard)
+            assert coordinator.residual_state() == before
+
     def test_warm_started_shard_keeps_admitting(self, tmp_path):
         _network, coordinator = self._loaded_coordinator(tmp_path)
         with coordinator:

@@ -180,8 +180,7 @@ API_SIGNATURES = {
         "rules: 'Sequence[Rule] | None' = None, "
         "analyses: 'Sequence[Analysis] | None' = None, "
         "root: 'str | Path | None' = None, "
-        "baseline: 'Iterable[str]' = (), "
-        "cache_path: 'str | Path | None' = None) -> 'LintReport'",
+        "baseline: 'Iterable[str]' = ()) -> 'LintReport'",
     "lint_scenario":
         "(path: 'str | Path') -> 'list[Violation]'",
     "run_soak":
