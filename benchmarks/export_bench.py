@@ -9,11 +9,13 @@ JSON report with per-scenario ``baseline_ms`` / ``optimized_ms`` /
 ``speedup`` plus a ``repro.perf`` counter snapshot of the optimized runs.
 
 Every scenario is additionally timed with the dict oracle of
-``tests/routing_oracles.py`` substituted for Algorithm 2's point queries
-(``repro.core.assignment.widest_path``), recorded as ``dict_kernel_ms``
-with ``kernel_speedup = dict_kernel_ms / optimized_ms``.  Algorithm 2 reads
-its widths from the all-pairs table either way, so the two runs differ only
-on the point queries that route committed TTs (and confirm tie-breaks).
+``tests/routing_oracles.py`` substituted for every one of Algorithm 2's
+point queries (``tests.routing_oracles.dict_point_queries``: the
+``widest_path`` calls and the floored commit routes), recorded as
+``dict_kernel_ms`` with ``kernel_speedup = dict_kernel_ms / optimized_ms``.
+Algorithm 2 reads its widths from the all-pairs table either way, so the
+two runs differ only on the point queries that route committed TTs (and
+confirm tie-breaks).
 The :data:`NO_REFERENCE` scenarios (dense-48x20, dense-96x29) are too large
 for the straight-line reference altogether; there the dict-oracle run
 doubles as the decision-identity check and ``baseline_ms`` / ``speedup``
@@ -51,7 +53,6 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from unittest import mock
 
 _HERE = Path(__file__).resolve().parent
 _REPO = _HERE.parent
@@ -60,11 +61,10 @@ for entry in (str(_REPO / "src"), str(_HERE), str(_REPO)):
         sys.path.insert(0, entry)
 
 from bench_scalability import SCENARIOS  # noqa: E402
-from repro.core import assignment  # noqa: E402
 from repro.core.assignment import sparcle_assign  # noqa: E402
 from repro.perf import counters  # noqa: E402
 from tests.assignment_oracle import reference_assign  # noqa: E402
-from tests.routing_oracles import widest_path_dict  # noqa: E402
+from tests.routing_oracles import dict_point_queries  # noqa: E402
 
 #: Scenarios too slow for the CI smoke job (skipped under --quick).
 HEAVY = {"dense-24x14", "dense-48x20", "dense-96x29"}
@@ -95,8 +95,8 @@ def _time_ms(fn, graph, network, rounds: int) -> tuple[float, object]:
 
 
 def _dict_oracle_assign(graph, network):
-    """``sparcle_assign`` with its point queries on the dict oracle."""
-    with mock.patch.object(assignment, "widest_path", widest_path_dict):
+    """``sparcle_assign`` with every point query on the dict oracle."""
+    with dict_point_queries():
         return sparcle_assign(graph, network)
 
 

@@ -21,7 +21,11 @@ implementation :mod:`repro.core.routing` runs:
 5. :func:`all_pairs_widths` — the width of ``P*(u, v)`` for *every* NCP
    pair at once, by the (max, min) closure of the weight matrix.  Algorithm
    2's Eq.-(2) probes only need widths, so they read this table instead of
-   searching.
+   searching;
+6. :func:`run_widest_floored` — the point relaxation when that table
+   already gives the destination's width: it drops every candidate
+   narrower than that width and settles the same route.  Algorithm 2 routes its
+   commits through it whenever the table is current.
 
 The relaxation loop is pure Python over list mirrors of the CSR arrays.
 Its tiebreaks are those of a name-keyed Dijkstra: node ties break on the
@@ -276,6 +280,7 @@ def _relax_python(
     n_nodes: int,
     root: int,
     dst: int,
+    unreached: float = _NEG_INF,
 ) -> tuple[list[float], list[int], list[int]]:
     """The modified-Dijkstra relaxation over CSR lists (pure Python).
 
@@ -284,9 +289,11 @@ def _relax_python(
     link-indexed table.  ``dst >= 0`` enables the point-query early exit
     (stop once ``dst`` is settled); ``dst = -1`` runs to exhaustion (the
     tree mode).  Heap entries are ``(-width, tie_rank, node)`` so ties
-    pop in lexicographic node-name order.
+    pop in lexicographic node-name order.  Every node but the root starts
+    at width ``unreached``; only a candidate above it is written and
+    pushed.
     """
-    widths = [_NEG_INF] * n_nodes
+    widths = [unreached] * n_nodes
     prev_node = [-1] * n_nodes
     prev_link = [-1] * n_nodes
     visited = bytearray(n_nodes)
@@ -371,6 +378,33 @@ def run_widest(
         offsets, targets, link_ids,
         _edge_weights_list(compiled, weights, reverse),
         compiled._tie_rank_list, compiled.n_nodes, root, dst,
+    )
+
+
+def run_widest_floored(
+    compiled: CompiledNetwork,
+    weights: FloatArray,
+    root: int,
+    dst: int,
+    floor: float,
+) -> tuple[list[float], list[int], list[int]]:
+    """``run_widest(compiled, weights, root, dst=dst)`` given ``dst``'s width.
+
+    ``floor`` is the width of ``P*(root, dst)`` (an :func:`all_pairs_widths`
+    cell for ``weights``).  Every node starts at the largest float below
+    ``floor`` instead of ``-inf``, so a candidate narrower than the floor
+    is never written or pushed, and the search settles the same widths and
+    predecessors up to ``dst``: every node that pops no later than ``dst``
+    has width ``>= floor`` and is fixed by a candidate at least that wide,
+    while under strict improvement any such candidate would have
+    overwritten a narrower one.  Nodes left unreached read that start
+    value rather than ``-inf``.
+    """
+    return _relax_python(
+        compiled._fwd_offsets_list, compiled._fwd_targets_list,
+        compiled._fwd_link_ids_list, _edge_weights_list(compiled, weights, False),
+        compiled._tie_rank_list, compiled.n_nodes, root, dst,
+        unreached=math.nextafter(floor, -math.inf),
     )
 
 

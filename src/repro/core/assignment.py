@@ -16,6 +16,9 @@ a link path so as to maximize the bottleneck processing rate — is NP-hard
     placed this round is the *most constrained* one,
     ``i* = argmin_i gamma(i, j*_i)`` (Algorithm 2 line 16) — the task whose
     best case is worst goes first, while resources are still plentiful.
+    The ranking reads gamma alone, so ties among ``i*``'s best hosts are
+    broken (by the exact partial rate a commit would produce) for ``i*``
+    only.
 4.  Placing ``i*`` commits its NCP load and routes the TTs to every
     already-placed *neighbour* via Algorithm 1, committing link loads.
 
@@ -31,19 +34,24 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.arrays import (
     CompiledNetwork,
     FloatArray,
-    IntArray,
     all_pairs_widths,
     compile_network,
 )
 from repro.core.network import Network
 from repro.core.placement import CapacityView, Placement
-from repro.core.routing import WeightsCache, cached_link_weights, widest_path
+from repro.core.routing import (
+    WeightsCache,
+    _point_search,
+    cached_link_weights,
+    widest_path,
+)
 from repro.core.taskgraph import BANDWIDTH, ComputationTask, TaskGraph, TransportTask
 from repro.exceptions import InfeasiblePlacementError, PlacementError
 from repro.perf import counters, timed, tracing
@@ -66,9 +74,26 @@ class AssignmentResult:
     placement_order: tuple[str, ...] = ()
 
 
+class _NcpInputs(NamedTuple):
+    """What the (CTs × NCPs) NCP-term matrix is computed from."""
+
+    rows: dict[str, int]  # CT name -> matrix row (``graph.cts`` order)
+    columns: dict[str, int]  # resource -> column of both matrices below
+    required: FloatArray  # CTs × resources requirements
+    caps: FloatArray  # NCPs × resources capacities (compiled node order)
+
+
 @dataclass
 class _State:
-    """Mutable working state of one assignment run."""
+    """Mutable working state of one assignment run.
+
+    Besides the placement being built, it holds what the γ ranking reads,
+    indexed by compiled node id: the all-pairs width tables per TT size,
+    the (CTs × NCPs) NCP-term matrix, and per unplaced CT its probe
+    groups.  Each is refreshed exactly where its inputs change: a route
+    that loads links drops the tables, and :meth:`_place` recomputes one
+    matrix column and extends the probe groups.
+    """
 
     graph: TaskGraph
     network: Network
@@ -81,8 +106,10 @@ class _State:
 
     # Width of ``P*(u, v)`` for every NCP pair under the *current*
     # ``link_loads``, one table per TT megabits (arrays.all_pairs_widths).
-    # Every Eq.-(2) link term and every tie-break bound is a cell read;
-    # cleared with `_weights_cache` whenever a route loads links.
+    # Every Eq.-(2) link term and every tie-break bound is a cell read,
+    # and a commit route whose table is here searches only paths at
+    # least that wide; cleared with `_weights_cache` whenever a route
+    # loads links.
     _width_tables: dict[float, FloatArray] = field(default_factory=dict)
 
     # Exact bottleneck rate of the partial placement under the current
@@ -90,45 +117,47 @@ class _State:
     # host's new NCP-side rate in; a route that loads links drops it.
     _current_rate: float | None = None
 
-    # The task graph is immutable, so the cheapest-TT argmin per CT pair
-    # is memoized for the whole run.
-    _cheapest_tt_cache: dict[tuple[str, str], TransportTask | None] = field(
+    # NCP-side Eq.-(2) term of every (CT, NCP): rows in ``graph.cts``
+    # order, columns compiled node ids.  Built on first read; a host's
+    # column changes only when its committed loads do, so `_place`
+    # recomputes that one column.
+    _ncp_terms: FloatArray | None = None
+
+    # Per unplaced CT, its link probes grouped by ``(megabits, reverse)``
+    # — the cheapest TT's size towards a placed reachable CT and whether
+    # data flows candidate -> placed — to the node ids of those placed
+    # CTs' hosts.  Built on the CT's first γ sweep; `_place` appends.
+    _probe_groups: dict[str, dict[tuple[float, bool], list[int]]] = field(
         default_factory=dict
     )
-
-    # Probe plan per (unplaced CT, placed CT): reachability, the cheapest
-    # TT's megabits, and the probe direction are all static properties of
-    # the task graph, so they are resolved once per pair.  ``None`` marks
-    # a pair contributing no link-side term.
-    _probe_plan_cache: dict[tuple[str, str], tuple[float, bool] | None] = field(
-        default_factory=dict
-    )
-
-    # NCP-side Eq.-(2) term per (CT, host).  It changes only when the
-    # host's committed loads change, so `commit` evicts one host bucket
-    # and every other (CT, host) score is a dict probe across rounds.
-    _ncp_term_cache: dict[str, dict[str, float]] = field(default_factory=dict)
 
     # Shared Eq.-(3) weight arrays for the *current* ``link_loads`` state
     # (see routing.WeightsCache); cleared whenever a commit loads links.
     _weights_cache: WeightsCache = field(default_factory=dict)
 
-    # Part-(a) rate vector per CT for the host list `gamma_over_hosts`
-    # sweeps (valid only for one host-list object, checked by identity).
-    # `_dirty_hosts` logs each commit's host; a cached vector replays the
-    # log suffix it has not seen instead of recomputing every entry.
-    _rates_base: dict[str, tuple[FloatArray, int]] = field(default_factory=dict)
-    _dirty_hosts: list[str] = field(default_factory=list)
-    _hosts_ref: Sequence[str] | None = field(default=None, repr=False)
-    _host_pos: dict[str, int] = field(default_factory=dict)
-
-    # ``_hosts_ref`` resolved to compiled node ids (table row/column index).
-    _host_ids: IntArray | None = field(default=None, repr=False)
-
     # ------------------------------------------------------------------
     @cached_property
     def _compiled(self) -> CompiledNetwork:
         return compile_network(self.network)
+
+    @cached_property
+    def _ncp_inputs(self) -> _NcpInputs:
+        cts = self.graph.cts
+        resources = sorted(self.graph.resources())
+        nodes = self._compiled.node_names
+        capacity = self.capacities.capacity
+        required = np.array(
+            [[ct.requirement(r) for r in resources] for ct in cts], dtype=np.float64
+        ).reshape(len(cts), len(resources))
+        caps = np.array(
+            [[capacity(host, r) for r in resources] for host in nodes], dtype=np.float64
+        ).reshape(len(nodes), len(resources))
+        return _NcpInputs(
+            rows={ct.name: i for i, ct in enumerate(cts)},
+            columns={r: k for k, r in enumerate(resources)},
+            required=required,
+            caps=caps,
+        )
 
     def width_table(self, megabits: float) -> FloatArray:
         """All-pairs ``P*`` widths for a ``megabits`` TT under the current loads.
@@ -151,159 +180,87 @@ class _State:
             )
         return table
 
-    def cheapest_tt(self, a: str, b: str) -> TransportTask | None:
-        """Algorithm 2 line 12: argmin of ``a^(b)`` over ``G(a, b)``."""
-        key = (a, b)
-        if key in self._cheapest_tt_cache:
-            return self._cheapest_tt_cache[key]
-        candidates = self.graph.tts_between(a, b)
-        cheapest = (
-            min(candidates, key=lambda tt: (tt.megabits_per_unit, tt.name))
-            if candidates
-            else None
-        )
-        self._cheapest_tt_cache[key] = cheapest
-        return cheapest
+    def _ncp_term_matrix(self) -> FloatArray:
+        if self._ncp_terms is None:
+            inputs = self._ncp_inputs
+            # Every column as if its host were empty, then the loaded ones.
+            terms = _min_ratio(inputs.caps, inputs.required[:, None, :])
+            for host in self.ncp_loads:
+                self._refresh_ncp_column(terms, host)
+            self._ncp_terms = terms
+        return self._ncp_terms
 
-    def probe_plan(self, ct_name: str, other: str) -> tuple[float, bool] | None:
-        """The static part of one gamma link-probe, memoized per CT pair.
-
-        ``None`` when no probe is needed (``other`` unreachable from
-        ``ct_name`` in the task graph, or no TT connects them); otherwise
-        ``(megabits, reverse)`` — the cheapest TT's per-unit megabits and
-        whether the probe runs *towards* the placed host (data flowing
-        candidate -> placed, i.e. ``other`` downstream of ``ct_name``).
-        """
-        key = (ct_name, other)
-        if key in self._probe_plan_cache:
-            return self._probe_plan_cache[key]
-        plan: tuple[float, bool] | None = None
-        if other != ct_name and self.graph.is_reachable(ct_name, other):
-            tt = self.cheapest_tt(ct_name, other)
-            if tt is not None:
-                plan = (
-                    tt.megabits_per_unit,
-                    self.graph.is_downstream(ct_name, other),
-                )
-        self._probe_plan_cache[key] = plan
-        return plan
+    def _refresh_ncp_column(self, terms: FloatArray, host: str) -> None:
+        """Recompute ``host``'s column of ``terms`` from its committed loads."""
+        inputs = self._ncp_inputs
+        column = self._compiled.node_index[host]
+        loads = np.zeros(len(inputs.columns))
+        for resource, load in self.ncp_loads[host].items():
+            loads[inputs.columns[resource]] = load
+        terms[:, column] = _min_ratio(inputs.caps[column], inputs.required + loads)
 
     def ncp_term(self, ct_name: str, host: str) -> float:
-        """The NCP-side term of Eq. (2), cached per (CT, host).
+        """The NCP-side term of Eq. (2): one cell of the NCP-term matrix.
 
         ``min`` over resources of host capacity over (CT requirement +
-        existing committed load).  Valid until the host's loads change,
-        at which point :meth:`commit` evicts the host's bucket.
+        existing committed load), skipping resources with no demand.
         """
-        bucket = self._ncp_term_cache.get(host)
-        if bucket is None:
-            bucket = self._ncp_term_cache[host] = {}
-        else:
-            cached = bucket.get(ct_name)
-            if cached is not None:
-                return cached
-        ct = self.graph.ct(ct_name)
-        rate = math.inf
-        loads = self.ncp_loads.get(host)
-        if loads:
-            resources: Iterable[str] = set(ct.requirements) | set(loads)
-        else:
-            resources = ct.requirements
-        for resource in resources:
-            demand = ct.requirement(resource) + (
-                loads.get(resource, 0.0) if loads else 0.0
-            )
-            if demand <= 0.0:
-                continue
-            rate = min(rate, self.capacities.capacity(host, resource) / demand)
-        bucket[ct_name] = rate
-        return rate
+        row = self._ncp_inputs.rows[ct_name]
+        return float(self._ncp_term_matrix()[row, self._compiled.node_index[host]])
+
+    def _groups_for(self, ct_name: str) -> dict[tuple[float, bool], list[int]]:
+        groups = self._probe_groups.get(ct_name)
+        if groups is None:
+            groups = self._probe_groups[ct_name] = {}
+            for other, other_host in self.ct_hosts.items():
+                self._add_probe(groups, ct_name, other, other_host)
+        return groups
+
+    def _add_probe(
+        self,
+        groups: dict[tuple[float, bool], list[int]],
+        ct_name: str,
+        other: str,
+        other_host: str,
+    ) -> None:
+        """File placed ``other``'s host under ``ct_name``'s probe group, if any.
+
+        No probe when ``other`` is unreachable from ``ct_name`` in the task
+        graph; otherwise the cheapest TT of ``G(ct_name, other)`` and the
+        data direction pick the group.
+        """
+        tt = self.graph.cheapest_tt_between(ct_name, other)
+        if tt is not None:
+            key = (tt.megabits_per_unit, self.graph.is_downstream(ct_name, other))
+            groups.setdefault(key, []).append(self._compiled.node_index[other_host])
 
     # ------------------------------------------------------------------
-    def gamma(self, ct_name: str, host: str) -> float:
-        """Eq. (2): the rate bottleneck imposed by placing ``ct_name`` on ``host``.
+    def gamma_row(self, ct_name: str) -> FloatArray:
+        """Eq. (2) for one CT against every NCP, in compiled node order.
 
-        The scalar form of :meth:`gamma_over_hosts`: one table cell per
-        placed reachable CT.
-        """
-        rate = self.ncp_term(ct_name, host)
-        node_index = self._compiled.node_index
-        host_id = node_index[host]
-        for other, other_host in self.ct_hosts.items():
-            plan = self.probe_plan(ct_name, other)
-            if plan is None:
-                continue
-            megabits, reverse = plan
-            other_id = node_index[other_host]
-            cell = (host_id, other_id) if reverse else (other_id, host_id)
-            rate = min(rate, float(self.width_table(megabits)[cell]))
-        return rate
-
-    def gamma_over_hosts(self, ct_name: str, hosts: Sequence[str]) -> FloatArray:
-        """Eq. (2) for one CT against *every* candidate host in one sweep.
-
-        (a) The NCP-side term: every resource the CT or the host's existing
-        tenants need.  (b) One link-side term per placed reachable CT: the
-        width of the best path for the cheapest TT between them, following
-        the *data direction* (towards descendants, from ancestors) —
-        irrelevant on undirected networks, decisive on directed ones with
-        asymmetric bandwidth.  Only the width matters here, so each term
-        is one row (column when data flows candidate -> placed) of the
-        all-pairs table, min-folded over all hosts at once: the ``+inf``
+        (a) The NCP-side term: the CT's row of the NCP-term matrix.  (b)
+        One link-side term per placed reachable CT: the width of the best
+        path for the cheapest TT between them, following the *data
+        direction* (towards descendants, from ancestors) — irrelevant on
+        undirected networks, decisive on directed ones with asymmetric
+        bandwidth.  Only the width matters here, so the placed CTs of one
+        probe group are one ``min`` over rows of the all-pairs table
+        (over columns when data flows candidate -> placed): the ``+inf``
         diagonal *is* the co-location rule (the TT would be free) and the
-        ``-inf`` unreachable sentinel *is* ``UNREACHABLE``.  The table
-        cells are the floats Algorithm 1 would settle, so the result is
-        bit-identical to probing each (host, placed CT) pair by search.
+        ``-inf`` unreachable sentinel *is* ``UNREACHABLE``.  The cells are
+        the floats Algorithm 1 would settle and ``min`` is exact, so the
+        result is bit-identical to probing each (host, placed CT) pair by
+        search.
         """
-        rates = self._rates_for(ct_name, hosts)
-        host_ids = self._ids_for(hosts)
-        node_index = self._compiled.node_index
-        for other, other_host in self.ct_hosts.items():
-            plan = self.probe_plan(ct_name, other)
-            if plan is None:
-                continue
-            megabits, reverse = plan
+        rates: FloatArray = self._ncp_term_matrix()[self._ncp_inputs.rows[ct_name]].copy()
+        for (megabits, reverse), ids in self._groups_for(ct_name).items():
             table = self.width_table(megabits)
-            other_id = node_index[other_host]
-            widths = table[host_ids, other_id] if reverse else table[other_id, host_ids]
+            if len(ids) == 1:
+                widths = table[:, ids[0]] if reverse else table[ids[0]]
+            else:
+                widths = table[:, ids].min(axis=1) if reverse else table[ids].min(axis=0)
             np.minimum(rates, widths, out=rates)
         return rates
-
-    def _ids_for(self, hosts: Sequence[str]) -> IntArray:
-        """``hosts`` as compiled node ids (cached for the registered list)."""
-        if hosts is self._hosts_ref and self._host_ids is not None:
-            return self._host_ids
-        node_index = self._compiled.node_index
-        return np.array([node_index[host] for host in hosts], dtype=np.int64)
-
-    def _rates_for(self, ct_name: str, hosts: Sequence[str]) -> FloatArray:
-        """A fresh copy of ``[ncp_term(ct_name, h) for h in hosts]``.
-
-        The vector is cached per CT and kept current by replaying the
-        suffix of the commit log (``_dirty_hosts``) it has not seen —
-        a commit changes one host's loads, so only that host's entry can
-        differ.  The cache is tied to one host-list object (the list
-        :func:`sparcle_assign` builds once); any other list bypasses it.
-        """
-        if hosts is not self._hosts_ref:
-            if self._hosts_ref is not None:
-                return np.array([self.ncp_term(ct_name, host) for host in hosts])
-            self._hosts_ref = hosts
-            self._host_pos = {host: i for i, host in enumerate(hosts)}
-            self._host_ids = self._ids_for(hosts)
-        cached = self._rates_base.get(ct_name)
-        log = self._dirty_hosts
-        if cached is None:
-            base = np.array([self.ncp_term(ct_name, host) for host in hosts])
-        else:
-            base, seen = cached
-            host_pos = self._host_pos
-            for host in log[seen:]:
-                pos = host_pos.get(host)
-                if pos is not None:
-                    base[pos] = self.ncp_term(ct_name, host)
-        self._rates_base[ct_name] = (base, len(log))
-        return base.copy()
 
     def compute_only_gamma(self, ct_name: str, host: str) -> float:
         """The NCP-side term of Eq. (2) alone (link state ignored).
@@ -315,17 +272,11 @@ class _State:
         """
         return self.ncp_term(ct_name, host)
 
-    def best_host_compute_only(
-        self, ct_name: str, hosts: Sequence[str]
-    ) -> tuple[float, str]:
-        """``argmax_j`` of the NCP-only score, first-host tiebreak."""
-        best: tuple[float, str] | None = None
-        for host in hosts:
-            score = self.compute_only_gamma(ct_name, host)
-            if best is None or score > best[0]:
-                best = (score, host)
-        assert best is not None
-        return best
+    def best_host_compute_only(self, ct_name: str) -> tuple[float, str]:
+        """``argmax_j`` of the NCP-only score, first-NCP tiebreak."""
+        scores = self._ncp_term_matrix()[self._ncp_inputs.rows[ct_name]]
+        best = int(np.argmax(scores))
+        return float(scores[best]), self._compiled.node_names[best]
 
     # ------------------------------------------------------------------
     def current_rate(self) -> float:
@@ -425,16 +376,27 @@ class _State:
         return rate
 
     def best_host(self, ct_name: str, hosts: Sequence[str]) -> tuple[float, str]:
-        """``argmax_j gamma(i, j)`` with true-rate tiebreak.
+        """``argmax_j gamma(i, j)`` over ``hosts`` with true-rate tiebreak.
 
-        Returns ``(gamma, host)``.  Hosts whose gamma ties the maximum
-        (within a relative 1e-9 tolerance) are separated by the exact
-        partial rate a commit would produce; remaining ties fall back to
-        ``hosts`` order for determinism.  The exact rate is only confirmed
-        (by simulation) for hosts whose :meth:`partial_rate_bound` could
-        still beat the incumbent.
+        ``hosts`` is the order :meth:`pick_host` falls back to on an exact
+        tie; the assignment loops pass the compiled node order.
         """
-        gammas = self.gamma_over_hosts(ct_name, hosts)
+        node_index = self._compiled.node_index
+        gammas = self.gamma_row(ct_name)[[node_index[host] for host in hosts]]
+        return self.pick_host(ct_name, hosts, gammas)
+
+    def pick_host(
+        self, ct_name: str, hosts: Sequence[str], gammas: FloatArray
+    ) -> tuple[float, str]:
+        """``(max gamma, host)`` for ``ct_name`` given its γ over ``hosts``.
+
+        Hosts whose gamma ties the maximum (within a relative 1e-9
+        tolerance) are separated by the exact partial rate a commit would
+        produce; remaining ties fall back to ``hosts`` order for
+        determinism.  The exact rate is only confirmed (by simulation) for
+        hosts whose :meth:`partial_rate_bound` could still beat the
+        incumbent.
+        """
         best_gamma = float(gammas.max())
         if best_gamma == UNREACHABLE:
             return UNREACHABLE, hosts[0]
@@ -464,7 +426,6 @@ class _State:
         """Place ``ct_name`` on ``host`` and route TTs to placed neighbours."""
         if ct_name in self.ct_hosts:
             raise PlacementError(f"CT {ct_name!r} already placed")
-        ct = self.graph.ct(ct_name)
         counters.incr("assignment.commits")
         if self._current_rate is not None:
             # The host's NCP-side rates after this commit are exactly the
@@ -472,15 +433,7 @@ class _State:
             self._current_rate = min(
                 self._current_rate, self.ncp_term(ct_name, host)
             )
-        self.ct_hosts[ct_name] = host
-        self.order.append(ct_name)
-        bucket = self.ncp_loads.setdefault(host, {})
-        for resource, amount in ct.requirements.items():
-            bucket[resource] = bucket.get(resource, 0.0) + amount
-        # The host's committed loads changed: its cached NCP-side terms
-        # are stale (every other host's are untouched).
-        self._ncp_term_cache.pop(host, None)
-        self._dirty_hosts.append(host)
+        self._place(ct_name, host)
         for neighbor in self.graph.neighbors(ct_name):
             if neighbor not in self.ct_hosts:
                 continue
@@ -488,17 +441,50 @@ class _State:
             assert tt is not None  # neighbours are by definition TT-connected
             self._route_tt(tt)
 
+    def _place(self, ct_name: str, host: str) -> None:
+        """Record ``ct_name`` on ``host``: its hosts/order entry and NCP loads.
+
+        Only ``host``'s loads change, so only its NCP-term column is
+        recomputed; every unplaced CT with probe groups gains the probe
+        towards ``ct_name``.
+        """
+        self.ct_hosts[ct_name] = host
+        self.order.append(ct_name)
+        bucket = self.ncp_loads.setdefault(host, {})
+        for resource, amount in self.graph.ct(ct_name).requirements.items():
+            bucket[resource] = bucket.get(resource, 0.0) + amount
+        if self._ncp_terms is not None:
+            self._refresh_ncp_column(self._ncp_terms, host)
+        self._probe_groups.pop(ct_name, None)
+        for other, groups in self._probe_groups.items():
+            self._add_probe(groups, other, ct_name, host)
+
     def _route_tt(self, tt: TransportTask) -> None:
-        """Route ``tt`` between its endpoints' hosts (both must be placed)."""
+        """Route ``tt`` between its endpoints' hosts (both must be placed).
+
+        When the current width table for the TT's size is built, its cell
+        is the route's width, and the search keeps only candidates at
+        least that wide (``routing._point_search``).
+        """
         host_a = self.ct_hosts[tt.src]
         host_b = self.ct_hosts[tt.dst]
         if host_a == host_b:
             self.tt_routes[tt.name] = ()
             return
-        route = widest_path(
-            self.network, self.capacities, host_a, host_b, tt.megabits_per_unit,
-            self.link_loads, weights_cache=self._weights_cache,
-        )
+        megabits = tt.megabits_per_unit
+        table = self._width_tables.get(megabits)
+        if table is None:
+            route = widest_path(
+                self.network, self.capacities, host_a, host_b, megabits,
+                self.link_loads, weights_cache=self._weights_cache,
+            )
+        else:
+            node_index = self._compiled.node_index
+            route = _point_search(
+                self.network, self.capacities, host_a, host_b, megabits,
+                self.link_loads, self._weights_cache,
+                float(table[node_index[host_a], node_index[host_b]]),
+            )
         if route is None:
             raise InfeasiblePlacementError(
                 f"no network path between {host_a!r} and {host_b!r} for TT {tt.name!r}"
@@ -506,7 +492,7 @@ class _State:
         self.tt_routes[tt.name] = route.links
         for link_name in route.links:
             self.link_loads[link_name] = (
-                self.link_loads.get(link_name, 0.0) + tt.megabits_per_unit
+                self.link_loads.get(link_name, 0.0) + megabits
             )
         if route.links:
             # The load state changed, so everything memoized against it —
@@ -523,6 +509,20 @@ class _State:
         return AssignmentResult(placement, rate, tuple(self.order))
 
 
+def _min_ratio(caps: FloatArray, demand: FloatArray) -> FloatArray:
+    """``min`` over the last axis of ``caps / demand``, skipping ``demand <= 0``.
+
+    The same IEEE divisions and exact ``min`` as a scalar loop over
+    resources, so each entry is bit-identical to it (``+inf`` when no
+    resource has demand).  The operands broadcast.
+    """
+    ratio = np.full(np.broadcast_shapes(caps.shape, demand.shape), math.inf)
+    with np.errstate(over="ignore"):
+        np.divide(caps, demand, out=ratio, where=demand > 0.0)
+    result: FloatArray = ratio.min(axis=-1, initial=math.inf)
+    return result
+
+
 def _pin_initial_cts(state: _State) -> None:
     """Algorithm 2 lines 3–5: place pinned CTs (sources/sinks) first.
 
@@ -536,11 +536,7 @@ def _pin_initial_cts(state: _State) -> None:
             raise InfeasiblePlacementError(
                 f"CT {ct.name!r} pinned to unknown NCP {ct.pinned_host!r}"
             )
-        state.ct_hosts[ct.name] = ct.pinned_host
-        state.order.append(ct.name)
-        bucket = state.ncp_loads.setdefault(ct.pinned_host, {})
-        for resource, amount in ct.requirements.items():
-            bucket[resource] = bucket.get(resource, 0.0) + amount
+        state._place(ct.name, ct.pinned_host)
     for tt in state.graph.tts:
         if tt.src in state.ct_hosts and tt.dst in state.ct_hosts:
             state._route_tt(tt)
@@ -563,21 +559,24 @@ def sparcle_assign(
     state = _State(graph, network, caps)
     _pin_initial_cts(state)
     unplaced = [ct.name for ct in graph.cts if ct.name not in state.ct_hosts]
-    hosts = list(network.ncp_names)
+    hosts = state._compiled.node_names  # the order of every gamma row
     while unplaced:
-        best: tuple[float, str, str] | None = None  # (gamma, ct, host)
+        # Highest-rank CT: argmin_i max_j gamma(i, j) — most constrained
+        # first.  The choice reads only gamma, so the host tie-break runs
+        # for the chosen CT alone.
+        best: tuple[float, str, FloatArray] | None = None  # (gamma, ct, row)
         for ct_name in unplaced:
-            gamma, host = state.best_host(ct_name, hosts)
-            # Highest-rank CT: argmin_i gamma(i, j*_i) — most constrained first.
+            gammas = state.gamma_row(ct_name)
+            gamma = float(gammas.max())
             if best is None or gamma < best[0]:
-                best = (gamma, ct_name, host)
+                best = (gamma, ct_name, gammas)
         assert best is not None
-        g_star, i_star, j_star = best
+        g_star, i_star, gammas = best
         if g_star == UNREACHABLE:
             raise InfeasiblePlacementError(
                 f"CT {i_star!r} cannot reach its placed reachable CTs from any NCP"
             )
-        state.commit(i_star, j_star)
+        state.commit(i_star, state.pick_host(i_star, hosts, gammas)[1])
         unplaced.remove(i_star)
     result = state.finalize()
     tr = tracing.get_tracer()
@@ -641,12 +640,12 @@ def greedy_assign_with_order(
         raise PlacementError(
             f"order must cover exactly the unpinned CTs {sorted(expected)}, got {list(order)}"
         )
-    hosts = list(network.ncp_names)
+    hosts = state._compiled.node_names
     for ct_name in order:
         if consider_links:
             gamma, host = state.best_host(ct_name, hosts)
         else:
-            gamma, host = state.best_host_compute_only(ct_name, hosts)
+            gamma, host = state.best_host_compute_only(ct_name)
         if gamma == UNREACHABLE:
             raise InfeasiblePlacementError(
                 f"CT {ct_name!r} cannot reach its placed reachable CTs from any NCP"
@@ -682,11 +681,7 @@ def fixed_placement(
             )
         if not network.has_ncp(host):
             raise InfeasiblePlacementError(f"CT {ct.name!r} mapped to unknown NCP {host!r}")
-        state.ct_hosts[ct.name] = host
-        state.order.append(ct.name)
-        bucket = state.ncp_loads.setdefault(host, {})
-        for resource, amount in ct.requirements.items():
-            bucket[resource] = bucket.get(resource, 0.0) + amount
+        state._place(ct.name, host)
     for tt in graph.tts:
         src_host, dst_host = state.ct_hosts[tt.src], state.ct_hosts[tt.dst]
         if router == "widest":

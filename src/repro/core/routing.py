@@ -93,6 +93,30 @@ def widest_path(
     but wider paths always win over it.  The relaxation early-exits once
     ``dst`` settles.
     """
+    return _point_search(
+        network, capacities, src, dst, tt_megabits, link_loads, weights_cache, None
+    )
+
+
+def _point_search(
+    network: Network,
+    capacities: CapacityView,
+    src: str,
+    dst: str,
+    tt_megabits: float,
+    link_loads: Mapping[str, float] | None,
+    weights_cache: WeightsCache | None,
+    floor: float | None,
+) -> RouteResult | None:
+    """:func:`widest_path`, or with ``floor`` its search over wide paths only.
+
+    ``floor`` is ``None`` or the width of ``P*(src, dst)`` itself — the
+    all-pairs table cell (:func:`repro.core.arrays.all_pairs_widths`) for
+    the same weights, never a caller's threshold.  The search then keeps
+    only candidates at least ``floor`` wide
+    (:func:`repro.core.arrays.run_widest_floored`) and returns the same
+    route; an assertion checks that ``dst`` settles at exactly ``floor``.
+    """
     network.ncp(src)
     network.ncp(dst)
     counters.incr("routing.widest_path")
@@ -104,9 +128,15 @@ def widest_path(
     )
     src_idx = compiled.node_index[src]
     dst_idx = compiled.node_index[dst]
-    widths, prev_node, prev_link = arrays.run_widest(
-        compiled, weights, src_idx, dst=dst_idx
-    )
+    if floor is None:
+        widths, prev_node, prev_link = arrays.run_widest(
+            compiled, weights, src_idx, dst=dst_idx
+        )
+    else:
+        widths, prev_node, prev_link = arrays.run_widest_floored(
+            compiled, weights, src_idx, dst_idx, floor
+        )
+        assert widths[dst_idx] == floor, (widths[dst_idx], floor)
     if prev_node[dst_idx] < 0:
         return None
     link_names = compiled.link_names

@@ -20,6 +20,7 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from repro.exceptions import InvalidTaskGraphError
 
@@ -122,8 +123,9 @@ class TaskGraph:
     """A validated stream-processing application DAG.
 
     The graph is immutable after construction; all derived structure
-    (reachability, per-pair TT sets) is computed eagerly and cached, because
-    the assignment algorithm queries it inside its inner loop.
+    (reachability, per-pair TT sets, cheapest-TT bitmasks) is computed once
+    and cached, because the assignment algorithm queries it inside its
+    inner loop.
     """
 
     def __init__(
@@ -333,6 +335,46 @@ class TaskGraph:
         )
         self._tts_between_cache[key] = result
         return result
+
+    def cheapest_tt_between(self, a: str, b: str) -> TransportTask | None:
+        """Algorithm 2 line 12: the cheapest member of ``G(a, b)``, or ``None``.
+
+        Equals ``min(tts_between(a, b), key=(megabits_per_unit, name))``
+        without building the set.  Bit ``k`` of a mask stands for the
+        ``k``-th TT in that order; ``below[u]`` holds every TT leaving
+        ``u`` or a descendant, ``above[d]`` every TT entering ``d`` or an
+        ancestor.  So the lowest set bit of ``below[up] & above[down]`` is
+        the answer, and in a DAG at most one direction's mask is non-zero.
+        """
+        ranked, below, above = self._tt_masks
+        mask = (below[a] & above[b]) | (below[b] & above[a])
+        if not mask:
+            return None
+        return ranked[(mask & -mask).bit_length() - 1]
+
+    @cached_property
+    def _tt_masks(
+        self,
+    ) -> tuple[tuple[TransportTask, ...], dict[str, int], dict[str, int]]:
+        """``(TTs by (megabits, name), below, above)`` for :meth:`cheapest_tt_between`."""
+        ranked = tuple(
+            sorted(self._tts.values(), key=lambda tt: (tt.megabits_per_unit, tt.name))
+        )
+        bit = {tt.name: 1 << k for k, tt in enumerate(ranked)}
+        order = self.topological_order()
+        below: dict[str, int] = {}
+        for n in reversed(order):
+            mask = 0
+            for child, tt in self._succ[n].items():
+                mask |= bit[tt.name] | below[child]
+            below[n] = mask
+        above: dict[str, int] = {}
+        for n in order:
+            mask = 0
+            for parent, tt in self._pred[n].items():
+                mask |= bit[tt.name] | above[parent]
+            above[n] = mask
+        return ranked, below, above
 
     # ------------------------------------------------------------------
     # Aggregates

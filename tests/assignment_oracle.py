@@ -75,8 +75,8 @@ class _ReferenceState:
         return min(candidates, key=lambda tt: (tt.megabits_per_unit, tt.name))
 
     # ------------------------------------------------------------------
-    def gamma(self, ct_name: str, host: str) -> float:
-        """Eq. (2): the rate bottleneck imposed by placing ``ct_name`` on ``host``."""
+    def ncp_term(self, ct_name: str, host: str) -> float:
+        """The NCP-side term of Eq. (2), one resource at a time."""
         ct = self.graph.ct(ct_name)
         rate = math.inf
         loads = self.ncp_loads.get(host, {})
@@ -86,6 +86,11 @@ class _ReferenceState:
             if demand <= 0.0:
                 continue
             rate = min(rate, self.capacities.capacity(host, resource) / demand)
+        return rate
+
+    def gamma(self, ct_name: str, host: str) -> float:
+        """Eq. (2): the rate bottleneck imposed by placing ``ct_name`` on ``host``."""
+        rate = self.ncp_term(ct_name, host)
         for other in sorted(self.placed()):
             if other == ct_name or not self.graph.is_reachable(ct_name, other):
                 continue

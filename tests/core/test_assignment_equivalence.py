@@ -24,6 +24,7 @@ import json
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.core import assignment
@@ -34,9 +35,15 @@ from repro.core.arrays import (
     link_weights,
 )
 from repro.core.assignment import _State, sparcle_assign
-from repro.core.network import NCP, Link, Network, as_directed
+from repro.core.network import NCP, Link, Network, as_directed, fully_connected_network
 from repro.core.placement import CapacityView
-from repro.core.taskgraph import CPU, ComputationTask, TaskGraph, TransportTask
+from repro.core.taskgraph import (
+    CPU,
+    ComputationTask,
+    TaskGraph,
+    TransportTask,
+    linear_task_graph,
+)
 from repro.perf import counters
 from repro.workloads.facedetect import face_detection_graph, testbed_network
 from repro.workloads.scenarios import (
@@ -46,7 +53,7 @@ from repro.workloads.scenarios import (
     make_scenario,
 )
 from tests.assignment_oracle import reference_assign
-from tests.routing_oracles import widest_path_dict
+from tests.routing_oracles import dict_point_queries
 
 #: 2 shapes x 3 topologies x 3 regimes x 2 draws = 36 seeded scenarios.
 SCENARIO_GRID = [
@@ -109,13 +116,14 @@ class TestKernelIdentity:
     """dict-oracle vs CSR-kernel ``sparcle_assign`` decision identity.
 
     Beyond the straight-line-reference equivalence above, whole assignment
-    runs must not change when only Algorithm 2's point queries are swapped
-    for the dict oracle (the substitution ``benchmarks/export_bench.py``
-    times as ``dict_kernel_ms``).
+    runs must not change when only Algorithm 2's point queries — floored
+    commit routes included — are swapped for the dict oracle (the
+    substitution ``benchmarks/export_bench.py`` times as
+    ``dict_kernel_ms``).
     """
 
     def _assert_kernels_agree(self, graph, network, capacities=None) -> None:
-        with mock.patch.object(assignment, "widest_path", widest_path_dict):
+        with dict_point_queries():
             ref = sparcle_assign(graph, network, capacities)
         opt = sparcle_assign(graph, network, capacities)
         assert opt.placement.ct_hosts == ref.placement.ct_hosts
@@ -142,6 +150,24 @@ class TestKernelIdentity:
         self._assert_kernels_agree(
             face_detection_graph(), testbed_network(field_bandwidth=5.0)
         )
+
+    def test_every_point_query_reaches_the_oracle(self):
+        # Unpatched, some commit routes run floored on the CSR kernel;
+        # under the patch no point query reaches the CSR kernel at all.
+        scenario = make_scenario(
+            BottleneckCase.LINK, GraphKind.DIAMOND, TopologyKind.FULL, 61
+        )
+        before = counters.get("routing.widest_path")
+        with mock.patch.object(
+            assignment, "_point_search", wraps=assignment._point_search
+        ) as floored:
+            sparcle_assign(scenario.graph, scenario.network)
+        assert floored.call_count > 0
+        assert counters.get("routing.widest_path") > before
+        before = counters.get("routing.widest_path")
+        with dict_point_queries():
+            sparcle_assign(scenario.graph, scenario.network)
+        assert counters.get("routing.widest_path") == before
 
 
 def _probe_network() -> Network:
@@ -238,6 +264,103 @@ class TestIncrementalInvalidation:
         assert state._width_tables[2.0] is table
         # The memo survived, with the host's new CPU term folded in.
         assert state._current_rate == 1000.0 / 10.0
+
+
+def _mesh_stream(count: int, seed: int) -> tuple[Network, list[TaskGraph]]:
+    """Small 3-CT chains pinned between random NCPs of a homogeneous mesh."""
+    network = fully_connected_network(
+        16, name="mesh16", cpu=200000.0, link_bandwidth=500.0
+    )
+    names = network.ncp_names
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for index in range(count):
+        src, dst = rng.choice(len(names), size=2, replace=False)
+        graphs.append(
+            linear_task_graph(
+                3, cpu_per_ct=[200.0, 300.0, 100.0],
+                megabits_per_tt=[1.0, 0.8, 0.5, 0.5],
+            ).with_pins({"source": names[src], "sink": names[dst]}, name=f"app{index}")
+        )
+    return network, graphs
+
+
+def _every_ct_tie_break_assign(graph, network, capacities):
+    """Algorithm 2 with the host tie-break run for every unplaced CT."""
+    state = _State(graph, network, capacities)
+    assignment._pin_initial_cts(state)
+    unplaced = [ct.name for ct in graph.cts if ct.name not in state.ct_hosts]
+    hosts = list(network.ncp_names)
+    while unplaced:
+        choices = [(state.best_host(ct_name, hosts), ct_name) for ct_name in unplaced]
+        (_, host), ct_name = min(choices, key=lambda choice: choice[0][0])
+        state.commit(ct_name, host)
+        unplaced.remove(ct_name)
+    return state.finalize()
+
+
+class TestWinnerOnlyTieBreak:
+    """The CT choice reads only γ, so the host tie-break runs for the
+    chosen CT alone — with decisions equal to an every-CT tie-break's."""
+
+    @staticmethod
+    def _tie_break_rounds(assign) -> list[tuple[str, set[str]]]:
+        """``(committed CT, CTs the round's bounds/simulations ran for)``."""
+        network, graphs = _mesh_stream(4, seed=0)
+        events: list[tuple[str, str]] = []
+
+        def spy(kind, method):
+            def wrapper(self, ct_name, host):
+                events.append((kind, ct_name))
+                return method(self, ct_name, host)
+            return wrapper
+
+        with mock.patch.multiple(
+            _State,
+            partial_rate_bound=spy("bound", _State.partial_rate_bound),
+            _simulated_rate=spy("simulate", _State._simulated_rate),
+            commit=spy("commit", _State.commit),
+        ):
+            for graph in graphs:
+                assign(graph, network, CapacityView(network))
+        rounds, pending = [], set()
+        for kind, ct_name in events:
+            if kind == "commit":
+                rounds.append((ct_name, pending))
+                pending = set()
+            else:
+                pending.add(ct_name)
+        assert len(rounds) == 3 * len(graphs)
+        return rounds
+
+    def test_bounds_and_simulations_run_only_for_the_committed_ct(self):
+        rounds = self._tie_break_rounds(sparcle_assign)
+        # Hosts tie in two of each app's three rounds on the homogeneous
+        # mesh; each of those tie-breaks is the committed CT's alone.
+        assert sum(1 for _, tie_broken in rounds if tie_broken) == 2 * len(rounds) // 3
+        assert all(tie_broken <= {ct_name} for ct_name, tie_broken in rounds)
+        # The every-CT loop spends bounds on CTs that do not win the round.
+        every = self._tie_break_rounds(_every_ct_tie_break_assign)
+        assert any(tie_broken - {ct_name} for ct_name, tie_broken in every)
+
+    def test_fewer_point_searches_than_an_every_ct_tie_break(self):
+        network, graphs = _mesh_stream(30, seed=1)
+        views = [CapacityView(network), CapacityView(network)]
+        searches = [0, 0]
+        for graph in graphs:
+            results = []
+            for k, assign in enumerate((sparcle_assign, _every_ct_tie_break_assign)):
+                before = counters.get("routing.widest_path")
+                results.append(assign(graph, network, views[k]))
+                searches[k] += counters.get("routing.widest_path") - before
+            ours, every = results
+            assert ours.placement.ct_hosts == every.placement.ct_hosts
+            assert ours.placement.tt_routes == every.placement.tt_routes
+            assert ours.rate == every.rate
+            assert ours.placement_order == every.placement_order
+            for view, result in zip(views, results):
+                view.consume(result.placement.loads(), 0.5 * result.rate)
+        assert searches[0] < searches[1]
 
 
 class TestPerfCounters:

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.assignment import _State, sparcle_assign
-from repro.core.network import NCP, Link, Network, star_network
+from repro.core.network import NCP, Link, Network
 from repro.core.placement import CapacityView, Placement
 from repro.core.scheduler import Decision
 from repro.core.taskgraph import (
@@ -34,11 +34,10 @@ class TestStateHelpers:
             [TransportTask("fat", "a", "b", 10.0),
              TransportTask("thin", "b", "c", 1.0)],
         )
-        net = star_network(2)
-        s = _State(g, net, CapacityView(net))
         # G(a, c) spans both TTs; the thin one is the probe.
-        assert s.cheapest_tt("a", "c").name == "thin"
-        assert s.cheapest_tt("a", "b").name == "fat"
+        assert g.cheapest_tt_between("a", "c").name == "thin"
+        assert g.cheapest_tt_between("c", "a").name == "thin"
+        assert g.cheapest_tt_between("a", "b").name == "fat"
 
     def test_cheapest_tt_none_for_unrelated(self):
         g = TaskGraph(
@@ -46,9 +45,7 @@ class TestStateHelpers:
             [ComputationTask("s"), ComputationTask("x"), ComputationTask("y")],
             [TransportTask("sx", "s", "x", 1.0), TransportTask("sy", "s", "y", 1.0)],
         )
-        net = star_network(2)
-        s = _State(g, net, CapacityView(net))
-        assert s.cheapest_tt("x", "y") is None
+        assert g.cheapest_tt_between("x", "y") is None
 
     def test_compute_only_gamma_ignores_links(self, state):
         # hub: 6000 MHz; ct2 requires 3000 -> 2.0 regardless of link loads.
@@ -59,7 +56,7 @@ class TestStateHelpers:
         g = TaskGraph("z", [ComputationTask("a"), ComputationTask("b")],
                       [TransportTask("t", "a", "b", 1.0)])
         s = _State(g, star8, CapacityView(star8))
-        assert math.isinf(s.gamma("a", "hub"))
+        assert math.isinf(s.gamma_row("a")[s._compiled.node_index["hub"]])
 
     def test_commit_rejects_double_placement(self, state):
         state.commit("ct2", "hub")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from repro.core.arrays import (
 )
 from repro.core.network import NCP, Link, Network, as_directed
 from repro.core.placement import CapacityView
-from repro.core.routing import widest_path, widest_path_tree
+from repro.core.routing import _point_search, widest_path, widest_path_tree
 from tests.routing_oracles import (
     link_weight,
     widest_path_dict,
@@ -279,3 +280,50 @@ class TestAllPairsTable:
                 assert got.tolist() == [
                     tree.widths.get(v, -math.inf) for v in names
                 ]
+
+
+class TestFlooredSearch:
+    """A commit route whose width the all-pairs table already holds is
+    searched keeping only candidates at least that wide; it must find the
+    same route as the full search and the dict oracle."""
+
+    @SETTINGS
+    @given(
+        network=st.one_of(connected_networks(), arbitrary_networks()),
+        tt=st.one_of(st.just(0.0), st.floats(0.1, 20.0)),
+        data=st.data(),
+    )
+    def test_floored_search_equals_full_search_and_oracle(self, network, tt, data):
+        loads = data.draw(link_load_maps(network))
+        caps = CapacityView(network)
+        for name in network.link_names:
+            if data.draw(st.booleans()):
+                caps.override(name, "bandwidth", data.draw(_GRID))
+        compiled = compile_network(network)
+        weights = link_weights(compiled, link_residuals(compiled, caps), tt, loads)
+        table = all_pairs_widths(compiled, weights)
+        names = network.ncp_names
+        for s, src in enumerate(names):
+            for d, dst in enumerate(names):
+                floored = _point_search(
+                    network, caps, src, dst, tt, loads, None, float(table[s, d])
+                )
+                assert floored == widest_path(network, caps, src, dst, tt, loads)
+                ref = widest_path_dict(network, caps, src, dst, tt, loads)
+                if ref is None:
+                    assert floored is None
+                else:
+                    assert floored is not None
+                    assert floored.links == ref.links
+                    assert floored.bottleneck == ref.bottleneck
+
+    def test_a_floor_above_the_true_width_trips_the_assertion(self):
+        network = Network(
+            "line", [NCP("a"), NCP("b"), NCP("c")],
+            [Link("ab", "a", "b", 10.0), Link("bc", "b", "c", 4.0)],
+        )
+        caps = CapacityView(network)
+        route = _point_search(network, caps, "a", "c", 1.0, {}, None, 4.0)
+        assert route is not None and route.links == ("ab", "bc")
+        with pytest.raises(AssertionError):
+            _point_search(network, caps, "a", "c", 1.0, {}, None, 5.0)

@@ -17,7 +17,7 @@ from repro.core import assignment
 from repro.core.assignment import sparcle_assign
 from repro.core.network import NCP, Link, Network
 from repro.core.placement import CapacityView
-from repro.core.taskgraph import CPU, ComputationTask, TaskGraph, TransportTask
+from repro.core.taskgraph import CPU, MEMORY, ComputationTask, TaskGraph, TransportTask
 from repro.exceptions import InfeasiblePlacementError
 from tests import assignment_oracle
 
@@ -330,3 +330,86 @@ class TestBoundedTieBreak:
             state.commit(mid, choice[1])
             oracle.commit(mid, choice[1])
         assert state.link_loads == oracle.link_loads
+
+
+@st.composite
+def two_resource_cases(draw) -> tuple[TaskGraph, Network]:
+    """A layered DAG needing CPU and/or memory on a tree network.
+
+    Requirements include zeros, and some NCPs provide no memory at all
+    (or a zero amount), so resources missing on a host meet demands that
+    are zero or not.
+    """
+    n = draw(st.integers(min_value=3, max_value=6))
+    ncps = []
+    for k in range(n):
+        caps = {CPU: draw(st.sampled_from([500.0, 1000.0]))}
+        if draw(st.booleans()):
+            caps[MEMORY] = draw(st.sampled_from([0.0, 8.0, 64.0]))
+        ncps.append(NCP(f"n{k}", caps))
+    links = [
+        Link(f"t{k}", f"n{draw(st.integers(0, k - 1))}", f"n{k}",
+             draw(st.sampled_from([4.0, 10.0])))
+        for k in range(1, n)
+    ]
+    host = st.sampled_from([f"n{k}" for k in range(n)])
+    cts = [ComputationTask("source", {}, pinned_host=draw(host))]
+    tts = []
+    previous = ["source"]
+    for d in range(draw(st.integers(min_value=1, max_value=2))):
+        layer = []
+        for w in range(draw(st.integers(min_value=1, max_value=3))):
+            needs = {CPU: draw(st.sampled_from([0.0, 1.0, 250.0]))}
+            if draw(st.booleans()):
+                needs[MEMORY] = draw(st.sampled_from([0.0, 2.0]))
+            name = f"c{d}_{w}"
+            cts.append(ComputationTask(name, needs))
+            for parent in previous:
+                tts.append(TransportTask(f"{parent}-{name}", parent, name, 1.0))
+            layer.append(name)
+        previous = layer
+    cts.append(ComputationTask("sink", {CPU: 1.0}, pinned_host=draw(host)))
+    tts += [TransportTask(f"{p}-sink", p, "sink", 2.0) for p in previous]
+    return TaskGraph("two-resource", cts, tts), Network("mem", ncps, links)
+
+
+class TestNcpTermMatrix:
+    """The (CTs × NCPs) NCP-term matrix and the probe groups stay equal to
+    the reference's scalar terms and γ through a sequence of commits."""
+
+    @SETTINGS
+    @given(
+        case=two_resource_cases(),
+        shuffle=st.randoms(use_true_random=False),
+        data=st.data(),
+    )
+    def test_every_cell_equals_the_scalar_term_across_commits(
+        self, case, shuffle, data
+    ):
+        graph, network = case
+        state, oracle = _paired_states(graph, network)
+        names = network.ncp_names
+        hosts = list(names)
+        shuffle.shuffle(hosts)
+        node_index = state._compiled.node_index
+        unplaced = [ct.name for ct in graph.cts if ct.name not in state.ct_hosts]
+        while True:
+            for ct in graph.cts:
+                scalar = [oracle.ncp_term(ct.name, host) for host in hosts]
+                assert [state.ncp_term(ct.name, host) for host in hosts] == scalar
+                in_order = [oracle.ncp_term(ct.name, host) for host in names]
+                first_best = in_order.index(max(in_order))
+                assert state.best_host_compute_only(ct.name) == (
+                    in_order[first_best], names[first_best]
+                )
+            for ct_name in unplaced:
+                row = state.gamma_row(ct_name)
+                assert [float(row[node_index[host]]) for host in hosts] == [
+                    oracle.gamma(ct_name, host) for host in hosts
+                ]
+            if not unplaced:
+                break
+            ct_name = unplaced.pop(data.draw(st.integers(0, len(unplaced) - 1)))
+            host = data.draw(st.sampled_from(hosts))
+            state.commit(ct_name, host)
+            oracle.commit(ct_name, host)

@@ -11,7 +11,7 @@ back edges (cycles), parallel edges, unknown endpoints and name clashes.
 from __future__ import annotations
 
 import networkx as nx
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.network import NCP, Link, Network
@@ -186,6 +186,25 @@ class TestTaskGraphAgainstNetworkx:
                     else None
                 )
                 assert (tt.name if tt is not None else None) == expected
+
+
+    @settings(SETTINGS, max_examples=60)
+    @given(spec=graph_specs(), data=st.data())
+    def test_cheapest_tt_between_is_the_cheapest_of_tts_between(self, spec, data):
+        """Equal-megabit TTs tie often, so the name order decides them too."""
+        names, edges = spec
+        megabits = st.sampled_from([0.0, 1.0, 2.5])
+        tts = [TransportTask(name, src, dst, data.draw(megabits)) for name, src, dst in edges]
+        graph = _outcome(lambda: TaskGraph("g", [ComputationTask(n) for n in names], tts))
+        assume(isinstance(graph, TaskGraph))
+        for a in names:
+            for b in names:
+                candidates = graph.tts_between(a, b)
+                expected = (
+                    min(candidates, key=lambda tt: (tt.megabits_per_unit, tt.name))
+                    if candidates else None
+                )
+                assert graph.cheapest_tt_between(a, b) == expected
 
 
 # ----------------------------------------------------------------------

@@ -9,15 +9,20 @@ kernel in ``src/`` is checked against an independent implementation.
 The functions mirror the signatures of :func:`repro.core.routing.
 widest_path` / :func:`~repro.core.routing.widest_path_tree`;
 :func:`widest_path_dict` accepts and ignores ``weights_cache`` so it can
-stand in for the kernel where Algorithm 2 calls it.
+stand in for the kernel where Algorithm 2 calls it; :func:`dict_point_queries`
+swaps it in for *every* point query Algorithm 2 makes, floored commit
+routes included.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
+from unittest import mock
 
+from repro.core import assignment
 from repro.core.network import Network
 from repro.core.placement import CapacityView
 from repro.core.routing import RouteResult, WidestPathTree
@@ -130,3 +135,35 @@ def widest_path_tree_dict(
         reverse=reverse, dst=None,
     )
     return WidestPathTree(root, tt_megabits, reverse, phi, prev)
+
+
+def point_search_dict(
+    network: Network,
+    capacities: CapacityView,
+    src: str,
+    dst: str,
+    tt_megabits: float,
+    link_loads: Mapping[str, float] | None,
+    weights_cache: object,
+    floor: float | None,
+) -> RouteResult | None:
+    """:func:`widest_path_dict` in the shape of ``routing._point_search``.
+
+    The floor is ignored: the full dict search must find the same route
+    the floored CSR search does.
+    """
+    return widest_path_dict(network, capacities, src, dst, tt_megabits, link_loads)
+
+
+@contextmanager
+def dict_point_queries() -> Iterator[None]:
+    """Route every Algorithm-2 point query on the dict oracle.
+
+    ``repro.core.assignment`` reaches Algorithm 1 through two names:
+    ``widest_path`` (tie-break simulations, routes with no current width
+    table) and ``_point_search`` (commit routes floored at their table
+    width).  Both are replaced, so no point query runs on the CSR kernel.
+    """
+    with mock.patch.object(assignment, "widest_path", widest_path_dict), \
+            mock.patch.object(assignment, "_point_search", point_search_dict):
+        yield
