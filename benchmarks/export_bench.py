@@ -12,7 +12,10 @@ Every scenario is additionally timed with the dict oracle of
 ``tests/routing_oracles.py`` substituted for every one of Algorithm 2's
 point queries (``tests.routing_oracles.dict_point_queries``: the
 ``widest_path`` calls and the floored commit routes), recorded as
-``dict_kernel_ms`` with ``kernel_speedup = dict_kernel_ms / optimized_ms``.
+``dict_kernel_ms``.  The two runs alternate round by round (the one that
+goes first alternating too) and ``kernel_speedup`` is the median of the
+per-round ``dict / optimized`` ratios, so a slow spell on a shared machine
+hits both sides of a pair instead of one median.
 Algorithm 2 reads its widths from the all-pairs table either way, so the
 two runs differ only on the point queries that route committed TTs (and
 confirm tie-breaks).
@@ -38,7 +41,8 @@ though it is otherwise skipped.
 ``--min-small-speedup Y`` is the small-scenario non-regression gate: every
 :data:`SMALL_GATE_IDS` scenario must keep ``kernel_speedup >= Y``, i.e. the
 CSR kernel's compile/warm-up cost may never make a tiny network slower
-than the dict oracle would route it.
+than the dict oracle would route it.  Those rows run
+:data:`SMALL_GATE_ROUNDS` interleaved pairs.
 ``--from-json`` merges a pytest-benchmark ``--benchmark-json`` file (records
 are matched on the ``bench_id`` tag added by ``benchmarks/conftest.py``)
 into the report as ``pytest_benchmark_ms`` so both timing sources live in
@@ -82,6 +86,11 @@ GATE_ID = "dense-24x14"
 SMALL_GATE_IDS = ("star-8", "linear-graph-4", "linear-graph-8",
                   "linear-graph-16")
 
+#: Interleaved pairs per SMALL_GATE_IDS row under --min-small-speedup:
+#: enough that the median ratio of a build against itself stays within
+#: a few percent of 1.0 on a busy 2-core machine.
+SMALL_GATE_ROUNDS = 41
+
 
 def _time_ms(fn, graph, network, rounds: int) -> tuple[float, object]:
     """Median wall-clock milliseconds over ``rounds`` runs, plus one result."""
@@ -92,6 +101,32 @@ def _time_ms(fn, graph, network, rounds: int) -> tuple[float, object]:
         result = fn(graph, network)
         samples.append((time.perf_counter() - start) * 1000.0)
     return statistics.median(samples), result
+
+
+def _time_pairs_ms(fn_a, fn_b, graph, network, rounds: int):
+    """Time ``fn_a`` and ``fn_b`` in ``rounds`` back-to-back pairs.
+
+    The one that goes first alternates.  Returns both medians (ms), the
+    median of the per-round ``a / b`` ratios, and one result of each.
+    """
+    samples: tuple[list[float], list[float]] = ([], [])
+    results: list[object] = [None, None]
+    for index in range(rounds):
+        order = (0, 1) if index % 2 == 0 else (1, 0)
+        for side in order:
+            start = time.perf_counter()
+            results[side] = (fn_a, fn_b)[side](graph, network)
+            samples[side].append((time.perf_counter() - start) * 1000.0)
+    ratio = statistics.median(
+        a / b if b > 0 else float("inf") for a, b in zip(*samples)
+    )
+    return (
+        statistics.median(samples[0]),
+        statistics.median(samples[1]),
+        ratio,
+        results[0],
+        results[1],
+    )
 
 
 def _dict_oracle_assign(graph, network):
@@ -131,19 +166,18 @@ def run(
         graph, network = build()
         if quick:
             # Gate scenarios need a stable median even in smoke mode.
-            n_rounds = 3 if (gated or small_gated) else 1
+            n_rounds = 3 if gated else 1
         else:
             # The NO_REFERENCE cases take seconds per dict-oracle round.
             n_rounds = min(rounds, 3) if bench_id in NO_REFERENCE else rounds
+        pairs = max(n_rounds, SMALL_GATE_ROUNDS) if small_gated else n_rounds
 
-        dict_ms, dict_result = _time_ms(
-            _dict_oracle_assign, graph, network, n_rounds
+        dict_ms, optimized_ms, kernel_speedup, dict_result, opt = (
+            _time_pairs_ms(
+                _dict_oracle_assign, sparcle_assign, graph, network, pairs
+            )
         )
-        optimized_ms, opt = _time_ms(sparcle_assign, graph, network, n_rounds)
         _assert_same_decisions(bench_id, opt, dict_result, "dict oracle")
-        kernel_speedup = (
-            dict_ms / optimized_ms if optimized_ms > 0 else float("inf")
-        )
         row = {
             "bench_id": bench_id,
             "n_ncps": len(network.ncp_names),

@@ -20,7 +20,7 @@ The facade groups the supported entry points by concern:
   :class:`ShardCoordinator` runs one gateway per region and brokers
   cross-shard placements through a two-phase reserve/commit protocol,
   and :class:`ShardEventLog` / :func:`replay_log` give each shard a
-  durable redo log (checkpoints plus logged decisions) with
+  durable log (checkpoints plus logged decisions) with
   bit-for-bit replay warm starts.
 * **Serving** — the asyncio front-end over the control plane:
   :class:`SparcleServer` listens on one TCP port speaking both the

@@ -43,6 +43,7 @@ from repro.core.network import Network
 from repro.core.placement import CapacityView
 from repro.core.repair import RepairController, RetryPolicy
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
+from repro.core.taskgraph import BANDWIDTH
 from repro.exceptions import BackpressureError, ChaosError
 from repro.service.gateway import AdmissionGateway
 from repro.utils.rng import ensure_rng, spawn_rngs
@@ -445,10 +446,10 @@ def builtin_sabotage(name: str) -> Callable[[SparcleScheduler], None]:
                 if value > 0.0:
                     view.override(element, resource, value * 0.5)
                     return
-        # Degenerate fully-consumed world: zero out a raw capacity instead.
+        # Nothing held yet (or all consumed): zero out a raw capacity.
         network = scheduler.network
         element = sorted(network.element_names())[0]
-        for resource in sorted(network.resources()):
+        for resource in sorted(set(network.resources()) | {BANDWIDTH}):
             if view.capacity(element, resource) > 0.0:
                 view.override(element, resource, 0.0)
                 return

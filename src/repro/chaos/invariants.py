@@ -137,8 +137,9 @@ def scratch_residual(scheduler: SparcleScheduler) -> dict[str, dict[str, float]]
     """The GR residual re-derived from first principles.
 
     Fresh raw capacities, every down element zeroed, then each *active*
-    GR path's load consumed at its reserved rate — exactly what the
-    scheduler's incremental ``_gr_residual`` bookkeeping must equal.
+    GR path's load consumed at its reserved rate.  The scheduler's
+    ``_gr_residual`` must equal it bit for bit: both are capacity minus
+    the exact integer sum of the same holds.
     """
     network = scheduler.network
     view = CapacityView(network)
@@ -150,7 +151,7 @@ def scratch_residual(scheduler: SparcleScheduler) -> dict[str, dict[str, float]]
     for app_id in scheduler.state().gr_apps:
         for record in scheduler.paths(app_id, "GR"):
             if record.active:
-                view.consume(record.placement.loads(), record.rate, clamp=True)
+                view.consume(record.placement.loads(), record.rate)
     return view.snapshot()
 
 
@@ -169,7 +170,7 @@ def _residual_conservation(context: ChaosContext) -> list[str]:
     for element, bucket in sorted(expected.items()):
         for resource, value in sorted(bucket.items()):
             got = actual[element][resource]
-            if abs(got - value) > TOLERANCE * max(1.0, abs(value)):
+            if got != value:
                 problems.append(
                     f"residual[{element}][{resource}] = {got!r}, "
                     f"scratch re-derivation says {value!r}"

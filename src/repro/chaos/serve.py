@@ -7,7 +7,7 @@ sockets:
    (sharded backend, durable event logs), drive a fuzzed request burst
    through a :class:`~repro.service.client.SparcleClient`, and withdraw
    a seeded third of the apps accepted so far, so the logs hold
-   ``release`` records for the recovery to redo.
+   ``release`` records for the recovery to fold.
 2. **Kill** — hard-abort the server mid-burst (no drain: queued work is
    lost, the logs end wherever the last epoch left them — exactly what a
    crashed process leaves behind).
@@ -16,10 +16,10 @@ sockets:
    apps left for good and are not resubmitted).
 4. **Verify** — three invariants over the durable logs and the replies:
 
-   * ``serve-log-checkpoint`` — each shard's pre-kill log redoes to
+   * ``serve-log-checkpoint`` — each shard's pre-kill log replays to
      exactly the live residual the killed server held, and the
      checkpoint record recovery compacts it to replays, alone, to the
-     same state (neither the redo nor compaction loses anything);
+     same state (neither the replay nor compaction loses anything);
    * ``serve-no-double-admission`` — no application is accepted twice
      across the pre-kill and post-recovery shard logs: everything
      admitted before the kill is rejected as a duplicate after it;
@@ -208,9 +208,9 @@ async def _run_scenario(
                     event_index=0,
                     detail=(
                         f"log {name} lost state across the recovery: its "
-                        f"{len(pre)} pre-kill records do not redo to the "
+                        f"{len(pre)} pre-kill records do not replay to the "
                         "killed server's live residual, or its first "
-                        "record does not replay to what they redo to"
+                        "record does not replay to what they replay to"
                     ),
                 )
             )

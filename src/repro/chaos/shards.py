@@ -12,12 +12,13 @@ Three federation invariants join the global registry (they no-op for
 non-federated contexts, so the single-gateway driver keeps running the
 full registry unchanged):
 
-* ``shard-residual-conservation`` — every live shard's residual equals a
-  from-scratch re-derivation over its consumption ledger (local GR paths
-  plus external/adopted reservations);
+* ``shard-residual-conservation`` — every live shard's residual equals,
+  bit for bit, a from-scratch re-derivation over its consumption ledger
+  (local GR paths plus external/adopted reservations);
 * ``shard-ledger-conservation`` — the coordinator's boundary-link ledger
-  equals the re-consumed ledger parts of every live cross-shard app and
-  never goes negative: a boundary link can never be double-booked;
+  equals, bit for bit, the re-consumed ledger parts of every live
+  cross-shard app and never goes negative: a boundary link can never be
+  double-booked;
 * ``shard-log-consistency`` — replaying any live shard's event log
   reproduces its live residual bit-for-bit (the warm-start contract,
   checked continuously rather than only at restart).
@@ -77,7 +78,7 @@ def _scratch_shard_residual(node: ShardNode) -> CapacityView:
     view = CapacityView(node.network)
     for consumptions in node.consumption_ledger().values():
         for loads, rate in consumptions:
-            view.consume(loads, rate, clamp=True)
+            view.consume(loads, rate)
     return view
 
 
@@ -108,7 +109,7 @@ def _shard_residual_conservation(context: ChaosContext) -> list[str]:
             got = actual.get(element, {}).get(
                 resource, node.network.capacity(element, resource)
             )
-            if abs(got - want) > TOLERANCE * max(1.0, abs(want)):
+            if got != want:
                 problems.append(
                     f"shard{node.shard_id}: residual[{element}]"
                     f"[{resource}] = {got!r}, ledger re-derivation "
@@ -129,7 +130,7 @@ def _shard_ledger_conservation(context: ChaosContext) -> list[str]:
             if owner != -1:  # repro.service.shard.LEDGER
                 continue
             for loads, rate in consumptions:
-                view.consume(loads, rate, clamp=True)
+                view.consume(loads, rate)
     expected_entries = {
         (element, resource): value
         for element, resource, value in view.freeze().entries
@@ -147,7 +148,7 @@ def _shard_ledger_conservation(context: ChaosContext) -> list[str]:
                 f"(live={got!r}, scratch={want!r})"
             )
             continue
-        if abs(got - want) > TOLERANCE * max(1.0, abs(want)):
+        if got != want:
             problems.append(
                 f"ledger[{key[0]}][{key[1]}] = {got!r}, cross-app "
                 f"re-derivation says {want!r}"

@@ -218,22 +218,34 @@ def merge_loads(load_list: Iterable[Loads]) -> Loads:
     return total
 
 
+#: The unit a hold is counted in: ``rate × load`` is held as the integer
+#: ``round(rate × load / QUANTUM)``, so a release subtracts exactly what
+#: its consume added.
+QUANTUM = 2.0**-64
+
+
 class CapacityView:
     """Residual (or predicted) capacities over a network.
 
-    A fresh view exposes the network's raw capacities.  Scheduling code then
-    either *consumes* capacity (``consume``: an accepted path at a committed
-    rate removes ``rate * load`` from each element) or *scales* it
-    (``scaled``: the Theorem-3 priority prediction of Eq. (6) gives a later
-    BE application only its fair share of contested elements).
+    An entry's residual is ``max(0, capacity − held × QUANTUM)``: a pure
+    function of its *capacity* (the network's, unless :meth:`override`
+    set another) and its *held* amount, the exact integer sum of the
+    live holds.  :meth:`consume` adds one ``(loads, rate)`` hold and
+    :meth:`release` subtracts it again, so the residual never depends on
+    the order holds came and went.  :meth:`scaled` (the Theorem-3
+    priority prediction of Eq. (6)) and :meth:`from_snapshot` derive a
+    view whose capacities are residuals and which holds nothing.
     """
 
     def __init__(self, network: Network) -> None:
         self.network = network
-        # (element, resource) -> residual, only where it differs from (or
-        # was written over) the raw capacity: one dict probe on the
-        # capacity() hot path and one flat dict to copy (the network
-        # itself memoizes base capacities).
+        # (element, resource) -> capacity, where it differs from the raw one.
+        self._base: dict[tuple[str, str], float] = {}
+        # (element, resource) -> Σ held quanta, nonzero entries only.
+        self._held: dict[tuple[str, str], int] = {}
+        # (element, resource) -> residual, for every entry that has a hold
+        # or a capacity edit: one dict probe on the capacity() hot path
+        # and one flat dict to copy (the network memoizes raw capacities).
         self._flat: dict[tuple[str, str], float] = {}
         # Monotonic mutation counter: every residual write bumps it, so
         # derived caches (e.g. the repro.core.arrays residual-bandwidth
@@ -255,9 +267,9 @@ class CapacityView:
     def iter_overrides(self) -> Iterator[tuple[str, str, float]]:
         """Iterate ``(element, resource, residual)`` overrides, unordered.
 
-        Only the entries that differ from the raw network capacities are
-        yielded — the same set :meth:`freeze` snapshots (unsorted here:
-        this is the O(overrides) hot path for array compilation).
+        Only the entries with a hold or a capacity edit are yielded — the
+        same set :meth:`freeze` snapshots (unsorted here: this is the
+        O(overrides) hot path for array compilation).
         """
         for (element, resource), value in self._flat.items():
             yield element, resource, value
@@ -269,60 +281,108 @@ class CapacityView:
             return value
         return self.network.capacity(element_name, resource)
 
-    def _set(self, element_name: str, resource: str, value: float) -> None:
-        self._flat[(element_name, resource)] = max(0.0, value)
+    def held(self, element_name: str, resource: str) -> int:
+        """The entry's held amount, in units of :data:`QUANTUM`."""
+        return self._held.get((element_name, resource), 0)
+
+    @staticmethod
+    def _amounts(loads: Loads, rate: float) -> Iterator[tuple[tuple[str, str], int]]:
+        """The hold of ``rate`` units/s over ``loads``, entry by entry."""
+        if rate < 0:
+            raise PlacementError(f"cannot hold a negative rate {rate}")
+        for element, bucket in loads.items():
+            for resource, load in bucket.items():
+                if load > 0.0:
+                    yield (element, resource), round(rate * load / QUANTUM)
+
+    def _add(self, key: tuple[str, str], amount: int) -> None:
+        held = self._held.get(key, 0) + amount
+        base = self._base.get(key)
+        if held:
+            self._held[key] = held
+        else:
+            self._held.pop(key, None)
+            if base is None:
+                self._flat.pop(key, None)
+                return
+        if base is None:
+            base = self.network.capacity(*key)
+        self._flat[key] = max(0.0, base - held * QUANTUM)
+
+    def consume(self, loads: Loads, rate: float) -> None:
+        """Hold ``rate * load`` on every entry the loads touch.
+
+        Never refuses: an entry held past its capacity reads zero (see
+        :meth:`reserve` for the checked form a commit uses).
+        """
+        for key, amount in self._amounts(loads, rate):
+            self._add(key, amount)
         self._version += 1
 
-    def consume(self, loads: Loads, rate: float, *, clamp: bool = False) -> None:
-        """Subtract ``rate * load`` from every element the loads touch.
+    def reserve(self, holds: Iterable[tuple[Loads, float]]) -> None:
+        """Consume every ``(loads, rate)`` hold, or none of them.
 
-        Raises if the consumption would drive any residual below a small
-        negative tolerance (callers must only commit feasible rates);
-        tiny numerical overshoot is clamped to zero.  ``clamp=True``
-        suppresses the check and floors residuals at zero — for advisory
-        bookkeeping views whose entries were not admitted against each
-        other (e.g. the scheduler's FCFS ablation ledger).
+        Raises :class:`PlacementError`, changing nothing, when together
+        they would take an entry more than ``1e-6 × max(1, raw
+        capacity)`` below zero — a proposal evaluated against other
+        residuals than the live ones.
         """
-        if rate < 0:
-            raise PlacementError(f"cannot consume at negative rate {rate}")
-        for element, bucket in loads.items():
-            for resource, load in bucket.items():
-                if load <= 0.0:
-                    continue
-                residual = self.capacity(element, resource) - rate * load
-                if not clamp and residual < -1e-6 * max(
-                    1.0, self.network.capacity(element, resource)
-                ):
-                    raise PlacementError(
-                        f"consuming {rate} units/s of {resource!r} on {element!r} "
-                        f"exceeds residual capacity by {-residual}"
-                    )
-                self._set(element, resource, residual)
+        added: dict[tuple[str, str], int] = {}
+        for loads, rate in holds:
+            for key, amount in self._amounts(loads, rate):
+                added[key] = added.get(key, 0) + amount
+        raw = self.network.capacity
+        writes = []
+        for key, amount in added.items():
+            capacity = raw(*key)
+            held = self._held.get(key, 0) + amount
+            residual = self._base.get(key, capacity) - held * QUANTUM
+            if residual < -1e-6 * max(1.0, capacity):
+                element, resource = key
+                raise PlacementError(
+                    f"holding {amount * QUANTUM} of {resource!r} on {element!r} "
+                    f"exceeds residual capacity by {-residual}"
+                )
+            if held:
+                writes.append((key, held, max(0.0, residual)))
+        for key, held, residual in writes:
+            self._held[key] = held
+            self._flat[key] = residual
+        self._version += 1
 
     def release(self, loads: Loads, rate: float) -> None:
-        """Return previously consumed capacity (inverse of :meth:`consume`).
+        """Subtract a hold :meth:`consume` added: its exact inverse.
 
-        Residuals are capped at the raw network capacity so that releasing
-        more than was consumed cannot mint capacity.
+        Raises :class:`PlacementError`, changing nothing, if an entry
+        holds less than the release names — that would mint capacity.
         """
-        if rate < 0:
-            raise PlacementError(f"cannot release at negative rate {rate}")
-        for element, bucket in loads.items():
-            for resource, load in bucket.items():
-                if load <= 0.0:
-                    continue
-                raw = self.network.capacity(element, resource)
-                self._set(element, resource, min(raw, self.capacity(element, resource) + rate * load))
+        amounts = list(self._amounts(loads, rate))
+        for key, amount in amounts:
+            if amount > self._held.get(key, 0):
+                raise PlacementError(
+                    f"releasing {amount * QUANTUM} of {key[1]!r} on {key[0]!r}"
+                    " that was never held"
+                )
+        for key, amount in amounts:
+            self._add(key, -amount)
+        self._version += 1
+
+    def _derived(self) -> "CapacityView":
+        """A view holding nothing whose capacities are these residuals."""
+        view = CapacityView(self.network)
+        view._base = dict(self._flat)
+        view._flat = dict(self._flat)
+        return view
 
     def scaled(self, factors: Mapping[str, float]) -> "CapacityView":
-        """A copy with per-element multiplicative factors applied.
+        """A derived view with per-element multiplicative factors applied.
 
         ``factors`` maps element names to a multiplier in ``[0, 1]`` (the
         Eq. (6) priority share); elements not listed keep their residual.
         All resources of a scaled element are scaled alike, matching the
-        paper's per-NCP/per-link prediction.
+        paper's per-NCP/per-link prediction.  The result holds nothing.
         """
-        view = self.copy()
+        view = self._derived()
         resources = set(self.network.resources()) | {BANDWIDTH}
         for element, factor in factors.items():
             if not 0.0 <= factor <= 1.0 + 1e-12:
@@ -330,74 +390,44 @@ class CapacityView:
             for resource in resources:
                 current = view.capacity(element, resource)
                 if current > 0.0:
-                    view._set(element, resource, current * factor)
+                    view._base[(element, resource)] = current * factor
+                    view._flat[(element, resource)] = current * factor
         return view
 
     def override(self, element_name: str, resource: str, value: float) -> None:
-        """Set the residual capacity of one (element, resource) pair.
+        """Set the capacity of one (element, resource) pair.
 
-        Unlike :meth:`consume`/:meth:`release` this is an absolute
-        assignment, used for what-if analysis and capacity fluctuation
-        events; it may exceed the raw network capacity (a hypothetical
-        upgrade) or drop to zero (an outage).
+        The entry's holds stay and draw on the new capacity: used for
+        capacity fluctuations, outages (zero) and what-if analysis.  It
+        may exceed the raw network capacity (a hypothetical upgrade); set
+        back to the raw capacity it is no edit at all.
         """
         if value < 0:
             raise PlacementError(
                 f"capacity for {element_name!r}/{resource!r} must be non-negative"
             )
         self.network.element(element_name)  # validate the name
-        self._flat[(element_name, resource)] = value
+        key = (element_name, resource)
+        if value == self.network.capacity(element_name, resource):
+            self._base.pop(key, None)
+        else:
+            self._base[key] = value
+        self._add(key, 0)
         self._version += 1
-
-    def reset_elements(
-        self, elements: Iterable[str], source: "CapacityView"
-    ) -> None:
-        """Make this view's entries on ``elements`` equal ``source``'s.
-
-        Every ``(element, resource)`` override this view holds on one of
-        ``elements`` is dropped, then ``source``'s overrides on that
-        element are copied in — so an entry ``source`` does not carry
-        reads the raw network capacity again and leaves :meth:`freeze`.
-        Other elements are not rewritten (see :meth:`rederive`).
-        """
-        wanted = set(elements)
-        for key in [key for key in self._flat if key[0] in wanted]:
-            del self._flat[key]
-        for key, value in source._flat.items():
-            if key[0] in wanted:
-                self._flat[key] = value
-        self._version += 1
-
-    def rederive(
-        self,
-        elements: frozenset[str],
-        source: "CapacityView",
-        holds: Iterable[tuple[Loads, float]],
-    ) -> None:
-        """Re-derive this view's entries on ``elements`` from ``source``.
-
-        :meth:`reset_elements`, then every ``(loads, rate)`` hold consumed
-        again on ``elements`` only, clamped, in the order given: those
-        entries come out bit-equal to a full rebuild from ``source``.  A
-        withdraw runs this on the departed tenant's footprint, live and
-        when a shard log is redone.
-        """
-        self.reset_elements(elements, source)
-        for loads, rate in holds:
-            kept = {e: bucket for e, bucket in loads.items() if e in elements}
-            self.consume(kept, rate, clamp=True)
 
     def copy(self) -> "CapacityView":
-        """An independent deep copy of this view (``version`` restarts at 0)."""
+        """An independent deep copy, holds included (``version`` restarts at 0)."""
         view = CapacityView(self.network)
+        view._base = dict(self._base)
+        view._held = dict(self._held)
         view._flat = dict(self._flat)
         return view
 
     def freeze(self) -> ResidualSnapshot:
         """An immutable, picklable snapshot of this view's overrides.
 
-        The snapshot records only the residuals that differ from the raw
-        network capacities, so it is cheap to take, ship to worker
+        The snapshot records only the residuals of entries with a hold
+        or a capacity edit, so it is cheap to take, ship to worker
         threads/processes, and thaw with :meth:`from_snapshot`.
         """
         return ResidualSnapshot(
@@ -412,12 +442,12 @@ class CapacityView:
     def from_snapshot(
         cls, network: Network, snapshot: ResidualSnapshot
     ) -> "CapacityView":
-        """Thaw a :meth:`freeze` snapshot back into a mutable view.
+        """Thaw a :meth:`freeze` snapshot into a derived view.
 
-        ``network`` must be the (possibly re-pickled) network the snapshot
-        was frozen from; element names are trusted rather than re-validated,
-        which is what makes per-request thawing cheap on the gateway's
-        parallel evaluation path.
+        The snapshot's residuals become the capacities of a view that
+        holds nothing.  ``network`` must be the (possibly re-pickled)
+        network the snapshot was frozen from; element names are trusted
+        rather than re-validated, which keeps thawing cheap.
         """
         if snapshot.network_name != network.name:
             raise PlacementError(
@@ -426,7 +456,8 @@ class CapacityView:
             )
         view = cls(network)
         for element, resource, value in snapshot.entries:
-            view._flat[(element, resource)] = value
+            view._base[(element, resource)] = value
+        view._flat = dict(view._base)
         return view
 
     def snapshot(self) -> dict[str, dict[str, float]]:

@@ -27,7 +27,7 @@ Best-Effort (BE) applications
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.allocation import (
@@ -183,14 +183,24 @@ class _PlacedBE:
         if not self.active:
             self.active = [True] * len(self.placements)
 
+    def holds(self) -> list[tuple[Loads, float]]:
+        """What the FCFS ledger holds for it: active paths, predicted rates."""
+        return [
+            (p.loads(), rate)
+            for p, rate, active in zip(
+                self.placements, self.predicted_rates, self.active
+            )
+            if active
+        ]
+
 
 @dataclass
 class _PlacedGR:
     request: GRRequest
     placements: tuple[Placement, ...]
     path_rates: tuple[float, ...]
-    # Per-path activity flag (see _PlacedBE.active); suspended GR paths
-    # release their reservations back to the residual view.
+    # Per-path activity flag (see _PlacedBE.active); a suspended GR path
+    # holds nothing.
     active: list[bool] = field(default_factory=list)
     # Failure-free aggregate rate at admission time: the repair loop never
     # reserves beyond it, which is what keeps post-repair aggregates
@@ -206,6 +216,14 @@ class _PlacedGR:
     def active_rate(self) -> float:
         """Aggregate reserved rate over currently active paths."""
         return sum(r for r, a in zip(self.path_rates, self.active) if a)
+
+    def holds(self) -> list[tuple[Loads, float]]:
+        """What it holds: each active path at its reserved rate."""
+        return [
+            (p.loads(), rate)
+            for p, rate, active in zip(self.placements, self.path_rates, self.active)
+            if active
+        ]
 
 
 @dataclass(frozen=True)
@@ -516,24 +534,26 @@ class SparcleScheduler:
         self._down: set[str] = set()
         # Attached online repair controller, if any (see repro.core.repair).
         self._repair_controller = None
-        # Residual view after GR reservations; BE apps share this.
+        # Residual view after GR reservations; BE apps share this.  It
+        # holds the active GR paths and the external reservations.
         self._gr_residual = CapacityView(network)
-        # FCFS ledger for the no-prediction ablation: BE apps consume
-        # their predicted rates here so later arrivals see leftovers only.
-        # Under prediction nothing reads it, so it is not kept at all.
+        # FCFS ledger for the no-prediction ablation: it holds what the
+        # residual does plus every BE app's active paths at their
+        # predicted rates, so later arrivals see leftovers only.  Under
+        # prediction nothing reads it, so it is not kept at all.
         self._fcfs_view: CapacityView | None = (
             None if use_prediction else CapacityView(network)
         )
-        self._be: list[_PlacedBE] = []
-        self._gr: list[_PlacedGR] = []
+        self._be: dict[str, _PlacedBE] = {}
+        self._gr: dict[str, _PlacedGR] = {}
         self._decisions: list[Decision] = []
-        # External reservations: capacity consumed on behalf of tenants
-        # this scheduler does not manage (cross-shard apps reserved by a
-        # ShardCoordinator, or apps adopted from an event log after a warm
-        # start).  tag -> ((loads, rate), ...); replayed by the residual
-        # rebuilds so local withdrawals cannot mint externally-held
-        # capacity back.
+        # External reservations: capacity held on behalf of tenants this
+        # scheduler does not manage (cross-shard apps reserved by a
+        # ShardCoordinator, or apps adopted from an event log after a
+        # warm start).  tag -> ((loads, rate), ...).
         self._external: dict[str, tuple[tuple[Loads, float], ...]] = {}
+        # BE apps adopted from an event log: held on the FCFS ledger only.
+        self._adopted_be: dict[str, tuple[tuple[Loads, float], ...]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -546,9 +566,9 @@ class SparcleScheduler:
     def state(self) -> SchedulerState:
         """Snapshot of admitted apps and the GR-residual capacities."""
         return SchedulerState(
-            be_apps=tuple(p.request.app_id for p in self._be),
-            gr_apps=tuple(p.request.app_id for p in self._gr),
-            gr_total_rate=sum(p.active_rate() for p in self._gr),
+            be_apps=tuple(self._be),
+            gr_apps=tuple(self._gr),
+            gr_total_rate=sum(p.active_rate() for p in self._gr.values()),
             residual=self._gr_residual.snapshot(),
         )
 
@@ -625,7 +645,7 @@ class SparcleScheduler:
             return self._fcfs_view.copy()
         tenants = [
             (placed.request.priority, list(placed.placements))
-            for placed in self._be
+            for placed in self._be.values()
         ]
         return predicted_view(self._gr_residual, request.priority, tenants)
 
@@ -667,31 +687,6 @@ class SparcleScheduler:
             return None
         return self._fcfs_view.freeze()
 
-    def restore_residual(
-        self,
-        residual: ResidualSnapshot,
-        *,
-        fcfs: ResidualSnapshot | None = None,
-    ) -> None:
-        """Overwrite the capacity views from frozen snapshots (warm start).
-
-        What a restarted shard runs on the views its event log replays
-        to, instead of re-running admission.  Tenant bookkeeping is *not*
-        restored here — adopt the logged applications with
-        :meth:`reserve_external` (``charge=False``) so rebuilds keep
-        accounting for their capacity.
-
-        ``fcfs`` restores the FCFS ledger without prediction; when it is
-        missing (a log written under prediction) the ledger starts as a
-        copy of the residual.  Under prediction ``fcfs`` is ignored.
-        """
-        self._gr_residual = CapacityView.from_snapshot(self.network, residual)
-        if self.use_prediction:
-            return
-        self._fcfs_view = CapacityView.from_snapshot(
-            self.network, fcfs if fcfs is not None else residual
-        )
-
     def external_tags(self) -> tuple[str, ...]:
         """Tags of currently-held external reservations, insertion order."""
         return tuple(self._external)
@@ -706,40 +701,57 @@ class SparcleScheduler:
             raise AdmissionError(f"no external reservation {tag!r}") from None
 
     def reserve_external(
-        self,
-        tag: str,
-        consumptions: Sequence[tuple[Loads, float]],
-        *,
-        charge: bool = True,
+        self, tag: str, consumptions: Sequence[tuple[Loads, float]]
     ) -> frozenset[str]:
         """Reserve capacity on behalf of an externally-managed tenant.
 
         ``consumptions`` is a sequence of ``(loads, rate)`` pairs (one per
-        placement path).  With ``charge=True`` the live residuals are
-        consumed atomically — :class:`~repro.exceptions.PlacementError`
-        if the reservation does not fit, in which case nothing changes.
-        ``charge=False`` only *registers* the reservation (the residual
-        view already reflects it, e.g. after :meth:`restore_residual`),
-        so later rebuilds keep subtracting it.  The tag behaves like an
+        placement path), held on the live views atomically —
+        :class:`~repro.exceptions.PlacementError` if the reservation does
+        not fit, in which case nothing changes.  The tag behaves like an
         admitted app id: duplicates are rejected and :meth:`withdraw`
-        releases it.  Returns the elements whose view entries changed
-        (none when ``charge=False``).
+        releases it.  Returns the elements whose view entries changed.
         """
         if self._known(tag):
             raise AdmissionError(f"app id {tag!r} already submitted")
         held = tuple((loads, rate) for loads, rate in consumptions)
-        if charge:
-            working = self._gr_residual.copy()
-            for loads, rate in held:
-                working.consume(loads, rate)
-            self._gr_residual = working
-            if self._fcfs_view is not None:
-                for loads, rate in held:
-                    self._fcfs_view.consume(loads, rate, clamp=True)
+        self._gr_residual.reserve(held)
+        self._hold(held, ledger_only=True)
         self._external[tag] = held
-        if not charge:
-            return frozenset()
         return frozenset(element for loads, _ in held for element in loads)
+
+    def adopt_be(
+        self, app_id: str, consumptions: Sequence[tuple[Loads, float]]
+    ) -> None:
+        """Adopt a BE app from an event log as an opaque tenant.
+
+        It holds no GR capacity.  Without prediction its logged
+        ``(loads, predicted rate)`` pairs stay held on the FCFS ledger
+        until :meth:`withdraw`, as they were before the restart; under
+        prediction nothing is held.
+        """
+        if self._known(app_id):
+            raise AdmissionError(f"app id {app_id!r} already submitted")
+        held = tuple((loads, rate) for loads, rate in consumptions)
+        self._hold(held, ledger_only=True)
+        self._adopted_be[app_id] = held
+
+    def _hold(
+        self, holds: Iterable[tuple[Loads, float]], *, ledger_only: bool
+    ) -> None:
+        """Consume ``holds`` on the FCFS ledger and, unless ``ledger_only``,
+        on the GR residual (unchecked: see :meth:`CapacityView.reserve`)."""
+        views = self._views(ledger_only)
+        for loads, rate in holds:
+            for view in views:
+                view.consume(loads, rate)
+
+    def _views(self, ledger_only: bool) -> list[CapacityView]:
+        """The kept views a GR (or, ``ledger_only``, a BE) hold lives on."""
+        views = [] if ledger_only else [self._gr_residual]
+        if self._fcfs_view is not None:
+            views.append(self._fcfs_view)
+        return views
 
     def commit(self, proposal: AdmissionProposal) -> Decision:
         """Apply one proposal: reserve capacity, record and log the decision.
@@ -769,20 +781,11 @@ class SparcleScheduler:
             return Decision(
                 request.app_id, "GR", False, reason=proposal.reason
             )
-        # Consume on a copy so a proposal that does not fit leaves the
-        # live residual untouched.
-        working = self._gr_residual.copy()
-        for placement, rate in zip(proposal.placements, proposal.path_rates):
-            working.consume(placement.loads(), rate)
-        self._gr_residual = working
-        if self._fcfs_view is not None:
-            for placement, rate in zip(
-                proposal.placements, proposal.path_rates
-            ):
-                self._fcfs_view.consume(placement.loads(), rate, clamp=True)
-        self._gr.append(
-            _PlacedGR(request, proposal.placements, proposal.path_rates)
-        )
+        placed = _PlacedGR(request, proposal.placements, proposal.path_rates)
+        # A proposal that does not fit leaves the live residual untouched.
+        self._gr_residual.reserve(placed.holds())
+        self._hold(placed.holds(), ledger_only=True)
+        self._gr[request.app_id] = placed
         return Decision(
             request.app_id,
             "GR",
@@ -798,12 +801,9 @@ class SparcleScheduler:
             return Decision(
                 request.app_id, "BE", False, reason=proposal.reason
             )
-        self._be.append(
-            _PlacedBE(request, proposal.placements, proposal.path_rates)
-        )
-        if self._fcfs_view is not None:
-            for placement, rate in zip(proposal.placements, proposal.path_rates):
-                self._fcfs_view.consume(placement.loads(), rate, clamp=True)
+        placed = _PlacedBE(request, proposal.placements, proposal.path_rates)
+        self._be[request.app_id] = placed
+        self._hold(placed.holds(), ledger_only=True)
         return Decision(
             request.app_id,
             "BE",
@@ -853,7 +853,7 @@ class SparcleScheduler:
 
         apps: list[BEApp] = []
         zero_apps: list[_PlacedBE] = []
-        for placed in self._be:
+        for placed in self._be.values():
             # loads() is memoized on the placement, so the per-element
             # starvation sweep reuses one load vector per path instead of
             # rebuilding it from the task graph on every allocate_be call.
@@ -903,123 +903,51 @@ class SparcleScheduler:
     def withdraw(self, app_id: str) -> frozenset[str]:
         """Remove an admitted application, releasing its capacity.
 
-        GR reservations return to the shared pool immediately; BE rates are
-        re-derived on the next :meth:`allocate_be`.  Only the elements the
-        application touched are re-derived (:meth:`_release`) and they are
-        what is returned — empty for a BE application under prediction,
-        which was never charged to a view.  Unknown ids raise.
+        Every hold the application has live is subtracted from the views
+        it was added to — the exact inverse of its consumes, so capacity
+        changes and outages applied since admission stay respected.  BE
+        rates are re-derived on the next :meth:`allocate_be`.  Returns
+        the elements whose view entries changed: empty for a BE
+        application under prediction, which holds nothing.  Unknown ids
+        raise.
         """
-        for index, placed in enumerate(self._gr):
-            if placed.request.app_id == app_id:
-                del self._gr[index]
-                return self._release(p.loads() for p in placed.placements)
-        for index, placed in enumerate(self._be):
-            if placed.request.app_id == app_id:
-                del self._be[index]
-                if self._fcfs_view is None:
-                    return frozenset()
-                return self._release(
-                    (p.loads() for p in placed.placements), gr=False
-                )
+        if app_id in self._gr:
+            return self._release(self._gr.pop(app_id).holds(), ledger_only=False)
+        if app_id in self._be:
+            return self._release(self._be.pop(app_id).holds(), ledger_only=True)
         if app_id in self._external:
-            held = self._external.pop(app_id)
-            return self._release(loads for loads, _ in held)
+            return self._release(self._external.pop(app_id), ledger_only=False)
+        if app_id in self._adopted_be:
+            return self._release(self._adopted_be.pop(app_id), ledger_only=True)
         raise AdmissionError(f"no admitted app {app_id!r} to withdraw")
 
     def _release(
-        self, departed: Iterable[Loads], *, gr: bool = True
+        self, holds: Sequence[tuple[Loads, float]], *, ledger_only: bool
     ) -> frozenset[str]:
-        """Re-derive the views on the elements a departed tenant touched.
+        """Subtract ``holds`` from the views they live on; the elements."""
+        views = self._views(ledger_only)
+        for loads, rate in holds:
+            for view in views:
+                view.release(loads, rate)
+        if not views:
+            return frozenset()
+        return frozenset(element for loads, _ in holds for element in loads)
 
-        The footprint-sized form of the two full rebuilds: each view's
-        footprint entries are re-derived from :meth:`_fresh_view` and the
-        surviving tenants in the rebuilds' order
-        (:meth:`CapacityView.rederive`).  Re-deriving, rather than adding
-        the departed rate back, keeps capacity fluctuations and outages
-        applied since admission respected.  Returns the footprint.
-        """
-        footprint = frozenset(
-            element for loads in departed for element in loads
-        )
-        fresh = self._fresh_view()
-        if self._fcfs_view is not None:
-            self._fcfs_view.rederive(
-                footprint, fresh, self._tenants(ledger=True)
-            )
-        if gr:
-            self._gr_residual.rederive(
-                footprint, fresh, self._tenants(ledger=False)
-            )
-        return footprint
+    def _capacity(self, element: str, resource: str) -> float:
+        """An entry's current capacity: fluctuations applied, zero while down."""
+        if element in self._down:
+            return 0.0
+        bucket = self._capacity_overrides.get(element, {})
+        if resource in bucket:
+            return bucket[resource]
+        return self.network.capacity(element, resource)
 
-    def _fresh_view(self) -> CapacityView:
-        """A view of the *current* raw capacities (fluctuations applied).
-
-        Elements currently down contribute zero capacity, so paths found
-        against this view (or the residuals derived from it) route around
-        the outage.
-        """
-        view = CapacityView(self.network)
-        for element, bucket in self._capacity_overrides.items():
-            for resource, value in bucket.items():
-                view.override(element, resource, value)
-        if self._down:
-            resources = set(self.network.resources()) | {BANDWIDTH}
-            for element in self._down:
-                for resource in resources:
-                    if view.capacity(element, resource) > 0:
-                        view.override(element, resource, 0.0)
-        return view
-
-    def _tenants(self, *, ledger: bool) -> Iterator[tuple[Loads, float]]:
-        """The ``(loads, rate)`` holds behind a view, in rebuild order.
-
-        Both views hold the *active* GR paths (a path suspended by an
-        element outage has released its capacity back to the pool) and,
-        last, the external reservations.  The FCFS ``ledger`` (kept only
-        without prediction) also holds BE predicted rates — the rule
-        :meth:`_commit_be` applies — so its content does not depend on
-        whether anything was re-derived since an admission.
-        """
-        for placed_gr in self._gr:
-            for placement, rate, active in zip(
-                placed_gr.placements, placed_gr.path_rates, placed_gr.active
-            ):
-                if active:
-                    yield placement.loads(), rate
-        if ledger:
-            for placed_be in self._be:
-                for placement, rate, active in zip(
-                    placed_be.placements,
-                    placed_be.predicted_rates,
-                    placed_be.active,
-                ):
-                    if active:
-                        yield placement.loads(), rate
-        for consumptions in self._external.values():
-            yield from consumptions
-
-    @staticmethod
-    def _replay(
-        view: CapacityView, tenants: Iterable[tuple[Loads, float]]
-    ) -> None:
-        """Consume every tenant's load on ``view``."""
-        for loads, rate in tenants:
-            view.consume(loads, rate, clamp=True)
-
-    def _rebuild_gr_residual(self) -> None:
-        """Recompute the GR residual from current capacities + reservations."""
-        view = self._fresh_view()
-        self._replay(view, self._tenants(ledger=False))
-        self._gr_residual = view
-
-    def _rebuild_fcfs_view(self) -> None:
-        """Recompute the FCFS ledger from the remaining tenants (if kept)."""
-        if self._fcfs_view is None:
-            return
-        view = self._fresh_view()
-        self._replay(view, self._tenants(ledger=True))
-        self._fcfs_view = view
+    def _set_capacity(self, element: str) -> None:
+        """Write one element's current capacity into the kept views."""
+        for resource in set(self.network.resources()) | {BANDWIDTH}:
+            capacity = self._capacity(element, resource)
+            for view in self._views(False):
+                view.override(element, resource, capacity)
 
     def apply_capacity_change(
         self, changes: dict[str, dict[str, float]]
@@ -1033,8 +961,9 @@ class SparcleScheduler:
            the new capacity is *throttled* — its reserved rate shrinks by
            the element's over-subscription factor (the min over the path's
            elements), so the post-change reservations are feasible again;
-        2. the GR residual and bookkeeping views are rebuilt, so BE rates
-           re-solved by :meth:`allocate_be` reflect the new world;
+        2. the views take the new capacities (their holds stay, the
+           throttled paths' at the new rates), so BE rates re-solved by
+           :meth:`allocate_be` reflect the new world;
         3. the report lists each GR app's new aggregate rate and whether
            its guarantee survived (violated apps stay admitted — evicting
            or re-placing them is the operator's call, e.g. via
@@ -1051,7 +980,7 @@ class SparcleScheduler:
 
         # Per-(element, resource) GR usage under current reservations.
         usage: dict[tuple[str, str], float] = {}
-        for placed_gr in self._gr:
+        for placed_gr in self._gr.values():
             for placement, rate, is_active in zip(
                 placed_gr.placements, placed_gr.path_rates, placed_gr.active
             ):
@@ -1062,17 +991,16 @@ class SparcleScheduler:
                         if load > 0:
                             key = (element, resource)
                             usage[key] = usage.get(key, 0.0) + rate * load
-        fresh = self._fresh_view()
         shrink: dict[tuple[str, str], float] = {}
         for key, used in usage.items():
-            capacity = fresh.capacity(*key)
+            capacity = self._capacity(*key)
             if used > capacity + 1e-12:
                 shrink[key] = capacity / used if used > 0 else 0.0
 
         gr_new_rates: dict[str, float] = {}
         gr_guarantee_met: dict[str, bool] = {}
         throttled: dict[str, float] = {}
-        for placed_gr in self._gr:
+        for placed_gr in self._gr.values():
             new_rates = []
             for placement, rate, is_active in zip(
                 placed_gr.placements, placed_gr.path_rates, placed_gr.active
@@ -1090,14 +1018,16 @@ class SparcleScheduler:
                     throttled[placed_gr.request.app_id] = min(
                         throttled.get(placed_gr.request.app_id, 1.0), factor
                     )
+                    self._release([(placement.loads(), rate)], ledger_only=False)
+                    self._hold([(placement.loads(), rate * factor)], ledger_only=False)
             placed_gr.path_rates = tuple(new_rates)
             total = placed_gr.active_rate()
             gr_new_rates[placed_gr.request.app_id] = total
             gr_guarantee_met[placed_gr.request.app_id] = (
                 total >= placed_gr.request.min_rate - 1e-12
             )
-        self._rebuild_gr_residual()
-        self._rebuild_fcfs_view()
+        for element in changes:
+            self._set_capacity(element)
         return FluctuationReport(
             changes={e: dict(b) for e, b in changes.items()},
             gr_new_rates=gr_new_rates,
@@ -1118,7 +1048,7 @@ class SparcleScheduler:
         for element in down:
             self.network.element(element)
         gr_status: dict[str, tuple[float, bool]] = {}
-        for placed_gr in self._gr:
+        for placed_gr in self._gr.values():
             surviving = sum(
                 rate
                 for placement, rate, is_active in zip(
@@ -1132,7 +1062,7 @@ class SparcleScheduler:
             )
         be_alive: dict[str, bool] = {}
         surviving_apps: list[BEApp] = []
-        for placed_be in self._be:
+        for placed_be in self._be.values():
             paths = tuple(
                 p
                 for p, is_active in zip(placed_be.placements, placed_be.active)
@@ -1183,16 +1113,16 @@ class SparcleScheduler:
         return tuple(self._repair_controller.events)
 
     def _find_gr(self, app_id: str) -> _PlacedGR:
-        for placed in self._gr:
-            if placed.request.app_id == app_id:
-                return placed
-        raise AdmissionError(f"no admitted GR app {app_id!r}")
+        try:
+            return self._gr[app_id]
+        except KeyError:
+            raise AdmissionError(f"no admitted GR app {app_id!r}") from None
 
     def _find_be(self, app_id: str) -> _PlacedBE:
-        for placed in self._be:
-            if placed.request.app_id == app_id:
-                return placed
-        raise AdmissionError(f"no admitted BE app {app_id!r}")
+        try:
+            return self._be[app_id]
+        except KeyError:
+            raise AdmissionError(f"no admitted BE app {app_id!r}") from None
 
     @staticmethod
     def _normalize_kind(kind: str) -> str:
@@ -1274,9 +1204,9 @@ class SparcleScheduler:
         """Suspend every admitted path crossing ``element`` (outage start).
 
         Surviving paths are untouched (the paper's no-migration rule);
-        suspended paths keep their placement maps but release their
-        reservations back to the residual view, and the element itself
-        contributes zero capacity until :meth:`mark_element_up`.  Returns
+        suspended paths keep their placement maps but release their holds,
+        and the element itself contributes zero capacity until
+        :meth:`mark_element_up`.  Returns
         ``app_id -> suspended path indices`` (empty when the element was
         already down or nothing crossed it).
         """
@@ -1285,18 +1215,25 @@ class SparcleScheduler:
             return {}
         self._down.add(element)
         suspended: dict[str, list[int]] = {}
-        for placed_gr in self._gr:
+        for placed_gr in self._gr.values():
             for index, placement in enumerate(placed_gr.placements):
                 if placed_gr.active[index] and element in placement.used_elements():
                     placed_gr.active[index] = False
+                    self._release(
+                        [(placement.loads(), placed_gr.path_rates[index])],
+                        ledger_only=False,
+                    )
                     suspended.setdefault(placed_gr.request.app_id, []).append(index)
-        for placed_be in self._be:
+        for placed_be in self._be.values():
             for index, placement in enumerate(placed_be.placements):
                 if placed_be.active[index] and element in placement.used_elements():
                     placed_be.active[index] = False
+                    self._release(
+                        [(placement.loads(), placed_be.predicted_rates[index])],
+                        ledger_only=True,
+                    )
                     suspended.setdefault(placed_be.request.app_id, []).append(index)
-        self._rebuild_gr_residual()
-        self._rebuild_fcfs_view()
+        self._set_capacity(element)
         tr = tracing.get_tracer()
         if tr.enabled:
             tr.event(
@@ -1321,9 +1258,9 @@ class SparcleScheduler:
         if element not in self._down:
             return {}
         self._down.discard(element)
-        self._rebuild_gr_residual()
+        self._set_capacity(element)
         restored: dict[str, list[int]] = {}
-        for placed_gr in self._gr:
+        for placed_gr in self._gr.values():
             rates = list(placed_gr.path_rates)
             for index, placement in enumerate(placed_gr.placements):
                 if placed_gr.active[index]:
@@ -1338,9 +1275,9 @@ class SparcleScheduler:
                 rates[index] = rate
                 placed_gr.path_rates = tuple(rates)
                 placed_gr.active[index] = True
-                self._gr_residual.consume(placement.loads(), rate, clamp=True)
+                self._hold([(placement.loads(), rate)], ledger_only=False)
                 restored.setdefault(placed_gr.request.app_id, []).append(index)
-        for placed_be in self._be:
+        for placed_be in self._be.values():
             for index, placement in enumerate(placed_be.placements):
                 if placed_be.active[index]:
                     continue
@@ -1349,8 +1286,11 @@ class SparcleScheduler:
                 if sum(placed_be.active) >= placed_be.request.max_paths:
                     break  # replacement paths already fill the budget
                 placed_be.active[index] = True
+                self._hold(
+                    [(placement.loads(), placed_be.predicted_rates[index])],
+                    ledger_only=True,
+                )
                 restored.setdefault(placed_be.request.app_id, []).append(index)
-        self._rebuild_fcfs_view()
         tr = tracing.get_tracer()
         if tr.enabled:
             tr.event(
@@ -1405,9 +1345,7 @@ class SparcleScheduler:
         placed.placements = placed.placements + (result.placement,)
         placed.path_rates = placed.path_rates + (rate,)
         placed.active.append(True)
-        self._gr_residual.consume(result.placement.loads(), rate, clamp=True)
-        if self._fcfs_view is not None:
-            self._fcfs_view.consume(result.placement.loads(), rate, clamp=True)
+        self._hold([(result.placement.loads(), rate)], ledger_only=False)
         return result.placement, rate
 
     def _add_be_path(self, app_id: str) -> Placement | None:
@@ -1426,7 +1364,7 @@ class SparcleScheduler:
                         if a
                     ],
                 )
-                for other in self._be
+                for other in self._be.values()
                 if other is not placed
             ]
             view = predicted_view(
@@ -1443,10 +1381,7 @@ class SparcleScheduler:
         placed.placements = placed.placements + (result.placement,)
         placed.predicted_rates = placed.predicted_rates + (result.rate,)
         placed.active.append(True)
-        if self._fcfs_view is not None:
-            self._fcfs_view.consume(
-                result.placement.loads(), result.rate, clamp=True
-            )
+        self._hold([(result.placement.loads(), result.rate)], ledger_only=True)
         return result.placement
 
     def replan(self, app_id: str) -> "ReplanReport":
@@ -1460,9 +1395,7 @@ class SparcleScheduler:
         changed host — so the operator can weigh it.  If re-admission
         fails, the app stays withdrawn (the report says so).
         """
-        placed = next(
-            (p for p in self._gr if p.request.app_id == app_id), None
-        )
+        placed = self._gr.get(app_id)
         if placed is None:
             raise AdmissionError(f"no admitted GR app {app_id!r} to replan")
         old_hosts = [dict(p.ct_hosts) for p in placed.placements]
@@ -1489,9 +1422,10 @@ class SparcleScheduler:
 
     def _known(self, app_id: str) -> bool:
         return (
-            app_id in self._external
-            or any(p.request.app_id == app_id for p in self._be)
-            or any(p.request.app_id == app_id for p in self._gr)
+            app_id in self._gr
+            or app_id in self._be
+            or app_id in self._external
+            or app_id in self._adopted_be
         )
 
     def has_app(self, app_id: str) -> bool:
@@ -1505,10 +1439,12 @@ class SparcleScheduler:
         (cross-shard reservations and warm-start adoptions) — the
         serving front-end's topology reply counts these.
         """
-        ids = [placed.request.app_id for placed in self._gr]
-        ids.extend(placed.request.app_id for placed in self._be)
-        ids.extend(self._external)
-        return tuple(ids)
+        return (
+            tuple(self._gr)
+            + tuple(self._be)
+            + tuple(self._external)
+            + tuple(self._adopted_be)
+        )
 
 
 def admit_all_gr(

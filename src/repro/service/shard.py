@@ -12,8 +12,8 @@ placements that cannot be satisfied inside a single region:
 * :class:`ShardNode` — one region: a private :class:`SparcleScheduler`
   over the region subnetwork, an :class:`AdmissionGateway` in front of it,
   and a durable JSONL :class:`ShardEventLog` recording every state change
-  as the decision that caused it (a redo log: admitted loads, reserved
-  loads, withdrawn ids), on top of full-state checkpoints.
+  as the decision that caused it (admitted loads, reserved loads,
+  withdrawn ids), on top of full-state checkpoints.
 * :class:`ShardCoordinator` — routes submits to the owning shard (pins
   decide; unpinned requests round-robin), and runs a **two-phase
   reserve/commit** for requests whose pins span regions: phase 1 evaluates
@@ -37,31 +37,32 @@ double-booked by two shards because only the coordinator consumes it.
 residual view, plus the FCFS ledger without prediction, the live
 applications and the shard network) followed by records that carry each
 decision, not its consequence: the loads an epoch admitted or a
-cross-shard reservation took, the id a withdrawal released.  A killed
-shard warm-starts by redoing those over the last checkpoint
-(:func:`replay_log`) — the scheduler's own operations on the same values
-in the same order, so the views come out bit-for-bit — instead of
-re-solving admission.  Logged live applications are *adopted* as opaque
-external reservations (their capacity stays held, duplicates stay
-rejected, withdrawal still works); queued-but-undecided siblings are
-lost — exactly-once is the submitting client's retry loop, not the
-log's.  A record is flushed to the OS before its decision is delivered,
-so it survives a process kill but not a power loss; ``fsync`` runs only
-when :meth:`ShardEventLog.rewrite` rotates a recovered log down to one
-checkpoint.
+cross-shard reservation took, the id a withdrawal released.  Folding
+those by app id gives the live applications and their holds; a view is
+capacity minus the exact integer sum of those holds
+(:class:`~repro.core.placement.CapacityView`), whatever order they came
+and went in, so :func:`replay_log` and a warm-started shard arrive at
+the live views bit-for-bit without re-solving admission.  Logged live
+applications are *adopted* as opaque tenants (their capacity stays
+held, duplicates stay rejected, withdrawal still works);
+queued-but-undecided siblings are lost — exactly-once is the submitting
+client's retry loop, not the log's.  A record is flushed to the OS
+before its decision is delivered, so it survives a process kill but not
+a power loss; ``fsync`` runs only when :meth:`ShardEventLog.rewrite`
+rotates a recovered log down to one checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, TextIO
 
 from repro.core.assignment import sparcle_assign
-from repro.core.network import NCP, Link, Network, ResidualSnapshot
+from repro.core.network import NCP, Link, Network
 from repro.core.placement import CapacityView, Loads
 from repro.core.repair import RetryPolicy
 from repro.core.scenario import network_from_dict, network_to_dict
@@ -324,7 +325,7 @@ class ShardEventLog:
     ``seq``.  The first record is a *checkpoint* (full ``residual``
     entries, the ``fcfs`` ledger's without prediction, the live ``apps``
     and the ``network``); the records after it carry decisions, which
-    :func:`replay_log` redoes over it.  With ``path=None`` the log is
+    :func:`replay_log` folds into it.  With ``path=None`` the log is
     held in memory (tests, throwaway federations).  With a path, every
     record is flushed to the OS before :meth:`append` returns (it
     survives a process kill, not a power loss), an existing file is
@@ -406,7 +407,7 @@ class ShardEventLog:
     def records_since_checkpoint(self) -> int:
         """Records after the last one that carries full state.
 
-        What the next recovery has to redo on top of that checkpoint
+        What the next recovery has to fold on top of that checkpoint
         (shard logs: a record with ``residual``; the coordinator log: one
         with ``cross_apps``).
         """
@@ -496,9 +497,10 @@ class ReplayState:
     log, bit-equal to the live views of the scheduler that wrote it
     (``fcfs`` is ``None`` when the log's checkpoint carries no FCFS
     ledger, i.e. it was written under prediction); ``apps`` are the
-    applications still holding reservations (their logged per-path
-    consumptions included, so a warm-started shard can keep accounting
-    for — and later release — their capacity).
+    applications still live, with their logged per-path holds, so a
+    warm-started shard holds — and can later release — their capacity.
+    A local BE app's holds are its FCFS-ledger charge: empty under
+    prediction.
     """
 
     residual: Entries
@@ -516,7 +518,7 @@ def _last_with(records: Sequence[Mapping[str, Any]], key: str) -> int | None:
 def _replay_view(
     records: Sequence[Mapping[str, Any]], checkpoint: int, key: str
 ) -> Entries:
-    """One view of a log written before the redo log: the checkpoint's
+    """One view of a log whose records carry a ``delta``: the checkpoint's
     entries, then each later record's ``delta`` assigned element by
     element (an empty bucket reads the raw capacity again)."""
     view: dict[str, dict[str, float]] = {}
@@ -531,143 +533,39 @@ def _replay_view(
     )
 
 
-def _fold_apps(apps: dict[str, ReplayedApp], record: Mapping[str, Any]) -> None:
-    """Fold one record into the live applications, in adoption order."""
-    admitted = [(app, app["kind"], app["origin"]) for app in record.get("apps", ())]
-    kind = record.get("type")
-    if kind == "epoch":
-        admitted += [
-            (decision, decision["kind"], "local")
-            for decision in record["decisions"]
-            if decision["accepted"]
-        ]
-    elif kind == "reserve":
-        admitted.append((record, record.get("kind", "GR"), "external"))
-    elif kind == "release":
-        apps.pop(record["app_id"], None)
-    for raw, app_kind, origin in admitted:
-        # A local BE app holds no reservation: the loads a node without
-        # prediction logs for it feed only the FCFS ledger's redo.
-        local_be = app_kind == "BE" and origin == "local"
-        apps[raw["app_id"]] = ReplayedApp(
-            app_id=raw["app_id"],
-            kind=app_kind,
-            origin=origin,
-            consumptions=(
-                () if local_be else _consumptions_from_json(raw["consumed"])
-            ),
-        )
+def _fold_apps(records: Sequence[Mapping[str, Any]]) -> tuple[ReplayedApp, ...]:
+    """The applications live at the end of ``records``, in adoption order.
 
-
-#: Tenant groups of a redo, in :meth:`SparcleScheduler._tenants` order,
-#: and the marker of a release.
-_GR, _BE, _EXTERNAL, _RELEASE = range(4)
-
-
-class _Redo:
-    """A warm-started scheduler, reduced to what redoing its log needs.
-
-    The views are thawed from the checkpoint.  The tenants are grouped
-    and ordered as :meth:`SparcleScheduler._tenants` yields them: local
-    GR apps in admission order, local BE apps (FCFS ledger only), then
-    the externals — the checkpoint's apps, later ``reserve`` records.
+    Every record from the last checkpoint that lists its ``apps`` (or
+    from the first record) is folded by app id: a listed app, an
+    accepted decision or a ``reserve`` adds one, a ``release`` drops
+    one.  Only the survivors' holds are parsed.
     """
-
-    def __init__(
-        self,
-        checkpoint: Mapping[str, Any],
-        adopted: Iterable[ReplayedApp],
-        network: Network,
-    ) -> None:
-        self.network = network
-        self.residual = self._thaw(checkpoint["residual"])
-        self.fcfs = (
-            self._thaw(checkpoint["fcfs"]) if "fcfs" in checkpoint else None
-        )
-        self.adopted = {app.app_id: (_EXTERNAL, app.consumptions) for app in adopted}
-        #: ``(group, app_id, consumptions)`` per hold or release, in order.
-        self.ops: list[tuple[int, str, Consumptions]] = []
-
-    def _thaw(self, entries: Sequence[Sequence[Any]]) -> CapacityView:
-        thawed = tuple((str(e), str(r), float(v)) for e, r, v in entries)
-        snapshot = ResidualSnapshot(self.network.name, thawed)
-        return CapacityView.from_snapshot(self.network, snapshot)
-
-    def read(
-        self, record: Mapping[str, Any], apps: Mapping[str, ReplayedApp]
-    ) -> None:
-        """Queue one record's ops (``apps`` already holds what it admitted)."""
+    live: dict[str, tuple[Mapping[str, Any], str, str]] = {}
+    for record in records[_last_with(records, "apps") or 0 :]:
+        admitted = [(app, app["kind"], app["origin"]) for app in record.get("apps", ())]
         kind = record.get("type")
         if kind == "epoch":
-            for decision in record["decisions"]:
-                app_id = decision["app_id"]
-                if decision["accepted"] and decision["kind"] == "GR":
-                    self.ops.append((_GR, app_id, apps[app_id].consumptions))
-                elif decision["accepted"] and self.fcfs is not None:
-                    loads = _consumptions_from_json(decision["consumed"])
-                    self.ops.append((_BE, app_id, loads))
+            admitted += [
+                (decision, decision["kind"], "local")
+                for decision in record["decisions"]
+                if decision["accepted"]
+            ]
         elif kind == "reserve":
-            app_id = record["app_id"]
-            self.ops.append((_EXTERNAL, app_id, apps[app_id].consumptions))
+            admitted.append((record, record.get("kind", "GR"), "external"))
         elif kind == "release":
-            self.ops.append((_RELEASE, record["app_id"], ()))
-
-    def _views(self, group: int) -> Iterator[tuple[int, CapacityView]]:
-        """(view index, view) for each view a tenant of ``group`` holds."""
-        if group != _BE:
-            yield 0, self.residual
-        if self.fcfs is not None:
-            yield 1, self.fcfs
-
-    def run(self) -> None:
-        """Apply the queued ops to the views.
-
-        An entry depends only on the last release that re-derives its
-        element and on the consumptions after that release, so every
-        earlier op on that element is skipped: the views come out as if
-        each op ran in full, at the cost of one rebuild instead of one
-        per release.
-        """
-        last: tuple[dict[str, int], dict[str, int]] = ({}, {})
-        tenants = dict(self.adopted)
-        for index, (group, app_id, held) in enumerate(self.ops):
-            if group != _RELEASE:
-                tenants[app_id] = (group, held)
-            elif app_id in tenants:
-                gone_group, gone = tenants.pop(app_id)
-                for view, _capacities in self._views(gone_group):
-                    last[view].update((e, index) for loads, _ in gone for e in loads)
-        tenants = dict(self.adopted)
-        for index, (group, app_id, held) in enumerate(self.ops):
-            if group != _RELEASE:
-                tenants[app_id] = (group, held)
-                for view, capacities in self._views(group):
-                    for loads, rate in held:
-                        kept = {
-                            e: bucket for e, bucket in loads.items()
-                            if last[view].get(e, -1) < index
-                        }
-                        capacities.consume(kept, rate, clamp=True)
-            elif app_id in tenants:
-                gone_group, gone = tenants.pop(app_id)
-                fresh = CapacityView(self.network)
-                for view, capacities in self._views(gone_group):
-                    footprint = frozenset(
-                        e for loads, _ in gone for e in loads
-                        if last[view][e] == index
-                    )
-                    if footprint:
-                        groups = (_GR, _EXTERNAL) if view == 0 else (_GR, _BE, _EXTERNAL)
-                        capacities.rederive(footprint, fresh, _holds(tenants, groups))
+            live.pop(record["app_id"], None)
+        for raw, app_kind, origin in admitted:
+            live[raw["app_id"]] = (raw, app_kind, origin)
+    return tuple(
+        ReplayedApp(app_id, kind, origin, _consumptions_from_json(raw["consumed"]))
+        for app_id, (raw, kind, origin) in live.items()
+    )
 
 
-def _holds(
-    tenants: Mapping[str, tuple[int, Consumptions]], groups: Sequence[int]
-) -> Iterator[tuple[Loads, float]]:
-    for wanted in groups:
-        for group, consumptions in tenants.values():
-            if group == wanted:
-                yield from consumptions
+def _ledger_only(app: ReplayedApp) -> bool:
+    """A local BE app holds no GR reservation, only its FCFS charge."""
+    return app.kind == "BE" and app.origin == "local"
 
 
 def replay_log(
@@ -675,23 +573,19 @@ def replay_log(
 ) -> ReplayState:
     """Reconstruct residual state and live tenants from log records.
 
-    A redo log: the views start from the last *checkpoint* (a record
-    with the full ``residual`` and, without prediction, ``fcfs``
-    entries) and each later record is redone over them, in order, the
-    way the scheduler that wrote it did it: an accepted GR placement or
-    a ``reserve`` is :meth:`CapacityView.consume`-d per path (an
-    accepted BE placement on the FCFS ledger only), and a ``release``
-    re-derives the departed footprint from the surviving tenants
-    (:meth:`CapacityView.rederive`) — so the views come out bit-equal
-    to the live ones.  Work a later release overwrites is skipped
-    (:meth:`_Redo.run`).  A record repeating the previous ``seq`` (a
-    duplicated final write) is redone once.  ``network`` is the shard
-    network the log was written against (default: the checkpoint's).
+    The live applications are the records folded by app id
+    (:func:`_fold_apps`), each with its logged holds, so a repeated
+    record (a duplicated final write) changes nothing.  The views are
+    the capacities minus the sum of those holds: the residual holds
+    every app but the local BE ones, and the FCFS ledger — only when
+    the last checkpoint (a record with the full ``residual``) carries
+    ``fcfs``, i.e. the log was written without prediction — holds them
+    all.  ``network`` is the shard network the log was written against
+    (default: the checkpoint's).
 
-    A log written before the redo log carries a ``delta`` in every
-    record after its checkpoint and replays by assigning those.  The
-    live applications accumulate from the last checkpoint that lists
-    its ``apps`` (or from the first record when none does).
+    A log written by earlier versions carries a ``delta`` in every
+    record after its checkpoint and replays by assigning those; a log
+    that is one checkpoint replays to the views it carries.
 
     Raises :class:`~repro.exceptions.ShardError` for an empty log, or
     one with no checkpoint — there is nothing to warm-start from.
@@ -704,27 +598,23 @@ def replay_log(
             "shard event log has no checkpoint record to replay from"
         )
     base, tail = records[checkpoint], records[checkpoint + 1 :]
-    apps: dict[str, ReplayedApp] = {}
-    for record in records[_last_with(records, "apps") or 0 : checkpoint + 1]:
-        _fold_apps(apps, record)
+    live = _fold_apps(records)
     if not tail or any("delta" in record for record in tail):
-        for record in tail:
-            _fold_apps(apps, record)
         fcfs = _replay_view(records, checkpoint, "fcfs") if "fcfs" in base else None
-        residual = _replay_view(records, checkpoint, "residual")
-        return ReplayState(residual, fcfs, tuple(apps.values()))
+        return ReplayState(_replay_view(records, checkpoint, "residual"), fcfs, live)
     if network is None and "network" not in base:
-        raise ShardError("the log's checkpoint names no network to redo on")
-    redo = _Redo(base, apps.values(), network or network_from_dict(base["network"]))
-    previous = base.get("seq")
-    for record in tail:
-        if previous is None or record.get("seq") != previous:
-            _fold_apps(apps, record)
-            redo.read(record, apps)
-        previous = record.get("seq")
-    redo.run()
-    ledger = None if redo.fcfs is None else redo.fcfs.freeze().entries
-    return ReplayState(redo.residual.freeze().entries, ledger, tuple(apps.values()))
+        raise ShardError("the log's checkpoint names no network to replay on")
+    network = network or network_from_dict(base["network"])
+    residual = CapacityView(network)
+    ledger = CapacityView(network) if "fcfs" in base else None
+    for app in live:
+        for loads, rate in app.consumptions:
+            if not _ledger_only(app):
+                residual.consume(loads, rate)
+            if ledger is not None:
+                ledger.consume(loads, rate)
+    fcfs = None if ledger is None else ledger.freeze().entries
+    return ReplayState(residual.freeze().entries, fcfs, live)
 
 
 # ----------------------------------------------------------------------
@@ -740,7 +630,7 @@ class ShardNode:
     epoch's decisions with the per-path loads of each accepted GR app
     (and, without prediction, of each accepted BE app), a cross-shard
     reservation's loads, a withdrawal's app id.  :meth:`warm_start`
-    redoes those over the log's last checkpoint after a :meth:`kill`.
+    holds the live ones again on a fresh scheduler after a :meth:`kill`.
     """
 
     def __init__(
@@ -826,8 +716,12 @@ class ShardNode:
         Keys are app ids: locally admitted apps, adopted apps, and
         cross-shard external reservations applied by the coordinator.
         The invariant checker re-derives the expected residual from this.
+        A local BE app (admitted or adopted) holds nothing here.
         """
         ledger: dict[str, Consumptions] = dict(self._local)
+        ledger.update(
+            (app_id, ()) for app_id, app in self._adopted.items() if _ledger_only(app)
+        )
         for tag in self.scheduler.external_tags():
             ledger[tag] = self.scheduler.external_consumptions(tag)
         return ledger
@@ -904,33 +798,26 @@ class ShardNode:
         self.alive = False
 
     def _restore(self) -> None:
-        """Rebuild the scheduler from the log: views redone, apps adopted."""
+        """Rebuild the scheduler from the log: every live app adopted."""
         state = replay_log(self.log.records(), self.network)
         self._build()
-        self.scheduler.restore_residual(
-            ResidualSnapshot(self.network.name, state.residual),
-            fcfs=(
-                ResidualSnapshot(self.network.name, state.fcfs)
-                if state.fcfs is not None
-                else None
-            ),
-        )
         self._local = {}
         self._adopted = {}
         for app in state.apps:
-            self.scheduler.reserve_external(
-                app.app_id, app.consumptions, charge=False
-            )
+            if _ledger_only(app):
+                self.scheduler.adopt_be(app.app_id, app.consumptions)
+            else:
+                self.scheduler.reserve_external(app.app_id, app.consumptions)
             self._adopted[app.app_id] = app
         self.alive = True
 
     def warm_start(self) -> None:
         """Restart from the event log instead of re-solving admission.
 
-        Redoes the log (:func:`replay_log`) into bit-equal capacity
-        views, then adopts every logged live application as an external
-        reservation (capacity stays held, duplicate ids stay rejected,
-        withdrawal still works), and appends a ``restart`` checkpoint.
+        Folds the log (:func:`replay_log`) into its live applications
+        and adopts each on a fresh scheduler — its holds charged again,
+        so the views come out bit-equal; duplicate ids stay rejected and
+        withdrawal still works — then appends a ``restart`` checkpoint.
         Raises :class:`~repro.exceptions.ShardError` if the shard is
         still alive or the log is empty.
         """
@@ -1421,10 +1308,12 @@ class ShardCoordinator:
         app_id = request.app_id
         working = self._thaw_merged(self._merged_entries())
         try:
-            for placement, rate in zip(
-                proposal.placements, proposal.path_rates
-            ):
-                working.consume(placement.loads(), rate)
+            working.reserve(
+                (placement.loads(), rate)
+                for placement, rate in zip(
+                    proposal.placements, proposal.path_rates
+                )
+            )
         except PlacementError as error:
             raise StaleProposalError(
                 f"cross-shard proposal for {app_id!r} no longer fits the "
@@ -1440,15 +1329,10 @@ class ShardCoordinator:
                     app_id, tuple(consumptions)
                 )
                 applied.append(owner)
-            for loads, rate in per_owner.get(LEDGER, []):
-                self._ledger.consume(loads, rate)
+            self._ledger.reserve(per_owner.get(LEDGER, []))
         except PlacementError as error:
             for owner in applied:
                 self._nodes[owner].withdraw(app_id)
-            # The ledger may have consumed a prefix of the boundary
-            # entries before the failure; re-derive it from the app
-            # table so the partial consumption cannot leak capacity.
-            self._rebuild_ledger()
             raise StaleProposalError(
                 f"cross-shard reservation for {app_id!r} aborted at an "
                 f"owner: {error}"
@@ -1584,7 +1468,8 @@ class ShardCoordinator:
                     node.withdraw(app_id)
                 # A dead owner's log keeps the reservation; the restart
                 # path reconciles it against the coordinator's app table.
-            self._rebuild_ledger()
+            for loads, rate in app.ledger_consumptions():
+                self._ledger.release(loads, rate)
             self._log.append({"type": "release", "app_id": app_id})
             self._all_ids.discard(app_id)
             return
@@ -1594,13 +1479,6 @@ class ShardCoordinator:
                 self._all_ids.discard(app_id)
                 return
         raise AdmissionError(f"no admitted app {app_id!r} to withdraw")
-
-    def _rebuild_ledger(self) -> None:
-        view = CapacityView(self.network)
-        for app in self._apps.values():
-            for loads, rate in app.ledger_consumptions():
-                view.consume(loads, rate, clamp=True)
-        self._ledger = view
 
     def kill_shard(self, shard_id: int) -> int:
         """Crash one shard; returns how many queued requests were lost."""
@@ -1693,7 +1571,10 @@ class ShardCoordinator:
         self._all_ids = set(self._apps)
         for node in self._nodes:
             self._all_ids.update(node.live_apps())
-        self._rebuild_ledger()
+        self._ledger = CapacityView(self.network)
+        for app in self._apps.values():
+            for loads, rate in app.ledger_consumptions():
+                self._ledger.consume(loads, rate)
         self._log.rewrite(self._checkpoint("recover"))
         return len(self._all_ids)
 

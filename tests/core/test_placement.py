@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.network import NCP, Link, Network
-from repro.core.placement import CapacityView, Placement, merge_loads
+from repro.core.placement import QUANTUM, CapacityView, Placement, merge_loads
 from repro.core.taskgraph import (
     BANDWIDTH,
     CPU,
@@ -226,23 +226,87 @@ class TestCapacityView:
         assert caps.capacity("ncp1", CPU) == 1000.0 - 2.0 * 100.0
         assert caps.capacity("l12", BANDWIDTH) == 10.0 - 2.0 * 4.0
 
-    def test_consume_beyond_capacity_raises(self, graph, network):
+    def test_reserve_beyond_capacity_raises(self, graph, network):
         caps = CapacityView(network)
+        caps.consume({"ncp1": {CPU: 100.0}}, 1.0)
+        before = caps.freeze()
+        loads = good_placement(graph).loads()
         with pytest.raises(PlacementError, match="exceeds residual"):
-            caps.consume(good_placement(graph).loads(), 100.0)
+            caps.reserve([(loads, 1.0), (loads, 100.0)])
+        assert caps.freeze() == before
+        # Two holds that fit alone may not fit together.
+        with pytest.raises(PlacementError, match="exceeds residual"):
+            caps.reserve([(loads, 1.5), (loads, 1.2)])
+        assert caps.freeze() == before
+        caps.reserve([(loads, 1.0), (loads, 1.0)])
+        assert caps.capacity("l12", BANDWIDTH) == 2.0
+
+    def test_consume_never_refuses_and_the_residual_floors(self, graph, network):
+        caps = CapacityView(network)
+        loads = good_placement(graph).loads()
+        caps.consume(loads, 100.0)
+        assert caps.capacity("l12", BANDWIDTH) == 0.0
+        assert caps.held("l12", BANDWIDTH) == round(100.0 * 4.0 / QUANTUM)
+        caps.release(loads, 100.0)
+        assert caps.capacity("l12", BANDWIDTH) == 10.0
 
     def test_release_restores_capacity(self, graph, network):
         caps = CapacityView(network)
         loads = good_placement(graph).loads()
         caps.consume(loads, 2.0)
+        caps.consume(loads, 0.1)
         caps.release(loads, 2.0)
-        assert caps.capacity("ncp1", CPU) == pytest.approx(1000.0)
-        assert caps.capacity("l12", BANDWIDTH) == pytest.approx(10.0)
+        caps.release(loads, 0.1)
+        assert caps.capacity("ncp1", CPU) == 1000.0
+        assert caps.capacity("l12", BANDWIDTH) == 10.0
+        assert caps.freeze().entries == ()
 
     def test_release_cannot_mint_capacity(self, network):
         caps = CapacityView(network)
-        caps.release({"ncp1": {CPU: 100.0}}, 5.0)
+        caps.consume({"ncp2": {CPU: 100.0}}, 1.0)
+        with pytest.raises(PlacementError, match="never held"):
+            caps.release({"ncp2": {CPU: 100.0}, "ncp1": {CPU: 100.0}}, 1.0)
         assert caps.capacity("ncp1", CPU) == 1000.0
+        assert caps.capacity("ncp2", CPU) == 1900.0
+
+    def test_residual_is_capacity_minus_held_in_any_order(self, network):
+        holds = [({"ncp1": {CPU: 0.1}}, 3.3), ({"ncp1": {CPU: 7.7}}, 0.9),
+                 ({"ncp1": {CPU: 1.0 / 3.0}}, 11.0)]
+        forward, backward = CapacityView(network), CapacityView(network)
+        for loads, rate in holds:
+            forward.consume(loads, rate)
+        for loads, rate in reversed(holds):
+            backward.consume(loads, rate)
+        held = sum(round(rate * loads["ncp1"][CPU] / QUANTUM)
+                   for loads, rate in holds)
+        assert forward.held("ncp1", CPU) == backward.held("ncp1", CPU) == held
+        assert forward.capacity("ncp1", CPU) == 1000.0 - held * QUANTUM
+        assert forward.freeze() == backward.freeze()
+
+    def test_override_sets_the_capacity_holds_draw_on(self, network):
+        caps = CapacityView(network)
+        caps.consume({"ncp1": {CPU: 100.0}}, 2.0)
+        caps.override("ncp1", CPU, 0.0)
+        assert caps.capacity("ncp1", CPU) == 0.0
+        caps.override("ncp1", CPU, 500.0)
+        assert caps.capacity("ncp1", CPU) == 300.0
+        caps.release({"ncp1": {CPU: 100.0}}, 2.0)
+        assert caps.freeze().entries == (("ncp1", CPU, 500.0),)
+        # Back at the raw capacity, with nothing held, the entry leaves.
+        caps.override("ncp1", CPU, 1000.0)
+        assert caps.freeze().entries == ()
+
+    def test_derived_views_hold_nothing(self, network):
+        caps = CapacityView(network)
+        caps.consume({"ncp1": {CPU: 100.0}}, 2.0)
+        for derived in (caps.scaled({"ncp2": 0.5}),
+                        CapacityView.from_snapshot(network, caps.freeze())):
+            assert derived.held("ncp1", CPU) == 0
+            assert derived.capacity("ncp1", CPU) == 800.0
+            # A release there would mint capacity: nothing is held.
+            with pytest.raises(PlacementError, match="never held"):
+                derived.release({"ncp1": {CPU: 100.0}}, 2.0)
+        assert caps.copy().held("ncp1", CPU) == caps.held("ncp1", CPU) > 0
 
     def test_scaled_applies_factors(self, network):
         caps = CapacityView(network).scaled({"ncp1": 0.5})
@@ -268,32 +332,6 @@ class TestCapacityView:
         caps.consume({"ncp2": {"memory": 1.0}}, 8.0)
         assert clone.capacity("ncp2", "memory") == 498.0
         assert caps.snapshot()["ncp2"] == {CPU: 1800.0, "memory": 490.0}
-
-    def test_reset_elements_copies_or_drops_entries(self, network):
-        caps = CapacityView(network)
-        caps.consume(
-            {"ncp1": {CPU: 100.0}, "ncp2": {CPU: 100.0}, "l12": {BANDWIDTH: 1.0}},
-            2.0,
-        )
-        source = CapacityView(network)
-        source.override("ncp1", CPU, 700.0)
-        source.override("ncp3", CPU, 0.0)
-        version = caps.version
-        caps.reset_elements(["ncp1", "l12", "ncp3"], source)
-        assert caps.version > version
-        # ncp1 takes the source's entry, l12 (absent there) reads raw
-        # capacity again and leaves the snapshot, ncp2 is not rewritten.
-        assert caps.freeze().entries == (
-            ("ncp1", CPU, 700.0),
-            ("ncp2", CPU, 1800.0),
-            ("ncp3", CPU, 0.0),
-        )
-        assert caps.capacity("l12", BANDWIDTH) == 10.0
-        assert caps.snapshot() == {
-            "ncp1": {CPU: 700.0}, "ncp2": {CPU: 1800.0}, "ncp3": {CPU: 0.0},
-        }
-        source.override("ncp1", CPU, 1.0)
-        assert caps.capacity("ncp1", CPU) == 700.0
 
     def test_negative_rate_rejected(self, network):
         caps = CapacityView(network)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.network import star_network
+from repro.core.placement import CapacityView
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
 from repro.core.taskgraph import linear_task_graph
 from repro.exceptions import AdmissionError
@@ -68,20 +69,24 @@ class TestWithdraw:
 
 
 class TestFcfsLedgerIsWithdrawIndependent:
-    """The FCFS ledger follows the commit rule, rebuilt or not.
+    """The FCFS ledger holds exactly the live tenants, whatever came and went.
 
     The ledger exists only without prediction (the A3 ablation), where
     it is read: every BE app is charged to it at commit at its predicted
-    rate, and a withdraw or a full rebuild must agree on that.
+    rate, and after any withdraw it equals the live holds summed on a
+    fresh view.
     """
 
     @staticmethod
     def _from_scratch(scheduler):
-        import copy
-
-        twin = copy.copy(scheduler)
-        twin._rebuild_fcfs_view()
-        return twin.fcfs_snapshot()
+        view = CapacityView(scheduler.network)
+        state = scheduler.state()
+        for kind, app_ids in (("GR", state.gr_apps), ("BE", state.be_apps)):
+            for app_id in app_ids:
+                for record in scheduler.paths(app_id, kind):
+                    if record.active:
+                        view.consume(record.placement.loads(), record.rate)
+        return view.freeze()
 
     def test_ledger_equals_rebuild_at_every_step(self, net):
         scheduler = SparcleScheduler(net, use_prediction=False)

@@ -42,7 +42,7 @@ def _scratch_residual(scheduler) -> dict:
     for app_id in scheduler.state().gr_apps:
         for record in scheduler.paths(app_id, "GR"):
             if record.active:
-                view.consume(record.placement.loads(), record.rate, clamp=True)
+                view.consume(record.placement.loads(), record.rate)
     return view.snapshot()
 
 

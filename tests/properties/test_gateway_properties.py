@@ -108,8 +108,7 @@ def _assert_no_double_commit(scheduler) -> None:
     for app_id in scheduler.state().gr_apps:
         for record in scheduler.paths(app_id, "GR"):
             if record.active:
-                view.consume(record.placement.loads(), record.rate,
-                             clamp=True)
+                view.consume(record.placement.loads(), record.rate)
     expected = view.snapshot()
     actual = scheduler.state().residual
     for element, bucket in expected.items():

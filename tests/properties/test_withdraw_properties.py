@@ -1,37 +1,36 @@
-"""Differential property: footprint-sized withdraw vs. the full rebuilds.
+"""Ledger property: a footprint-sized withdraw equals a full rebuild.
 
-``SparcleScheduler.withdraw`` re-derives the GR residual and, without
-prediction, the FCFS ledger only on the elements the departing tenant
-touched.  The two full rebuilds (``_rebuild_gr_residual`` /
-``_rebuild_fcfs_view``) stay for the outage and capacity-change paths —
-and as the oracle here: over random admit / withdraw / ``replan`` /
-``reserve_external`` / ``apply_capacity_change`` / element down and up
-(through a :class:`~repro.core.repair.RepairController`, so replacement
-paths are added too) sequences, after every step the live views must
-equal what the rebuilds produce on a twin scheduler sharing the same
-tenant lists.  Under prediction no FCFS ledger exists at any step.  After
-a withdraw
+``CapacityView`` keeps each entry's held amount as an integer number of
+``QUANTUM`` units, so a withdraw subtracts exactly what its commit added
+and no state depends on the order tenants came and went: every view
+equals the live holds summed from scratch.  Over random
+admit / withdraw / ``replan`` / ``reserve_external`` /
+``apply_capacity_change`` / element down and up sequences (through a
+:class:`~repro.core.repair.RepairController`, so replacement paths are
+added too), with and without prediction, after every step:
 
-* every entry on the departed footprint is *bit-equal* to the rebuild
-  (same starting value, same tenants, same order), including entries
-  that disappear because no consumer remains;
-* every entry off the footprint is *not rewritten* (bit-equal to its
-  value before the withdraw).
+* every entry's ``held`` equals the sum, over the live holds, of
+  ``round(rate × load / QUANTUM)`` — the GR residual holds the active GR
+  paths and the external reservations, the FCFS ledger (kept only
+  without prediction) those plus every active BE path at its predicted
+  rate;
+* every residual equals ``max(0, capacity − held × QUANTUM)`` bit for
+  bit, the capacity being the raw one, the last capacity change, or zero
+  while the element is down;
+* a withdraw rewrites no entry off the elements it returns.
 
-Off the footprint the rebuild replays tenants class by class while the
-live view consumed them in arrival order, so those entries agree to
-rounding, not to the bit — the parent's withdraw re-rounded them, this
-one leaves them alone.
+Withdrawing everything and bringing every element back up returns every
+residual bit-exactly to its capacity, and ``freeze()`` keeps only the
+capacity changes (nothing, when there were none).
 """
 
 from __future__ import annotations
-
-import copy
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.network import star_network
+from repro.core.placement import QUANTUM
 from repro.core.repair import RepairController
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
 from repro.core.taskgraph import BANDWIDTH, CPU, linear_task_graph
@@ -45,38 +44,6 @@ SETTINGS = settings(
 )
 
 N_LEAVES = 4
-ROUNDING = 1e-9
-
-
-def _entries(snapshot) -> dict[tuple[str, str], float]:
-    return {(e, r): v for e, r, v in snapshot.entries}
-
-
-def _views(scheduler):
-    """The kept views: the GR residual, then the FCFS ledger if any."""
-    views = [_entries(scheduler.residual_snapshot())]
-    ledger = scheduler.fcfs_snapshot()
-    if ledger is not None:
-        views.append(_entries(ledger))
-    return tuple(views)
-
-
-def _rebuilt(scheduler):
-    """The kept views as the full rebuilds derive them, on a twin."""
-    twin = copy.copy(scheduler)  # shares the tenant lists, not the views
-    twin._rebuild_gr_residual()
-    twin._rebuild_fcfs_view()
-    assert twin._gr_residual is not scheduler._gr_residual
-    return _views(twin)
-
-
-def _assert_matches_rebuild(scheduler, context) -> None:
-    for live, oracle in zip(_views(scheduler), _rebuilt(scheduler)):
-        assert live.keys() == oracle.keys(), context
-        for key, value in oracle.items():
-            assert abs(live[key] - value) <= ROUNDING * max(1.0, value), (
-                context, key, live[key], value
-            )
 
 
 def _request(draw, index: int):
@@ -101,17 +68,53 @@ def _request(draw, index: int):
     )
 
 
-def _footprint(scheduler, app_id: str) -> set[str]:
-    """Elements the tenant's views may hold entries on (empty: none)."""
-    if app_id in scheduler.external_tags():
-        held = scheduler.external_consumptions(app_id)
-        return {element for loads, _ in held for element in loads}
-    kind = "GR" if app_id in scheduler.state().gr_apps else "BE"
-    return {
-        element
-        for record in scheduler.paths(app_id, kind)
-        for element in record.placement.loads()
-    }
+def _live_holds(scheduler):
+    """(GR-residual holds, BE holds the FCFS ledger adds), public API only."""
+    gr, be = [], []
+    state = scheduler.state()
+    for kind, app_ids, holds in (
+        ("GR", state.gr_apps, gr), ("BE", state.be_apps, be)
+    ):
+        for app_id in app_ids:
+            for record in scheduler.paths(app_id, kind):
+                if record.active:
+                    holds.append((record.placement.loads(), record.rate))
+    for tag in scheduler.external_tags():
+        gr.extend(scheduler.external_consumptions(tag))
+    return gr, be
+
+
+def _summed(holds) -> dict[tuple[str, str], int]:
+    total: dict[tuple[str, str], int] = {}
+    for loads, rate in holds:
+        for element, bucket in loads.items():
+            for resource, load in bucket.items():
+                if load > 0.0:
+                    key = (element, resource)
+                    total[key] = total.get(key, 0) + round(rate * load / QUANTUM)
+    return total
+
+
+def _views(scheduler):
+    """The kept views: the GR residual, then the FCFS ledger if any."""
+    views = [scheduler._gr_residual]
+    if scheduler._fcfs_view is not None:
+        views.append(scheduler._fcfs_view)
+    return views
+
+
+def _assert_ledger(scheduler, capacity, keys, context) -> None:
+    gr, be = _live_holds(scheduler)
+    for view, holds in zip(_views(scheduler), (gr, gr + be)):
+        expected = _summed(holds)
+        assert set(view._held) == {k for k, v in expected.items() if v}, context
+        for key in keys:
+            held = expected.get(key, 0)
+            assert view.held(*key) == held, (context, key)
+            cap = capacity(*key)
+            assert view.capacity(*key) == max(0.0, cap - held * QUANTUM), (
+                context, key
+            )
 
 
 class TestFootprintWithdrawEqualsFullRebuild:
@@ -127,6 +130,17 @@ class TestFootprintWithdrawEqualsFullRebuild:
         )
         elements = sorted(network.element_names())
         links = sorted(link.name for link in network.links)
+        resources = sorted(set(network.resources()) | {BANDWIDTH})
+        keys = [(e, r) for e in elements for r in resources]
+        changed: dict[tuple[str, str], float] = {}
+
+        def capacity(element: str, resource: str) -> float:
+            if element in scheduler.down_elements:
+                return 0.0
+            return changed.get(
+                (element, resource), network.capacity(element, resource)
+            )
+
         scheduler = SparcleScheduler(network, use_prediction=use_prediction)
         controller = RepairController(scheduler)
         for step in range(draw(st.integers(4, 14))):
@@ -150,12 +164,15 @@ class TestFootprintWithdrawEqualsFullRebuild:
                         CPU: draw(st.floats(50.0, 400.0))
                     },
                 }
+                before = [view.freeze() for view in _views(scheduler)]
                 try:
                     scheduler.reserve_external(
                         f"ext{step}", [(loads, draw(st.floats(0.05, 1.0)))]
                     )
                 except PlacementError:
-                    pass  # did not fit: nothing changed
+                    # Did not fit: nothing changed.
+                    assert [v.freeze() for v in _views(scheduler)] == before
+                    assert f"ext{step}" not in scheduler.external_tags()
             elif op == "down":
                 controller.element_down(draw(st.sampled_from(elements)))
             elif op == "up":
@@ -164,47 +181,37 @@ class TestFootprintWithdrawEqualsFullRebuild:
                     controller.element_up(draw(st.sampled_from(down)))
             elif op == "capacity":
                 leaf = f"ncp{draw(st.integers(1, N_LEAVES))}"
-                scheduler.apply_capacity_change(
-                    {leaf: {CPU: draw(st.floats(500.0, 30000.0))}}
-                )
+                value = draw(st.floats(500.0, 30000.0))
+                scheduler.apply_capacity_change({leaf: {CPU: value}})
+                changed[(leaf, CPU)] = value
             elif op == "replan":
                 app_id = draw(st.sampled_from(gr_apps))
                 if not scheduler.replan(app_id).readmitted:
                     controller.forget(app_id)
             else:
                 app_id = draw(st.sampled_from(live))
-                footprint = _footprint(scheduler, app_id)
-                is_be = app_id in scheduler.state().be_apps
-                # A BE app never holds GR capacity; the FCFS ledger (kept
-                # only without prediction) holds every tenant.
-                rewritten = (not is_be, True)
-                before = _views(scheduler)
-                scheduler.withdraw(app_id)
+                before = [dict(view._flat) for view in _views(scheduler)]
+                footprint = scheduler.withdraw(app_id)
                 controller.forget(app_id)
-                for was, now, oracle, touched in zip(
-                    before, _views(scheduler), _rebuilt(scheduler), rewritten
-                ):
-                    if not touched:
-                        assert now == was, context
-                        continue
-                    on = {k: v for k, v in now.items() if k[0] in footprint}
-                    assert on == {
-                        k: v for k, v in oracle.items() if k[0] in footprint
-                    }, context
-                    off = {
-                        k: v for k, v in now.items() if k[0] not in footprint
-                    }
-                    assert off == {
-                        k: v for k, v in was.items() if k[0] not in footprint
-                    }, context
+                for was, view in zip(before, _views(scheduler)):
+                    now = view._flat
+                    for key in set(was) | set(now):
+                        if key[0] not in footprint:
+                            assert now.get(key) == was.get(key), (context, key)
             if use_prediction:
                 assert scheduler._fcfs_view is None, context
-            _assert_matches_rebuild(scheduler, context)
-        # Withdrawing everything returns the views to their fresh state.
+            _assert_ledger(scheduler, capacity, keys, context)
         for app_id in scheduler.app_ids():
             scheduler.withdraw(app_id)
-        fresh = scheduler._fresh_view().freeze()
-        assert scheduler.residual_snapshot() == fresh
+        for element in sorted(scheduler.down_elements):
+            scheduler.mark_element_up(element)
+        _assert_ledger(scheduler, capacity, keys, "drained")
+        edits = tuple(
+            (element, resource, value)
+            for (element, resource), value in sorted(changed.items())
+            if value != network.capacity(element, resource)
+        )
+        assert scheduler.residual_snapshot().entries == edits
         assert scheduler.fcfs_snapshot() == (
-            None if use_prediction else fresh
+            None if use_prediction else scheduler.residual_snapshot()
         )

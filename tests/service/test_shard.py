@@ -494,9 +494,6 @@ class TestExternalReservations:
         link = network.links[0].name
         loads = ({link: {BANDWIDTH: 1.0}}, 4.0)
         assert scheduler.reserve_external("ext", (loads,)) == {link}
-        assert scheduler.reserve_external(
-            "ghost", (loads,), charge=False
-        ) == frozenset()
         assert scheduler.residual_snapshot().entries == (
             (link, BANDWIDTH, 6.0),
         )
@@ -547,30 +544,41 @@ class TestExternalReservations:
         link = network.links[0].name
         loads = ({link: {BANDWIDTH: 1.0}}, 2.0)
         scheduler.reserve_external("ext", (loads,))
+        before = scheduler.residual_snapshot()
         with pytest.raises(AdmissionError, match="already"):
             scheduler.reserve_external("ext", (loads,))
-        # charge=False registers without touching residuals.
-        before = scheduler.residual_snapshot()
-        scheduler.reserve_external("ghost", (loads,), charge=False)
+        with pytest.raises(AdmissionError, match="already"):
+            scheduler.adopt_be("ext", (loads,))
         assert scheduler.residual_snapshot() == before
-        assert "ghost" in scheduler.external_tags()
+        # Under prediction an adopted BE app registers without a charge.
+        scheduler.adopt_be("ghost", (loads,))
+        assert scheduler.residual_snapshot() == before
+        assert "ghost" in scheduler.app_ids()
+        with pytest.raises(AdmissionError, match="already"):
+            scheduler.reserve_external("ghost", (loads,))
 
     def test_restore_residual_round_trips(self):
         network, scheduler = self._scheduler(use_prediction=False)
         link = network.links[0].name
-        scheduler.reserve_external("ext", (({link: {BANDWIDTH: 1.0}}, 3.0),))
-        scheduler.submit_be(_be("b", "ncp1", "ncp2"))
+        external = (({link: {BANDWIDTH: 1.0}}, 3.0),)
+        scheduler.reserve_external("ext", external)
+        be = scheduler.submit_be(_be("b", "ncp1", "ncp2"))
         frozen = scheduler.residual_snapshot()
         fcfs = scheduler.fcfs_snapshot()
         assert fcfs is not None and fcfs != frozen
+        # A warm start adopts each live app with its logged holds: the
+        # external on both views, the BE app on the ledger only.
         fresh = SparcleScheduler(network, use_prediction=False)
-        fresh.restore_residual(frozen, fcfs=fcfs)
+        fresh.adopt_be("b", tuple(
+            (p.loads(), rate) for p, rate in zip(be.placements, be.path_rates)
+        ))
+        fresh.reserve_external("ext", external)
         assert fresh.residual_snapshot() == frozen
         assert fresh.fcfs_snapshot() == fcfs
-        # A log that carries no ledger seeds it from the residual.
-        seeded = SparcleScheduler(network, use_prediction=False)
-        seeded.restore_residual(frozen)
-        assert seeded.fcfs_snapshot() == frozen
+        # Withdrawing the adopted BE app hands its ledger charge back.
+        fresh.withdraw("b")
+        assert fresh.fcfs_snapshot() == frozen
+        assert fresh.app_ids() == ("ext",)
 
     def test_restore_residual_under_prediction_keeps_no_ledger(self):
         network, scheduler = self._scheduler()
@@ -579,9 +587,11 @@ class TestExternalReservations:
         frozen = scheduler.residual_snapshot()
         assert scheduler.fcfs_snapshot() is None
         fresh = SparcleScheduler(network)
-        fresh.restore_residual(frozen, fcfs=frozen)
+        fresh.reserve_external("ext", (({link: {BANDWIDTH: 1.0}}, 3.0),))
+        fresh.adopt_be("b", ())
         assert fresh.residual_snapshot() == frozen
         assert fresh.fcfs_snapshot() is None
+        assert fresh.withdraw("b") == frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -908,25 +918,23 @@ class TestKillAndWarmStart:
 
 
 class TestCommitCrossLedgerRebuild:
-    """Regression: a phase-2 abort must not leak partial ledger consumption.
+    """Regression: a phase-2 abort must not leak ledger or owner holds.
 
-    ``_commit_cross`` applies per-owner reservations and then consumes
-    the boundary-ledger entries one placement at a time.  If a
-    :class:`PlacementError` fires after the ledger consumed a prefix,
-    the abort path used to withdraw the applied owners but leave the
-    ledger holding phantom consumption for an app that was never
-    admitted.  The handler now re-derives the ledger from the app table.
+    ``_commit_cross`` applies per-owner reservations and then reserves
+    the boundary-ledger entries.  If the ledger refuses, the abort path
+    withdraws the applied owners; the ledger's reserve is all-or-nothing,
+    so it holds nothing for an app that was never admitted.
     """
 
     class _ConsumeThenFail:
-        """Ledger stand-in: consumes for real, then reports failure."""
+        """Ledger stand-in whose reserve refuses after owners applied."""
 
         def __init__(self, inner):
             self._inner = inner
 
-        def consume(self, loads, rate, **kwargs):
-            self._inner.consume(loads, rate, **kwargs)
-            raise PlacementError("injected ledger failure after consumption")
+        def reserve(self, holds):
+            list(holds)
+            raise PlacementError("injected ledger failure")
 
         def __getattr__(self, name):
             return getattr(self._inner, name)
@@ -953,9 +961,8 @@ class TestCommitCrossLedgerRebuild:
             with pytest.raises(StaleProposalError, match="aborted at an owner"):
                 coordinator._commit_cross(request, proposal)
 
-            # The ledger was rebuilt from the app table: the seed's
-            # consumption survives, the victim's partial consumption does
-            # not, and no phantom app was recorded anywhere.
+            # The seed's holds survive, the victim holds nothing, and no
+            # phantom app was recorded anywhere.
             assert coordinator.ledger_entries() == baseline
             for node in coordinator.nodes:
                 tags = node.scheduler.external_tags()

@@ -333,6 +333,34 @@ class TestApiDriftGuard:
             ShardCoordinator
         ).parameters
 
+    def test_capacity_ledger_signatures_match_snapshot(self):
+        # Holds are exact integers: consume never refuses and takes no
+        # clamp, a commit's check is reserve(), and a warm start charges
+        # each adopted app instead of restoring frozen residuals.
+        from repro.core.placement import CapacityView
+        from repro.core.scheduler import SparcleScheduler
+
+        hold = "(self, loads: 'Loads', rate: 'float') -> 'None'"
+        snapshot = {
+            CapacityView.consume: hold,
+            CapacityView.release: hold,
+            CapacityView.reserve:
+                "(self, holds: 'Iterable[tuple[Loads, float]]') -> 'None'",
+            SparcleScheduler.reserve_external:
+                "(self, tag: 'str', "
+                "consumptions: 'Sequence[tuple[Loads, float]]') "
+                "-> 'frozenset[str]'",
+            SparcleScheduler.adopt_be:
+                "(self, app_id: 'str', "
+                "consumptions: 'Sequence[tuple[Loads, float]]') -> 'None'",
+        }
+        for method, expected in snapshot.items():
+            assert _normalized_signature(method) == expected, method
+        for name in ("rederive", "reset_elements"):
+            assert not hasattr(CapacityView, name), name
+        for name in ("restore_residual", "_tenants", "_rebuild_gr_residual"):
+            assert not hasattr(SparcleScheduler, name), name
+
 
 class TestExports:
     @pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
