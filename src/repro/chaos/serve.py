@@ -48,11 +48,11 @@ import numpy as np
 from repro.chaos.fuzzer import FuzzProfile, fuzz_network, fuzz_request
 from repro.chaos.invariants import InvariantViolation
 from repro.core.network import Network
-from repro.core.scheduler import BERequest, GRRequest
+from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
 from repro.exceptions import AdmissionError, SparcleError
 from repro.service.client import SparcleClient
 from repro.service.server import SparcleServer
-from repro.service.shard import replay_log
+from repro.service.shard import LiveApp, ShardNode, hold_apps, replay_log
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -104,6 +104,18 @@ def _accepted_in_logs(logs: dict[str, bytes]) -> list[str]:
     ]
 
 
+def _restored_residual(
+    node: ShardNode, apps: dict[str, LiveApp]
+) -> tuple[tuple[str, str, float], ...]:
+    """The residual a fresh scheduler for ``node``'s region holds once the
+    replayed ``apps`` are charged on it."""
+    restored = SparcleScheduler(
+        node.network, use_prediction=node.scheduler.use_prediction
+    )
+    hold_apps(restored, apps.values())
+    return restored.residual_snapshot().entries
+
+
 async def _run_scenario(
     network: Network,
     requests: list[GRRequest | BERequest],
@@ -142,9 +154,8 @@ async def _run_scenario(
         await client.withdraw(app_id)
     # --------------------------------------------------------------- kill
     await server.abort()
-    live_residuals = {
-        f"shard-{node.shard_id}.jsonl": node.residual_entries()
-        for node in server.coordinator.nodes
+    killed = {
+        f"shard-{node.shard_id}.jsonl": node for node in server.coordinator.nodes
     }
     await client.close()
     pre_decisions = dict(client.decisions)
@@ -199,7 +210,8 @@ async def _run_scenario(
         replayed = replay_log(pre)
         if (
             not post
-            or replayed.residual != live_residuals[name]
+            or _restored_residual(killed[name], replayed)
+            != killed[name].residual_entries()
             or replay_log(post[:1]) != replayed
         ):
             violations.append(

@@ -43,14 +43,19 @@ from repro.chaos.invariants import (
 from repro.core.network import Network
 from repro.core.placement import CapacityView
 from repro.core.repair import RepairController
-from repro.core.scheduler import BERequest, GRRequest
+from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
 from repro.exceptions import (
     AdmissionError,
     BackpressureError,
     ChaosError,
     ShardError,
 )
-from repro.service.shard import ShardCoordinator, ShardNode, replay_log
+from repro.service.shard import (
+    ShardCoordinator,
+    ShardNode,
+    hold_apps,
+    replay_log,
+)
 
 #: Weighted event mix of federated soak traces.
 SHARD_EVENT_WEIGHTS: dict[str, float] = {
@@ -171,14 +176,21 @@ def _shard_log_consistency(context: ChaosContext) -> list[str]:
     for node in federation.nodes:
         if not node.alive or len(node.log) == 0:
             continue
-        replayed = replay_log(node.log.records(), node.network).residual
-        live = node.residual_entries()
-        if replayed != live:
-            problems.append(
-                f"shard{node.shard_id}: log replay disagrees with the "
-                f"live residual ({len(replayed)} vs {len(live)} overrides"
-                " or differing values)"
-            )
+        restored = SparcleScheduler(
+            node.network, use_prediction=node.scheduler.use_prediction
+        )
+        hold_apps(restored, replay_log(node.log.records()).values())
+        for view, replayed, live in (
+            ("residual", restored.residual_snapshot(),
+             node.scheduler.residual_snapshot()),
+            ("FCFS ledger", restored.fcfs_snapshot(),
+             node.scheduler.fcfs_snapshot()),
+        ):
+            if replayed != live:
+                problems.append(
+                    f"shard{node.shard_id}: a scheduler restored from the "
+                    f"log disagrees with the live {view}"
+                )
     return problems
 
 

@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     shards.add_argument(
         "--kill-recover", type=int, metavar="SHARD", default=None,
         help="after the burst, crash SHARD and recover it from its "
-        "event log, verifying the residual state round-trips bit-for-bit",
+        "event log, verifying its residual, its live apps and the "
+        "cross-shard apps round-trip bit-for-bit",
     )
     _add_run_options(
         shards, log_dir=True,
@@ -738,14 +739,23 @@ def _cmd_shards(args: argparse.Namespace) -> int:
         warm_exact: bool | None = None
         if args.kill_recover is not None:
             shard_id = args.kill_recover
-            before = coordinator.nodes[shard_id].residual_entries()
+            node = coordinator.nodes[shard_id]
+
+            def state() -> tuple[object, ...]:
+                return (
+                    node.residual_entries(),
+                    sorted(node.live_apps()),
+                    dict(coordinator.cross_apps()),
+                )
+
+            before = state()
             lost = coordinator.kill_shard(shard_id)
             coordinator.restart_shard(shard_id)
-            warm_exact = (
-                coordinator.nodes[shard_id].residual_entries() == before
-            )
+            warm_exact = state() == before
             print(f"kill/recover     : shard {shard_id} lost {lost} queued "
-                  f"requests; warm start bit-for-bit: {warm_exact}")
+                  f"requests; warm start bit-for-bit (residual, "
+                  f"{len(before[1])} live apps, {len(before[2])} cross-shard "
+                  f"apps): {warm_exact}")
         if args.out_dir:
             from pathlib import Path
 

@@ -44,9 +44,8 @@ from repro.service.server import SparcleServer, serve
 from repro.service.shard import (
     FederationEpochReport,
     FederationStats,
+    LiveApp,
     NetworkPartition,
-    ReplayedApp,
-    ReplayState,
     ShardCoordinator,
     ShardEventLog,
     ShardNode,
@@ -64,11 +63,10 @@ __all__ = [
     "FederationEpochReport",
     "FederationStats",
     "GatewayStats",
+    "LiveApp",
     "Message",
     "NetworkPartition",
     "PROTOCOL_VERSION",
-    "ReplayState",
-    "ReplayedApp",
     "ShardCoordinator",
     "ShardEventLog",
     "ShardNode",

@@ -424,8 +424,10 @@ class TopologyReply(Message):
     """The shard layout behind this endpoint.
 
     One entry per shard: ``{"shard": id, "ncps": n, "alive": bool,
-    "apps": n}``.  A ``--shards 1`` server reports its single region as
-    shard 0 with zero boundary links.
+    "apps": n}``, where ``apps`` counts every app holding capacity on
+    the shard, cross-shard reservations included.  A ``--shards 1``
+    server reports its single region as shard 0 with zero boundary
+    links.
     """
 
     TYPE: ClassVar[str] = "topology_reply"

@@ -33,16 +33,18 @@ coordinator reserves their evaluated path rates like GR reservations
 boundary-link ledger conservative — a boundary link can never be
 double-booked by two shards because only the coordinator consumes it.
 
-**Durability and warm start.**  A log is a *checkpoint* (the full
-residual view, plus the FCFS ledger without prediction, the live
-applications and the shard network) followed by records that carry each
-decision, not its consequence: the loads an epoch admitted or a
-cross-shard reservation took, the id a withdrawal released.  Folding
-those by app id gives the live applications and their holds; a view is
-capacity minus the exact integer sum of those holds
+**Durability and warm start.**  A log is a *checkpoint* (the live
+applications with their holds, and the shard network) followed by
+records that carry each decision, not its consequence: the loads an
+epoch admitted or a cross-shard reservation took, the id a withdrawal
+released.  One step, :func:`fold_record`, turns a record into a change
+of the live-app table; a node applies it to every record it appends,
+and :func:`replay_log` applies it to a log from its last checkpoint, so
+both arrive at the same table.  A view is capacity minus the exact
+integer sum of the table's holds
 (:class:`~repro.core.placement.CapacityView`), whatever order they came
-and went in, so :func:`replay_log` and a warm-started shard arrive at
-the live views bit-for-bit without re-solving admission.  Logged live
+and went in, so a warm-started shard (:func:`hold_apps`) arrives at the
+live views bit-for-bit without re-solving admission.  Logged live
 applications are *adopted* as opaque tenants (their capacity stays
 held, duplicates stay rejected, withdrawal still works);
 queued-but-undecided siblings are lost — exactly-once is the submitting
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, TextIO
@@ -65,7 +67,7 @@ from repro.core.assignment import sparcle_assign
 from repro.core.network import NCP, Link, Network
 from repro.core.placement import CapacityView, Loads
 from repro.core.repair import RetryPolicy
-from repro.core.scenario import network_from_dict, network_to_dict
+from repro.core.scenario import network_to_dict
 from repro.core.scheduler import (
     AdmissionProposal,
     Assigner,
@@ -294,10 +296,6 @@ def partition_network(
 # ----------------------------------------------------------------------
 # Durable event log
 # ----------------------------------------------------------------------
-def _entries_to_json(entries: Entries) -> list[list[object]]:
-    return [[element, resource, value] for element, resource, value in entries]
-
-
 def _consumptions_to_json(consumptions: Consumptions) -> list[dict[str, Any]]:
     return [
         {"loads": {e: dict(bucket) for e, bucket in loads.items()}, "rate": rate}
@@ -318,19 +316,25 @@ def _consumptions_from_json(raw: Sequence[Mapping[str, Any]]) -> Consumptions:
     )
 
 
+def _is_checkpoint(record: Mapping[str, Any]) -> bool:
+    """A record listing every live app: a shard's ``apps``, or the
+    coordinator's ``cross_apps``."""
+    return "apps" in record or "cross_apps" in record
+
+
 class ShardEventLog:
     """Append-only JSONL log of one shard's admission/repair events.
 
     One JSON object per line, each with a monotonically increasing
-    ``seq``.  The first record is a *checkpoint* (full ``residual``
-    entries, the ``fcfs`` ledger's without prediction, the live ``apps``
-    and the ``network``); the records after it carry decisions, which
+    ``seq``.  The first record is a *checkpoint* (the live ``apps`` and
+    the shard ``network``); the records after it carry decisions, which
     :func:`replay_log` folds into it.  With ``path=None`` the log is
     held in memory (tests, throwaway federations).  With a path, every
     record is flushed to the OS before :meth:`append` returns (it
     survives a process kill, not a power loss), an existing file is
-    re-read on open so a restarted process resumes the same log, and
-    only counts stay in memory — :meth:`records` re-reads the file.
+    re-read on open so a restarted process resumes the same log, only
+    counts stay in memory — :meth:`records` re-reads the file — and an
+    append after :meth:`close` raises :class:`~repro.exceptions.ShardError`.
 
     A process killed inside a write can leave a half-written final line:
     it is dropped, the file is truncated back to the last complete
@@ -386,7 +390,7 @@ class ShardEventLog:
 
     def _count_record(self, record: Mapping[str, Any]) -> None:
         self._count += 1
-        if "residual" in record or "cross_apps" in record:
+        if _is_checkpoint(record):
             self._since_checkpoint = 0
         else:
             self._since_checkpoint += 1
@@ -408,7 +412,7 @@ class ShardEventLog:
         """Records after the last one that carries full state.
 
         What the next recovery has to fold on top of that checkpoint
-        (shard logs: a record with ``residual``; the coordinator log: one
+        (shard logs: a record with ``apps``; the coordinator log: one
         with ``cross_apps``).
         """
         return self._since_checkpoint
@@ -418,6 +422,8 @@ class ShardEventLog:
 
     def append(self, record: Mapping[str, Any]) -> dict[str, Any]:
         """Stamp, persist, and return one record."""
+        if self._records is None and self._handle is None:
+            raise ShardError(f"event log {self._path} is closed")
         stamped: dict[str, Any] = {"seq": self._count, **record}
         self._count_record(stamped)
         if self._records is not None:
@@ -471,13 +477,28 @@ class ShardEventLog:
 
 
 @dataclass(frozen=True)
-class ReplayedApp:
-    """One application alive at the end of a replayed event log."""
+class LiveApp:
+    """One application holding capacity on a shard, as its log records it.
+
+    ``origin`` is ``"local"`` for an app the shard admitted itself and
+    ``"external"`` for a cross-shard reservation; ``consumed`` is the
+    logged per-path holds in their JSON form.  A local BE app's holds
+    are its FCFS-ledger charge: empty under prediction.
+    """
 
     app_id: str
     kind: str  # "GR" | "BE"
     origin: str  # "local" | "external"
-    consumptions: Consumptions
+    consumed: Sequence[Mapping[str, Any]]
+
+    @property
+    def ledger_only(self) -> bool:
+        """A local BE app holds no GR reservation, only its FCFS charge."""
+        return self.kind == "BE" and self.origin == "local"
+
+    def consumptions(self) -> Consumptions:
+        """The logged holds as ``(loads, rate)`` pairs."""
+        return _consumptions_from_json(self.consumed)
 
     def to_json(self) -> dict[str, Any]:
         """This app as a checkpoint record's ``apps`` entry."""
@@ -485,136 +506,88 @@ class ReplayedApp:
             "app_id": self.app_id,
             "kind": self.kind,
             "origin": self.origin,
-            "consumed": _consumptions_to_json(self.consumptions),
+            "consumed": list(self.consumed),
         }
 
 
-@dataclass(frozen=True)
-class ReplayState:
-    """What replaying a :class:`ShardEventLog` reconstructs.
+def fold_record(apps: dict[str, LiveApp], record: Mapping[str, Any]) -> None:
+    """Apply one log record to a live-app table, live or in recovery.
 
-    ``residual``/``fcfs`` are the capacity overrides at the end of the
-    log, bit-equal to the live views of the scheduler that wrote it
-    (``fcfs`` is ``None`` when the log's checkpoint carries no FCFS
-    ledger, i.e. it was written under prediction); ``apps`` are the
-    applications still live, with their logged per-path holds, so a
-    warm-started shard holds — and can later release — their capacity.
-    A local BE app's holds are its FCFS-ledger charge: empty under
-    prediction.
+    A checkpoint (a shard record listing ``apps``, a coordinator record
+    listing ``cross_apps``) resets the table to its list; an ``epoch``
+    adds its accepted decisions, a ``reserve`` (shard) or ``commit``
+    (coordinator) one cross-shard app, and a ``release`` drops one.
+    The two logs share no record type, so the step needs no caller.
+    Re-adding an app overwrites it in place, so a repeated record (a
+    duplicated final write) changes nothing.
     """
-
-    residual: Entries
-    fcfs: Entries | None
-    apps: tuple[ReplayedApp, ...]
-
-
-def _last_with(records: Sequence[Mapping[str, Any]], key: str) -> int | None:
-    for index in range(len(records) - 1, -1, -1):
-        if key in records[index]:
-            return index
-    return None
-
-
-def _replay_view(
-    records: Sequence[Mapping[str, Any]], checkpoint: int, key: str
-) -> Entries:
-    """One view of a log whose records carry a ``delta``: the checkpoint's
-    entries, then each later record's ``delta`` assigned element by
-    element (an empty bucket reads the raw capacity again)."""
-    view: dict[str, dict[str, float]] = {}
-    for element, resource, value in records[checkpoint].get(key, ()):
-        view.setdefault(str(element), {})[str(resource)] = float(value)
-    for record in records[checkpoint + 1 :]:
-        view.update(record.get("delta", {}).get(key, {}))
-    return tuple(
-        (element, resource, float(view[element][resource]))
-        for element in sorted(view)
-        for resource in sorted(view[element])
-    )
+    if _is_checkpoint(record):
+        apps.clear()
+        for raw in record.get("apps", record.get("cross_apps", ())):
+            apps[raw["app_id"]] = LiveApp(
+                raw["app_id"], raw["kind"], raw.get("origin", "external"),
+                raw["consumed"],
+            )
+        return
+    kind = record.get("type")
+    if kind == "epoch":
+        for decision in record["decisions"]:
+            if decision["accepted"]:
+                apps[decision["app_id"]] = LiveApp(
+                    decision["app_id"], decision["kind"], "local",
+                    decision["consumed"],
+                )
+    elif kind in ("reserve", "commit"):
+        apps[record["app_id"]] = LiveApp(
+            record["app_id"], record.get("kind", "GR"), "external",
+            record["consumed"],
+        )
+    elif kind == "release":
+        apps.pop(record["app_id"], None)
 
 
-def _fold_apps(records: Sequence[Mapping[str, Any]]) -> tuple[ReplayedApp, ...]:
-    """The applications live at the end of ``records``, in adoption order.
+def replay_log(records: Sequence[Mapping[str, Any]]) -> dict[str, LiveApp]:
+    """The live-app table a log folds to, keyed by app id.
 
-    Every record from the last checkpoint that lists its ``apps`` (or
-    from the first record) is folded by app id: a listed app, an
-    accepted decision or a ``reserve`` adds one, a ``release`` drops
-    one.  Only the survivors' holds are parsed.
-    """
-    live: dict[str, tuple[Mapping[str, Any], str, str]] = {}
-    for record in records[_last_with(records, "apps") or 0 :]:
-        admitted = [(app, app["kind"], app["origin"]) for app in record.get("apps", ())]
-        kind = record.get("type")
-        if kind == "epoch":
-            admitted += [
-                (decision, decision["kind"], "local")
-                for decision in record["decisions"]
-                if decision["accepted"]
-            ]
-        elif kind == "reserve":
-            admitted.append((record, record.get("kind", "GR"), "external"))
-        elif kind == "release":
-            live.pop(record["app_id"], None)
-        for raw, app_kind, origin in admitted:
-            live[raw["app_id"]] = (raw, app_kind, origin)
-    return tuple(
-        ReplayedApp(app_id, kind, origin, _consumptions_from_json(raw["consumed"]))
-        for app_id, (raw, kind, origin) in live.items()
-    )
-
-
-def _ledger_only(app: ReplayedApp) -> bool:
-    """A local BE app holds no GR reservation, only its FCFS charge."""
-    return app.kind == "BE" and app.origin == "local"
-
-
-def replay_log(
-    records: Sequence[Mapping[str, Any]], network: Network | None = None
-) -> ReplayState:
-    """Reconstruct residual state and live tenants from log records.
-
-    The live applications are the records folded by app id
-    (:func:`_fold_apps`), each with its logged holds, so a repeated
-    record (a duplicated final write) changes nothing.  The views are
-    the capacities minus the sum of those holds: the residual holds
-    every app but the local BE ones, and the FCFS ledger — only when
-    the last checkpoint (a record with the full ``residual``) carries
-    ``fcfs``, i.e. the log was written without prediction — holds them
-    all.  ``network`` is the shard network the log was written against
-    (default: the checkpoint's).
-
-    A log written by earlier versions carries a ``delta`` in every
-    record after its checkpoint and replays by assigning those; a log
-    that is one checkpoint replays to the views it carries.
+    :func:`fold_record` over every record — the step a live
+    :class:`ShardNode` applies to each record it appends, so the result
+    equals the writer's table.  A checkpoint resets the table, so this
+    is the fold from the last one.  Whatever else an old record carries
+    (a ``delta``, the ``residual`` or ``fcfs`` views, the coordinator's
+    ``ledger``) is ignored: :func:`hold_apps` turns the table back into
+    capacity.  A log written before checkpoints listed their apps opens
+    with a full ``residual`` snapshot instead, and folds the same.
 
     Raises :class:`~repro.exceptions.ShardError` for an empty log, or
-    one with no checkpoint — there is nothing to warm-start from.
+    one that opens with no checkpoint — there is nothing to warm-start
+    from.
     """
     if not records:
         raise ShardError("cannot replay an empty shard event log")
-    checkpoint = _last_with(records, "residual")
-    if checkpoint is None:
+    if not (_is_checkpoint(records[0]) or "residual" in records[0]):
         raise ShardError(
-            "shard event log has no checkpoint record to replay from"
+            "shard event log opens with no checkpoint record to replay from"
         )
-    base, tail = records[checkpoint], records[checkpoint + 1 :]
-    live = _fold_apps(records)
-    if not tail or any("delta" in record for record in tail):
-        fcfs = _replay_view(records, checkpoint, "fcfs") if "fcfs" in base else None
-        return ReplayState(_replay_view(records, checkpoint, "residual"), fcfs, live)
-    if network is None and "network" not in base:
-        raise ShardError("the log's checkpoint names no network to replay on")
-    network = network or network_from_dict(base["network"])
-    residual = CapacityView(network)
-    ledger = CapacityView(network) if "fcfs" in base else None
-    for app in live:
-        for loads, rate in app.consumptions:
-            if not _ledger_only(app):
-                residual.consume(loads, rate)
-            if ledger is not None:
-                ledger.consume(loads, rate)
-    fcfs = None if ledger is None else ledger.freeze().entries
-    return ReplayState(residual.freeze().entries, fcfs, live)
+    apps: dict[str, LiveApp] = {}
+    for record in records:
+        fold_record(apps, record)
+    return apps
+
+
+def hold_apps(scheduler: SparcleScheduler, apps: Iterable[LiveApp]) -> None:
+    """Charge each app's logged holds on ``scheduler`` as an opaque tenant.
+
+    The one place a live-app table becomes capacity: a local BE app is
+    adopted onto the FCFS ledger only, every other app is an external
+    reservation.  Holds are exact integers
+    (:class:`~repro.core.placement.CapacityView`), so the views come out
+    bit-equal to the ones the table's writer held, whatever the order.
+    """
+    for app in apps:
+        if app.ledger_only:
+            scheduler.adopt_be(app.app_id, app.consumptions())
+        else:
+            scheduler.reserve_external(app.app_id, app.consumptions())
 
 
 # ----------------------------------------------------------------------
@@ -629,8 +602,11 @@ class ShardNode:
     log record holding the decision, not its consequence: a gateway
     epoch's decisions with the per-path loads of each accepted GR app
     (and, without prediction, of each accepted BE app), a cross-shard
-    reservation's loads, a withdrawal's app id.  :meth:`warm_start`
-    holds the live ones again on a fresh scheduler after a :meth:`kill`.
+    reservation's loads, a withdrawal's app id.  The node's live-app
+    table is :func:`fold_record` applied to each record it appends, so
+    it is the fold of its log by construction; :meth:`warm_start` folds
+    the log again and holds every live app on a fresh scheduler after a
+    :meth:`kill`.
     """
 
     def __init__(
@@ -652,11 +628,8 @@ class ShardNode:
         self._use_prediction = use_prediction
         self._max_queue_depth = max_queue_depth
         self._batch_size = batch_size
-        #: Live locally-admitted apps -> their per-path consumptions
-        #: (empty for BE apps: intra-shard BE holds no reservation).
-        self._local: dict[str, Consumptions] = {}
-        #: Apps adopted from the log after a warm start (opaque tenants).
-        self._adopted: dict[str, ReplayedApp] = {}
+        #: Every app holding capacity here: the fold of the log.
+        self._apps: dict[str, LiveApp] = {}
         self._decision_mark = 0
         self.scheduler: SparcleScheduler
         self.gateway: AdmissionGateway
@@ -665,7 +638,7 @@ class ShardNode:
         #: time — the signal :meth:`recover` keys off.
         self._preexisting = len(self.log) > 0
         if not self._preexisting:
-            self.log.append(self._stamp({"type": "snapshot"}))
+            self._append(self._stamp({"type": "snapshot"}))
 
     def _build(self) -> None:
         self.scheduler = SparcleScheduler(
@@ -681,20 +654,16 @@ class ShardNode:
         self._decision_mark = 0
 
     # ------------------------------------------------------------------
-    def _stamp(self, record: dict[str, Any]) -> dict[str, Any]:
-        """Make ``record`` a checkpoint: full views, live apps, network.
+    def _append(self, record: Mapping[str, Any]) -> None:
+        """Log one record and fold it into the live-app table."""
+        fold_record(self._apps, self.log.append(record))
 
-        Only called where every live app is an adopted one — on a fresh
-        node and right after a replay — so the record is self-contained:
-        replaying it alone restores everything the log before it held.
+    def _stamp(self, record: dict[str, Any]) -> dict[str, Any]:
+        """Make ``record`` a checkpoint: the live-app table and network.
+
+        Replaying it alone restores everything the log before it held.
         """
-        record["residual"] = _entries_to_json(
-            self.scheduler.residual_snapshot().entries
-        )
-        fcfs = self.scheduler.fcfs_snapshot()
-        if fcfs is not None:
-            record["fcfs"] = _entries_to_json(fcfs.entries)
-        record["apps"] = [app.to_json() for app in self._adopted.values()]
+        record["apps"] = [app.to_json() for app in self._apps.values()]
         record["network"] = network_to_dict(self.network)
         return record
 
@@ -706,25 +675,22 @@ class ShardNode:
         """The live residual overrides (bit-exact comparison handle)."""
         return self.scheduler.residual_snapshot().entries
 
-    def live_apps(self) -> tuple[str, ...]:
-        """Locally-known live applications (admitted here or adopted)."""
-        return tuple(self._local) + tuple(self._adopted)
+    def live_apps(self) -> dict[str, LiveApp]:
+        """The live-app table: every app holding capacity here (admitted,
+        reserved or adopted), keyed by id — a copy."""
+        return dict(self._apps)
 
     def consumption_ledger(self) -> dict[str, Consumptions]:
-        """Every reservation this shard's residual accounts for.
+        """Every reservation this shard's residual accounts for, as logged.
 
-        Keys are app ids: locally admitted apps, adopted apps, and
-        cross-shard external reservations applied by the coordinator.
+        Keys are the live apps' ids: locally admitted apps and cross-shard
+        reservations, adopted or not.  A local BE app holds nothing here.
         The invariant checker re-derives the expected residual from this.
-        A local BE app (admitted or adopted) holds nothing here.
         """
-        ledger: dict[str, Consumptions] = dict(self._local)
-        ledger.update(
-            (app_id, ()) for app_id, app in self._adopted.items() if _ledger_only(app)
-        )
-        for tag in self.scheduler.external_tags():
-            ledger[tag] = self.scheduler.external_consumptions(tag)
-        return ledger
+        return {
+            app_id: () if app.ledger_only else app.consumptions()
+            for app_id, app in self._apps.items()
+        }
 
     # ------------------------------------------------------------------
     # Admission
@@ -753,8 +719,6 @@ class ShardNode:
             if decision.accepted and (gr or not self._use_prediction):
                 loads = [placement.loads() for placement in decision.placements]
                 consumed = tuple(zip(loads, decision.path_rates))
-            if decision.accepted:
-                self._local[decision.app_id] = consumed if gr else ()
             payload.append(
                 {
                     "app_id": decision.app_id,
@@ -765,7 +729,7 @@ class ShardNode:
                     "consumed": _consumptions_to_json(consumed),
                 }
             )
-        self.log.append(
+        self._append(
             {"type": "epoch", "epoch": self.gateway.epoch, "decisions": payload}
         )
 
@@ -773,7 +737,7 @@ class ShardNode:
         """Reserve capacity for a cross-shard app (coordinator phase 2)."""
         self._require_alive()
         self.scheduler.reserve_external(app_id, consumptions)
-        self.log.append(
+        self._append(
             {
                 "type": "reserve",
                 "app_id": app_id,
@@ -785,9 +749,7 @@ class ShardNode:
         """Release one app's reservations (local, adopted, or external)."""
         self._require_alive()
         self.scheduler.withdraw(app_id)
-        self._local.pop(app_id, None)
-        self._adopted.pop(app_id, None)
-        self.log.append({"type": "release", "app_id": app_id})
+        self._append({"type": "release", "app_id": app_id})
 
     # ------------------------------------------------------------------
     # Failure / warm start
@@ -799,32 +761,26 @@ class ShardNode:
 
     def _restore(self) -> None:
         """Rebuild the scheduler from the log: every live app adopted."""
-        state = replay_log(self.log.records(), self.network)
+        self._apps = replay_log(self.log.records())
         self._build()
-        self._local = {}
-        self._adopted = {}
-        for app in state.apps:
-            if _ledger_only(app):
-                self.scheduler.adopt_be(app.app_id, app.consumptions)
-            else:
-                self.scheduler.reserve_external(app.app_id, app.consumptions)
-            self._adopted[app.app_id] = app
+        hold_apps(self.scheduler, self._apps.values())
         self.alive = True
 
     def warm_start(self) -> None:
         """Restart from the event log instead of re-solving admission.
 
-        Folds the log (:func:`replay_log`) into its live applications
-        and adopts each on a fresh scheduler — its holds charged again,
-        so the views come out bit-equal; duplicate ids stay rejected and
-        withdrawal still works — then appends a ``restart`` checkpoint.
+        Folds the log (:func:`replay_log`) into its live-app table and
+        adopts each app on a fresh scheduler (:func:`hold_apps`) — its
+        holds charged again, so the views come out bit-equal; duplicate
+        ids stay rejected and withdrawal still works — then appends a
+        ``restart`` checkpoint.
         Raises :class:`~repro.exceptions.ShardError` if the shard is
         still alive or the log is empty.
         """
         if self.alive:
             raise ShardError(f"shard {self.shard_id} is not down")
         self._restore()
-        self.log.append(self._stamp({"type": "restart"}))
+        self._append(self._stamp({"type": "restart"}))
 
     def recover(self) -> bool:
         """Warm-start from a log written by an earlier process, if any.
@@ -847,11 +803,9 @@ class ShardNode:
         return True
 
     def adopted_externals(self) -> tuple[str, ...]:
-        """Adopted apps that were cross-shard reservations before the crash."""
+        """Live cross-shard reservations (after a restart: the adopted ones)."""
         return tuple(
-            app.app_id
-            for app in self._adopted.values()
-            if app.origin == "external"
+            app.app_id for app in self._apps.values() if app.origin == "external"
         )
 
     def close(self) -> None:
@@ -1095,11 +1049,10 @@ class ShardCoordinator:
         return logs
 
     def _checkpoint(self, kind: str) -> dict[str, Any]:
-        """A self-contained coordinator record: live cross-apps + ledger."""
+        """A self-contained coordinator record: the live cross-shard apps."""
         return {
             "type": kind,
             "cross_apps": [app.to_json() for app in self._apps.values()],
-            "ledger": _entries_to_json(self.ledger_entries()),
         }
 
     def decision_for(self, ticket: int) -> Decision | None:
@@ -1507,10 +1460,15 @@ class ShardCoordinator:
         node = self._node(shard_id)
         node.warm_start()
         self._node_marks[shard_id] = 0
+        self._release_stale_externals(node)
+        self._log.append({"type": "shard_restart", "shard": shard_id})
+
+    def _release_stale_externals(self, node: ShardNode) -> None:
+        """Release a restarted shard's cross-shard reservations whose app
+        was withdrawn globally while it was down."""
         for app_id in node.adopted_externals():
             if app_id not in self._apps:
                 node.withdraw(app_id)
-        self._log.append({"type": "shard_restart", "shard": shard_id})
 
     def recover(self) -> int:
         """Warm-start the whole federation from pre-existing event logs.
@@ -1536,38 +1494,22 @@ class ShardCoordinator:
         if not self._log_preexisted:
             return 0
         self._node_marks = [0] * self.partition.n_shards
-        # Rebuild the cross-shard app table from the coordinator log:
-        # a checkpoint lists the apps live when it was written, a
-        # "commit" record carries one app's boundary-link consumptions,
-        # a "release" retires it.
-        held: dict[str, tuple[str, Consumptions]] = {}
-        records = self._log.records()
-        for record in records[_last_with(records, "cross_apps") or 0 :]:
-            rtype = record.get("type")
-            admitted = (record,) if rtype == "commit" else record.get("cross_apps", ())
-            for app in admitted:
-                held[str(app["app_id"])] = (
-                    str(app["kind"]), _consumptions_from_json(app["consumed"])
-                )
-            if rtype == "release":
-                held.pop(str(record["app_id"]), None)
+        # The coordinator log folds like a shard log: each live app's
+        # logged holds are its boundary-link part.
         self._apps = {}
-        for app_id, (kind, boundary) in held.items():
+        for app_id, app in replay_log(self._log.records()).items():
+            boundary = app.consumptions()
             per_owner = [(LEDGER, boundary)] if boundary else []
             per_owner += [
                 (node.shard_id, node.scheduler.external_consumptions(app_id))
                 for node in self._nodes
                 if app_id in node.scheduler.external_tags()
             ]
-            self._apps[app_id] = _CrossApp(app_id, kind, tuple(per_owner))
-        # Reservations whose cross-shard app was withdrawn globally while
-        # a shard was down were already reconciled by restart_shard in the
-        # crashed process when possible; re-run the same reconciliation
-        # here for adopted externals the coordinator no longer tracks.
+            self._apps[app_id] = _CrossApp(app_id, app.kind, tuple(per_owner))
+        # A crashed process may have withdrawn a cross-shard app while an
+        # owner was down and died before restarting it.
         for node in self._nodes:
-            for app_id in node.adopted_externals():
-                if app_id not in self._apps:
-                    node.withdraw(app_id)
+            self._release_stale_externals(node)
         self._all_ids = set(self._apps)
         for node in self._nodes:
             self._all_ids.update(node.live_apps())

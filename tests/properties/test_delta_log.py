@@ -1,23 +1,27 @@
-"""Property tests for the footprint-delta event log.
+"""Property tests for the decision event log and its one replay reader.
 
-A shard log is a checkpoint followed by records that carry only the
-entries of the elements their event touched.  Three guarantees make that
-safe, each checked over Hypothesis-drawn scripts of GR/BE admissions
-(prediction on and off), withdrawals, cross-shard reservations and shard
-kill/restart on one and two shards:
+A shard log is a checkpoint (the live apps with their holds) followed by
+records that carry decisions: the loads an epoch admitted or a
+cross-shard reservation took, the id a withdrawal released.  Replay
+folds them into the live-app table and a fresh scheduler charges that
+table's holds (``hold_apps``).  Three guarantees make that safe, each
+checked over Hypothesis-drawn scripts of GR/BE admissions (prediction on
+and off), withdrawals, cross-shard reservations and shard kill/restart
+on one and two shards:
 
-* **every prefix replays exactly** — ``replay_log(records[:k])`` equals
-  the live residual and FCFS entries as they were right after record
-  ``k`` was appended, bit for bit, for every ``k``.  Under prediction no
-  FCFS ledger is kept: no record carries ``fcfs`` and the replayed
-  ``fcfs`` is ``None``;
+* **every prefix restores exactly** — a scheduler holding
+  ``replay_log(records[:k])`` has the live residual (and, without
+  prediction, the live FCFS ledger) as it was right after record ``k``
+  was appended, bit for bit, for every ``k``; and the node's own
+  live-app table after record ``k`` *is* ``replay_log(records[:k])``;
 * **compaction loses nothing** — recovering a node from its log rewrites
-  the log to one checkpoint that replays to the same ``ReplayState``;
-* **one replay path** — the same history written the old way (the full
-  views in every record, no ``delta``, no ``apps``) replays to the same
-  ``ReplayState``, and under prediction a log that also carries an
-  ``fcfs`` ledger in every record (what earlier versions wrote) replays
-  to the same residual and applications.
+  the log to one checkpoint that replays to the same table and restores
+  the same views;
+* **old formats restore the same** — the same history written the old
+  ways (the full views in every record and no ``apps``; a ``delta`` of
+  the views after every checkpoint; under prediction, an ``fcfs`` ledger
+  beside every ``residual``) replays to the same table, whose views are
+  never read.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.network import fully_connected_network
-from repro.core.scheduler import BERequest, GRRequest
+from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
 from repro.core.taskgraph import linear_task_graph
 from repro.service.shard import (
     ShardCoordinator,
     ShardEventLog,
     ShardNode,
+    hold_apps,
     replay_log,
 )
 
@@ -105,20 +110,36 @@ def scripts(draw):
     return network, zones, draw(st.booleans()), operations
 
 
-def _watch(node: ShardNode, states: list) -> None:
-    """Record the node's live views right after every log append."""
+def _views(scheduler: SparcleScheduler):
+    ledger = scheduler.fcfs_snapshot()
+    return (
+        scheduler.residual_snapshot().entries,
+        None if ledger is None else ledger.entries,
+    )
+
+
+def _watch(node: ShardNode, states: list, tables: list) -> None:
+    """Record the node's live views right after every log append, and
+    its live-app table right before (the fold of every earlier record)."""
     append = node.log.append
 
     def spy(record):
+        tables.append(node.live_apps())
         stamped = append(record)
-        ledger = node.scheduler.fcfs_snapshot()
-        states.append((
-            node.residual_entries(),
-            None if ledger is None else ledger.entries,
-        ))
+        states.append(_views(node.scheduler))
         return stamped
 
     node.log.append = spy
+
+
+def _restored(records, node: ShardNode):
+    """The views a fresh scheduler for ``node`` holds once ``records``'
+    live apps are charged on it."""
+    scheduler = SparcleScheduler(
+        node.network, use_prediction=node.scheduler.use_prediction
+    )
+    hold_apps(scheduler, replay_log(records).values())
+    return _views(scheduler)
 
 
 def _run(coordinator: ShardCoordinator, operations) -> None:
@@ -147,127 +168,112 @@ def _through_json(records):
     return [json.loads(json.dumps(r, sort_keys=True)) for r in records]
 
 
-def _entries_json(entries):
-    return [list(entry) for entry in entries]
-
-
 def _fresh_state(use_prediction: bool):
     """Record 0: the fresh node's snapshot of the empty state."""
     return ((), None if use_prediction else ())
 
 
-def _carries_fcfs(record) -> bool:
-    return "fcfs" in record or "fcfs" in record.get("delta", {})
+def _old_formats(records, seen, use_prediction):
+    """The same history as earlier versions wrote it, each record with
+    the views that held right after it: snapshot-per-record with no
+    ``apps``, then checkpoints followed by a ``delta`` (here: the whole
+    view) in every other record, without and (under prediction, as a
+    copy of the residual) with an ``fcfs`` ledger."""
+    def view(entries):
+        out = {}
+        for element, resource, value in entries:
+            out.setdefault(element, {})[resource] = value
+        return out
+
+    formats = {"snapshot": [], "delta": [], "ledger": []}
+    for record, (residual, fcfs) in zip(records, seen):
+        views = {"residual": residual}
+        if fcfs is not None:
+            views["fcfs"] = fcfs
+        ledger = {**views, "fcfs": fcfs if fcfs is not None else residual}
+        formats["snapshot"].append({
+            **{k: v for k, v in record.items() if k != "apps"},
+            **{k: [list(e) for e in v] for k, v in views.items()},
+        })
+        for name, carried in (("delta", views), ("ledger", ledger)):
+            if "apps" in record:
+                extra = {k: [list(e) for e in v] for k, v in carried.items()}
+            else:
+                extra = {"delta": {k: view(v) for k, v in carried.items()}}
+            formats[name].append({**record, **extra})
+    if not use_prediction:
+        del formats["ledger"]  # the delta format already carries it
+    return formats
 
 
-def _with_ledger_twin(record):
-    """``record`` as earlier versions wrote it under prediction: with an
-    ``fcfs`` ledger beside every ``residual`` view."""
-    record = dict(record)
-    if "residual" in record:
-        record["fcfs"] = record["residual"]
-    if "delta" in record:
-        delta = record["delta"]
-        record["delta"] = {**delta, "fcfs": delta["residual"]}
-    return record
+def _recovered(node: ShardNode, records) -> ShardNode:
+    """A twin of ``node`` recovered from a copy of ``records``."""
+    copy = ShardEventLog()
+    for record in records:
+        copy.append({k: v for k, v in record.items() if k != "seq"})
+    twin = ShardNode(
+        node.shard_id, node.network,
+        use_prediction=node.scheduler.use_prediction, log=copy,
+    )
+    assert twin.recover()
+    assert len(copy) == 1
+    return twin
+
+
+def _run_watched(script):
+    """Run ``script``; per shard: its node, records, views and tables."""
+    network, zones, use_prediction, operations = script
+    with ShardCoordinator(
+        network, zones=zones, use_prediction=use_prediction,
+        max_queue_depth=64,
+    ) as coordinator:
+        seen = {}
+        for node in coordinator.nodes:
+            seen[node.shard_id] = ([_fresh_state(use_prediction)], [])
+            _watch(node, *seen[node.shard_id])
+        _run(coordinator, operations)
+        for node in coordinator.nodes:
+            states, tables = seen[node.shard_id]
+            tables.append(node.live_apps())
+            yield node, _through_json(node.log.records()), states, tables
 
 
 class TestDeltaLog:
     @SETTINGS
     @given(scripts())
     def test_every_prefix_replays_to_the_live_state(self, script):
-        network, zones, use_prediction, operations = script
-        with ShardCoordinator(
-            network, zones=zones, use_prediction=use_prediction,
-            max_queue_depth=64,
-        ) as coordinator:
-            states = {}
-            for node in coordinator.nodes:
-                states[node.shard_id] = [_fresh_state(use_prediction)]
-                _watch(node, states[node.shard_id])
-            _run(coordinator, operations)
-            for node in coordinator.nodes:
-                records = _through_json(node.log.records())
-                assert any(map(_carries_fcfs, records)) is not use_prediction
-                seen = states[node.shard_id]
-                assert len(records) == len(seen)
-                for k, state in enumerate(seen, start=1):
-                    replayed = replay_log(records[:k])
-                    assert (replayed.residual, replayed.fcfs) == state, k
+        for node, records, states, tables in _run_watched(script):
+            # Records carry decisions; no record carries a view.
+            assert not any(
+                {"residual", "fcfs", "delta", "ledger"} & set(record)
+                for record in records
+            )
+            assert len(records) == len(states) == len(tables)
+            for k, (state, table) in enumerate(zip(states, tables), start=1):
+                assert replay_log(records[:k]) == table, k
+                assert _restored(records[:k], node) == state, k
 
     @SETTINGS
     @given(scripts())
     def test_compaction_and_old_format_replay_to_the_same_state(self, script):
-        network, zones, use_prediction, operations = script
-        with ShardCoordinator(
-            network, zones=zones, use_prediction=use_prediction,
-            max_queue_depth=64,
-        ) as coordinator:
-            states = {}
-            for node in coordinator.nodes:
-                states[node.shard_id] = [_fresh_state(use_prediction)]
-                _watch(node, states[node.shard_id])
-            _run(coordinator, operations)
-            for node in coordinator.nodes:
-                records = _through_json(node.log.records())
-                expected = replay_log(records)
-                assert expected.residual == node.residual_entries()
+        use_prediction = script[2]
+        for node, records, states, _ in _run_watched(script):
+            expected = replay_log(records)
+            live = _views(node.scheduler)
+            assert _restored(records, node) == live
 
-                # Recovery rewrites the log to one equivalent checkpoint.
-                copy = ShardEventLog()
-                for record in records:
-                    copy.append(
-                        {k: v for k, v in record.items() if k != "seq"}
-                    )
-                twin = ShardNode(
-                    node.shard_id, node.network,
-                    use_prediction=use_prediction, log=copy,
-                )
-                assert twin.recover()
-                assert len(copy) == 1
-                assert replay_log(_through_json(copy.records())) == expected
-                assert twin.residual_entries() == expected.residual
-                ledger = twin.scheduler.fcfs_snapshot()
-                assert (
-                    None if ledger is None else ledger.entries
-                ) == expected.fcfs
+            # Recovery rewrites the log to one equivalent checkpoint.
+            twin = _recovered(node, records)
+            assert replay_log(_through_json(twin.log.records())) == expected
+            assert _views(twin.scheduler) == live
 
-                # The same history, snapshot-per-record as it used to be
-                # written, goes through the same replay.
-                old_format = [
-                    {
-                        **{
-                            key: value for key, value in record.items()
-                            if key not in ("delta", "apps")
-                        },
-                        "residual": _entries_json(residual),
-                        **(
-                            {} if fcfs is None
-                            else {"fcfs": _entries_json(fcfs)}
-                        ),
-                    }
-                    for record, (residual, fcfs) in zip(
-                        records, states[node.shard_id]
-                    )
-                ]
-                assert replay_log(_through_json(old_format)) == expected
-
-                if use_prediction:
-                    # A log that carries the ledger anyway replays to the
-                    # same residual and apps; recovering it drops the ledger.
-                    with_ledger = [_with_ledger_twin(r) for r in records]
-                    replayed = replay_log(with_ledger)
-                    assert replayed.residual == expected.residual
-                    assert replayed.apps == expected.apps
-                    copy = ShardEventLog()
-                    for record in with_ledger:
-                        copy.append(
-                            {k: v for k, v in record.items() if k != "seq"}
-                        )
-                    twin = ShardNode(
-                        node.shard_id, node.network,
-                        use_prediction=True, log=copy,
-                    )
-                    assert twin.recover()
-                    assert twin.residual_entries() == expected.residual
-                    assert not _carries_fcfs(copy.records()[0])
+            # The same history as earlier versions wrote it replays to
+            # the same table and recovers to the same views.
+            for name, old in _old_formats(
+                records, states, use_prediction
+            ).items():
+                old = _through_json(old)
+                assert replay_log(old) == expected, name
+                twin = _recovered(node, old)
+                assert _views(twin.scheduler) == live, name
+                assert "fcfs" not in twin.log.records()[0], name

@@ -8,8 +8,8 @@ by the last version whose records carried a ``delta`` instead of the
 decision alone.  ``expected.json`` records, next to them, what each
 version replayed them to and how many applications its ``--recover``
 server reported.  Today a node under prediction keeps no ledger and logs
-decisions, not deltas; these logs must still replay and recover to the
-same state.
+decisions, not deltas, and replay reads only the apps a log folds to:
+these logs must still restore to the same views and apps.
 """
 
 from __future__ import annotations
@@ -22,12 +22,14 @@ from pathlib import Path
 import pytest
 
 from repro.core.scenario import load_scenario
+from repro.core.scheduler import SparcleScheduler
 from repro.perf.counters import PerfRegistry
 from repro.service.client import SparcleClient
 from repro.service.server import SparcleServer
 from repro.service.shard import (
     ShardEventLog,
     ShardNode,
+    hold_apps,
     partition_network,
     replay_log,
 )
@@ -63,8 +65,8 @@ def _copy(name: str, tmp_path: Path) -> Path:
     return target
 
 
-def _entries(entries):
-    return None if entries is None else [list(entry) for entry in entries]
+def _entries(snapshot):
+    return None if snapshot is None else [list(e) for e in snapshot.entries]
 
 
 def _check_format(name: str, records: list[dict]) -> None:
@@ -84,13 +86,20 @@ def _check_format(name: str, records: list[dict]) -> None:
 
 @pytest.mark.parametrize("name", FEDERATIONS)
 def test_replay_gives_the_recorded_state(name):
-    for _, path, expected in _shard_logs(name):
+    partition = partition_network(_network(), EXPECTED[name]["n_shards"])
+    for shard_id, path, expected in _shard_logs(name):
         records = _records(path)
         _check_format(name, records)
-        state = replay_log(records)
-        assert [list(entry) for entry in state.residual] == expected["residual"]
-        assert _entries(state.fcfs) == expected["fcfs"]
-        assert [app.to_json() for app in state.apps] == expected["apps"]
+        apps = replay_log(records)
+        assert [app.to_json() for app in apps.values()] == expected["apps"]
+        # A version that kept a ledger restores with one.
+        scheduler = SparcleScheduler(
+            partition.subnetworks[shard_id],
+            use_prediction=expected["fcfs"] is None,
+        )
+        hold_apps(scheduler, apps.values())
+        assert _entries(scheduler.residual_snapshot()) == expected["residual"]
+        assert _entries(scheduler.fcfs_snapshot()) == expected["fcfs"]
 
 
 @pytest.mark.parametrize("name", FEDERATIONS)
@@ -104,19 +113,27 @@ def test_recover_compacts_to_a_checkpoint_without_a_ledger(name, tmp_path):
             assert node.recover()
             records = log.records()
             assert len(records) == 1
-            assert "fcfs" not in records[0]
-            state = replay_log(_records(logs / path.name))
-            assert state.fcfs is None
-            assert [list(e) for e in state.residual] == expected["residual"]
-            assert [app.to_json() for app in state.apps] == expected["apps"]
-            # Redo records append to the compacted log and replay exactly.
-            node.withdraw(state.apps[0].app_id)
+            assert not {"fcfs", "residual"} & set(records[0])
+            assert node.scheduler.fcfs_snapshot() is None
+            assert _entries(node.scheduler.residual_snapshot()) == (
+                expected["residual"]
+            )
+            apps = replay_log(_records(logs / path.name))
+            assert [app.to_json() for app in apps.values()] == expected["apps"]
+            assert node.live_apps() == apps
+            # Records append to the compacted log and fold exactly.
+            first = next(iter(apps))
+            node.withdraw(first)
             assert log.records()[-1] == {
-                "seq": 1, "type": "release", "app_id": state.apps[0].app_id,
+                "seq": 1, "type": "release", "app_id": first,
             }
-            redone = replay_log(log.records())
-            assert redone.residual == node.residual_entries()
-            assert len(redone.apps) == len(state.apps) - 1
+            del apps[first]
+            assert replay_log(log.records()) == apps == node.live_apps()
+            restored = SparcleScheduler(node.network)
+            hold_apps(restored, apps.values())
+            assert restored.residual_snapshot() == (
+                node.scheduler.residual_snapshot()
+            )
         finally:
             node.close()
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.network import fully_connected_network, star_network
 from repro.core.repair import RetryPolicy
+from repro.core.scenario import network_from_dict
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
 from repro.core.taskgraph import BANDWIDTH, linear_task_graph
 from repro.exceptions import (
@@ -30,6 +31,7 @@ from repro.service.shard import (
     NetworkPartition,
     ShardCoordinator,
     ShardEventLog,
+    hold_apps,
     partition_network,
     replay_log,
 )
@@ -66,6 +68,14 @@ def _clique_world(n: int = 8, n_shards: int = 2):
     per = n // n_shards
     zones = {f"ncp{k + 1}": k // per for k in range(n)}
     return network, zones
+
+
+def _restored_residual(records, network):
+    """The residual a fresh scheduler holds once a log's live apps are
+    charged on it — what a warm start restores."""
+    scheduler = SparcleScheduler(network)
+    hold_apps(scheduler, replay_log(records).values())
+    return scheduler.residual_snapshot().entries
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +175,16 @@ class TestShardEventLog:
         reopened.close()
         assert len(path.read_text().splitlines()) == 2
 
+    def test_append_after_close_raises_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "shard-0.jsonl"
+        log = ShardEventLog(path)
+        log.append({"type": "release", "app_id": "a"})
+        log.close()
+        with pytest.raises(ShardError, match="closed"):
+            log.append({"type": "release", "app_id": "b"})
+        assert len(log) == 1
+        assert len(path.read_text().splitlines()) == 1
+
     def test_replay_empty_log_raises(self):
         with pytest.raises(ShardError, match="empty"):
             replay_log([])
@@ -189,51 +209,52 @@ class TestShardEventLog:
             {"type": "release", "app_id": "keep",
              "residual": [["l1", BANDWIDTH, 9.5]], "fcfs": []},
         ]
-        state = replay_log(records)
-        assert state.residual == (("l1", BANDWIDTH, 9.5),)
-        by_id = {app.app_id: app for app in state.apps}
-        assert set(by_id) == {"ext"}
-        assert by_id["ext"].origin == "external"
-        assert by_id["ext"].consumptions[0][1] == 1.0
-
+        # A log written before checkpoints listed their apps folds from
+        # its first record; the views it carries are not read.
+        apps = replay_log(records)
+        assert list(apps) == ["ext"]
+        assert apps["ext"].origin == "external"
+        assert apps["ext"].consumptions()[0][1] == 1.0
+        network = fully_connected_network(2, cpu=1000.0, link_bandwidth=10.0)
+        assert _restored_residual(records, network) == (
+            ("l1", BANDWIDTH, 9.5),
+        )
 
     def test_replay_without_a_checkpoint_raises(self):
         with pytest.raises(ShardError, match="no checkpoint"):
             replay_log([{"type": "release", "app_id": "a",
                          "delta": {"residual": {}, "fcfs": {}}}])
 
-    def test_replay_assigns_deltas_over_the_last_checkpoint(self):
+    def test_replay_ignores_logged_views(self):
+        held = [{"loads": {"l1": {BANDWIDTH: 1.0}}, "rate": 0.5}]
         records = [
-            {"type": "snapshot", "apps": [],
-             "residual": [["l1", BANDWIDTH, 9.0], ["l2", BANDWIDTH, 4.0]],
-             "fcfs": [["l1", BANDWIDTH, 9.0]]},
-            # l1 changes, l2 loses its override, l3 gains one; the FCFS
-            # view is told l1 reads the raw capacity again.
+            {"type": "snapshot", "apps": [
+                {"app_id": "old", "kind": "GR", "origin": "local",
+                 "consumed": held}],
+             "residual": [["l1", BANDWIDTH, 1.0]]},
+            {"type": "restart", "apps": [
+                {"app_id": "gone", "kind": "GR", "origin": "external",
+                 "consumed": held},
+                {"app_id": "b", "kind": "BE", "origin": "local",
+                 "consumed": []}],
+             "residual": [["l1", BANDWIDTH, 2.0]],
+             "fcfs": [["l1", BANDWIDTH, 3.0]]},
             {"type": "release", "app_id": "gone",
-             "delta": {"residual": {"l1": {BANDWIDTH: 7.5}, "l2": {},
-                                    "l3": {BANDWIDTH: 1.0}},
+             "delta": {"residual": {"l1": {BANDWIDTH: 7.5}},
                        "fcfs": {"l1": {}}}},
         ]
-        state = replay_log(records)
-        assert state.residual == (
-            ("l1", BANDWIDTH, 7.5), ("l3", BANDWIDTH, 1.0),
-        )
-        assert state.fcfs == ()
-        # Values are copied, never re-derived: a record applied twice
-        # (a duplicated final write, same seq) changes nothing.
-        assert replay_log(records + [records[-1]]) == state
-
-    def test_a_log_without_a_ledger_replays_no_fcfs_view(self):
-        # What a node under prediction writes: the residual view only.
-        records = [
-            {"type": "snapshot", "apps": [],
-             "residual": [["l1", BANDWIDTH, 9.0]]},
-            {"type": "release", "app_id": "gone",
-             "delta": {"residual": {"l1": {BANDWIDTH: 7.5}}}},
+        apps = replay_log(records)
+        assert [app.to_json() for app in apps.values()] == [
+            {"app_id": "b", "kind": "BE", "origin": "local", "consumed": []},
         ]
-        state = replay_log(records)
-        assert state.residual == (("l1", BANDWIDTH, 7.5),)
-        assert state.fcfs is None
+        assert apps["b"].ledger_only
+        # The holds are the only reader: the views the records carry
+        # (9.0, 8.0, 7.5) are never assigned.
+        network = fully_connected_network(2, cpu=1000.0, link_bandwidth=10.0)
+        assert _restored_residual(records, network) == ()
+        # A record applied twice (a duplicated final write, same seq)
+        # changes nothing.
+        assert replay_log(records + [records[-1]]) == apps
 
     def test_torn_final_record_is_dropped_and_truncated(self, tmp_path):
         path = tmp_path / "shard-0.jsonl"
@@ -374,7 +395,7 @@ class TestShardEventLog:
         doubled = ShardEventLog(path)
         assert [r["seq"] for r in doubled.records()] == [0, 1, 1]
         # A consumption redone twice would charge the app twice.
-        assert replay_log(doubled.records()).residual == live
+        assert _restored_residual(doubled.records(), network) == live
         doubled.close()
 
     def test_a_redo_log_replays_on_the_network_it_names(self):
@@ -384,12 +405,12 @@ class TestShardEventLog:
             node = fed.nodes[0]
             records = [dict(r) for r in node.log.records()]
             live = node.residual_entries()
-        assert replay_log(records).residual == live
-        assert replay_log(records, node.network).residual == live
+        named = network_from_dict(records[0]["network"])
+        assert _restored_residual(records, named) == live
+        # The fold itself needs no network.
+        apps = replay_log(records)
         del records[0]["network"]
-        with pytest.raises(ShardError, match="network"):
-            replay_log(records)
-        assert replay_log(records, node.network).residual == live
+        assert replay_log(records) == apps
 
 
 # ----------------------------------------------------------------------
@@ -769,6 +790,20 @@ class TestKillAndWarmStart:
             # The durable logs exist on disk, one line per record.
             assert (tmp_path / "shard-0.jsonl").exists()
             assert (tmp_path / "coordinator.jsonl").exists()
+
+    def test_live_apps_are_the_same_across_a_kill_and_restart(self):
+        _network, coordinator = self._loaded_coordinator()
+        with coordinator:
+            before = [node.live_apps() for node in coordinator.nodes]
+            # A cross-shard reservation counts on every shard it holds.
+            for apps in before:
+                assert {"cross0", "cross1"} <= set(apps)
+            for node in coordinator.nodes:
+                coordinator.kill_shard(node.shard_id)
+                coordinator.restart_shard(node.shard_id)
+            assert [node.live_apps() for node in coordinator.nodes] == before
+            for node in coordinator.nodes:
+                assert replay_log(node.log.records()) == node.live_apps()
 
     def test_multipath_cross_reserve_survives_warm_start(self, tmp_path):
         # Two paths give each owner a multi-entry reservation: a reserve

@@ -203,8 +203,7 @@ API_SIGNATURES = {
         "(network: 'Network', n_shards: 'int' = 2, *, "
         "zones: 'Mapping[str, int] | None' = None) -> 'NetworkPartition'",
     "replay_log":
-        "(records: 'Sequence[Mapping[str, Any]]', "
-        "network: 'Network | None' = None) -> 'ReplayState'",
+        "(records: 'Sequence[Mapping[str, Any]]') -> 'dict[str, LiveApp]'",
     "run_shard_soak":
         "(seed: 'int', n_events: 'int', *, n_shards: 'int' = 2, "
         "profile: 'FuzzProfile | None' = None, quick: 'bool' = False, "
