@@ -42,7 +42,7 @@ from repro.chaos.invariants import (
 from repro.core.network import Network
 from repro.core.placement import CapacityView
 from repro.core.repair import RepairController, RetryPolicy
-from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
+from repro.core.scheduler import BERequest, Decision, GRRequest, SparcleScheduler
 from repro.core.taskgraph import BANDWIDTH
 from repro.exceptions import BackpressureError, ChaosError
 from repro.service.gateway import AdmissionGateway
@@ -249,6 +249,8 @@ class ChaosDriver:
         scheduler, gateway, controller = self._fresh_world()
         tickets: dict[str, int] = {}
         shed: set[str] = set()
+        # The gateway keeps no history; the harness keeps its own.
+        decisions: list[Decision] = []
         now = 0.0
         report = SoakReport(
             seed=None,
@@ -282,7 +284,7 @@ class ChaosDriver:
             withdrawn: list[str] = []
             if len(live) <= self.max_live_apps:
                 return withdrawn
-            for decision in gateway.decisions:
+            for decision in decisions:
                 if len(live) <= self.max_live_apps:
                     break
                 if decision.accepted and decision.app_id in live:
@@ -306,9 +308,11 @@ class ChaosDriver:
                 entry["outcome"] = submit_all(event.requests)
                 if event.kind == "flood":
                     epoch = gateway.run_epoch()
+                    decisions.extend(d for _, d in epoch.decided)
                     entry["outcome"]["accepted"] = epoch.accepted
             elif event.kind == "epoch":
                 epoch = gateway.run_epoch()
+                decisions.extend(d for _, d in epoch.decided)
                 entry["outcome"] = {
                     "batch": epoch.batch,
                     "accepted": epoch.accepted,
@@ -342,6 +346,8 @@ class ChaosDriver:
                 }
             elif event.kind == "drain":
                 reports = gateway.drain()
+                for epoch in reports:
+                    decisions.extend(d for _, d in epoch.decided)
                 entry["outcome"] = {
                     "epochs": len(reports),
                     "queue_depth": gateway.queue_depth,
@@ -365,6 +371,7 @@ class ChaosDriver:
                 pre_gr_placements=pre_placements,
                 tickets=tickets,
                 shed=frozenset(shed),
+                decisions=decisions,
             )
             violations = check_invariants(context, self.invariants)
             if not entry["outcome"].get("round_trip_exact", True):

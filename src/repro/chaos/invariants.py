@@ -21,19 +21,20 @@ online story:
   (rate and availability) right now, or is demoted to degraded *with a
   logged repair event* — silent guarantee violations are the bug class;
 * ``decision-log`` — the gateway's one-decision-per-request contract:
-  decisions are unique per app, consistent with the stats counters, and
-  complete once the queue is drained.
+  the decisions its epochs handed over (the driver's own list — the
+  gateway keeps no history) are unique per app, consistent with the
+  stats counters, and complete once the queue is drained.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.placement import CapacityView
 from repro.core.repair import RepairController
-from repro.core.scheduler import SparcleScheduler
+from repro.core.scheduler import Decision, SparcleScheduler
 from repro.core.taskgraph import BANDWIDTH
 from repro.service.gateway import AdmissionGateway
 
@@ -76,6 +77,8 @@ class ChaosContext:
     tickets: Mapping[str, int] = field(default_factory=dict)
     #: app_ids shed by backpressure (no ticket, no decision expected).
     shed: frozenset[str] = frozenset()
+    #: Every decision the gateway's epochs handed over, in commit order.
+    decisions: Sequence[Decision] = ()
     #: The :class:`~repro.service.shard.ShardCoordinator` under soak, if
     #: the world is federated.  Shard invariants no-op when this is None,
     #: so the single-gateway driver can keep running the full registry.
@@ -250,7 +253,7 @@ def _decision_log(context: ChaosContext) -> list[str]:
     """One decision per request, stats-consistent, complete when drained."""
     problems: list[str] = []
     gateway = context.gateway
-    decisions = gateway.decisions
+    decisions = context.decisions
     seen: dict[str, int] = {}
     for decision in decisions:
         seen[decision.app_id] = seen.get(decision.app_id, 0) + 1

@@ -51,6 +51,7 @@ from repro.exceptions import (
     ShardError,
 )
 from repro.service.shard import (
+    FederationEpochReport,
     ShardCoordinator,
     ShardNode,
     hold_apps,
@@ -401,6 +402,16 @@ class ShardChaosDriver:
         shed = 0
         unroutable = 0
         withdrawn: set[str] = set()
+        # Accepted app ids in commit order: the coordinator keeps no
+        # decision history, so the harness keeps this one.
+        accepted: list[str] = []
+
+        def take(report: FederationEpochReport) -> None:
+            for ticket, decision in report.decided:
+                if decision.accepted:
+                    accepted.append(decision.app_id)
+                coordinator.retire(ticket)
+
         for event in events:
             entry = event.describe()
             if event.kind == "submit":
@@ -420,6 +431,7 @@ class ShardChaosDriver:
                 entry["outcome"] = outcome
             elif event.kind == "epoch":
                 epoch = coordinator.run_epoch()
+                take(epoch)
                 entry["outcome"] = {
                     "cross_batch": epoch.cross_batch,
                     "cross_conflicts": epoch.cross_conflicts,
@@ -435,7 +447,9 @@ class ShardChaosDriver:
                 node = coordinator.nodes[event.shard]
                 entry["outcome"] = {"adopted": len(node.live_apps())}
             elif event.kind == "withdraw":
-                victim = self._oldest_live(coordinator, withdrawn)
+                victim = next(
+                    (a for a in accepted if a not in withdrawn), None
+                )
                 if victim is not None:
                     try:
                         coordinator.withdraw(victim)
@@ -448,6 +462,8 @@ class ShardChaosDriver:
                     entry["outcome"] = {"withdrew": None}
             elif event.kind == "drain":
                 reports = coordinator.drain()
+                for epoch in reports:
+                    take(epoch)
                 entry["outcome"] = {
                     "epochs": len(reports),
                     "queue_depth": coordinator.queue_depth,
@@ -489,16 +505,6 @@ class ShardChaosDriver:
         }
         coordinator.close()
         return report
-
-    @staticmethod
-    def _oldest_live(
-        coordinator: ShardCoordinator, withdrawn: set[str]
-    ) -> str | None:
-        """The earliest-accepted app not yet withdrawn, if any."""
-        for decision in coordinator.decisions:
-            if decision.accepted and decision.app_id not in withdrawn:
-                return decision.app_id
-        return None
 
 
 def run_shard_soak(

@@ -839,6 +839,9 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
         await client.drain()
         await client.close()
         await server.wait_closed()
+        # Every decision was written to its client and retired: a ticket
+        # still held by any layer after the drain is a leak.
+        held = server.coordinator.decisions_held
         accepted = sum(
             1 for d in decisions if d is not None and d.accepted
         )
@@ -849,6 +852,7 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
             "epochs": status.epoch,
             "shed": status.shed,
             "metrics_ok": "sparcle_server_accepted" in metrics,
+            "decisions_held": held,
         }
 
     summary = asyncio.run(_run())
@@ -864,6 +868,8 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
           f"({summary['shed']} shed)")
     print(f"metrics          : sparcle_server_* exported: "
           f"{summary['metrics_ok']}")
+    print(f"after drain      : {summary['decisions_held']} decided "
+          f"tickets still held (0 required)")
     if args.out_dir:
         from pathlib import Path
 
@@ -878,7 +884,7 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
         target = out_dir / "serve_report.json"
         target.write_text(_json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote            : {target}")
-    return 0 if summary["metrics_ok"] else 1
+    return 0 if summary["metrics_ok"] and not summary["decisions_held"] else 1
 
 
 def _cmd_soak_serve(args: argparse.Namespace, seed: int) -> int:

@@ -75,7 +75,9 @@ class CompiledNetwork:
     indexing is ~3x faster than scalar ndarray access).
 
     Undirected networks share one adjacency: the ``bwd_*`` fields alias
-    the ``fwd_*`` arrays.
+    the ``fwd_*`` arrays.  ``fwd_pairs[e]`` is forward edge ``e``'s
+    ordered pair ``(u, v)`` as the flat index ``u * n_nodes + v``;
+    ``Network`` refuses parallel links, so no two edges share one.
     """
 
     network_name: str
@@ -92,6 +94,7 @@ class CompiledNetwork:
     bwd_offsets: IntArray
     bwd_targets: IntArray
     bwd_link_ids: IntArray
+    fwd_pairs: IntArray
     # Pure-Python mirrors (lists) of the arrays above, same contents.
     _tie_rank_list: list[int] = field(repr=False)
     _fwd_offsets_list: list[int] = field(repr=False)
@@ -174,6 +177,7 @@ def compile_network(network: Network) -> CompiledNetwork:
     bwd = fwd if not network.directed else _csr(
         network, node_index, link_index, reverse=True
     )
+    sources = np.repeat(np.arange(len(node_names)), np.diff(fwd[0]))
     compiled = CompiledNetwork(
         network_name=network.name,
         directed=network.directed,
@@ -189,6 +193,7 @@ def compile_network(network: Network) -> CompiledNetwork:
         bwd_offsets=bwd[0],
         bwd_targets=bwd[1],
         bwd_link_ids=bwd[2],
+        fwd_pairs=_freeze(sources * len(node_names) + fwd[1]),
         _tie_rank_list=tie_rank.tolist(),
         _fwd_offsets_list=fwd[0].tolist(),
         _fwd_targets_list=fwd[1].tolist(),
@@ -412,8 +417,10 @@ def all_pairs_widths(compiled: CompiledNetwork, weights: FloatArray) -> FloatArr
     """``table[u, v]`` = bottleneck width of ``P*(u, v)`` for every NCP pair.
 
     The (max, min) closure of the Eq.-(3) weight matrix: seed ``table``
-    with the widest direct link per ordered pair (parallel links and
-    directed networks fall out of the forward CSR), then let every node
+    with each ordered pair's direct link (a directed network's forward
+    CSR holds one edge per link, an undirected one's two; ``Network``
+    refuses parallel links, so one assignment through
+    ``CompiledNetwork.fwd_pairs`` writes every seed), then let every node
     ``k`` in turn offer the detour ``min(table[u, k], table[k, v])``.
     The max-min value of a pair is unique and only comparisons touch the
     floats, so each entry equals the width :func:`run_widest` settles, bit
@@ -428,13 +435,10 @@ def all_pairs_widths(compiled: CompiledNetwork, weights: FloatArray) -> FloatArr
     """
     n = compiled.n_nodes
     table = np.full((n, n), _NEG_INF, dtype=np.float64)
-    sources = np.repeat(np.arange(n), np.diff(compiled.fwd_offsets))
-    np.maximum.at(
-        table, (sources, compiled.fwd_targets), weights[compiled.fwd_link_ids]
-    )
+    table.ravel()[compiled.fwd_pairs] = weights[compiled.fwd_link_ids]
     np.fill_diagonal(table, math.inf)
+    detour = np.empty_like(table)
     for k in range(n):
-        np.maximum(
-            table, np.minimum(table[:, k, None], table[None, k, :]), out=table
-        )
+        np.minimum(table[:, k, None], table[None, k, :], out=detour)
+        np.maximum(table, detour, out=table)
     return table

@@ -546,7 +546,6 @@ class SparcleScheduler:
         )
         self._be: dict[str, _PlacedBE] = {}
         self._gr: dict[str, _PlacedGR] = {}
-        self._decisions: list[Decision] = []
         # External reservations: capacity held on behalf of tenants this
         # scheduler does not manage (cross-shard apps reserved by a
         # ShardCoordinator, or apps adopted from an event log after a
@@ -558,11 +557,6 @@ class SparcleScheduler:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def decisions(self) -> tuple[Decision, ...]:
-        """Every admission decision, in arrival order."""
-        return tuple(self._decisions)
-
     def state(self) -> SchedulerState:
         """Snapshot of admitted apps and the GR-residual capacities."""
         return SchedulerState(
@@ -571,41 +565,6 @@ class SparcleScheduler:
             gr_total_rate=sum(p.active_rate() for p in self._gr.values()),
             residual=self._gr_residual.snapshot(),
         )
-
-    def export_decisions(self) -> list[dict]:
-        """The decision log as JSON-serializable records (audit trail).
-
-        One record per admission attempt, in arrival order, with the full
-        placement of accepted applications — enough to replay or post-hoc
-        audit every scheduling choice.
-        """
-        records = []
-        for index, decision in enumerate(self._decisions):
-            records.append(
-                {
-                    "sequence": index,
-                    "app_id": decision.app_id,
-                    "kind": decision.kind,
-                    "accepted": decision.accepted,
-                    "reason": decision.reason,
-                    "availability": decision.availability,
-                    "path_rates": list(decision.path_rates),
-                    "placements": [
-                        {
-                            "ct_hosts": dict(p.ct_hosts),
-                            "tt_routes": {
-                                k: list(v) for k, v in p.tt_routes.items()
-                            },
-                        }
-                        for p in decision.placements
-                    ],
-                }
-            )
-        return records
-
-    def gr_decisions(self) -> list[Decision]:
-        """Decisions for GR submissions only."""
-        return [d for d in self._decisions if d.kind == "GR"]
 
     def _observe_decision(self, decision: Decision) -> None:
         """Report one admission outcome to the observability layer."""
@@ -754,9 +713,11 @@ class SparcleScheduler:
         return views
 
     def commit(self, proposal: AdmissionProposal) -> Decision:
-        """Apply one proposal: reserve capacity, record and log the decision.
+        """Apply one proposal: reserve capacity and return the decision.
 
-        The proposal is trusted to have been evaluated against the state
+        The scheduler keeps no decision history (a caller that needs one
+        keeps the returned decisions); an admitted app's placements live
+        in its app table until :meth:`withdraw`.  The proposal is trusted to have been evaluated against the state
         it is committed to (:meth:`evaluate` immediately before, as the
         gateway and ``submit_*`` do).  An accepted GR proposal that no
         longer fits the live residuals raises
@@ -771,7 +732,6 @@ class SparcleScheduler:
             decision = self._commit_be(proposal)
         else:
             raise AdmissionError(f"unsupported proposal kind {proposal.kind!r}")
-        self._decisions.append(decision)
         self._observe_decision(decision)
         return decision
 

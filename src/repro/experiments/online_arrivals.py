@@ -86,6 +86,7 @@ def run_churn(scenario, assigner, rng) -> ChurnOutcome:
     clock = 0.0
     next_arrival = float(generator.exponential(MEAN_INTERARRIVAL))
     departures: list[tuple[float, str]] = []  # (time, app_id)
+    admitted_rates: dict[str, float] = {}  # app_id -> its admitted rate
     offered = 0
     accepted = 0
     carried = 0.0  # integral of reserved rate over time
@@ -118,6 +119,7 @@ def run_churn(scenario, assigner, rng) -> ChurnOutcome:
             if decision.accepted:
                 accepted += 1
                 current_rate += decision.total_rate
+                admitted_rates[decision.app_id] = decision.total_rate
                 lifetime = float(generator.exponential(MEAN_HOLDING))
                 heapq.heappush(
                     departures, (clock + lifetime, f"app{arrival_index}")
@@ -129,10 +131,7 @@ def run_churn(scenario, assigner, rng) -> ChurnOutcome:
             event_time = min(event_time, HORIZON) if not departures and next_arrival >= HORIZON else event_time
             carried += current_rate * (event_time - clock)
             clock = event_time
-            released = next(
-                d.total_rate for d in scheduler.decisions
-                if d.app_id == app_id and d.accepted
-            )
+            released = admitted_rates.pop(app_id)
             scheduler.withdraw(app_id)
             current_rate -= released
     horizon = max(clock, HORIZON)

@@ -161,7 +161,12 @@ class AdmissionQueue:
 
 @dataclass(frozen=True)
 class EpochReport:
-    """What one :meth:`AdmissionGateway.run_epoch` call did."""
+    """What one :meth:`AdmissionGateway.run_epoch` call did.
+
+    ``decided`` hands over the epoch's ``(ticket, Decision)`` pairs in
+    commit order: the one place a caller learns a decision without
+    polling its ticket.
+    """
 
     epoch: int
     batch: int
@@ -169,6 +174,7 @@ class EpochReport:
     accepted: int
     rejected: int
     queue_depth: int
+    decided: tuple[tuple[int, Decision], ...]
 
 
 @dataclass
@@ -194,6 +200,11 @@ class AdmissionGateway:
     ``batch_size`` caps how many requests one epoch decides (default:
     everything queued).
 
+    The gateway keeps no decision history: a decision is held under its
+    ticket only until the consumer calls :meth:`retire` (``process``
+    retires what it returns), so memory scales with queued and unretired
+    tickets, not with how many requests were ever decided.
+
     Usable as a context manager (there is nothing to release).
     """
 
@@ -214,8 +225,6 @@ class AdmissionGateway:
         self.max_queue_depth = max_queue_depth
         self.batch_size = batch_size
         self.stats = GatewayStats()
-        #: Decisions in commit order (the scheduler's log holds them too).
-        self.decisions: list[Decision] = []
         self._queue = AdmissionQueue()
         self._pending_ids: set[str] = set()
         self._decision_by_seq: dict[int, Decision] = {}
@@ -246,9 +255,27 @@ class AdmissionGateway:
         """Epochs run so far."""
         return self._epoch
 
+    @property
+    def decisions_held(self) -> int:
+        """Decided tickets not yet retired."""
+        return len(self._decision_by_seq)
+
     def decision_for(self, ticket: int) -> Decision | None:
-        """The decision for one :meth:`submit` ticket, if committed yet."""
+        """The decision for one :meth:`submit` ticket, if committed yet.
+
+        A non-destructive read: the decision stays held until
+        :meth:`retire`, and ``None`` once retired (as for an unknown or
+        still-queued ticket).
+        """
         return self._decision_by_seq.get(ticket)
+
+    def retire(self, ticket: int) -> None:
+        """Forget a decided ticket: its consumer has taken the decision.
+
+        Raises :class:`GatewayError` when no decision is held for it.
+        """
+        if self._decision_by_seq.pop(ticket, None) is None:
+            raise GatewayError(f"no decision held for ticket {ticket}")
 
     def decision_reply(self, ticket: int) -> "DecisionReply | None":
         """The wire-typed decision for one ticket, if committed yet.
@@ -343,6 +370,7 @@ class AdmissionGateway:
         metrics = get_metrics()
         metrics.incr("gateway.epochs")
         accepted = 0
+        decided: list[tuple[int, Decision]] = []
         with timer("gateway.epoch"):
             batch = self._queue.pop_batch(self._epoch, self.batch_size)
             for entry in batch:
@@ -353,6 +381,7 @@ class AdmissionGateway:
                 )
                 accepted += decision.accepted
                 self._record(entry, decision)
+                decided.append((entry.seq, decision))
         metrics.set_gauge("gateway.queue_depth", float(len(self._queue)))
         report = EpochReport(
             epoch=self._epoch,
@@ -361,6 +390,7 @@ class AdmissionGateway:
             accepted=accepted,
             rejected=len(batch) - accepted,
             queue_depth=len(self._queue),
+            decided=tuple(decided),
         )
         tr = tracing.get_tracer()
         if tr.enabled:
@@ -381,7 +411,6 @@ class AdmissionGateway:
             self.stats.accepted += 1
         else:
             self.stats.rejected += 1
-        self.decisions.append(decision)
         self._decision_by_seq[entry.seq] = decision
         self._pending_ids.discard(entry.request.app_id)
 
@@ -403,7 +432,10 @@ class AdmissionGateway:
     def process(
         self, requests: Sequence[BERequest | GRRequest]
     ) -> list[Decision]:
-        """Submit a burst and drain it; decisions in submission order."""
+        """Submit a burst and drain it; decisions in submission order.
+
+        The returned decisions are handed over: their tickets are retired.
+        """
         tickets = [self.submit(request) for request in requests]
         self.drain()
-        return [self._decision_by_seq[ticket] for ticket in tickets]
+        return [self._decision_by_seq.pop(ticket) for ticket in tickets]

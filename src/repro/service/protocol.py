@@ -339,9 +339,11 @@ class DecisionReply(Message):
     """One admission outcome, pushed when the epoch loop decides the app.
 
     ``placements`` serializes each admitted path as
-    ``{"ct_hosts": {...}, "tt_routes": {tt: [links...]}}`` — the same
-    shape :meth:`repro.core.scheduler.SparcleScheduler.export_decisions`
-    writes, so wire consumers and audit logs share one schema.
+    ``{"ct_hosts": {...}, "tt_routes": {tt: [links...]}}``.  It is also
+    the audit-record form of a decision: nothing in the serving stack
+    keeps decision history, so a caller that wants an audit trail keeps
+    :meth:`from_decision` of each decision it receives (``to_wire()``
+    makes it JSON).
     """
 
     TYPE: ClassVar[str] = "decision"

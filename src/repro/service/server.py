@@ -55,14 +55,15 @@ import asyncio
 import contextlib
 import signal
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from repro.core.assignment import sparcle_assign
 from repro.core.network import Network
 from repro.core.repair import RetryPolicy
-from repro.core.scheduler import Assigner
+from repro.core.scheduler import Assigner, Decision
 from repro.exceptions import (
     AdmissionError,
     BackpressureError,
@@ -361,8 +362,7 @@ class SparcleServer:
             if self._stopping:
                 return
             if self.coordinator.queue_depth > 0:
-                self.coordinator.run_epoch()
-                self._flush_decisions()
+                self._flush_decisions(self.coordinator.run_epoch().decided)
                 await self._drain_writers()
 
     def _drain_coordinator(self) -> tuple[int, int]:
@@ -372,19 +372,26 @@ class SparcleServer:
         for _ in range(MAX_DRAIN_EPOCHS):
             if self.coordinator.queue_depth == 0:
                 break
-            self.coordinator.run_epoch()
+            report = self.coordinator.run_epoch()
             epochs += 1
-            decided += self._flush_decisions()
+            decided += self._flush_decisions(report.decided)
         return decided, epochs
 
-    def _flush_decisions(self) -> int:
-        """Push every newly committed decision to its owning connection."""
+    def _flush_decisions(
+        self, decided: Sequence[tuple[int, Decision]]
+    ) -> int:
+        """Push one epoch's decisions to their connections, then retire them.
+
+        Sent in ticket (submit) order.  A decision whose client has
+        disconnected is retired unsent: it was committed and logged, and
+        has nowhere to go.
+        """
         flushed = 0
-        for ticket in list(self._pending):
-            decision = self.coordinator.decision_for(ticket)
-            if decision is None:
+        for ticket, decision in sorted(decided, key=itemgetter(0)):
+            pending = self._pending.pop(ticket, None)
+            if pending is None:
+                self.coordinator.retire(ticket)
                 continue
-            pending = self._pending.pop(ticket)
             pending.conn.inflight -= 1
             flushed += 1
             if decision.accepted:
@@ -396,6 +403,7 @@ class SparcleServer:
             pending.conn.send(
                 DecisionReply.from_decision(decision, seq=pending.seq)
             )
+            self.coordinator.retire(ticket)
         if flushed:
             self._metrics.set_gauge(
                 "server.inflight", float(self._total_inflight())
@@ -561,7 +569,8 @@ class SparcleServer:
         finally:
             self._connections.pop(conn.conn_id, None)
             # Decisions for a vanished client are still committed (and
-            # logged); they just have nowhere to be delivered.
+            # logged); they just have nowhere to be delivered, so
+            # _flush_decisions retires them unsent.
             for ticket, pending in list(self._pending.items()):
                 if pending.conn is conn:
                     del self._pending[ticket]

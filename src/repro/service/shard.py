@@ -630,7 +630,6 @@ class ShardNode:
         self._batch_size = batch_size
         #: Every app holding capacity here: the fold of the log.
         self._apps: dict[str, LiveApp] = {}
-        self._decision_mark = 0
         self.scheduler: SparcleScheduler
         self.gateway: AdmissionGateway
         self._build()
@@ -651,7 +650,6 @@ class ShardNode:
             max_queue_depth=self._max_queue_depth,
             batch_size=self._batch_size,
         )
-        self._decision_mark = 0
 
     # ------------------------------------------------------------------
     def _append(self, record: Mapping[str, Any]) -> None:
@@ -701,19 +699,24 @@ class ShardNode:
         return self.gateway.submit(request)
 
     def run_epoch(self) -> EpochReport:
-        """Run one gateway epoch and log its decisions + what they changed."""
+        """Run one gateway epoch, log its decisions and hand them over.
+
+        The report's ``decided`` pairs are the only copy left: the
+        gateway's tickets are retired once the epoch record is logged.
+        """
         self._require_alive()
         report = self.gateway.run_epoch()
-        self._log_new_decisions()
+        if report.decided:
+            self._log_decisions(report.decided)
+            for ticket, _ in report.decided:
+                self.gateway.retire(ticket)
         return report
 
-    def _log_new_decisions(self) -> None:
-        news = self.gateway.decisions[self._decision_mark :]
-        if not news:
-            return
-        self._decision_mark += len(news)
+    def _log_decisions(
+        self, decided: Sequence[tuple[int, Decision]]
+    ) -> None:
         payload: list[dict[str, Any]] = []
-        for decision in news:
+        for _, decision in decided:
             gr = decision.kind == "GR"
             consumed: Consumptions = ()
             if decision.accepted and (gr or not self._use_prediction):
@@ -818,11 +821,10 @@ class ShardNode:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _TicketRef:
-    """Where one coordinator ticket's decision lives."""
+    """A coordinator ticket whose request is still queued."""
 
+    ticket: int
     app_id: str
-    shard_id: int  # LEDGER for cross-shard requests
-    local: int  # shard gateway ticket, or the cross seq
 
 
 @dataclass(frozen=True)
@@ -855,7 +857,12 @@ class _CrossApp:
 
 @dataclass(frozen=True)
 class FederationEpochReport:
-    """What one :meth:`ShardCoordinator.run_epoch` call did."""
+    """What one :meth:`ShardCoordinator.run_epoch` call did.
+
+    ``decided`` holds the epoch's ``(ticket, Decision)`` pairs, keyed by
+    coordinator ticket: each live shard's in shard order, then the
+    cross-shard lane's, each in commit order.
+    """
 
     epoch: int
     shard_reports: tuple[tuple[int, EpochReport], ...]
@@ -866,6 +873,7 @@ class FederationEpochReport:
     cross_conflicts: int
     cross_serial_fallbacks: int
     queue_depth: int
+    decided: tuple[tuple[int, Decision], ...]
 
 
 @dataclass(frozen=True)
@@ -955,11 +963,12 @@ class ShardCoordinator:
         self._ledger = CapacityView(network)
         self._apps: dict[str, _CrossApp] = {}
         self._cross_queue = AdmissionQueue(cross_retry_policy)
-        self._cross_decisions: dict[int, Decision] = {}
-        self._decisions: list[Decision] = []
-        self._tickets: dict[int, _TicketRef] = {}
+        # A ticket lives in ``_queued`` (keyed by its owner — shard id or
+        # LEDGER — and that lane's own ticket) until an epoch decides it,
+        # then in ``_decided`` until :meth:`retire`.
+        self._queued: dict[tuple[int, int], _TicketRef] = {}
+        self._decided: dict[int, Decision] = {}
         self._all_ids: set[str] = set()
-        self._node_marks: list[int] = [0] * partition.n_shards
         self._seq = 0
         self._epoch = 0
         self._rr = 0
@@ -1006,9 +1015,11 @@ class ShardCoordinator:
         return self._epoch
 
     @property
-    def decisions(self) -> tuple[Decision, ...]:
-        """Every decision across the federation, in commit order."""
-        return tuple(self._decisions)
+    def decisions_held(self) -> int:
+        """Decided tickets not yet retired, here and in every gateway."""
+        return len(self._decided) + sum(
+            node.gateway.decisions_held for node in self._nodes
+        )
 
     @property
     def queue_depth(self) -> int:
@@ -1058,16 +1069,23 @@ class ShardCoordinator:
     def decision_for(self, ticket: int) -> Decision | None:
         """The decision for one :meth:`submit` ticket, if reached yet.
 
-        ``None`` while the request is still queued — and forever, if the
-        owning shard was killed before deciding it (the request was lost
-        with the crash).
+        A non-destructive read.  ``None`` while the request is still
+        queued, once the ticket is retired (:meth:`retire`), and forever
+        if the owning shard was killed before deciding it (the request
+        was lost with the crash).
         """
-        ref = self._tickets.get(ticket)
-        if ref is None:
-            return None
-        if ref.shard_id == LEDGER:
-            return self._cross_decisions.get(ref.local)
-        return self._nodes[ref.shard_id].gateway.decision_for(ref.local)
+        return self._decided.get(ticket)
+
+    def retire(self, ticket: int) -> None:
+        """Forget a decided ticket: its consumer has taken the decision.
+
+        The coordinator is the only layer still holding a decision once
+        its epoch is over, so after this nothing does.  Raises
+        :class:`~repro.exceptions.ShardError` when no decision is held
+        for ``ticket``.
+        """
+        if self._decided.pop(ticket, None) is None:
+            raise ShardError(f"no decision held for ticket {ticket}")
 
     def decision_reply(self, ticket: int) -> "DecisionReply | None":
         """The wire-typed decision for one ticket, if reached yet.
@@ -1147,8 +1165,7 @@ class ShardCoordinator:
                     f"cross-shard queue full ({self._max_queue_depth}); "
                     f"request {app_id!r} shed"
                 )
-            entry = self._cross_queue.push(request, kind, weight)
-            ref = _TicketRef(app_id, LEDGER, entry.seq)
+            key = (LEDGER, self._cross_queue.push(request, kind, weight).seq)
             self._cross_submitted += 1
         else:
             node = self._nodes[home]
@@ -1156,11 +1173,10 @@ class ShardCoordinator:
                 raise ShardError(
                     f"request {app_id!r} is pinned to killed shard {home}"
                 )
-            local = node.submit(request)
-            ref = _TicketRef(app_id, home, local)
+            key = (home, node.submit(request))
         ticket = self._seq
         self._seq += 1
-        self._tickets[ticket] = ref
+        self._queued[key] = _TicketRef(ticket, app_id)
         self._all_ids.add(app_id)
         self._submitted += 1
         return ticket
@@ -1172,12 +1188,15 @@ class ShardCoordinator:
         """Run one epoch on every live shard, then the cross-shard batch."""
         self._epoch += 1
         shard_reports: list[tuple[int, EpochReport]] = []
+        decided: list[tuple[int, Decision]] = []
         for node in self._nodes:
             if node.alive:
-                shard_reports.append((node.shard_id, node.run_epoch()))
-                self._absorb_node_decisions(node)
+                report = node.run_epoch()
+                shard_reports.append((node.shard_id, report))
+                for local, decision in report.decided:
+                    decided.append(self._absorb(node.shard_id, local, decision))
         batch, committed, accepted, rejected, conflicts, fallbacks = (
-            self._run_cross_epoch()
+            self._run_cross_epoch(decided)
         )
         return FederationEpochReport(
             epoch=self._epoch,
@@ -1189,21 +1208,23 @@ class ShardCoordinator:
             cross_conflicts=conflicts,
             cross_serial_fallbacks=fallbacks,
             queue_depth=self.queue_depth,
+            decided=tuple(decided),
         )
 
-    def _absorb_node_decisions(self, node: ShardNode) -> None:
-        mark = self._node_marks[node.shard_id]
-        news = node.gateway.decisions[mark:]
-        self._node_marks[node.shard_id] = len(node.gateway.decisions)
-        for decision in news:
-            self._decisions.append(decision)
-            self._committed += 1
-            if decision.accepted:
-                self._accepted += 1
-            else:
-                self._rejected += 1
-                # A rejected id may be resubmitted, like on a bare gateway.
-                self._all_ids.discard(decision.app_id)
+    def _absorb(
+        self, owner: int, local: int, decision: Decision
+    ) -> tuple[int, Decision]:
+        """Move one lane's decision under its coordinator ticket."""
+        ticket = self._queued.pop((owner, local)).ticket
+        self._decided[ticket] = decision
+        self._committed += 1
+        if decision.accepted:
+            self._accepted += 1
+        else:
+            self._rejected += 1
+            # A rejected id may be resubmitted, like on a bare gateway.
+            self._all_ids.discard(decision.app_id)
+        return ticket, decision
 
     def _merged_entries(self) -> list[tuple[str, str, float]]:
         """The phase-1 merged residual basis over the global network.
@@ -1321,19 +1342,9 @@ class ShardCoordinator:
             )
         return self._commit_cross(entry.request, proposal)
 
-    def _record_cross(
-        self, entry: PendingAdmission, decision: Decision
-    ) -> None:
-        self._cross_decisions[entry.seq] = decision
-        self._decisions.append(decision)
-        self._committed += 1
-        if decision.accepted:
-            self._accepted += 1
-        else:
-            self._rejected += 1
-            self._all_ids.discard(decision.app_id)
-
-    def _run_cross_epoch(self) -> tuple[int, int, int, int, int, int]:
+    def _run_cross_epoch(
+        self, decided: list[tuple[int, Decision]]
+    ) -> tuple[int, int, int, int, int, int]:
         eligible = self._cross_queue.pop_batch(self._epoch)
         committed = accepted = rejected = conflicts = fallbacks = 0
         if not eligible:
@@ -1373,7 +1384,7 @@ class ShardCoordinator:
                 accepted += 1
             else:
                 rejected += 1
-            self._record_cross(entry, decision)
+            decided.append(self._absorb(LEDGER, entry.seq, decision))
         return (
             len(eligible),
             committed,
@@ -1401,10 +1412,14 @@ class ShardCoordinator:
     def process(
         self, requests: Sequence[BERequest | GRRequest]
     ) -> list[Decision | None]:
-        """Submit a burst and drain it; decisions in submission order."""
+        """Submit a burst and drain it; decisions in submission order.
+
+        The returned decisions are handed over: their tickets are retired.
+        ``None`` marks a request lost with a killed shard.
+        """
         tickets = [self.submit(request) for request in requests]
         self.drain()
-        return [self.decision_for(ticket) for ticket in tickets]
+        return [self._decided.pop(ticket, None) for ticket in tickets]
 
     # ------------------------------------------------------------------
     # Lifecycle: departures and shard failures
@@ -1436,19 +1451,15 @@ class ShardCoordinator:
     def kill_shard(self, shard_id: int) -> int:
         """Crash one shard; returns how many queued requests were lost."""
         node = self._node(shard_id)
-        lost = 0
-        for ref in self._tickets.values():
-            if ref.shard_id != shard_id:
-                continue
-            if node.gateway.decision_for(ref.local) is None:
-                self._all_ids.discard(ref.app_id)
-                lost += 1
+        lost = [key for key in self._queued if key[0] == shard_id]
+        for key in lost:
+            self._all_ids.discard(self._queued.pop(key).app_id)
         node.kill()
-        self._lost_on_kill += lost
+        self._lost_on_kill += len(lost)
         self._log.append(
-            {"type": "shard_kill", "shard": shard_id, "lost": lost}
+            {"type": "shard_kill", "shard": shard_id, "lost": len(lost)}
         )
-        return lost
+        return len(lost)
 
     def restart_shard(self, shard_id: int) -> None:
         """Warm-start one killed shard from its event log.
@@ -1459,7 +1470,6 @@ class ShardCoordinator:
         """
         node = self._node(shard_id)
         node.warm_start()
-        self._node_marks[shard_id] = 0
         self._release_stale_externals(node)
         self._log.append({"type": "shard_restart", "shard": shard_id})
 
@@ -1493,7 +1503,6 @@ class ShardCoordinator:
             node.recover()
         if not self._log_preexisted:
             return 0
-        self._node_marks = [0] * self.partition.n_shards
         # The coordinator log folds like a shard log: each live app's
         # logged holds are its boundary-link part.
         self._apps = {}

@@ -87,8 +87,11 @@ class TestCleanWorld:
         for index in range(3):
             request = _gr(f"gr{index}")
             tickets[request.app_id] = gateway.submit(request)
-        gateway.drain()
-        context = _context(scheduler, gateway, controller, tickets=tickets)
+        decisions = [d for r in gateway.drain() for _, d in r.decided]
+        context = _context(
+            scheduler, gateway, controller, tickets=tickets,
+            decisions=decisions,
+        )
         assert check_invariants(context) == []
 
     def test_scratch_residual_matches_live(self, world):
@@ -156,9 +159,10 @@ class TestCorruptedWorld:
 
     def test_shed_app_with_decision_is_caught(self, world):
         scheduler, gateway, controller = world
-        gateway.process([_gr("a")])
+        decisions = gateway.process([_gr("a")])
         context = _context(
-            scheduler, gateway, controller, shed=frozenset({"a"})
+            scheduler, gateway, controller, shed=frozenset({"a"}),
+            decisions=decisions,
         )
         names = {v.invariant for v in check_invariants(context)}
         assert "decision-log" in names

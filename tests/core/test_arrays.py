@@ -237,3 +237,28 @@ class TestAllPairsWidths:
             [5.0, 5.0, inf, -inf],  # c -> b through ca, ab
             [-inf, -inf, -inf, inf],
         ]
+
+    def test_antiparallel_links_seed_their_own_direction(self):
+        """a->b and b->a are two links; each seeds only its own cell."""
+        network = Network(
+            "anti",
+            [NCP("a"), NCP("b"), NCP("c")],
+            [
+                Link("ab", "a", "b", 8.0),
+                Link("ba", "b", "a", 2.0),
+                Link("bc", "b", "c", 5.0),
+                Link("cb", "c", "b", 9.0),
+                Link("ac", "a", "c", 1.0),
+            ],
+            directed=True,
+        )
+        compiled = compile_network(network)
+        assert len(set(compiled.fwd_pairs.tolist())) == compiled.n_links
+        residual = link_residuals(compiled, CapacityView(network))
+        table = all_pairs_widths(compiled, link_weights(compiled, residual, 1.0))
+        inf = math.inf
+        assert table.tolist() == [
+            [inf, 8.0, 5.0],  # a -> c wider through b than direct
+            [2.0, inf, 5.0],
+            [2.0, 9.0, inf],  # c -> a only through the narrow ba
+        ]

@@ -70,10 +70,9 @@ class TestThrottling:
 class TestDownstreamEffects:
     def test_be_rates_reflect_new_capacity(self, net):
         scheduler = SparcleScheduler(net)
-        scheduler.submit_be(BERequest("be", app("b", "ncp3", "ncp4")))
+        decision = scheduler.submit_be(BERequest("be", app("b", "ncp3", "ncp4")))
         before = scheduler.allocate_be().app_rates["be"]
         # Find an element the BE placement loads and halve it.
-        decision = scheduler.decisions[0]
         element = sorted(decision.placements[0].used_links())[0]
         # Cut deep enough that the link actually binds (CPU bound before).
         scheduler.apply_capacity_change(

@@ -218,9 +218,14 @@ class TestPluggableAssigner:
             scheduler_with_baseline(net, "not-callable")
 
     def test_decisions_log(self, net):
+        # The log is the caller's: each submit returns its decision and
+        # the scheduler keeps no history of them.
         sched = SparcleScheduler(net)
-        sched.submit_gr(GRRequest("g", small_app("a"), min_rate=0.05))
-        sched.submit_be(BERequest("b", small_app("b")))
-        kinds = [d.kind for d in sched.decisions]
-        assert kinds == ["GR", "BE"]
-        assert [d for d in sched.gr_decisions()] == [sched.decisions[0]]
+        log = [
+            sched.submit_gr(GRRequest("g", small_app("a"), min_rate=0.05)),
+            sched.submit_be(BERequest("b", small_app("b"))),
+        ]
+        assert [d.kind for d in log] == ["GR", "BE"]
+        assert [d.app_id for d in log] == ["g", "b"]
+        for gone in ("decisions", "gr_decisions", "export_decisions"):
+            assert not hasattr(sched, gone)

@@ -138,11 +138,11 @@ class TestFcfsLedgerIsWithdrawIndependent:
 class TestOutageReport:
     def test_outage_on_unused_element_is_harmless(self, net):
         scheduler = SparcleScheduler(net)
-        scheduler.submit_gr(GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5))
+        decision = scheduler.submit_gr(
+            GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5))
         report = scheduler.qoe_under_outage({"l6"})  # leaf 6 unused by pins
         if "l6" not in {
-            e for d in scheduler.decisions for p in d.placements
-            for e in p.used_elements()
+            e for p in decision.placements for e in p.used_elements()
         }:
             assert report.gr_guarantee_met["gr"]
 

@@ -93,6 +93,7 @@ def churn_run():
     # Failable leaf links; the hub stays up so the network never partitions.
     links = sorted(link.name for link in network.links)
     tickets = {}
+    committed = []  # every decision the epochs handed over, in order
     shed = 0
     submitted = 0
     now = 0.0
@@ -121,7 +122,7 @@ def churn_run():
                 _assert_residual_consistent(scheduler, ("down", element, now))
         # Drain the wave epoch by epoch, checking conservation each time.
         while gateway.queue_depth:
-            gateway.run_epoch()
+            committed.extend(d for _, d in gateway.run_epoch().decided)
             _assert_residual_consistent(
                 scheduler, ("epoch", gateway.epoch)
             )
@@ -129,18 +130,18 @@ def churn_run():
         element = down.pop()
         controller.element_up(element, now)
         _assert_residual_consistent(scheduler, ("final-up", element))
-    return scheduler, gateway, tickets, shed, submitted
+    return scheduler, gateway, tickets, shed, submitted, committed
 
 
 class TestGatewayChurn:
     def test_every_surviving_request_decided_once(self, churn_run):
-        scheduler, gateway, tickets, shed, submitted = churn_run
+        scheduler, gateway, tickets, shed, submitted, committed = churn_run
         assert submitted == TOTAL_REQUESTS
         assert len(tickets) + shed == TOTAL_REQUESTS
         decided = [gateway.decision_for(t) for t in tickets.values()]
         assert all(d is not None for d in decided)
         # No double-commit: one decision per app id, queue fully drained.
-        app_ids = [d.app_id for d in gateway.decisions]
+        app_ids = [d.app_id for d in committed]
         assert len(app_ids) == len(set(app_ids)) == len(tickets)
         assert gateway.queue_depth == 0
         assert gateway.stats.committed == len(tickets)
@@ -152,6 +153,10 @@ class TestGatewayChurn:
         _assert_residual_consistent(scheduler, "final")
 
     def test_decision_log_matches_gateway_log(self, churn_run):
-        scheduler, gateway, tickets, *_ = churn_run
-        logged = {d.app_id for d in scheduler.decisions}
-        assert {d.app_id for d in gateway.decisions} <= logged
+        # The epochs' hand-over is the log; each entry is the very
+        # decision the gateway holds under that app's ticket.
+        _scheduler, gateway, tickets, *_, committed = churn_run
+        assert {d.app_id: d for d in committed} == {
+            app_id: gateway.decision_for(ticket)
+            for app_id, ticket in tickets.items()
+        }

@@ -92,6 +92,14 @@ def _serial_decisions(network, requests, scheduler=None):
     ]
 
 
+def _submit_and_drain(gateway, requests):
+    """(decisions in submission order, decisions in commit order)."""
+    tickets = [gateway.submit(request) for request in requests]
+    reports = gateway.drain()
+    committed = [d for report in reports for _, d in report.decided]
+    return [gateway.decision_for(t) for t in tickets], committed
+
+
 def _full(decision):
     """Everything a decision fixes: verdict, placements, path rates."""
     return (
@@ -127,10 +135,10 @@ class TestSerializedGatewayIsExactlySerial:
         serial = _serial_decisions(network, requests)
         scheduler = SparcleScheduler(network)
         gateway = AdmissionGateway(scheduler, batch_size=1)
-        gateway.process(requests)
+        _, committed = _submit_and_drain(gateway, requests)
         assert [
             (d.app_id, d.accepted, round(d.total_rate, 9))
-            for d in gateway.decisions
+            for d in committed
         ] == [
             (d.app_id, d.accepted, round(d.total_rate, 9))
             for d in serial
@@ -151,7 +159,7 @@ class TestSerialEquivalence:
                 network, use_prediction=use_prediction
             )
             gateway = AdmissionGateway(scheduler, batch_size=batch_size)
-            decisions = gateway.process(requests)
+            decisions, committed = _submit_and_drain(gateway, requests)
             # Exactly one decision per request, in submission order, and
             # no request sat out an epoch it could have been popped in.
             assert [d.app_id for d in decisions] == [
@@ -161,7 +169,7 @@ class TestSerialEquivalence:
             assert gateway.epoch == math.ceil(
                 len(requests) / (batch_size or len(requests))
             )
-            assert [_full(d) for d in gateway.decisions] == [
+            assert [_full(d) for d in committed] == [
                 _full(d) for d in serial
             ]
             assert scheduler.residual_snapshot() == (

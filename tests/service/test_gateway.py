@@ -44,6 +44,11 @@ def _be(app_id: str, *, priority: float = 1.0, src: str = "ncp3",
                      max_paths=2)
 
 
+def _commit_order(reports) -> list[str]:
+    """App ids in the order the epochs handed their decisions over."""
+    return [d.app_id for report in reports for _, d in report.decided]
+
+
 @pytest.fixture
 def network():
     return star_network(7, hub_cpu=60000.0, leaf_cpu=30000.0,
@@ -72,8 +77,7 @@ class TestPriorityOrdering:
         gateway.submit(_gr("gr1"))
         gateway.submit(_be("be2"))
         gateway.submit(_gr("gr2"))
-        gateway.drain()
-        order = [d.app_id for d in gateway.decisions]
+        order = _commit_order(gateway.drain())
         assert order[:2] == ["gr1", "gr2"]
         assert set(order[2:]) == {"be1", "be2"}
 
@@ -87,8 +91,7 @@ class TestPriorityOrdering:
         gateway.submit(_be("fast1", priority=4.0))
         gateway.submit(_be("slow2", priority=1.0))
         gateway.submit(_be("fast3", priority=4.0))
-        gateway.drain()
-        order = [d.app_id for d in gateway.decisions]
+        order = _commit_order(gateway.drain())
         assert order.index("fast1") < order.index("slow2")
         assert order.index("fast3") < order.index("slow2")
 
@@ -152,8 +155,8 @@ class TestConflictRetry:
         assert report.batch == report.committed == len(requests)
         assert gateway.queue_depth == 0
         # One decision per request, no double-commit.
-        assert len(gateway.decisions) == len(requests)
-        assert len({d.app_id for d in gateway.decisions}) == len(requests)
+        order = _commit_order([report])
+        assert len(order) == len(set(order)) == len(requests)
 
     def test_conflicted_request_backs_off_whole_epochs(self):
         # The requeue rule lives on the shared queue; the gateway itself
@@ -213,6 +216,33 @@ class TestIntrospection:
         assert report.accepted + report.rejected == report.committed
         assert report.queue_depth == gateway.queue_depth
 
+    def test_epoch_report_hands_over_its_decisions(self, scheduler):
+        gateway = AdmissionGateway(scheduler)
+        tickets = [gateway.submit(_be("b")), gateway.submit(_gr("a"))]
+        report = gateway.run_epoch()
+        # GR commits first; each pair is (ticket, decision).
+        assert [t for t, _ in report.decided] == tickets[::-1]
+        for ticket, decision in report.decided:
+            assert gateway.decision_for(ticket) is decision
+
+    def test_retire_drops_the_decision(self, scheduler):
+        gateway = AdmissionGateway(scheduler)
+        ticket = gateway.submit(_gr("a"))
+        gateway.drain()
+        assert gateway.decisions_held == 1
+        gateway.retire(ticket)
+        assert gateway.decision_for(ticket) is None
+        assert gateway.decisions_held == 0
+        with pytest.raises(GatewayError, match="no decision held"):
+            gateway.retire(ticket)
+
+    def test_process_retires_what_it_returns(self, scheduler):
+        gateway = AdmissionGateway(scheduler)
+        decisions = gateway.process([_gr("a"), _be("b")])
+        assert [d.app_id for d in decisions] == ["a", "b"]
+        assert gateway.decisions_held == 0
+        assert not hasattr(gateway, "decisions")
+
     def test_stats_track_lifetime_totals(self, scheduler):
         gateway = AdmissionGateway(scheduler)
         gateway.process([_gr("a"), _be("b")])
@@ -223,11 +253,12 @@ class TestIntrospection:
         assert stats.accepted + stats.rejected == stats.committed
         assert stats.epochs >= 1
 
-    def test_gateway_decisions_land_in_scheduler_log(self, scheduler):
+    def test_gateway_decisions_land_in_scheduler_state(self, scheduler):
         gateway = AdmissionGateway(scheduler)
-        gateway.process([_gr("a"), _be("b")])
-        logged = {d.app_id for d in scheduler.decisions}
-        assert logged == {"a", "b"}
+        decisions = gateway.process([_gr("a"), _be("b")])
+        assert all(d.accepted for d in decisions)
+        state = scheduler.state()
+        assert (state.gr_apps, state.be_apps) == (("a",), ("b",))
 
     def test_gateway_emits_trace_events(self, scheduler):
         from repro.perf.tracing import Tracer, use_tracer

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -473,7 +474,7 @@ class TestProtocolErrors:
             # way, as a re-queued cross-region request would be.
             run_epoch = server.coordinator.run_epoch
             server.coordinator.run_epoch = (
-                lambda: None if hold[0] else run_epoch()
+                lambda: SimpleNamespace(decided=()) if hold[0] else run_epoch()
             )
             reader, writer = await asyncio.open_connection(
                 server.host, server.port, limit=WIRE_LINE_LIMIT
@@ -503,7 +504,12 @@ class TestProtocolErrors:
                 assert await asyncio.wait_for(reader.read(), 10.0) == b""
             finally:
                 writer.close()
-            assert server.coordinator.decision_for(0).app_id == "held"
+            # Committed, then retired unsent: its client was gone.
+            assert any(
+                "held" in node.live_apps() for node in server.coordinator.nodes
+            )
+            assert server.coordinator.decision_for(0) is None
+            assert server.coordinator.decisions_held == 0
 
         _serve(_go)
         assert unhandled == []
@@ -535,10 +541,13 @@ class TestDrain:
             # (unless the epoch loop beat the drain to it).
             assert reply.decided in (0, 1)
             assert reply.epochs >= reply.decided
+            # The decision line precedes the drain reply on the wire.
+            assert client.decisions["d1"].accepted
             await client.close()
             await server.wait_closed()
-            decision = server.coordinator.decision_for(ticket)
-            assert decision is not None and decision.accepted
+            # Written, so retired: no layer holds it any more.
+            assert server.coordinator.decision_for(ticket) is None
+            assert server.coordinator.decisions_held == 0
 
         _serve(_go)
 

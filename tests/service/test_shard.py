@@ -635,13 +635,15 @@ class TestCoordinatorRouting:
     def test_rejected_app_id_can_be_resubmitted(self):
         network, zones = _two_ncp_world(link_bandwidth=10.0)
         with ShardCoordinator(network, zones=zones) as coordinator:
-            coordinator.submit(_gr("big", "ncp1", "ncp2", min_rate=100.0))
-            coordinator.drain()
-            assert not coordinator.decisions[-1].accepted
+            (decision,) = coordinator.process(
+                [_gr("big", "ncp1", "ncp2", min_rate=100.0)]
+            )
+            assert not decision.accepted
             # The id is free again, exactly like a bare gateway.
-            coordinator.submit(_gr("big", "ncp1", "ncp2", min_rate=1.0))
-            coordinator.drain()
-            assert coordinator.decisions[-1].accepted
+            (decision,) = coordinator.process(
+                [_gr("big", "ncp1", "ncp2", min_rate=1.0)]
+            )
+            assert decision.accepted
 
     def test_cross_queue_backpressure(self):
         network, zones = _two_ncp_world()
@@ -720,13 +722,14 @@ class TestCrossShardTwoPhase:
         # commit must hit StaleProposalError, re-queue, and lose.
         network, zones = _two_ncp_world(link_bandwidth=10.0)
         with ShardCoordinator(network, zones=zones) as coordinator:
-            coordinator.submit(_gr("one", "ncp1", "ncp2", min_rate=6.0))
-            coordinator.submit(_gr("two", "ncp1", "ncp2", min_rate=6.0))
-            coordinator.drain()
+            decisions = coordinator.process([
+                _gr("one", "ncp1", "ncp2", min_rate=6.0),
+                _gr("two", "ncp1", "ncp2", min_rate=6.0),
+            ])
             stats = coordinator.stats
             assert stats.cross_conflicts >= 1
-            accepted = [d for d in coordinator.decisions if d.accepted]
-            rejected = [d for d in coordinator.decisions if not d.accepted]
+            accepted = [d for d in decisions if d.accepted]
+            rejected = [d for d in decisions if not d.accepted]
             assert len(accepted) == 1 and len(rejected) == 1
             # No double-booking: the ledger residual stays non-negative.
             for _e, _r, value in coordinator.ledger_entries():
@@ -837,6 +840,27 @@ class TestKillAndWarmStart:
             with pytest.raises(AdmissionError, match="already"):
                 coordinator.submit(_gr("g0", "ncp1", "ncp2", min_rate=0.1))
 
+    def test_a_restarted_shard_aliases_no_lost_ticket(self):
+        # Regression: tickets pointed into the shard's gateway by its own
+        # numbering, which restarts at 0 with the restarted gateway, so a
+        # lost ticket read a later request's decision and a second kill
+        # counted the first kill's losses again.
+        network, zones = _clique_world(8, 2)
+        with ShardCoordinator(network, zones=zones) as coordinator:
+            lost = [
+                coordinator.submit(_gr(app_id, "ncp1", "ncp2", min_rate=0.2))
+                for app_id in ("a", "b")
+            ]
+            assert coordinator.kill_shard(0) == 2
+            coordinator.restart_shard(0)
+            (decision,) = coordinator.process(
+                [_gr("c", "ncp1", "ncp2", min_rate=0.2)]
+            )
+            assert decision.app_id == "c"
+            assert [coordinator.decision_for(t) for t in lost] == [None, None]
+            assert coordinator.kill_shard(0) == 0
+            assert coordinator.stats.lost_on_kill == 2
+
     def test_kill_loses_queued_requests_and_blocks_pins(self):
         network, zones = _clique_world(8, 2)
         with ShardCoordinator(network, zones=zones) as coordinator:
@@ -851,9 +875,10 @@ class TestKillAndWarmStart:
                 coordinator.submit(_gr("next", "ncp1", "ncp2", min_rate=0.2))
             # The lost id is free again (the request was never decided).
             coordinator.restart_shard(0)
-            coordinator.submit(_gr("pending", "ncp1", "ncp2", min_rate=0.2))
-            coordinator.drain()
-            assert coordinator.decisions[-1].accepted
+            (decision,) = coordinator.process(
+                [_gr("pending", "ncp1", "ncp2", min_rate=0.2)]
+            )
+            assert decision.accepted
 
     def test_withdraw_while_owner_down_reconciles_on_restart(self, tmp_path):
         _network, coordinator = self._loaded_coordinator(tmp_path)

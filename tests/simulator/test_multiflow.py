@@ -23,11 +23,13 @@ def shared_setting():
     """Two apps whose placements contend for the same star."""
     net = star_network(4, hub_cpu=4000.0, leaf_cpu=2000.0, link_bandwidth=20.0)
     scheduler = SparcleScheduler(net)
-    scheduler.submit_be(BERequest("a", make_app("a", "ncp1", "ncp2")))
-    scheduler.submit_be(BERequest("b", make_app("b", "ncp1", "ncp2"),
-                                  priority=2.0))
+    decisions = [
+        scheduler.submit_be(BERequest("a", make_app("a", "ncp1", "ncp2"))),
+        scheduler.submit_be(BERequest("b", make_app("b", "ncp1", "ncp2"),
+                                      priority=2.0)),
+    ]
     allocation = scheduler.allocate_be()
-    placements = {d.app_id: d.placements[0] for d in scheduler.decisions}
+    placements = {d.app_id: d.placements[0] for d in decisions}
     return net, allocation, placements
 
 

@@ -408,18 +408,26 @@ class TestDecisionExport:
         from repro.core.network import star_network
         from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
         from repro.core.taskgraph import linear_task_graph
+        from repro.service.protocol import DecisionReply
 
         net = star_network(4, hub_cpu=4000.0, leaf_cpu=2000.0, link_bandwidth=20.0)
         scheduler = SparcleScheduler(net)
         g = linear_task_graph(2, cpu_per_ct=500.0, megabits_per_tt=1.0)
         g = g.with_pins({"source": "ncp1", "sink": "ncp2"})
-        scheduler.submit_gr(GRRequest("gr", g, min_rate=0.1))
-        scheduler.submit_be(BERequest("be", g.with_pins({}, name="be")))
-        scheduler.submit_gr(
-            GRRequest("huge", g.with_pins({}, name="huge"),
-                      min_rate=1e9, max_paths=1)
-        )
-        records = scheduler.export_decisions()
+        decisions = [
+            scheduler.submit_gr(GRRequest("gr", g, min_rate=0.1)),
+            scheduler.submit_be(BERequest("be", g.with_pins({}, name="be"))),
+            scheduler.submit_gr(
+                GRRequest("huge", g.with_pins({}, name="huge"),
+                          min_rate=1e9, max_paths=1)
+            ),
+        ]
+        # A caller's log renders through the wire schema, one record per
+        # decision with the full placement of accepted applications.
+        records = [
+            DecisionReply.from_decision(d, seq=i).to_wire()
+            for i, d in enumerate(decisions)
+        ]
         text = json.dumps(records)
         reloaded = json.loads(text)
         assert len(reloaded) == 3
@@ -427,4 +435,4 @@ class TestDecisionExport:
         assert reloaded[2]["accepted"] is False
         assert reloaded[2]["reason"]
         assert reloaded[0]["placements"][0]["ct_hosts"]["source"] == "ncp1"
-        assert [r["sequence"] for r in reloaded] == [0, 1, 2]
+        assert [r["seq"] for r in reloaded] == [0, 1, 2]
