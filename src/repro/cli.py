@@ -853,10 +853,13 @@ def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:
             "shed": status.shed,
             "metrics_ok": "sparcle_server_accepted" in metrics,
             "decisions_held": held,
+            "recovered": server.recovered,
         }
 
     summary = asyncio.run(_run())
     print(f"scenario         : {spec.name}")
+    print(f"recovered        : {summary['recovered']} app(s) from the "
+          f"event logs")
     print(f"burst            : {len(requests)} requests "
           f"({sum(isinstance(r, GRRequest) for r in requests)} GR / "
           f"{sum(isinstance(r, BERequest) for r in requests)} BE)")

@@ -330,27 +330,35 @@ def _relax_python(
     return widths, prev_node, prev_link
 
 
-# One memo slot per direction for the edge-ordered weight gather of the
-# pure-Python body: ``(compiled, weights, edge_weights_list)``.  Weight
+# One memo slot per direction for the edge-ordered weight gather:
+# ``[compiled, weights, edge_weights, edge_weights_list or None]``.  Weight
 # arrays are memoized upstream (routing.WeightsCache), so consecutive
 # relaxations under one load state pass the *same* array object and the
-# gather — one vectorized fancy-index + tolist — runs once per state, not
-# once per search.  Identity-checked, so a fresh array just recomputes.
-_gather_slots: list[tuple[CompiledNetwork, FloatArray, list[float]] | None] = [
-    None,
-    None,
-]
+# gather — one vectorized fancy-index (+ tolist for the full search) —
+# runs once per state, not once per search.  Identity-checked, so a fresh
+# array just recomputes.
+_gather_slots: list[list[Any] | None] = [None, None]
+
+
+def _gathered(
+    compiled: CompiledNetwork, weights: FloatArray, reverse: bool
+) -> list[Any]:
+    index = 1 if reverse else 0
+    slot = _gather_slots[index]
+    if slot is None or slot[0] is not compiled or slot[1] is not weights:
+        link_ids = compiled.bwd_link_ids if reverse else compiled.fwd_link_ids
+        slot = [compiled, weights, weights[link_ids], None]
+        _gather_slots[index] = slot
+    return slot
 
 
 def _edge_weights_list(
     compiled: CompiledNetwork, weights: FloatArray, reverse: bool
 ) -> list[float]:
-    slot = _gather_slots[1 if reverse else 0]
-    if slot is not None and slot[0] is compiled and slot[1] is weights:
-        return slot[2]
-    link_ids = compiled.bwd_link_ids if reverse else compiled.fwd_link_ids
-    gathered: list[float] = weights[link_ids].tolist()
-    _gather_slots[1 if reverse else 0] = (compiled, weights, gathered)
+    slot = _gathered(compiled, weights, reverse)
+    if slot[3] is None:
+        slot[3] = slot[2].tolist()
+    gathered: list[float] = slot[3]
     return gathered
 
 
@@ -404,10 +412,19 @@ def run_widest_floored(
     while under strict improvement any such candidate would have
     overwritten a narrower one.  Nodes left unreached read that start
     value rather than ``-inf``.
+
+    A link narrower than ``floor`` can only offer such a candidate, so the
+    relaxation runs over the CSR edges at least ``floor`` wide alone: the
+    same writes, pushes and pops, over a few percent of the edges on a
+    dense network.
     """
+    edge_weights = _gathered(compiled, weights, False)[2]
+    keep = np.flatnonzero(edge_weights >= floor)
     return _relax_python(
-        compiled._fwd_offsets_list, compiled._fwd_targets_list,
-        compiled._fwd_link_ids_list, _edge_weights_list(compiled, weights, False),
+        np.searchsorted(keep, compiled.fwd_offsets).tolist(),
+        compiled.fwd_targets[keep].tolist(),
+        compiled.fwd_link_ids[keep].tolist(),
+        edge_weights[keep].tolist(),
         compiled._tie_rank_list, compiled.n_nodes, root, dst,
         unreached=math.nextafter(floor, -math.inf),
     )

@@ -868,12 +868,15 @@ class SparcleScheduler:
         changes and outages applied since admission stay respected.  BE
         rates are re-derived on the next :meth:`allocate_be`.  Returns
         the elements whose view entries changed: empty for a BE
-        application under prediction, which holds nothing.  Unknown ids
-        raise.
+        application under prediction, which holds nothing.  The app's
+        ``scheduler.admitted_rate`` series leaves the metrics registry
+        with it.  Unknown ids raise.
         """
         if app_id in self._gr:
+            get_metrics().drop_gauge("scheduler.admitted_rate", app=app_id, kind="GR")
             return self._release(self._gr.pop(app_id).holds(), ledger_only=False)
         if app_id in self._be:
+            get_metrics().drop_gauge("scheduler.admitted_rate", app=app_id, kind="BE")
             return self._release(self._be.pop(app_id).holds(), ledger_only=True)
         if app_id in self._external:
             return self._release(self._external.pop(app_id), ledger_only=False)

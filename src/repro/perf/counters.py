@@ -88,6 +88,10 @@ class PerfRegistry:
         """Set the gauge ``name{labels}`` to ``value`` (last write wins)."""
         self._gauges[_metric_key(name, labels)] = value
 
+    def drop_gauge(self, name: str, **labels: Any) -> None:
+        """Remove the gauge ``name{labels}``, if present (its subject left)."""
+        self._gauges.pop(_metric_key(name, labels), None)
+
     def observe(self, name: str, seconds: float, **labels: Any) -> None:
         """Record one duration sample under the timer ``name{labels}``."""
         key = _metric_key(name, labels)

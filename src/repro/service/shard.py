@@ -297,23 +297,45 @@ def partition_network(
 # Durable event log
 # ----------------------------------------------------------------------
 def _consumptions_to_json(consumptions: Consumptions) -> list[dict[str, Any]]:
-    return [
-        {"loads": {e: dict(bucket) for e, bucket in loads.items()}, "rate": rate}
-        for loads, rate in consumptions
-    ]
+    """The one hold encoder every log record uses.
+
+    Each path's hold is written resource-major with its positive loads
+    only, ``{"holds": {resource: {element: load}}, "rate": r}``: a hold
+    charges nothing for a load <= 0
+    (:class:`~repro.core.placement.CapacityView`), so dropping them
+    changes no view.
+    """
+    encoded: list[dict[str, Any]] = []
+    for loads, rate in consumptions:
+        holds: dict[str, dict[str, float]] = {}
+        for element, bucket in loads.items():
+            for resource, load in bucket.items():
+                if load > 0.0:
+                    holds.setdefault(resource, {})[element] = load
+        encoded.append({"holds": holds, "rate": rate})
+    return encoded
 
 
 def _consumptions_from_json(raw: Sequence[Mapping[str, Any]]) -> Consumptions:
-    return tuple(
-        (
-            {
-                str(element): {str(r): float(v) for r, v in bucket.items()}
-                for element, bucket in item["loads"].items()
-            },
-            float(item["rate"]),
-        )
-        for item in raw
-    )
+    """Decode logged holds; element-major ``"loads"`` (logs written
+    before the resource-major codec) read as well."""
+    decoded: list[tuple[Loads, float]] = []
+    for item in raw:
+        loads: dict[str, dict[str, float]] = {}
+        if "holds" in item:
+            for resource, bucket in item["holds"].items():
+                for element, load in bucket.items():
+                    loads.setdefault(str(element), {})[str(resource)] = float(load)
+        else:
+            for element, bucket in item["loads"].items():
+                loads[str(element)] = {str(r): float(v) for r, v in bucket.items()}
+        decoded.append((loads, float(item["rate"])))
+    return tuple(decoded)
+
+
+def _encode(record: Mapping[str, Any]) -> str:
+    """One log line: compact separators, sorted keys (byte-stable)."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _is_checkpoint(record: Mapping[str, Any]) -> bool:
@@ -429,7 +451,7 @@ class ShardEventLog:
         if self._records is not None:
             self._records.append(stamped)
         if self._handle is not None:
-            self._handle.write(json.dumps(stamped, sort_keys=True) + "\n")
+            self._handle.write(_encode(stamped))
             self._handle.flush()
         return stamped
 
@@ -448,7 +470,7 @@ class ShardEventLog:
             self.close()
             scratch = self._path.with_name(self._path.name + ".tmp")
             with open(scratch, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(stamped, sort_keys=True) + "\n")
+                handle.write(_encode(stamped))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(scratch, self._path)
@@ -482,8 +504,9 @@ class LiveApp:
 
     ``origin`` is ``"local"`` for an app the shard admitted itself and
     ``"external"`` for a cross-shard reservation; ``consumed`` is the
-    logged per-path holds in their JSON form.  A local BE app's holds
-    are its FCFS-ledger charge: empty under prediction.
+    logged per-path holds in their JSON form, in whichever layout they
+    were logged (:func:`_consumptions_from_json` reads both).  A local BE
+    app's holds are its FCFS-ledger charge: empty under prediction.
     """
 
     app_id: str
@@ -501,12 +524,13 @@ class LiveApp:
         return _consumptions_from_json(self.consumed)
 
     def to_json(self) -> dict[str, Any]:
-        """This app as a checkpoint record's ``apps`` entry."""
+        """This app as a checkpoint record's ``apps`` entry, its holds
+        re-encoded by the current codec."""
         return {
             "app_id": self.app_id,
             "kind": self.kind,
             "origin": self.origin,
-            "consumed": list(self.consumed),
+            "consumed": _consumptions_to_json(self.consumptions()),
         }
 
 
@@ -802,7 +826,8 @@ class ShardNode:
         if not self._preexisting:
             return False
         self._restore()
-        self.log.rewrite(self._stamp({"type": "checkpoint"}))
+        checkpoint = self.log.rewrite(self._stamp({"type": "checkpoint"}))
+        fold_record(self._apps, checkpoint)
         return True
 
     def adopted_externals(self) -> tuple[str, ...]:

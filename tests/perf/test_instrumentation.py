@@ -98,6 +98,28 @@ class TestAdmissionTrace:
         (final,) = tr.records("admission.decision")
         assert final.fields["kind"] == "BE"
 
+    def test_admitted_rate_series_leave_with_their_apps(self, net, observed):
+        _, registry = observed
+        sched = SparcleScheduler(net)
+        live = []
+        for cycle in range(6):
+            keep, *gone = (f"g{cycle}", f"h{cycle}", f"b{cycle}")
+            for app_id in (keep, gone[0]):
+                request = GRRequest(app_id, small_app(app_id), min_rate=0.01)
+                assert sched.submit_gr(request).accepted
+            assert sched.submit_be(BERequest(gone[1], small_app())).accepted
+            for app_id in gone:
+                sched.withdraw(app_id)
+            live.append(keep)
+        series = [
+            name for name in registry.snapshot()["gauges"]
+            if name.startswith("scheduler.admitted_rate{")
+        ]
+        assert sorted(series) == sorted(
+            f"scheduler.admitted_rate{{app={app_id},kind=GR}}"
+            for app_id in live
+        )
+
 
 class TestElementTransitionTrace:
     def test_mark_down_and_up_traced(self, net, observed):

@@ -284,12 +284,17 @@ class TestAllPairsTable:
 
 class TestFlooredSearch:
     """A commit route whose width the all-pairs table already holds is
-    searched keeping only candidates at least that wide; it must find the
-    same route as the full search and the dict oracle."""
+    searched keeping only candidates at least that wide, over only the
+    links at least that wide; it must find the same route as the full
+    search and the dict oracle."""
 
     @SETTINGS
     @given(
-        network=st.one_of(connected_networks(), arbitrary_networks()),
+        network=st.one_of(
+            connected_networks(),
+            connected_networks().map(as_directed),  # antiparallel pairs
+            arbitrary_networks(),
+        ),
         tt=st.one_of(st.just(0.0), st.floats(0.1, 20.0)),
         data=st.data(),
     )
@@ -305,6 +310,12 @@ class TestFlooredSearch:
         names = network.ncp_names
         for s, src in enumerate(names):
             for d, dst in enumerate(names):
+                if s != d and math.isfinite(table[s, d]):
+                    event(
+                        "floor drops a link"
+                        if (weights < table[s, d]).any()
+                        else "floor keeps every link"
+                    )
                 floored = _point_search(
                     network, caps, src, dst, tt, loads, None, float(table[s, d])
                 )

@@ -1,15 +1,17 @@
 """Event logs written by earlier versions still replay and recover.
 
 ``tests/data/parent_logs`` holds the logs of two small federations on the
-smoke scenario's network in two formats (see the README there): written
+smoke scenario's network in three formats (see the README there): written
 by the version that logged the FCFS ledger beside the GR residual in
-every checkpoint and delta, prediction on or off, and (``delta_only/``)
-by the last version whose records carried a ``delta`` instead of the
-decision alone.  ``expected.json`` records, next to them, what each
-version replayed them to and how many applications its ``--recover``
-server reported.  Today a node under prediction keeps no ledger and logs
-decisions, not deltas, and replay reads only the apps a log folds to:
-these logs must still restore to the same views and apps.
+every checkpoint and delta, prediction on or off, (``delta_only/``) by
+the last version whose records carried a ``delta`` instead of the
+decision alone, and (``element_major/``) by the last version that logged
+each hold element by element.  ``expected.json`` records, next to them,
+what each version replayed them to and how many applications its
+``--recover`` server reported.  Today a node under prediction keeps no
+ledger, logs decisions, not deltas, writes holds resource-major, and
+replay reads only the apps a log folds to: these logs must still restore
+to the same views and apps.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from pathlib import Path
 import pytest
 
 from repro.core.scenario import load_scenario
-from repro.core.scheduler import SparcleScheduler
+from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
+from repro.core.taskgraph import linear_task_graph
 from repro.perf.counters import PerfRegistry
 from repro.service.client import SparcleClient
 from repro.service.server import SparcleServer
 from repro.service.shard import (
+    LiveApp,
+    ShardCoordinator,
     ShardEventLog,
     ShardNode,
     hold_apps,
@@ -42,6 +47,8 @@ FEDERATIONS = (
     "two_shard",
     "delta_only/one_shard",
     "delta_only/two_shard",
+    "element_major/one_shard",
+    "element_major/two_shard",
 )
 
 
@@ -69,8 +76,36 @@ def _entries(snapshot):
     return None if snapshot is None else [list(e) for e in snapshot.entries]
 
 
+def _apps(raw_apps: list[dict]) -> list[dict]:
+    """``apps`` entries with their holds re-encoded by today's codec, so
+    two tables compare by their decoded holds, not by the layout a
+    version wrote them in."""
+    return [
+        LiveApp(raw["app_id"], raw["kind"], raw["origin"], raw["consumed"])
+        .to_json()
+        for raw in raw_apps
+    ]
+
+
+def _holds(records: list[dict]) -> list[dict]:
+    """Every logged hold item of a log."""
+    items = []
+    for record in records:
+        for app in record.get("apps", ()):
+            items += app["consumed"]
+        for decision in record.get("decisions", ()):
+            items += decision["consumed"]
+        items += record.get("consumed", ())
+    return items
+
+
 def _check_format(name: str, records: list[dict]) -> None:
-    if name.startswith("delta_only/"):
+    if name.startswith("element_major/"):
+        # Holds keyed element by element, no logged views, no deltas.
+        assert _holds(records)
+        assert all("loads" in item for item in _holds(records))
+        assert not any({"delta", "fcfs", "residual"} & set(r) for r in records)
+    elif name.startswith("delta_only/"):
         # Every record after a checkpoint carries a delta; none carries
         # an FCFS ledger.
         assert all("delta" in r for r in records if "residual" not in r)
@@ -91,7 +126,9 @@ def test_replay_gives_the_recorded_state(name):
         records = _records(path)
         _check_format(name, records)
         apps = replay_log(records)
-        assert [app.to_json() for app in apps.values()] == expected["apps"]
+        assert [app.to_json() for app in apps.values()] == (
+            _apps(expected["apps"])
+        )
         # A version that kept a ledger restores with one.
         scheduler = SparcleScheduler(
             partition.subnetworks[shard_id],
@@ -119,7 +156,10 @@ def test_recover_compacts_to_a_checkpoint_without_a_ledger(name, tmp_path):
                 expected["residual"]
             )
             apps = replay_log(_records(logs / path.name))
-            assert [app.to_json() for app in apps.values()] == expected["apps"]
+            assert all("holds" in item for item in _holds(records))
+            assert [app.to_json() for app in apps.values()] == (
+                _apps(expected["apps"])
+            )
             assert node.live_apps() == apps
             # Records append to the compacted log and fold exactly.
             first = next(iter(apps))
@@ -161,3 +201,45 @@ def test_recovering_server_reports_the_recorded_count(name, tmp_path):
     assert asyncio.run(_run()) == (expected["recovered"],) * 2
     for path in sorted(logs.glob("shard-*.jsonl")):
         assert not any("fcfs" in record for record in _records(path))
+
+
+def _request(kind: str, app_id: str, src: str, dst: str):
+    graph = linear_task_graph(
+        2, cpu_per_ct=300.0, megabits_per_tt=1.0
+    ).with_pins({"source": src, "sink": dst}, name=app_id)
+    if kind == "GR":
+        return GRRequest(app_id, graph, min_rate=0.5, max_paths=2)
+    return BERequest(app_id, graph)
+
+
+@pytest.mark.parametrize(
+    "name", ["element_major/one_shard", "element_major/two_shard"]
+)
+def test_element_major_log_recovers_takes_records_and_recovers_again(
+    name, tmp_path
+):
+    """Recover a log that keys holds element by element, append records in
+    today's layout, stop the process without compacting, recover again:
+    the views come back bit-equal to the ones the stopped process held."""
+    logs = _copy(name, tmp_path)
+    network = _network()
+    n_shards = EXPECTED[name]["n_shards"]
+    with ShardCoordinator(network, n_shards=n_shards, log_dir=logs) as fed:
+        assert fed.recover() == EXPECTED[name]["recovered"]
+        decisions = fed.process([
+            _request("GR", "m1", "ncp1", "ncp3"),
+            _request("BE", "m2", "ncp3", "ncp5"),
+        ])
+        assert all(decision.accepted for decision in decisions)
+        # Withdraw an app the element-major log admitted.
+        fed.withdraw(EXPECTED[name]["shards"]["shard-0"]["apps"][0]["app_id"])
+        live = fed.residual_state()
+        apps = [node.live_apps() for node in fed.nodes]
+    for path in sorted(logs.glob("shard-*.jsonl")):
+        records = _records(path)
+        assert _holds(records)
+        assert all("holds" in item for item in _holds(records))
+    with ShardCoordinator(network, n_shards=n_shards, log_dir=logs) as fed:
+        fed.recover()
+        assert fed.residual_state() == live
+        assert [node.live_apps() for node in fed.nodes] == apps

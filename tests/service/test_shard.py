@@ -19,7 +19,7 @@ from repro.core.network import fully_connected_network, star_network
 from repro.core.repair import RetryPolicy
 from repro.core.scenario import network_from_dict
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
-from repro.core.taskgraph import BANDWIDTH, linear_task_graph
+from repro.core.taskgraph import BANDWIDTH, CPU, linear_task_graph
 from repro.exceptions import (
     AdmissionError,
     BackpressureError,
@@ -28,9 +28,11 @@ from repro.exceptions import (
 )
 from repro.service.shard import (
     LEDGER,
+    LiveApp,
     NetworkPartition,
     ShardCoordinator,
     ShardEventLog,
+    ShardNode,
     hold_apps,
     partition_network,
     replay_log,
@@ -324,6 +326,99 @@ class TestShardEventLog:
         assert replay_log(doubled.records()) == expected
         doubled.close()
 
+    def test_holds_are_logged_resource_major_in_compact_records(
+        self, tmp_path
+    ):
+        network = fully_connected_network(2, cpu=1000.0, link_bandwidth=10.0)
+        path = tmp_path / "shard-0.jsonl"
+        node = ShardNode(0, network, log=ShardEventLog(path))
+        held = (({"l1": {BANDWIDTH: 2.0}, "ncp1": {CPU: 300.0},
+                  "ncp2": {}}, 0.5),)
+        node.apply_external("x", held)
+        live = node.residual_entries()
+        node.close()
+        lines = path.read_text().splitlines()
+        for line in lines:
+            assert line == json.dumps(
+                json.loads(line), sort_keys=True, separators=(",", ":")
+            )
+        logged = json.loads(lines[-1])["consumed"]
+        assert logged == [{"holds": {BANDWIDTH: {"l1": 2.0},
+                                     CPU: {"ncp1": 300.0}},
+                           "rate": 0.5}]
+        # The element-major layout earlier versions wrote reads as the
+        # same holds and restores the same view.
+        element_major = [{"loads": {"l1": {BANDWIDTH: 2.0},
+                                    "ncp1": {CPU: 300.0}, "ncp2": {}},
+                          "rate": 0.5}]
+        for consumed in (logged, element_major):
+            app = LiveApp("x", "GR", "external", consumed)
+            assert _positive(app.consumptions()) == _positive(held)
+            scheduler = SparcleScheduler(network)
+            hold_apps(scheduler, [app])
+            assert scheduler.residual_snapshot().entries == live
+
+    def test_every_cut_of_a_log_reopens_to_its_whole_record_prefix(
+        self, tmp_path
+    ):
+        """A kill can cut a log anywhere: at a record boundary, inside a
+        record, or between a record and its newline.  Each cut reopens to
+        the records written whole, and they fold to the table (and
+        restore the residual) the writer had after the last of them."""
+        network = fully_connected_network(3, cpu=2000.0, link_bandwidth=10.0)
+        path = tmp_path / "shard-0.jsonl"
+        node = ShardNode(0, network, log=ShardEventLog(path))
+        states = [(node.live_apps(), node.residual_entries())]
+
+        def step(action):
+            action()
+            assert len(node.log) == len(states) + 1
+            states.append((node.live_apps(), node.residual_entries()))
+
+        def admit(request):
+            node.submit(request)
+            node.run_epoch()
+
+        step(lambda: admit(_gr("g", "ncp1", "ncp2", min_rate=0.5)))
+        step(lambda: node.apply_external(
+            "x", (({"l3": {BANDWIDTH: 1.0}, "ncp3": {CPU: 100.0}}, 2.0),)
+        ))
+        step(lambda: admit(_be("b", "ncp2", "ncp3")))
+        step(lambda: node.withdraw("g"))
+        node.close()
+        whole = path.read_bytes()
+        ends = [n + 1 for n, byte in enumerate(whole) if byte == ord("\n")]
+        starts = [0] + ends[:-1]
+        assert len(ends) == len(states) == 5
+
+        def reopen(cut: int, torn: int, kept: int) -> None:
+            path.write_bytes(whole[:cut])
+            log = ShardEventLog(path)
+            try:
+                assert log.torn_records == torn
+                records = log.records()
+                assert len(records) == kept
+                assert path.read_bytes() == whole[: ends[kept - 1] if kept else 0]
+                if kept:
+                    apps, residual = states[kept - 1]
+                    assert replay_log(records) == apps
+                    assert _restored_residual(records, network) == residual
+            finally:
+                log.close()
+
+        for index, (start, end) in enumerate(zip(starts, ends)):
+            reopen(start, 0, index)  # at the boundary before the record
+            reopen(start + 1, 1, index)  # one byte into the record
+            reopen(end - 1, 0, index + 1)  # whole, but for its newline
+        reopen(len(whole), 0, len(ends))
+        # A damaged record that is not the last one is corruption.
+        for index, (start, end) in enumerate(zip(starts[:-1], ends[:-1])):
+            path.write_bytes(whole[: start + 1] + whole[end - 1:])
+            with pytest.raises(
+                ShardError, match=rf"shard-0\.jsonl:{index + 1}:"
+            ):
+                ShardEventLog(path)
+
     def test_rewrite_replaces_the_log_with_one_checkpoint(self, tmp_path):
         path = tmp_path / "shard-0.jsonl"
         log = ShardEventLog(path)
@@ -472,19 +567,35 @@ class TestRecordShape:
                     if logged["kind"] != "BE" or not logged["accepted"]:
                         continue
                     decision = decisions[logged["app_id"]]
-                    loads = [] if use_prediction else _json([
-                        {"loads": p.loads(), "rate": rate}
+                    held = [] if use_prediction else [
+                        (p.loads(), rate)
                         for p, rate in zip(
                             decision.placements, decision.path_rates
                         )
-                    ])
-                    assert logged["consumed"] == loads
+                    ]
+                    logged_app = LiveApp(
+                        logged["app_id"], "BE", "local", logged["consumed"]
+                    )
+                    assert _positive(logged_app.consumptions()) == (
+                        _positive(held)
+                    )
                     be_checked += 1
         assert releases >= 3 and be_checked >= 2
 
 
 def _json(value):
     return json.loads(json.dumps(value, sort_keys=True))
+
+
+def _positive(consumptions):
+    """Holds as ``({(element, resource): load}, rate)``, positive loads only:
+    what a :class:`~repro.core.placement.CapacityView` charges."""
+    return [
+        ({(element, resource): load
+          for element, bucket in loads.items()
+          for resource, load in bucket.items() if load > 0.0}, rate)
+        for loads, rate in consumptions
+    ]
 
 
 # ----------------------------------------------------------------------
