@@ -6,13 +6,20 @@ of contested elements, so the final allocated rates should barely depend on
 who arrived first.  Without it (FCFS consumption), the early arrival grabs
 the best spots and the rates swing with the order.
 
+The scheduler only predicts; the FCFS policy lives here.  This harness
+keeps its own ledger of the placed BE apps' holds (each accepted path at
+its rate), places each arrival against a copy of it, and commits the
+result to a default scheduler, whose Problem-(4) allocation is then
+compared across the two orders.
+
 Metric: mean relative disparity of each app's allocated rate between the
 two arrival orders (0 = perfectly order-independent).
 """
 
 from __future__ import annotations
 
-from repro.core.scheduler import BERequest, SparcleScheduler
+from repro.core.placement import CapacityView
+from repro.core.scheduler import BERequest, SparcleScheduler, evaluate_admission
 from repro.exceptions import SparcleError
 from repro.utils.rng import spawn_rngs
 from repro.utils.stats import mean
@@ -28,13 +35,23 @@ from repro.workloads.scenarios import (
 TRIALS = 25
 
 
-def _order_disparity(network, graph_a, graph_b, *, use_prediction: bool) -> float | None:
+def _order_disparity(network, graph_a, graph_b, *, fcfs: bool) -> float | None:
     def run(order):
-        scheduler = SparcleScheduler(network, use_prediction=use_prediction)
+        scheduler = SparcleScheduler(network)
+        # FCFS: what earlier arrivals hold, so later ones see leftovers only.
+        ledger = CapacityView(network)
         for app_id, graph, priority in order:
-            decision = scheduler.submit_be(
-                BERequest(app_id, graph, priority=priority)
-            )
+            request = BERequest(app_id, graph, priority=priority)
+            if fcfs:
+                decision = scheduler.commit(
+                    evaluate_admission(request, network, ledger.copy())
+                )
+                for placement, rate in zip(
+                    decision.placements, decision.path_rates
+                ):
+                    ledger.consume(placement.loads(), rate)
+            else:
+                decision = scheduler.submit_be(request)
             if not decision.accepted:
                 raise SparcleError("rejected")
         return scheduler.allocate_be().app_rates
@@ -67,10 +84,10 @@ def _sweep() -> list[list[object]]:
         }
         graph_b = random_task_graph(GraphKind.DIAMOND, rng).with_pins(pins, name="b")
         predicted = _order_disparity(
-            scenario.network, scenario.graph, graph_b, use_prediction=True
+            scenario.network, scenario.graph, graph_b, fcfs=False
         )
         fcfs = _order_disparity(
-            scenario.network, scenario.graph, graph_b, use_prediction=False
+            scenario.network, scenario.graph, graph_b, fcfs=True
         )
         if predicted is None or fcfs is None:
             continue

@@ -109,9 +109,7 @@ def _restored_residual(
 ) -> tuple[tuple[str, str, float], ...]:
     """The residual a fresh scheduler for ``node``'s region holds once the
     replayed ``apps`` are charged on it."""
-    restored = SparcleScheduler(
-        node.network, use_prediction=node.scheduler.use_prediction
-    )
+    restored = SparcleScheduler(node.network)
     hold_apps(restored, apps.values())
     return restored.residual_snapshot().entries
 

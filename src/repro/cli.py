@@ -787,21 +787,26 @@ def _cmd_shards(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the asyncio serving front-end (or its --burst self-test)."""
     from repro.core.scenario import load_scenario
+    from repro.exceptions import ServerError
     from repro.service.server import serve
 
     spec = load_scenario(args.scenario)
-    if args.burst is None:
-        serve(
-            spec.network,
-            host=args.host,
-            port=args.port,
-            n_shards=args.n_shards,
-            log_dir=args.log_dir,
-            max_inflight=args.max_inflight,
-            recover=args.recover,
-        )
-        return 0
-    return _cmd_serve_burst(args, spec)
+    try:
+        if args.burst is None:
+            serve(
+                spec.network,
+                host=args.host,
+                port=args.port,
+                n_shards=args.n_shards,
+                log_dir=args.log_dir,
+                max_inflight=args.max_inflight,
+                recover=args.recover,
+            )
+            return 0
+        return _cmd_serve_burst(args, spec)
+    except ServerError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
 
 
 def _cmd_serve_burst(args: argparse.Namespace, spec: "ScenarioSpec") -> int:

@@ -183,16 +183,6 @@ class _PlacedBE:
         if not self.active:
             self.active = [True] * len(self.placements)
 
-    def holds(self) -> list[tuple[Loads, float]]:
-        """What the FCFS ledger holds for it: active paths, predicted rates."""
-        return [
-            (p.loads(), rate)
-            for p, rate, active in zip(
-                self.placements, self.predicted_rates, self.active
-            )
-            if active
-        ]
-
 
 @dataclass
 class _PlacedGR:
@@ -519,15 +509,10 @@ class SparcleScheduler:
         *,
         assigner: Assigner = sparcle_assign,
         allocation_method: str = "auto",
-        use_prediction: bool = True,
     ) -> None:
         self.network = network
         self.assigner = assigner
         self.allocation_method = allocation_method
-        # Theorem-3 / Eq. (6) capacity prediction for arriving BE apps.
-        # Disabling it (ablation A3) makes placements first-come-first-
-        # served: early arrivals grab the best spots regardless of priority.
-        self.use_prediction = use_prediction
         # Permanent capacity fluctuations: element -> resource -> value.
         self._capacity_overrides: dict[str, dict[str, float]] = {}
         # Elements currently down (transient outages, repair loop).
@@ -535,15 +520,10 @@ class SparcleScheduler:
         # Attached online repair controller, if any (see repro.core.repair).
         self._repair_controller = None
         # Residual view after GR reservations; BE apps share this.  It
-        # holds the active GR paths and the external reservations.
+        # holds the active GR paths and the external reservations.  A BE
+        # app holds nothing: each arrival is placed against its Theorem-3
+        # / Eq. (6) predicted share of this view.
         self._gr_residual = CapacityView(network)
-        # FCFS ledger for the no-prediction ablation: it holds what the
-        # residual does plus every BE app's active paths at their
-        # predicted rates, so later arrivals see leftovers only.  Under
-        # prediction nothing reads it, so it is not kept at all.
-        self._fcfs_view: CapacityView | None = (
-            None if use_prediction else CapacityView(network)
-        )
         self._be: dict[str, _PlacedBE] = {}
         self._gr: dict[str, _PlacedGR] = {}
         # External reservations: capacity held on behalf of tenants this
@@ -551,8 +531,6 @@ class SparcleScheduler:
         # ShardCoordinator, or apps adopted from an event log after a
         # warm start).  tag -> ((loads, rate), ...).
         self._external: dict[str, tuple[tuple[Loads, float], ...]] = {}
-        # BE apps adopted from an event log: held on the FCFS ledger only.
-        self._adopted_be: dict[str, tuple[tuple[Loads, float], ...]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -598,10 +576,8 @@ class SparcleScheduler:
     # Admission: evaluate (pure) / commit (state change)
     # ------------------------------------------------------------------
     def _be_admission_view(self, request: BERequest) -> CapacityView:
-        """The view a BE request is evaluated against (predicted or FCFS)."""
-        if self._fcfs_view is not None:
-            # FCFS ablation: see only what earlier BE arrivals left behind.
-            return self._fcfs_view.copy()
+        """The view a BE request is evaluated against: its Theorem-3 /
+        Eq. (6) predicted share of the GR residual."""
         tenants = [
             (placed.request.priority, list(placed.placements))
             for placed in self._be.values()
@@ -639,13 +615,6 @@ class SparcleScheduler:
         """
         return self._gr_residual.freeze()
 
-    def fcfs_snapshot(self) -> ResidualSnapshot | None:
-        """Freeze the FCFS ledger (no-prediction ablation); ``None`` under
-        prediction, which keeps no ledger."""
-        if self._fcfs_view is None:
-            return None
-        return self._fcfs_view.freeze()
-
     def external_tags(self) -> tuple[str, ...]:
         """Tags of currently-held external reservations, insertion order."""
         return tuple(self._external)
@@ -665,7 +634,7 @@ class SparcleScheduler:
         """Reserve capacity on behalf of an externally-managed tenant.
 
         ``consumptions`` is a sequence of ``(loads, rate)`` pairs (one per
-        placement path), held on the live views atomically —
+        placement path), held on the GR residual atomically —
         :class:`~repro.exceptions.PlacementError` if the reservation does
         not fit, in which case nothing changes.  The tag behaves like an
         admitted app id: duplicates are rejected and :meth:`withdraw`
@@ -675,42 +644,14 @@ class SparcleScheduler:
             raise AdmissionError(f"app id {tag!r} already submitted")
         held = tuple((loads, rate) for loads, rate in consumptions)
         self._gr_residual.reserve(held)
-        self._hold(held, ledger_only=True)
         self._external[tag] = held
         return frozenset(element for loads, _ in held for element in loads)
 
-    def adopt_be(
-        self, app_id: str, consumptions: Sequence[tuple[Loads, float]]
-    ) -> None:
-        """Adopt a BE app from an event log as an opaque tenant.
-
-        It holds no GR capacity.  Without prediction its logged
-        ``(loads, predicted rate)`` pairs stay held on the FCFS ledger
-        until :meth:`withdraw`, as they were before the restart; under
-        prediction nothing is held.
-        """
-        if self._known(app_id):
-            raise AdmissionError(f"app id {app_id!r} already submitted")
-        held = tuple((loads, rate) for loads, rate in consumptions)
-        self._hold(held, ledger_only=True)
-        self._adopted_be[app_id] = held
-
-    def _hold(
-        self, holds: Iterable[tuple[Loads, float]], *, ledger_only: bool
-    ) -> None:
-        """Consume ``holds`` on the FCFS ledger and, unless ``ledger_only``,
-        on the GR residual (unchecked: see :meth:`CapacityView.reserve`)."""
-        views = self._views(ledger_only)
+    def _hold(self, holds: Iterable[tuple[Loads, float]]) -> None:
+        """Consume ``holds`` on the GR residual (unchecked: see
+        :meth:`CapacityView.reserve`)."""
         for loads, rate in holds:
-            for view in views:
-                view.consume(loads, rate)
-
-    def _views(self, ledger_only: bool) -> list[CapacityView]:
-        """The kept views a GR (or, ``ledger_only``, a BE) hold lives on."""
-        views = [] if ledger_only else [self._gr_residual]
-        if self._fcfs_view is not None:
-            views.append(self._fcfs_view)
-        return views
+            self._gr_residual.consume(loads, rate)
 
     def commit(self, proposal: AdmissionProposal) -> Decision:
         """Apply one proposal: reserve capacity and return the decision.
@@ -744,7 +685,6 @@ class SparcleScheduler:
         placed = _PlacedGR(request, proposal.placements, proposal.path_rates)
         # A proposal that does not fit leaves the live residual untouched.
         self._gr_residual.reserve(placed.holds())
-        self._hold(placed.holds(), ledger_only=True)
         self._gr[request.app_id] = placed
         return Decision(
             request.app_id,
@@ -761,9 +701,9 @@ class SparcleScheduler:
             return Decision(
                 request.app_id, "BE", False, reason=proposal.reason
             )
-        placed = _PlacedBE(request, proposal.placements, proposal.path_rates)
-        self._be[request.app_id] = placed
-        self._hold(placed.holds(), ledger_only=True)
+        self._be[request.app_id] = _PlacedBE(
+            request, proposal.placements, proposal.path_rates
+        )
         return Decision(
             request.app_id,
             "BE",
@@ -863,37 +803,30 @@ class SparcleScheduler:
     def withdraw(self, app_id: str) -> frozenset[str]:
         """Remove an admitted application, releasing its capacity.
 
-        Every hold the application has live is subtracted from the views
-        it was added to — the exact inverse of its consumes, so capacity
+        Every hold the application has live is subtracted from the GR
+        residual — the exact inverse of its consumes, so capacity
         changes and outages applied since admission stay respected.  BE
         rates are re-derived on the next :meth:`allocate_be`.  Returns
         the elements whose view entries changed: empty for a BE
-        application under prediction, which holds nothing.  The app's
+        application, which holds nothing.  The app's
         ``scheduler.admitted_rate`` series leaves the metrics registry
         with it.  Unknown ids raise.
         """
         if app_id in self._gr:
             get_metrics().drop_gauge("scheduler.admitted_rate", app=app_id, kind="GR")
-            return self._release(self._gr.pop(app_id).holds(), ledger_only=False)
+            return self._release(self._gr.pop(app_id).holds())
         if app_id in self._be:
             get_metrics().drop_gauge("scheduler.admitted_rate", app=app_id, kind="BE")
-            return self._release(self._be.pop(app_id).holds(), ledger_only=True)
+            del self._be[app_id]
+            return frozenset()
         if app_id in self._external:
-            return self._release(self._external.pop(app_id), ledger_only=False)
-        if app_id in self._adopted_be:
-            return self._release(self._adopted_be.pop(app_id), ledger_only=True)
+            return self._release(self._external.pop(app_id))
         raise AdmissionError(f"no admitted app {app_id!r} to withdraw")
 
-    def _release(
-        self, holds: Sequence[tuple[Loads, float]], *, ledger_only: bool
-    ) -> frozenset[str]:
-        """Subtract ``holds`` from the views they live on; the elements."""
-        views = self._views(ledger_only)
+    def _release(self, holds: Sequence[tuple[Loads, float]]) -> frozenset[str]:
+        """Subtract ``holds`` from the GR residual; the elements."""
         for loads, rate in holds:
-            for view in views:
-                view.release(loads, rate)
-        if not views:
-            return frozenset()
+            self._gr_residual.release(loads, rate)
         return frozenset(element for loads, _ in holds for element in loads)
 
     def _capacity(self, element: str, resource: str) -> float:
@@ -906,11 +839,11 @@ class SparcleScheduler:
         return self.network.capacity(element, resource)
 
     def _set_capacity(self, element: str) -> None:
-        """Write one element's current capacity into the kept views."""
+        """Write one element's current capacity into the GR residual."""
         for resource in set(self.network.resources()) | {BANDWIDTH}:
-            capacity = self._capacity(element, resource)
-            for view in self._views(False):
-                view.override(element, resource, capacity)
+            self._gr_residual.override(
+                element, resource, self._capacity(element, resource)
+            )
 
     def apply_capacity_change(
         self, changes: dict[str, dict[str, float]]
@@ -924,7 +857,7 @@ class SparcleScheduler:
            the new capacity is *throttled* — its reserved rate shrinks by
            the element's over-subscription factor (the min over the path's
            elements), so the post-change reservations are feasible again;
-        2. the views take the new capacities (their holds stay, the
+        2. the GR residual takes the new capacities (its holds stay, the
            throttled paths' at the new rates), so BE rates re-solved by
            :meth:`allocate_be` reflect the new world;
         3. the report lists each GR app's new aggregate rate and whether
@@ -981,8 +914,8 @@ class SparcleScheduler:
                     throttled[placed_gr.request.app_id] = min(
                         throttled.get(placed_gr.request.app_id, 1.0), factor
                     )
-                    self._release([(placement.loads(), rate)], ledger_only=False)
-                    self._hold([(placement.loads(), rate * factor)], ledger_only=False)
+                    self._release([(placement.loads(), rate)])
+                    self._hold([(placement.loads(), rate * factor)])
             placed_gr.path_rates = tuple(new_rates)
             total = placed_gr.active_rate()
             gr_new_rates[placed_gr.request.app_id] = total
@@ -1183,18 +1116,13 @@ class SparcleScheduler:
                 if placed_gr.active[index] and element in placement.used_elements():
                     placed_gr.active[index] = False
                     self._release(
-                        [(placement.loads(), placed_gr.path_rates[index])],
-                        ledger_only=False,
+                        [(placement.loads(), placed_gr.path_rates[index])]
                     )
                     suspended.setdefault(placed_gr.request.app_id, []).append(index)
         for placed_be in self._be.values():
             for index, placement in enumerate(placed_be.placements):
                 if placed_be.active[index] and element in placement.used_elements():
                     placed_be.active[index] = False
-                    self._release(
-                        [(placement.loads(), placed_be.predicted_rates[index])],
-                        ledger_only=True,
-                    )
                     suspended.setdefault(placed_be.request.app_id, []).append(index)
         self._set_capacity(element)
         tr = tracing.get_tracer()
@@ -1238,7 +1166,7 @@ class SparcleScheduler:
                 rates[index] = rate
                 placed_gr.path_rates = tuple(rates)
                 placed_gr.active[index] = True
-                self._hold([(placement.loads(), rate)], ledger_only=False)
+                self._hold([(placement.loads(), rate)])
                 restored.setdefault(placed_gr.request.app_id, []).append(index)
         for placed_be in self._be.values():
             for index, placement in enumerate(placed_be.placements):
@@ -1249,10 +1177,6 @@ class SparcleScheduler:
                 if sum(placed_be.active) >= placed_be.request.max_paths:
                     break  # replacement paths already fill the budget
                 placed_be.active[index] = True
-                self._hold(
-                    [(placement.loads(), placed_be.predicted_rates[index])],
-                    ledger_only=True,
-                )
                 restored.setdefault(placed_be.request.app_id, []).append(index)
         tr = tracing.get_tracer()
         if tr.enabled:
@@ -1308,31 +1232,22 @@ class SparcleScheduler:
         placed.placements = placed.placements + (result.placement,)
         placed.path_rates = placed.path_rates + (rate,)
         placed.active.append(True)
-        self._hold([(result.placement.loads(), rate)], ledger_only=False)
+        self._hold([(result.placement.loads(), rate)])
         return result.placement, rate
 
     def _add_be_path(self, app_id: str) -> Placement | None:
         placed = self._find_be(app_id)
         if sum(placed.active) >= placed.request.max_paths:
             return None
-        if self._fcfs_view is not None:
-            view = self._fcfs_view.copy()
-        else:
-            tenants = [
-                (
-                    other.request.priority,
-                    [
-                        p
-                        for p, a in zip(other.placements, other.active)
-                        if a
-                    ],
-                )
-                for other in self._be.values()
-                if other is not placed
-            ]
-            view = predicted_view(
-                self._gr_residual, placed.request.priority, tenants
+        tenants = [
+            (
+                other.request.priority,
+                [p for p, a in zip(other.placements, other.active) if a],
             )
+            for other in self._be.values()
+            if other is not placed
+        ]
+        view = predicted_view(self._gr_residual, placed.request.priority, tenants)
         try:
             result = self.assigner(placed.request.graph, self.network, view)
         except InfeasiblePlacementError:
@@ -1344,7 +1259,6 @@ class SparcleScheduler:
         placed.placements = placed.placements + (result.placement,)
         placed.predicted_rates = placed.predicted_rates + (result.rate,)
         placed.active.append(True)
-        self._hold([(result.placement.loads(), result.rate)], ledger_only=True)
         return result.placement
 
     def replan(self, app_id: str) -> "ReplanReport":
@@ -1385,10 +1299,7 @@ class SparcleScheduler:
 
     def _known(self, app_id: str) -> bool:
         return (
-            app_id in self._gr
-            or app_id in self._be
-            or app_id in self._external
-            or app_id in self._adopted_be
+            app_id in self._gr or app_id in self._be or app_id in self._external
         )
 
     def has_app(self, app_id: str) -> bool:
@@ -1402,12 +1313,7 @@ class SparcleScheduler:
         (cross-shard reservations and warm-start adoptions) — the
         serving front-end's topology reply counts these.
         """
-        return (
-            tuple(self._gr)
-            + tuple(self._be)
-            + tuple(self._external)
-            + tuple(self._adopted_be)
-        )
+        return tuple(self._gr) + tuple(self._be) + tuple(self._external)
 
 
 def admit_all_gr(

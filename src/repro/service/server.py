@@ -39,6 +39,9 @@ a restarted server re-holds every committed reservation and keeps
 rejecting admitted app ids as duplicates — zero double-admissions across
 a crash.  Queued-but-undecided requests are not replayed (the logs are
 decision logs); clients detect the dropped connection and resubmit.
+Without ``recover`` a ``log_dir`` that already holds non-empty event
+logs is refused (:class:`~repro.exceptions.ServerError`): appending to
+them would log apps the process never held.
 
 Observability: ``server.*`` counters (``accepted``/``shed``/
 ``recovered``/``inflight``/...) land in the
@@ -191,6 +194,20 @@ class SparcleServer:
                 "recover requires a durable log_dir: without one there is "
                 "no ShardEventLog to warm-start from"
             )
+        if not recover and log_dir is not None:
+            written = sorted(
+                path.name
+                for path in Path(log_dir).glob("*.jsonl")
+                if path.stat().st_size
+            )
+            # Appending to them would log apps this process never held,
+            # and a later recover would hold their capacity twice.
+            if written:
+                raise ServerError(
+                    f"log directory {log_dir} already holds event logs "
+                    f"({', '.join(written)}): start with --recover to "
+                    "resume from them, or give an empty --log-dir"
+                )
         self.coordinator = ShardCoordinator(
             network,
             n_shards=n_shards,

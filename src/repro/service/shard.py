@@ -506,7 +506,9 @@ class LiveApp:
     ``"external"`` for a cross-shard reservation; ``consumed`` is the
     logged per-path holds in their JSON form, in whichever layout they
     were logged (:func:`_consumptions_from_json` reads both).  A local BE
-    app's holds are its FCFS-ledger charge: empty under prediction.
+    app holds no capacity (:meth:`holds`): it logs none, and the holds a
+    log written with the old FCFS ledger carries for one are kept here as
+    logged but never charged.
     """
 
     app_id: str
@@ -514,10 +516,12 @@ class LiveApp:
     origin: str  # "local" | "external"
     consumed: Sequence[Mapping[str, Any]]
 
-    @property
-    def ledger_only(self) -> bool:
-        """A local BE app holds no GR reservation, only its FCFS charge."""
-        return self.kind == "BE" and self.origin == "local"
+    def holds(self) -> Consumptions:
+        """What this app holds on its shard's residual: nothing for a
+        local BE app, the logged holds for every other app."""
+        if self.kind == "BE" and self.origin == "local":
+            return ()
+        return self.consumptions()
 
     def consumptions(self) -> Consumptions:
         """The logged holds as ``(loads, rate)`` pairs."""
@@ -601,17 +605,15 @@ def replay_log(records: Sequence[Mapping[str, Any]]) -> dict[str, LiveApp]:
 def hold_apps(scheduler: SparcleScheduler, apps: Iterable[LiveApp]) -> None:
     """Charge each app's logged holds on ``scheduler`` as an opaque tenant.
 
-    The one place a live-app table becomes capacity: a local BE app is
-    adopted onto the FCFS ledger only, every other app is an external
-    reservation.  Holds are exact integers
+    The one place a live-app table becomes capacity: every app becomes
+    an external reservation of its :meth:`LiveApp.holds` (none for a
+    local BE app, which stays known so its id is still rejected as a
+    duplicate and can be withdrawn).  Holds are exact integers
     (:class:`~repro.core.placement.CapacityView`), so the views come out
     bit-equal to the ones the table's writer held, whatever the order.
     """
     for app in apps:
-        if app.ledger_only:
-            scheduler.adopt_be(app.app_id, app.consumptions())
-        else:
-            scheduler.reserve_external(app.app_id, app.consumptions())
+        scheduler.reserve_external(app.app_id, app.holds())
 
 
 # ----------------------------------------------------------------------
@@ -624,13 +626,12 @@ class ShardNode:
     admitted placements can never touch a boundary link or another
     region's elements by construction.  Every state change appends one
     log record holding the decision, not its consequence: a gateway
-    epoch's decisions with the per-path loads of each accepted GR app
-    (and, without prediction, of each accepted BE app), a cross-shard
-    reservation's loads, a withdrawal's app id.  The node's live-app
-    table is :func:`fold_record` applied to each record it appends, so
-    it is the fold of its log by construction; :meth:`warm_start` folds
-    the log again and holds every live app on a fresh scheduler after a
-    :meth:`kill`.
+    epoch's decisions with the per-path loads of each accepted GR app, a
+    cross-shard reservation's loads, a withdrawal's app id.  The node's
+    live-app table is :func:`fold_record` applied to each record it
+    appends, so it is the fold of its log by construction;
+    :meth:`warm_start` folds the log again and holds every live app on a
+    fresh scheduler after a :meth:`kill`.
     """
 
     def __init__(
@@ -639,7 +640,6 @@ class ShardNode:
         network: Network,
         *,
         assigner: Assigner = sparcle_assign,
-        use_prediction: bool = True,
         max_queue_depth: int = 128,
         batch_size: int | None = None,
         log: ShardEventLog | None = None,
@@ -649,7 +649,6 @@ class ShardNode:
         self.log = log if log is not None else ShardEventLog(None)
         self.alive = True
         self._assigner = assigner
-        self._use_prediction = use_prediction
         self._max_queue_depth = max_queue_depth
         self._batch_size = batch_size
         #: Every app holding capacity here: the fold of the log.
@@ -664,11 +663,7 @@ class ShardNode:
             self._append(self._stamp({"type": "snapshot"}))
 
     def _build(self) -> None:
-        self.scheduler = SparcleScheduler(
-            self.network,
-            assigner=self._assigner,
-            use_prediction=self._use_prediction,
-        )
+        self.scheduler = SparcleScheduler(self.network, assigner=self._assigner)
         self.gateway = AdmissionGateway(
             self.scheduler,
             max_queue_depth=self._max_queue_depth,
@@ -709,10 +704,7 @@ class ShardNode:
         reservations, adopted or not.  A local BE app holds nothing here.
         The invariant checker re-derives the expected residual from this.
         """
-        return {
-            app_id: () if app.ledger_only else app.consumptions()
-            for app_id, app in self._apps.items()
-        }
+        return {app_id: app.holds() for app_id, app in self._apps.items()}
 
     # ------------------------------------------------------------------
     # Admission
@@ -741,9 +733,8 @@ class ShardNode:
     ) -> None:
         payload: list[dict[str, Any]] = []
         for _, decision in decided:
-            gr = decision.kind == "GR"
             consumed: Consumptions = ()
-            if decision.accepted and (gr or not self._use_prediction):
+            if decision.accepted and decision.kind == "GR":
                 loads = [placement.loads() for placement in decision.placements]
                 consumed = tuple(zip(loads, decision.path_rates))
             payload.append(
@@ -787,8 +778,26 @@ class ShardNode:
         self.alive = False
 
     def _restore(self) -> None:
-        """Rebuild the scheduler from the log: every live app adopted."""
-        self._apps = replay_log(self.log.records())
+        """Rebuild the scheduler from the log: every live app adopted.
+
+        Raises :class:`~repro.exceptions.ShardError` when the log's last
+        checkpoint names another network than this shard's region (a log
+        directory recovered with another shard count or scenario): its
+        holds would land on the wrong elements.
+        """
+        records = self.log.records()
+        checkpoint = next(
+            (record for record in reversed(records) if _is_checkpoint(record)),
+            {},
+        )
+        logged = checkpoint.get("network")
+        if logged is not None and logged != network_to_dict(self.network):
+            raise ShardError(
+                f"shard {self.shard_id}'s event log was written for another "
+                "network than this shard's region; recover it with the "
+                "scenario and shard count that wrote it"
+            )
+        self._apps = replay_log(records)
         self._build()
         hold_apps(self.scheduler, self._apps.values())
         self.alive = True
@@ -946,7 +955,6 @@ class ShardCoordinator:
         zones: Mapping[str, int] | None = None,
         partition: NetworkPartition | None = None,
         assigner: Assigner = sparcle_assign,
-        use_prediction: bool = True,
         max_queue_depth: int = 128,
         batch_size: int | None = None,
         cross_retry_policy: RetryPolicy | None = None,
@@ -971,7 +979,6 @@ class ShardCoordinator:
                     shard_id,
                     subnet,
                     assigner=assigner,
-                    use_prediction=use_prediction,
                     max_queue_depth=max_queue_depth,
                     batch_size=batch_size,
                     log=ShardEventLog(

@@ -68,28 +68,25 @@ class TestWithdraw:
         assert decision.accepted
 
 
-class TestFcfsLedgerIsWithdrawIndependent:
-    """The FCFS ledger holds exactly the live tenants, whatever came and went.
+class TestResidualIsWithdrawIndependent:
+    """The GR residual holds exactly the live tenants, whatever came and went.
 
-    The ledger exists only without prediction (the A3 ablation), where
-    it is read: every BE app is charged to it at commit at its predicted
-    rate, and after any withdraw it equals the live holds summed on a
-    fresh view.
+    Every GR app is charged at commit at its reserved rate, a BE app at
+    nothing, and after any withdraw the residual equals the live holds
+    summed on a fresh view.
     """
 
     @staticmethod
     def _from_scratch(scheduler):
         view = CapacityView(scheduler.network)
-        state = scheduler.state()
-        for kind, app_ids in (("GR", state.gr_apps), ("BE", state.be_apps)):
-            for app_id in app_ids:
-                for record in scheduler.paths(app_id, kind):
-                    if record.active:
-                        view.consume(record.placement.loads(), record.rate)
+        for app_id in scheduler.state().gr_apps:
+            for record in scheduler.paths(app_id, "GR"):
+                if record.active:
+                    view.consume(record.placement.loads(), record.rate)
         return view.freeze()
 
-    def test_ledger_equals_rebuild_at_every_step(self, net):
-        scheduler = SparcleScheduler(net, use_prediction=False)
+    def test_residual_equals_rebuild_at_every_step(self, net):
+        scheduler = SparcleScheduler(net)
         steps = [
             lambda: scheduler.submit_gr(
                 GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5)),
@@ -102,37 +99,28 @@ class TestFcfsLedgerIsWithdrawIndependent:
         ]
         for step in steps:
             step()
-            assert scheduler.fcfs_snapshot() == self._from_scratch(scheduler)
+            assert scheduler.residual_snapshot() == self._from_scratch(
+                scheduler
+            )
 
     def test_withdraw_leaves_untouched_elements_alone(self, net):
-        scheduler = SparcleScheduler(net, use_prediction=False)
-        scheduler.submit_gr(
-            GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5))
-        before_be = scheduler.fcfs_snapshot()
-        scheduler.submit_be(BERequest("be", app("b", "ncp3", "ncp4")))
-        snapshot = scheduler.fcfs_snapshot()
-        assert snapshot != before_be
-        scheduler.submit_gr(
-            GRRequest("gone", app("c", "ncp5", "ncp6"), min_rate=0.5))
-        scheduler.withdraw("gone")
-        # Nothing re-admitted: the ledger is back where it was, the BE
-        # app's charge included.
-        assert scheduler.fcfs_snapshot() == snapshot
-        # A BE app holds ledger capacity only: its departure hands back
-        # exactly that and leaves the GR residual alone.
-        residual = scheduler.residual_snapshot()
-        scheduler.withdraw("be")
-        assert scheduler.fcfs_snapshot() == before_be
-        assert scheduler.residual_snapshot() == residual
-
-    def test_no_ledger_under_prediction(self, net):
         scheduler = SparcleScheduler(net)
         scheduler.submit_gr(
             GRRequest("gr", app("a", "ncp1", "ncp2"), min_rate=0.5))
+        snapshot = scheduler.residual_snapshot()
         scheduler.submit_be(BERequest("be", app("b", "ncp3", "ncp4")))
-        scheduler.withdraw("gr")
-        assert scheduler._fcfs_view is None
-        assert scheduler.fcfs_snapshot() is None
+        assert scheduler.residual_snapshot() == snapshot
+        gone = scheduler.submit_gr(
+            GRRequest("gone", app("c", "ncp5", "ncp6"), min_rate=0.5))
+        assert scheduler.residual_snapshot() != snapshot
+        assert scheduler.withdraw("gone") == {
+            element for p in gone.placements for element in p.loads()
+        }
+        # Nothing re-admitted: the residual is back where it was.
+        assert scheduler.residual_snapshot() == snapshot
+        # A BE app holds nothing: its departure touches no element.
+        assert scheduler.withdraw("be") == frozenset()
+        assert scheduler.residual_snapshot() == snapshot
 
 
 class TestOutageReport:

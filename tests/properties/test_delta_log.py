@@ -5,23 +5,22 @@ records that carry decisions: the loads an epoch admitted or a
 cross-shard reservation took, the id a withdrawal released.  Replay
 folds them into the live-app table and a fresh scheduler charges that
 table's holds (``hold_apps``).  Three guarantees make that safe, each
-checked over Hypothesis-drawn scripts of GR/BE admissions (prediction on
-and off), withdrawals, cross-shard reservations and shard kill/restart
-on one and two shards:
+checked over Hypothesis-drawn scripts of GR/BE admissions,
+withdrawals, cross-shard reservations and shard kill/restart on one and
+two shards:
 
 * **every prefix restores exactly** — a scheduler holding
-  ``replay_log(records[:k])`` has the live residual (and, without
-  prediction, the live FCFS ledger) as it was right after record ``k``
-  was appended, bit for bit, for every ``k``; and the node's own
-  live-app table after record ``k`` *is* ``replay_log(records[:k])``;
+  ``replay_log(records[:k])`` has the live residual as it was right
+  after record ``k`` was appended, bit for bit, for every ``k``; and the
+  node's own live-app table after record ``k`` *is*
+  ``replay_log(records[:k])``;
 * **compaction loses nothing** — recovering a node from its log rewrites
   the log to one checkpoint that replays to the same table and restores
-  the same views;
+  the same residual;
 * **old formats restore the same** — the same history written the old
-  ways (the full views in every record and no ``apps``; a ``delta`` of
-  the views after every checkpoint; under prediction, an ``fcfs`` ledger
-  beside every ``residual``) replays to the same table, whose views are
-  never read.
+  ways (the full residual in every record and no ``apps``; a ``delta``
+  of it after every checkpoint; an ``fcfs`` ledger beside every
+  ``residual``) replays to the same table, whose views are never read.
 """
 
 from __future__ import annotations
@@ -107,19 +106,15 @@ def scripts(draw):
                 # the restart has a reservation to reconcile.
                 draw(st.booleans()),
             ))
-    return network, zones, draw(st.booleans()), operations
+    return network, zones, operations
 
 
 def _views(scheduler: SparcleScheduler):
-    ledger = scheduler.fcfs_snapshot()
-    return (
-        scheduler.residual_snapshot().entries,
-        None if ledger is None else ledger.entries,
-    )
+    return scheduler.residual_snapshot().entries
 
 
 def _watch(node: ShardNode, states: list, tables: list) -> None:
-    """Record the node's live views right after every log append, and
+    """Record the node's live residual right after every log append, and
     its live-app table right before (the fold of every earlier record)."""
     append = node.log.append
 
@@ -133,11 +128,9 @@ def _watch(node: ShardNode, states: list, tables: list) -> None:
 
 
 def _restored(records, node: ShardNode):
-    """The views a fresh scheduler for ``node`` holds once ``records``'
-    live apps are charged on it."""
-    scheduler = SparcleScheduler(
-        node.network, use_prediction=node.scheduler.use_prediction
-    )
+    """The residual a fresh scheduler for ``node`` holds once
+    ``records``' live apps are charged on it."""
+    scheduler = SparcleScheduler(node.network)
     hold_apps(scheduler, replay_log(records).values())
     return _views(scheduler)
 
@@ -168,17 +161,12 @@ def _through_json(records):
     return [json.loads(json.dumps(r, sort_keys=True)) for r in records]
 
 
-def _fresh_state(use_prediction: bool):
-    """Record 0: the fresh node's snapshot of the empty state."""
-    return ((), None if use_prediction else ())
-
-
-def _old_formats(records, seen, use_prediction):
+def _old_formats(records, seen):
     """The same history as earlier versions wrote it, each record with
-    the views that held right after it: snapshot-per-record with no
+    the residual that held right after it: snapshot-per-record with no
     ``apps``, then checkpoints followed by a ``delta`` (here: the whole
-    view) in every other record, without and (under prediction, as a
-    copy of the residual) with an ``fcfs`` ledger."""
+    view) in every other record, without and with an ``fcfs`` ledger (a
+    copy of the residual)."""
     def view(entries):
         out = {}
         for element, resource, value in entries:
@@ -186,11 +174,9 @@ def _old_formats(records, seen, use_prediction):
         return out
 
     formats = {"snapshot": [], "delta": [], "ledger": []}
-    for record, (residual, fcfs) in zip(records, seen):
+    for record, residual in zip(records, seen):
         views = {"residual": residual}
-        if fcfs is not None:
-            views["fcfs"] = fcfs
-        ledger = {**views, "fcfs": fcfs if fcfs is not None else residual}
+        ledger = {**views, "fcfs": residual}
         formats["snapshot"].append({
             **{k: v for k, v in record.items() if k != "apps"},
             **{k: [list(e) for e in v] for k, v in views.items()},
@@ -201,8 +187,6 @@ def _old_formats(records, seen, use_prediction):
             else:
                 extra = {"delta": {k: view(v) for k, v in carried.items()}}
             formats[name].append({**record, **extra})
-    if not use_prediction:
-        del formats["ledger"]  # the delta format already carries it
     return formats
 
 
@@ -211,25 +195,22 @@ def _recovered(node: ShardNode, records) -> ShardNode:
     copy = ShardEventLog()
     for record in records:
         copy.append({k: v for k, v in record.items() if k != "seq"})
-    twin = ShardNode(
-        node.shard_id, node.network,
-        use_prediction=node.scheduler.use_prediction, log=copy,
-    )
+    twin = ShardNode(node.shard_id, node.network, log=copy)
     assert twin.recover()
     assert len(copy) == 1
     return twin
 
 
 def _run_watched(script):
-    """Run ``script``; per shard: its node, records, views and tables."""
-    network, zones, use_prediction, operations = script
+    """Run ``script``; per shard: its node, records, residuals and tables."""
+    network, zones, operations = script
     with ShardCoordinator(
-        network, zones=zones, use_prediction=use_prediction,
-        max_queue_depth=64,
+        network, zones=zones, max_queue_depth=64
     ) as coordinator:
         seen = {}
         for node in coordinator.nodes:
-            seen[node.shard_id] = ([_fresh_state(use_prediction)], [])
+            # Record 0: the fresh node's snapshot of the empty state.
+            seen[node.shard_id] = ([()], [])
             _watch(node, *seen[node.shard_id])
         _run(coordinator, operations)
         for node in coordinator.nodes:
@@ -256,7 +237,6 @@ class TestDeltaLog:
     @SETTINGS
     @given(scripts())
     def test_compaction_and_old_format_replay_to_the_same_state(self, script):
-        use_prediction = script[2]
         for node, records, states, _ in _run_watched(script):
             expected = replay_log(records)
             live = _views(node.scheduler)
@@ -268,10 +248,8 @@ class TestDeltaLog:
             assert _views(twin.scheduler) == live
 
             # The same history as earlier versions wrote it replays to
-            # the same table and recovers to the same views.
-            for name, old in _old_formats(
-                records, states, use_prediction
-            ).items():
+            # the same table and recovers to the same residual.
+            for name, old in _old_formats(records, states).items():
                 old = _through_json(old)
                 assert replay_log(old) == expected, name
                 twin = _recovered(node, old)

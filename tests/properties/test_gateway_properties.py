@@ -10,9 +10,8 @@ Checked over random request mixes on random star networks:
   for ``batch_size`` 1, 2, 5 and unbounded, on requests whose footprints
   deliberately overlap, the decisions (accept set, placements, path
   rates) and the final residual equal a :class:`SparcleScheduler` fed
-  :meth:`AdmissionGateway.priority_order` of the burst, with prediction
-  on and off (where the FCFS ledger is kept, it is equal too); no
-  request is deferred to a later epoch than its batch.
+  :meth:`AdmissionGateway.priority_order` of the burst; no request is
+  deferred to a later epoch than its batch.
 * **Unconditional invariants** — every submitted request gets exactly
   one decision, the drain terminates, and the scheduler's residual equals
   fresh capacity minus exactly the accepted GR reservations (no
@@ -147,17 +146,13 @@ class TestSerializedGatewayIsExactlySerial:
 
 class TestSerialEquivalence:
     @SETTINGS
-    @given(admission_scenarios(endpoints=3), st.booleans())
-    def test_every_batch_size_is_serial(self, scenario, use_prediction):
+    @given(admission_scenarios(endpoints=3))
+    def test_every_batch_size_is_serial(self, scenario):
         network, requests = scenario
-        serial_scheduler = SparcleScheduler(
-            network, use_prediction=use_prediction
-        )
+        serial_scheduler = SparcleScheduler(network)
         serial = _serial_decisions(network, requests, serial_scheduler)
         for batch_size in (1, 2, 5, None):
-            scheduler = SparcleScheduler(
-                network, use_prediction=use_prediction
-            )
+            scheduler = SparcleScheduler(network)
             gateway = AdmissionGateway(scheduler, batch_size=batch_size)
             decisions, committed = _submit_and_drain(gateway, requests)
             # Exactly one decision per request, in submission order, and
@@ -175,9 +170,4 @@ class TestSerialEquivalence:
             assert scheduler.residual_snapshot() == (
                 serial_scheduler.residual_snapshot()
             )
-            ledger = scheduler.fcfs_snapshot()
-            if use_prediction:
-                assert ledger is None
-            else:
-                assert ledger == serial_scheduler.fcfs_snapshot()
             _assert_no_double_commit(scheduler)

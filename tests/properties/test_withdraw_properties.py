@@ -2,18 +2,16 @@
 
 ``CapacityView`` keeps each entry's held amount as an integer number of
 ``QUANTUM`` units, so a withdraw subtracts exactly what its commit added
-and no state depends on the order tenants came and went: every view
-equals the live holds summed from scratch.  Over random
+and no state depends on the order tenants came and went: the GR
+residual equals the live holds summed from scratch.  Over random
 admit / withdraw / ``replan`` / ``reserve_external`` /
 ``apply_capacity_change`` / element down and up sequences (through a
 :class:`~repro.core.repair.RepairController`, so replacement paths are
-added too), with and without prediction, after every step:
+added too), after every step:
 
 * every entry's ``held`` equals the sum, over the live holds, of
-  ``round(rate × load / QUANTUM)`` — the GR residual holds the active GR
-  paths and the external reservations, the FCFS ledger (kept only
-  without prediction) those plus every active BE path at its predicted
-  rate;
+  ``round(rate × load / QUANTUM)`` — the active GR paths and the
+  external reservations; a BE app holds nothing;
 * every residual equals ``max(0, capacity − held × QUANTUM)`` bit for
   bit, the capacity being the raw one, the last capacity change, or zero
   while the element is down;
@@ -69,19 +67,16 @@ def _request(draw, index: int):
 
 
 def _live_holds(scheduler):
-    """(GR-residual holds, BE holds the FCFS ledger adds), public API only."""
-    gr, be = [], []
-    state = scheduler.state()
-    for kind, app_ids, holds in (
-        ("GR", state.gr_apps, gr), ("BE", state.be_apps, be)
-    ):
-        for app_id in app_ids:
-            for record in scheduler.paths(app_id, kind):
-                if record.active:
-                    holds.append((record.placement.loads(), record.rate))
+    """What the GR residual holds, from the public API only."""
+    holds = [
+        (record.placement.loads(), record.rate)
+        for app_id in scheduler.state().gr_apps
+        for record in scheduler.paths(app_id, "GR")
+        if record.active
+    ]
     for tag in scheduler.external_tags():
-        gr.extend(scheduler.external_consumptions(tag))
-    return gr, be
+        holds.extend(scheduler.external_consumptions(tag))
+    return holds
 
 
 def _summed(holds) -> dict[tuple[str, str], int]:
@@ -95,32 +90,23 @@ def _summed(holds) -> dict[tuple[str, str], int]:
     return total
 
 
-def _views(scheduler):
-    """The kept views: the GR residual, then the FCFS ledger if any."""
-    views = [scheduler._gr_residual]
-    if scheduler._fcfs_view is not None:
-        views.append(scheduler._fcfs_view)
-    return views
-
-
 def _assert_ledger(scheduler, capacity, keys, context) -> None:
-    gr, be = _live_holds(scheduler)
-    for view, holds in zip(_views(scheduler), (gr, gr + be)):
-        expected = _summed(holds)
-        assert set(view._held) == {k for k, v in expected.items() if v}, context
-        for key in keys:
-            held = expected.get(key, 0)
-            assert view.held(*key) == held, (context, key)
-            cap = capacity(*key)
-            assert view.capacity(*key) == max(0.0, cap - held * QUANTUM), (
-                context, key
-            )
+    view = scheduler._gr_residual
+    expected = _summed(_live_holds(scheduler))
+    assert set(view._held) == {k for k, v in expected.items() if v}, context
+    for key in keys:
+        held = expected.get(key, 0)
+        assert view.held(*key) == held, (context, key)
+        cap = capacity(*key)
+        assert view.capacity(*key) == max(0.0, cap - held * QUANTUM), (
+            context, key
+        )
 
 
 class TestFootprintWithdrawEqualsFullRebuild:
     @SETTINGS
-    @given(data=st.data(), use_prediction=st.booleans())
-    def test_random_lifecycle_sequences(self, data, use_prediction):
+    @given(data=st.data())
+    def test_random_lifecycle_sequences(self, data):
         draw = data.draw
         network = star_network(
             N_LEAVES,
@@ -141,7 +127,7 @@ class TestFootprintWithdrawEqualsFullRebuild:
                 (element, resource), network.capacity(element, resource)
             )
 
-        scheduler = SparcleScheduler(network, use_prediction=use_prediction)
+        scheduler = SparcleScheduler(network)
         controller = RepairController(scheduler)
         for step in range(draw(st.integers(4, 14))):
             live = list(scheduler.app_ids())
@@ -164,14 +150,14 @@ class TestFootprintWithdrawEqualsFullRebuild:
                         CPU: draw(st.floats(50.0, 400.0))
                     },
                 }
-                before = [view.freeze() for view in _views(scheduler)]
+                before = scheduler.residual_snapshot()
                 try:
                     scheduler.reserve_external(
                         f"ext{step}", [(loads, draw(st.floats(0.05, 1.0)))]
                     )
                 except PlacementError:
                     # Did not fit: nothing changed.
-                    assert [v.freeze() for v in _views(scheduler)] == before
+                    assert scheduler.residual_snapshot() == before
                     assert f"ext{step}" not in scheduler.external_tags()
             elif op == "down":
                 controller.element_down(draw(st.sampled_from(elements)))
@@ -190,16 +176,13 @@ class TestFootprintWithdrawEqualsFullRebuild:
                     controller.forget(app_id)
             else:
                 app_id = draw(st.sampled_from(live))
-                before = [dict(view._flat) for view in _views(scheduler)]
+                was = dict(scheduler._gr_residual._flat)
                 footprint = scheduler.withdraw(app_id)
                 controller.forget(app_id)
-                for was, view in zip(before, _views(scheduler)):
-                    now = view._flat
-                    for key in set(was) | set(now):
-                        if key[0] not in footprint:
-                            assert now.get(key) == was.get(key), (context, key)
-            if use_prediction:
-                assert scheduler._fcfs_view is None, context
+                now = scheduler._gr_residual._flat
+                for key in set(was) | set(now):
+                    if key[0] not in footprint:
+                        assert now.get(key) == was.get(key), (context, key)
             _assert_ledger(scheduler, capacity, keys, context)
         for app_id in scheduler.app_ids():
             scheduler.withdraw(app_id)
@@ -212,6 +195,3 @@ class TestFootprintWithdrawEqualsFullRebuild:
             if value != network.capacity(element, resource)
         )
         assert scheduler.residual_snapshot().entries == edits
-        assert scheduler.fcfs_snapshot() == (
-            None if use_prediction else scheduler.residual_snapshot()
-        )

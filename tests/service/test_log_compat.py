@@ -8,10 +8,11 @@ the last version whose records carried a ``delta`` instead of the
 decision alone, and (``element_major/``) by the last version that logged
 each hold element by element.  ``expected.json`` records, next to them,
 what each version replayed them to and how many applications its
-``--recover`` server reported.  Today a node under prediction keeps no
-ledger, logs decisions, not deltas, writes holds resource-major, and
-replay reads only the apps a log folds to: these logs must still restore
-to the same views and apps.
+``--recover`` server reported.  Today a node keeps no ledger, logs
+decisions, not deltas, writes holds resource-major, and replay reads
+only the apps a log folds to: these logs must still restore to the same
+residual and apps, and the logged holds of the ledger-era logs must
+still add up to the ledger those versions kept.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.placement import CapacityView
 from repro.core.scenario import load_scenario
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
-from repro.core.taskgraph import linear_task_graph
+from repro.core.taskgraph import BANDWIDTH, linear_task_graph
 from repro.perf.counters import PerfRegistry
 from repro.service.client import SparcleClient
 from repro.service.server import SparcleServer
@@ -73,7 +75,7 @@ def _copy(name: str, tmp_path: Path) -> Path:
 
 
 def _entries(snapshot):
-    return None if snapshot is None else [list(e) for e in snapshot.entries]
+    return [list(e) for e in snapshot.entries]
 
 
 def _apps(raw_apps: list[dict]) -> list[dict]:
@@ -97,6 +99,16 @@ def _holds(records: list[dict]) -> list[dict]:
             items += decision["consumed"]
         items += record.get("consumed", ())
     return items
+
+
+def _fcfs_ledger(network, apps) -> list[list]:
+    """The FCFS ledger the writing version kept: every live app's logged
+    holds, a local BE app's included, folded onto a fresh view."""
+    view = CapacityView(network)
+    for app in apps:
+        for loads, rate in app.consumptions():
+            view.consume(loads, rate)
+    return _entries(view.freeze())
 
 
 def _check_format(name: str, records: list[dict]) -> None:
@@ -129,14 +141,12 @@ def test_replay_gives_the_recorded_state(name):
         assert [app.to_json() for app in apps.values()] == (
             _apps(expected["apps"])
         )
-        # A version that kept a ledger restores with one.
-        scheduler = SparcleScheduler(
-            partition.subnetworks[shard_id],
-            use_prediction=expected["fcfs"] is None,
-        )
+        network = partition.subnetworks[shard_id]
+        scheduler = SparcleScheduler(network)
         hold_apps(scheduler, apps.values())
         assert _entries(scheduler.residual_snapshot()) == expected["residual"]
-        assert _entries(scheduler.fcfs_snapshot()) == expected["fcfs"]
+        if expected["fcfs"] is not None:
+            assert _fcfs_ledger(network, apps.values()) == expected["fcfs"]
 
 
 @pytest.mark.parametrize("name", FEDERATIONS)
@@ -151,7 +161,6 @@ def test_recover_compacts_to_a_checkpoint_without_a_ledger(name, tmp_path):
             records = log.records()
             assert len(records) == 1
             assert not {"fcfs", "residual"} & set(records[0])
-            assert node.scheduler.fcfs_snapshot() is None
             assert _entries(node.scheduler.residual_snapshot()) == (
                 expected["residual"]
             )
@@ -201,6 +210,31 @@ def test_recovering_server_reports_the_recorded_count(name, tmp_path):
     assert asyncio.run(_run()) == (expected["recovered"],) * 2
     for path in sorted(logs.glob("shard-*.jsonl")):
         assert not any("fcfs" in record for record in _records(path))
+
+
+def test_a_logged_be_hold_restores_holding_nothing():
+    """A version that kept the FCFS ledger without prediction logged each
+    accepted BE app's holds.  The fold keeps them as logged; restore
+    charges none of them, and the app still withdraws."""
+    network = _network()
+    held = [{"loads": {network.links[0].name: {BANDWIDTH: 1.0}}, "rate": 2.0}]
+    log = ShardEventLog()
+    log.append({"type": "snapshot", "apps": []})
+    log.append({"type": "epoch", "epoch": 1, "decisions": [
+        {"app_id": "b", "kind": "BE", "accepted": True, "reason": "",
+         "path_rates": [2.0], "consumed": held},
+    ]})
+    assert replay_log(log.records())["b"].consumed == held
+    node = ShardNode(0, network, log=log)
+    fresh = node.scheduler.residual_snapshot()
+    assert node.recover()
+    assert node.scheduler.residual_snapshot() == fresh
+    assert node.scheduler.app_ids() == ("b",)
+    assert node.consumption_ledger() == {"b": ()}
+    node.withdraw("b")
+    assert node.live_apps() == {} == replay_log(log.records())
+    assert node.scheduler.app_ids() == ()
+    assert node.scheduler.residual_snapshot() == fresh
 
 
 def _request(kind: str, app_id: str, src: str, dst: str):

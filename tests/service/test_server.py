@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import main
 from repro.core.network import fully_connected_network, star_network
 from repro.core.scheduler import BERequest, GRRequest
 from repro.core.taskgraph import linear_task_graph
@@ -42,6 +44,8 @@ from repro.service.protocol import (
 )
 from repro.service.server import SparcleServer
 from repro.service.shard import replay_log
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def _network():
@@ -696,6 +700,26 @@ class TestHttp:
 
 
 class TestRecovery:
+    def test_a_written_log_dir_is_refused_without_recover(
+        self, tmp_path, capsys
+    ):
+        """Appending to an earlier process's logs would log apps this
+        process never held, and a later recover would hold their
+        capacity twice: without ``recover`` the server refuses them."""
+        logs = tmp_path / "logs"
+        shutil.copytree(DATA / "parent_logs" / "one_shard", logs)
+        before = {p.name: p.read_bytes() for p in logs.iterdir()}
+        with pytest.raises(ServerError, match="--recover") as refused:
+            SparcleServer(_network(), n_shards=1, log_dir=logs)
+        assert str(logs) in str(refused.value)
+        code = main([
+            "serve", str(DATA / "smoke_scenario.json"), "--shards", "1",
+            "--burst", "4", "--log-dir", str(logs),
+        ])
+        assert code != 0
+        assert "--recover" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in logs.iterdir()} == before
+
     def test_kill_and_recover_rejects_double_admission(self, tmp_path):
         log_dir = tmp_path / "logs"
         log_dir.mkdir()

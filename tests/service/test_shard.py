@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from repro.core.network import fully_connected_network, star_network
 from repro.core.repair import RetryPolicy
-from repro.core.scenario import network_from_dict
+from repro.core.scenario import load_scenario, network_from_dict
 from repro.core.scheduler import BERequest, GRRequest, SparcleScheduler
 from repro.core.taskgraph import BANDWIDTH, CPU, linear_task_graph
 from repro.exceptions import (
@@ -249,7 +250,7 @@ class TestShardEventLog:
         assert [app.to_json() for app in apps.values()] == [
             {"app_id": "b", "kind": "BE", "origin": "local", "consumed": []},
         ]
-        assert apps["b"].ledger_only
+        assert apps["b"].holds() == ()
         # The holds are the only reader: the views the records carry
         # (9.0, 8.0, 7.5) are never assigned.
         network = fully_connected_network(2, cpu=1000.0, link_bandwidth=10.0)
@@ -518,11 +519,10 @@ CHECKPOINTS = ("snapshot", "restart", "checkpoint")
 class TestRecordShape:
     """A record holds the decision, not its consequence."""
 
-    def _scripted_run(self, n_shards: int, use_prediction: bool):
+    def _scripted_run(self, n_shards: int):
         network, zones = _clique_world(8, n_shards)
         with ShardCoordinator(
-            network, zones=zones, use_prediction=use_prediction,
-            max_queue_depth=64,
+            network, zones=zones, max_queue_depth=64
         ) as fed:
             burst = [
                 _gr("g0", "ncp1", "ncp2", min_rate=0.5),
@@ -549,11 +549,8 @@ class TestRecordShape:
             ]
 
     @pytest.mark.parametrize("n_shards", [1, 2])
-    @pytest.mark.parametrize("use_prediction", [True, False])
-    def test_records_carry_decisions_not_consequences(
-        self, n_shards, use_prediction
-    ):
-        decisions, logs = self._scripted_run(n_shards, use_prediction)
+    def test_records_carry_decisions_not_consequences(self, n_shards):
+        decisions, logs = self._scripted_run(n_shards)
         releases = be_checked = 0
         for records in logs:
             for record in records:
@@ -564,22 +561,24 @@ class TestRecordShape:
                     assert set(record) == {"seq", "type", "app_id"}
                     releases += 1
                 for logged in record.get("decisions", ()):
-                    if logged["kind"] != "BE" or not logged["accepted"]:
+                    if not logged["accepted"]:
                         continue
+                    # An accepted GR app logs its holds; a BE app none.
                     decision = decisions[logged["app_id"]]
-                    held = [] if use_prediction else [
+                    held = [] if logged["kind"] == "BE" else [
                         (p.loads(), rate)
                         for p, rate in zip(
                             decision.placements, decision.path_rates
                         )
                     ]
                     logged_app = LiveApp(
-                        logged["app_id"], "BE", "local", logged["consumed"]
+                        logged["app_id"], logged["kind"], "local",
+                        logged["consumed"],
                     )
                     assert _positive(logged_app.consumptions()) == (
                         _positive(held)
                     )
-                    be_checked += 1
+                    be_checked += logged["kind"] == "BE"
         assert releases >= 3 and be_checked >= 2
 
 
@@ -602,11 +601,9 @@ def _positive(consumptions):
 # Scheduler external-reservation plumbing
 # ----------------------------------------------------------------------
 class TestExternalReservations:
-    def _scheduler(self, *, use_prediction: bool = True):
+    def _scheduler(self):
         network = fully_connected_network(2, cpu=10000.0, link_bandwidth=10.0)
-        return network, SparcleScheduler(
-            network, use_prediction=use_prediction
-        )
+        return network, SparcleScheduler(network)
 
     def test_reserve_charges_and_withdraw_releases(self):
         network, scheduler = self._scheduler()
@@ -629,12 +626,10 @@ class TestExternalReservations:
         assert scheduler.residual_snapshot().entries == (
             (link, BANDWIDTH, 6.0),
         )
-        # Under prediction no FCFS ledger is kept.
-        assert scheduler.fcfs_snapshot() is None
         assert scheduler.withdraw("ext") == {link}
         gr = scheduler.submit_gr(_gr("g", "ncp1", "ncp2", min_rate=0.5))
         assert gr.accepted
-        # A BE app under prediction is charged to no view.
+        # A BE app is charged to no view.
         before = scheduler.residual_snapshot()
         be = scheduler.submit_be(_be("b", "ncp1", "ncp2"))
         assert be.accepted
@@ -643,24 +638,6 @@ class TestExternalReservations:
         assert scheduler.withdraw("g") == {
             element for p in gr.placements for element in p.loads()
         }
-
-    def test_without_prediction_the_ledger_is_charged_and_reported(self):
-        network, scheduler = self._scheduler(use_prediction=False)
-        link = network.links[0].name
-        loads = ({link: {BANDWIDTH: 1.0}}, 4.0)
-        assert scheduler.reserve_external("ext", (loads,)) == {link}
-        residual = scheduler.residual_snapshot().entries
-        assert residual == ((link, BANDWIDTH, 6.0),)
-        assert scheduler.fcfs_snapshot().entries == residual
-        # A BE app is charged to the ledger only, at its predicted rate.
-        be = scheduler.submit_be(_be("b", "ncp1", "ncp2"))
-        assert be.accepted
-        assert scheduler.residual_snapshot().entries == residual
-        assert scheduler.fcfs_snapshot().entries != residual
-        assert scheduler.withdraw("b") == {
-            element for p in be.placements for element in p.loads()
-        }
-        assert scheduler.fcfs_snapshot().entries == residual
 
     def test_overcommit_is_atomic(self):
         network, scheduler = self._scheduler()
@@ -679,51 +656,36 @@ class TestExternalReservations:
         before = scheduler.residual_snapshot()
         with pytest.raises(AdmissionError, match="already"):
             scheduler.reserve_external("ext", (loads,))
-        with pytest.raises(AdmissionError, match="already"):
-            scheduler.adopt_be("ext", (loads,))
         assert scheduler.residual_snapshot() == before
-        # Under prediction an adopted BE app registers without a charge.
-        scheduler.adopt_be("ghost", (loads,))
+        # A warm-started local BE app registers without a charge.
+        scheduler.reserve_external("ghost", ())
         assert scheduler.residual_snapshot() == before
         assert "ghost" in scheduler.app_ids()
         with pytest.raises(AdmissionError, match="already"):
             scheduler.reserve_external("ghost", (loads,))
 
     def test_restore_residual_round_trips(self):
-        network, scheduler = self._scheduler(use_prediction=False)
+        network, scheduler = self._scheduler()
         link = network.links[0].name
         external = (({link: {BANDWIDTH: 1.0}}, 3.0),)
         scheduler.reserve_external("ext", external)
         be = scheduler.submit_be(_be("b", "ncp1", "ncp2"))
+        assert be.accepted
         frozen = scheduler.residual_snapshot()
-        fcfs = scheduler.fcfs_snapshot()
-        assert fcfs is not None and fcfs != frozen
-        # A warm start adopts each live app with its logged holds: the
-        # external on both views, the BE app on the ledger only.
-        fresh = SparcleScheduler(network, use_prediction=False)
-        fresh.adopt_be("b", tuple(
-            (p.loads(), rate) for p, rate in zip(be.placements, be.path_rates)
-        ))
-        fresh.reserve_external("ext", external)
-        assert fresh.residual_snapshot() == frozen
-        assert fresh.fcfs_snapshot() == fcfs
-        # Withdrawing the adopted BE app hands its ledger charge back.
-        fresh.withdraw("b")
-        assert fresh.fcfs_snapshot() == frozen
-        assert fresh.app_ids() == ("ext",)
-
-    def test_restore_residual_under_prediction_keeps_no_ledger(self):
-        network, scheduler = self._scheduler()
-        link = network.links[0].name
-        scheduler.reserve_external("ext", (({link: {BANDWIDTH: 1.0}}, 3.0),))
-        frozen = scheduler.residual_snapshot()
-        assert scheduler.fcfs_snapshot() is None
+        # A warm start holds each live app with its logged holds: the
+        # external's, and nothing for the local BE app.
         fresh = SparcleScheduler(network)
-        fresh.reserve_external("ext", (({link: {BANDWIDTH: 1.0}}, 3.0),))
-        fresh.adopt_be("b", ())
+        hold_apps(fresh, [
+            LiveApp("b", "BE", "local", []),
+            LiveApp("ext", "GR", "external",
+                    [{"holds": {BANDWIDTH: {link: 1.0}}, "rate": 3.0}]),
+        ])
         assert fresh.residual_snapshot() == frozen
-        assert fresh.fcfs_snapshot() is None
+        assert fresh.app_ids() == ("b", "ext")
+        # Withdrawing the warm-started BE app hands nothing back.
         assert fresh.withdraw("b") == frozenset()
+        assert fresh.residual_snapshot() == frozen
+        assert fresh.app_ids() == ("ext",)
 
 
 # ----------------------------------------------------------------------
@@ -1078,6 +1040,33 @@ class TestKillAndWarmStart:
         ) as third:
             assert third.recover() == recovered
             assert third.residual_state() == before
+
+    def test_recover_refuses_a_log_written_for_another_region(
+        self, tmp_path
+    ):
+        """A four-shard log directory recovered as two shards would hold
+        shard 0's logged apps on another region's elements."""
+        network = load_scenario(
+            Path(__file__).resolve().parents[1] / "data"
+            / "smoke_scenario.json"
+        ).network
+        with ShardCoordinator(network, n_shards=4, log_dir=tmp_path) as fed:
+            decisions = fed.process([
+                _gr(f"g{k}", src, dst, min_rate=0.5)
+                for k, (src, dst) in enumerate(
+                    [("ncp1", "ncp2"), ("ncp3", "ncp4"), ("ncp5", "ncp6")]
+                )
+            ])
+            assert any(d is not None and d.accepted for d in decisions)
+            live = fed.residual_state()
+        with ShardCoordinator(network, n_shards=2, log_dir=tmp_path) as fed:
+            with pytest.raises(ShardError, match="another network"):
+                fed.recover()
+        # The refusal damaged nothing: the shard count that wrote the
+        # logs still recovers them.
+        with ShardCoordinator(network, n_shards=4, log_dir=tmp_path) as fed:
+            assert fed.recover() == 3
+            assert fed.residual_state() == live
 
     def test_restart_alive_shard_and_unknown_shard_raise(self):
         network, zones = _clique_world(4, 2)

@@ -349,15 +349,16 @@ class TestApiDriftGuard:
                 "(self, tag: 'str', "
                 "consumptions: 'Sequence[tuple[Loads, float]]') "
                 "-> 'frozenset[str]'",
-            SparcleScheduler.adopt_be:
-                "(self, app_id: 'str', "
-                "consumptions: 'Sequence[tuple[Loads, float]]') -> 'None'",
         }
         for method, expected in snapshot.items():
             assert _normalized_signature(method) == expected, method
         for name in ("rederive", "reset_elements"):
             assert not hasattr(CapacityView, name), name
-        for name in ("restore_residual", "_tenants", "_rebuild_gr_residual"):
+        # One view: the FCFS ledger of ablation A3 lives in its harness.
+        for name in (
+            "restore_residual", "_tenants", "_rebuild_gr_residual",
+            "adopt_be", "fcfs_snapshot",
+        ):
             assert not hasattr(SparcleScheduler, name), name
 
 
